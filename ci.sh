@@ -5,11 +5,12 @@
 # cache corruption and flaky HTTP must all converge byte-identically),
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
-# fault-point overhead guard — and the bench-gate step, which measures
-# the kernel-bound benchmarks and fails on regression against the
-# committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
-# allocation counts are deterministic, so an increase is a real leak
-# back onto the hot path).
+# fault-point overhead guard — a short fuzz budget for each gclog
+# target, and the bench-gate step, which measures the kernel-bound
+# benchmarks and one whole Simulate call and fails on regression
+# against the committed BENCH_baseline.json (>25% ns/op, or any
+# allocs/op growth: allocation counts are deterministic, so an increase
+# is a real leak back onto the hot path).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -64,12 +65,19 @@ go test -race -count=1 -run 'TestShardsDeterministicAtAnyWorkerCount|TestPostBan
 go test -race -count=1 -run 'TestEnsembleByteIdentity' ./internal/jvm/
 go test -race -count=1 -run 'TestClusterDigestMatrix' ./internal/cluster/
 go test -count=1 -run 'TestSeed42EvaluationDigest' ./internal/core/
+# Differential fuzz smoke: a short fixed budget per gclog target on top of
+# the committed corpora that plain `go test` replays. FuzzEventFormat holds
+# the append formatters byte-identical to the fmt rendering they replace;
+# FuzzParse holds the parser panic-free and its rendering drift-free.
+go test -run=NONE -fuzz='^FuzzEventFormat$' -fuzztime=10s ./internal/gclog/
+go test -run=NONE -fuzz='^FuzzParse$' -fuzztime=10s ./internal/gclog/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.
 go build -o /tmp/benchdiff ./cmd/benchdiff
 {
   go test -run=NONE -bench 'BenchmarkFigure3Ranking' -benchmem -benchtime=5x -count=2 .
+  go test -run=NONE -bench 'BenchmarkSimulate$' -benchmem -count=2 .
   go test -run=NONE -bench 'BenchmarkSimulatedHour' -benchmem -benchtime=10x -count=2 ./internal/jvm/
   go test -run=NONE -bench 'BenchmarkClusterStep' -benchmem -benchtime=3x -count=2 ./internal/cluster/
   go test -run=NONE -bench 'BenchmarkColdRun|BenchmarkCacheHit|BenchmarkSubmitCacheHit' -benchmem -count=2 ./internal/labd/

@@ -10,6 +10,7 @@ package gclog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"jvmgc/internal/machine"
@@ -84,11 +85,67 @@ type Event struct {
 // End returns the instant the event finished.
 func (e Event) End() simtime.Time { return e.Start.Add(e.Duration) }
 
-// Format renders the event as a HotSpot-like log line.
+// Format renders the event as a HotSpot-like log line:
+//
+//	12.345: [Full GC (System.gc()) 8GB->2GB, 1.2340 secs]
 func (e Event) Format() string {
-	return fmt.Sprintf("%.3f: [%s (%s) %v->%v, %.4f secs]",
-		e.Start.Seconds(), e.Kind, e.Cause, e.HeapBefore, e.HeapAfter,
-		e.Duration.Seconds())
+	var buf [maxLine]byte
+	return string(e.AppendFormat(buf[:0]))
+}
+
+// maxLine bounds the stack buffer a line is rendered into; longer lines
+// (long causes) still render, through one heap allocation.
+const maxLine = 128
+
+// AppendFormat appends the Format rendering of e to dst and returns the
+// extended buffer. Its bytes equal those of
+//
+//	fmt.Sprintf("%.3f: [%s (%s) %v->%v, %.4f secs]", e.Start.Seconds(),
+//		e.Kind, e.Cause, e.HeapBefore, e.HeapAfter, e.Duration.Seconds())
+func (e Event) AppendFormat(dst []byte) []byte {
+	dst = appendSeconds(dst, int64(e.Start), 3)
+	dst = append(dst, ": ["...)
+	dst = append(dst, e.Kind.String()...)
+	dst = append(dst, " ("...)
+	dst = append(dst, e.Cause...)
+	dst = append(dst, ") "...)
+	dst = e.HeapBefore.Append(dst)
+	dst = append(dst, "->"...)
+	dst = e.HeapAfter.Append(dst)
+	dst = append(dst, ", "...)
+	dst = appendSeconds(dst, int64(e.Duration), 4)
+	return append(dst, " secs]"...)
+}
+
+// pow10 holds 10^i for every i in 0..9.
+var pow10 = [10]int64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// appendSeconds appends ns nanoseconds as seconds with prec decimals
+// (1 <= prec <= 9), the bytes strconv.AppendFloat(dst, float64(ns)/1e9,
+// 'f', prec, 64) gives, without its multiprecision path.
+//
+// For 0 <= ns < 2^52 the float quotient lies within half an ulp
+// (< 0.47 ns) of the exact one, while an ns that is not an exact tie
+// lies at least 1 ns from the rounding boundary, so rounding the
+// integer gives the float's digits. Ties, negative values and larger
+// ones take the float path.
+func appendSeconds(dst []byte, ns int64, prec int) []byte {
+	unit := pow10[9-prec]
+	q, r := ns/unit, ns%unit
+	if ns < 0 || ns >= 1<<52 || 2*r == unit {
+		return strconv.AppendFloat(dst, float64(ns)/1e9, 'f', prec, 64)
+	}
+	if 2*r > unit {
+		q++
+	}
+	scale := pow10[prec]
+	dst = strconv.AppendInt(dst, q/scale, 10)
+	dst = append(dst, '.')
+	frac := q % scale
+	for d := scale / 10; d > 0; d /= 10 {
+		dst = append(dst, byte('0'+frac/d%10))
+	}
+	return dst
 }
 
 // Log accumulates GC events in time order.
@@ -205,12 +262,18 @@ func (l *Log) PauseAt(t simtime.Time) (Event, bool) {
 	return Event{}, false
 }
 
+// lineBytes sizes Log.String's output per event. It slightly
+// over-estimates a rendered line with its newline (74 bytes on average
+// over multi-hour simulations), so that the output is allocated once.
+const lineBytes = 80
+
 // String renders the whole log in HotSpot-like lines.
 func (l *Log) String() string {
 	var b strings.Builder
+	b.Grow(len(l.events) * lineBytes)
+	var line [maxLine]byte
 	for _, e := range l.events {
-		b.WriteString(e.Format())
-		b.WriteByte('\n')
+		b.Write(append(e.AppendFormat(line[:0]), '\n'))
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package gclog
 
 import (
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -152,5 +154,33 @@ func TestStringRendersAllEvents(t *testing.T) {
 	s := l.String()
 	if got := strings.Count(s, "\n"); got != 4 {
 		t.Errorf("rendered %d lines, want 4", got)
+	}
+}
+
+// TestAppendSecondsMatchesFloat sweeps the integer path of appendSeconds
+// against the float rendering it replaces: a seeded spread of magnitudes
+// up to 2^52 ns, and the exact ties of each precision with their
+// neighbours 1 ns either side, where a misrounding would first show.
+func TestAppendSecondsMatchesFloat(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 0))
+	var got, want []byte
+	check := func(ns int64, prec int) {
+		got = appendSeconds(got[:0], ns, prec)
+		want = strconv.AppendFloat(want[:0], float64(ns)/1e9, 'f', prec, 64)
+		if string(got) != string(want) {
+			t.Fatalf("appendSeconds(%d, %d) = %s, want %s", ns, prec, got, want)
+		}
+	}
+	for i := 0; i < 50000; i++ {
+		ns := rng.Int64N(1 << (1 + rng.IntN(52)))
+		for _, prec := range []int{3, 4} {
+			unit := pow10[9-prec]
+			tie := ns/unit*unit + unit/2
+			for _, v := range []int64{ns, tie - 1, tie, tie + 1} {
+				if v >= 0 && v < 1<<52 {
+					check(v, prec)
+				}
+			}
+		}
 	}
 }

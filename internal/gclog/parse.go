@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -51,7 +52,7 @@ func parseLine(line string) (Event, error) {
 	if colon < 0 {
 		return e, fmt.Errorf("missing timestamp bracket in %q", line)
 	}
-	secs, err := strconv.ParseFloat(line[:colon], 64)
+	secs, err := parseFinite(line[:colon])
 	if err != nil {
 		return e, fmt.Errorf("bad timestamp: %v", err)
 	}
@@ -85,7 +86,7 @@ func parseLine(line string) (Event, error) {
 	if comma < 0 {
 		return e, fmt.Errorf("missing duration in %q", line)
 	}
-	dur, err := strconv.ParseFloat(rest[comma+2:], 64)
+	dur, err := parseFinite(rest[comma+2:])
 	if err != nil {
 		return e, fmt.Errorf("bad duration: %v", err)
 	}
@@ -122,7 +123,18 @@ func splitKind(body string) (Kind, string, error) {
 	return best, body[bestLen+1:], nil
 }
 
-// parseBytes inverts machine.Bytes.String (e.g. "8GB", "1.5MB", "512B").
+// parseFinite parses a decimal number, rejecting NaN and infinities.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite number %q", s)
+	}
+	return v, err
+}
+
+// parseBytes inverts machine.Bytes.String (e.g. "8GB", "1.5MB", "512B"),
+// rounding to the nearest byte so that a rendered quantity re-renders
+// unchanged. Quantities outside the int64 range are rejected.
 func parseBytes(s string) (machine.Bytes, error) {
 	s = strings.TrimSpace(s)
 	mult := 1.0
@@ -141,9 +153,14 @@ func parseBytes(s string) (machine.Bytes, error) {
 	default:
 		return 0, fmt.Errorf("missing unit in %q", s)
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := parseFinite(s)
 	if err != nil {
 		return 0, fmt.Errorf("bad byte quantity %q: %v", s, err)
 	}
-	return machine.Bytes(v * mult), nil
+	// mult is a power of two, so the product is exact; 2^63 bounds int64.
+	n := math.Round(v * mult)
+	if n < -(1<<63) || n >= 1<<63 {
+		return 0, fmt.Errorf("byte quantity %q out of range", s)
+	}
+	return machine.Bytes(n), nil
 }

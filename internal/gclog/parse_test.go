@@ -78,10 +78,29 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"1.0: [GC (young) (c) 1GB=>1GB, 0.1 secs]", // bad arrow
 		"1.0: [GC (young) (c) 1XB->1GB, 0.1 secs]", // bad unit
 		"1.0: [GC (young) (c) 1GB->1GB, abc secs]", // bad duration
+		// Non-finite numbers in any field.
+		"NaN: [GC (young) (c) 1GB->1GB, 0.1 secs]",
+		"+Inf: [GC (young) (c) 1GB->1GB, 0.1 secs]",
+		"1.0: [GC (young) (c) 1GB->1GB, NaN secs]",
+		"1.0: [GC (young) (c) 1GB->1GB, Inf secs]",
+		"1.0: [GC (young) (c) NaNGB->1GB, 0.1 secs]",
+		"1.0: [GC (young) (c) 1GB->InfB, 0.1 secs]",
+		"1.0: [GC (young) (c) -infMB->1GB, 0.1 secs]",
+		// Byte quantities outside int64.
+		"1.0: [GC (young) (c) 1e300GB->1GB, 0.1 secs]",
+		"1.0: [GC (young) (c) 1GB->-1e300GB, 0.1 secs]",
+		"1.0: [GC (young) (c) 8GB->9223372036854775808B, 0.1 secs]",
+		"1.0: [GC (young) (c) 8589934592GB->1GB, 0.1 secs]",
 	}
 	for _, line := range bad {
-		if _, err := Parse(strings.NewReader(line)); err == nil {
+		// The bad line comes second, after a valid one, and the error
+		// names it.
+		in := "0.000: [GC (young) (c) 1GB->1GB, 0.1 secs]\n" + line
+		_, err := Parse(strings.NewReader(in))
+		if err == nil {
 			t.Errorf("accepted %q", line)
+		} else if !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("%q: error %q does not name line 2", line, err)
 		}
 	}
 }
@@ -100,6 +119,15 @@ func TestParseBytesUnits(t *testing.T) {
 		"2KB":   2 * machine.KB,
 		"1.5MB": machine.Bytes(1.5 * float64(machine.MB)),
 		"64GB":  64 * machine.GB,
+		// Rounded to the nearest byte, not truncated: 9.999 KB is
+		// 10238.976 B.
+		"9.999KB":  10239,
+		"-9.999KB": -10239,
+		"0.4B":     0,
+		"0.5B":     1,
+		// Negative quantities are in range down to the int64 minimum.
+		"-8GB":                  -8 * machine.GB,
+		"-9223372036854775808B": math.MinInt64,
 	}
 	for in, want := range cases {
 		got, err := parseBytes(in)

@@ -19,7 +19,7 @@ package machine
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 )
 
 // Bytes is a memory quantity in bytes.
@@ -34,16 +34,27 @@ const (
 
 // String formats the quantity with a binary unit.
 func (b Bytes) String() string {
+	var buf [24]byte
+	return string(b.Append(buf[:0]))
+}
+
+// Append appends the String form of b to dst and returns the extended
+// buffer. The digits are those of fmt's %.4g, which is
+// strconv.AppendFloat with format 'g' and precision 4.
+func (b Bytes) Append(dst []byte) []byte {
+	unit, name := Bytes(0), ""
 	switch {
 	case b >= GB || b <= -GB:
-		return fmt.Sprintf("%.4gGB", float64(b)/float64(GB))
+		unit, name = GB, "GB"
 	case b >= MB || b <= -MB:
-		return fmt.Sprintf("%.4gMB", float64(b)/float64(MB))
+		unit, name = MB, "MB"
 	case b >= KB || b <= -KB:
-		return fmt.Sprintf("%.4gKB", float64(b)/float64(KB))
+		unit, name = KB, "KB"
 	default:
-		return fmt.Sprintf("%dB", int64(b))
+		return append(strconv.AppendInt(dst, int64(b), 10), 'B')
 	}
+	dst = strconv.AppendFloat(dst, float64(b)/float64(unit), 'g', 4, 64)
+	return append(dst, name...)
 }
 
 // Topology describes the processor and memory layout of a machine.

@@ -246,19 +246,31 @@ func summarize(j *jvm.JVM) *SimulationResult {
 		},
 		LogText: log.String(),
 	}
-	for _, e := range log.Pauses() {
-		res.Pauses = append(res.Pauses, Pause{
+	res.Pauses, res.FullGCs = pauses(log)
+	return res
+}
+
+// pauses converts the log's stop-the-world events to Pauses and counts
+// the full collections among them. A log without pauses gives nil.
+func pauses(log *gclog.Log) ([]Pause, int) {
+	n, full := log.CountPauses()
+	if n == 0 {
+		return nil, 0
+	}
+	out := make([]Pause, 0, n)
+	for _, e := range log.Events() {
+		if !e.Kind.IsPause() {
+			continue
+		}
+		out = append(out, Pause{
 			At:       time.Duration(e.Start),
 			Duration: e.Duration.Std(),
 			Kind:     e.Kind.String(),
 			Cause:    e.Cause,
 			Full:     e.Kind == gclog.PauseFull,
 		})
-		if e.Kind == gclog.PauseFull {
-			res.FullGCs++
-		}
 	}
-	return res
+	return out, full
 }
 
 // BenchmarkOptions configures a DaCapo-style benchmark run.
@@ -326,18 +338,7 @@ func RunBenchmark(opts BenchmarkOptions) (*BenchmarkResult, error) {
 	for _, d := range res.Iterations {
 		out.IterationSeconds = append(out.IterationSeconds, d.Seconds())
 	}
-	for _, e := range res.Log.Pauses() {
-		out.Pauses = append(out.Pauses, Pause{
-			At:       time.Duration(e.Start),
-			Duration: e.Duration.Std(),
-			Kind:     e.Kind.String(),
-			Cause:    e.Cause,
-			Full:     e.Kind == gclog.PauseFull,
-		})
-		if e.Kind == gclog.PauseFull {
-			out.FullGCs++
-		}
-	}
+	out.Pauses, out.FullGCs = pauses(res.Log)
 	return out, nil
 }
 
@@ -455,18 +456,7 @@ func RunClientServer(opts ClientServerOptions) (*ClientServerResult, error) {
 		Read:          toBands(trace.Bands(ycsb.Read, 0.01)),
 		Update:        toBands(trace.Bands(ycsb.Update, 0.01)),
 	}
-	for _, e := range srv.Log.Pauses() {
-		out.ServerPauses = append(out.ServerPauses, Pause{
-			At:       time.Duration(e.Start),
-			Duration: e.Duration.Std(),
-			Kind:     e.Kind.String(),
-			Cause:    e.Cause,
-			Full:     e.Kind == gclog.PauseFull,
-		})
-		if e.Kind == gclog.PauseFull {
-			out.FullGCs++
-		}
-	}
+	out.ServerPauses, out.FullGCs = pauses(srv.Log)
 	for _, op := range trace.Ops {
 		out.Ops = append(out.Ops, OpLatency{
 			Read:         op.Type == ycsb.Read,
