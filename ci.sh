@@ -6,8 +6,9 @@
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — a short fuzz budget for each gclog
-# target, and the bench-gate step, which measures the kernel-bound
-# benchmarks and one whole Simulate call and fails on regression
+# target and the band analysis, and the bench-gate step, which measures
+# the kernel-bound benchmarks, one whole Simulate call and the whole
+# three-collector client study, and fails on regression
 # against the committed BENCH_baseline.json (>25% ns/op, or any
 # allocs/op growth: allocation counts are deterministic, so an increase
 # is a real leak back onto the hot path).
@@ -71,6 +72,9 @@ go test -count=1 -run 'TestSeed42EvaluationDigest' ./internal/core/
 # FuzzParse holds the parser panic-free and its rendering drift-free.
 go test -run=NONE -fuzz='^FuzzEventFormat$' -fuzztime=10s ./internal/gclog/
 go test -run=NONE -fuzz='^FuzzParse$' -fuzztime=10s ./internal/gclog/
+# FuzzAnalyzeBands holds the linear band analysis equal to the sort-based
+# oracle kept in internal/stats/bands_test.go.
+go test -run=NONE -fuzz='^FuzzAnalyzeBands$' -fuzztime=10s ./internal/stats/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.
@@ -78,6 +82,7 @@ go build -o /tmp/benchdiff ./cmd/benchdiff
 {
   go test -run=NONE -bench 'BenchmarkFigure3Ranking' -benchmem -benchtime=5x -count=2 .
   go test -run=NONE -bench 'BenchmarkSimulate$' -benchmem -count=2 .
+  go test -run=NONE -bench 'BenchmarkTables567LatencyBands' -benchmem -benchtime=2x -count=2 .
   go test -run=NONE -bench 'BenchmarkSimulatedHour' -benchmem -benchtime=10x -count=2 ./internal/jvm/
   go test -run=NONE -bench 'BenchmarkClusterStep' -benchmem -benchtime=3x -count=2 ./internal/cluster/
   go test -run=NONE -bench 'BenchmarkColdRun|BenchmarkCacheHit|BenchmarkSubmitCacheHit' -benchmem -count=2 ./internal/labd/

@@ -171,30 +171,28 @@ func Run(cfg Config) (Result, error) {
 		res.SuspicionsTotal += len(fd.Analyze(nr.Log))
 	}
 
-	// Pause lookup per node: the remaining pause at instant t.
-	shadows := make([]func(float64) float64, cfg.Nodes)
+	// Each node's pauses in time order, and all of them together (in any
+	// order) as the reference set for the %GCs columns.
+	nodePauses := make([][]stats.Interval, cfg.Nodes)
+	var allPauses []stats.Interval
 	for n, nr := range res.Nodes {
 		pauses := nr.Log.Pauses()
 		intervals := make([]stats.Interval, len(pauses))
 		for i, e := range pauses {
 			intervals[i] = stats.Interval{Start: e.Start.Seconds(), End: e.End().Seconds()}
 		}
-		shadows[n] = func(t float64) float64 {
-			i := sort.Search(len(intervals), func(k int) bool { return intervals[k].End > t })
-			if i < len(intervals) && t >= intervals[i].Start {
-				return intervals[i].End - t
-			}
-			return 0
-		}
+		nodePauses[n] = intervals
+		allPauses = append(allPauses, intervals...)
 	}
 
 	// The measuring client: one arrival process, replayed at each
-	// consistency level against the same replica delays.
+	// consistency level against the same replica delays. A request's
+	// replicas are ReplicationFactor consecutive ring nodes from first.
 	rng := xrand.New(cfg.Seed).SplitLabeled("cluster/" + cfg.Node.CollectorName)
 	type op struct {
 		t           float64
 		coordinator int
-		replicas    []int
+		first       int
 		jitter      float64
 	}
 	var ops []op
@@ -212,38 +210,36 @@ func Run(cfg Config) (Result, error) {
 		}
 		coordinator := rng.Intn(cfg.Nodes)
 		first := rng.Intn(cfg.Nodes)
-		replicas := make([]int, cfg.ReplicationFactor)
-		for i := range replicas {
-			replicas[i] = (first + i) % cfg.Nodes
-		}
-		ops = append(ops, op{t: t, coordinator: coordinator, replicas: replicas, jitter: rng.Jitter(1, 0.15)})
+		ops = append(ops, op{t: t, coordinator: coordinator, first: first, jitter: rng.Jitter(1, 0.15)})
 	}
 
+	samples := make([]stats.LatencySample, len(ops))
+	delays := make([]float64, cfg.ReplicationFactor)
 	for _, level := range []ConsistencyLevel{One, Quorum, All} {
 		need := level.acks(cfg.ReplicationFactor)
-		samples := make([]stats.LatencySample, 0, len(ops))
-		for _, o := range ops {
+		for i, o := range ops {
 			// Coordinator pause stalls the request outright.
-			lat := cfg.BaseLatencyMS*o.jitter + shadows[o.coordinator](o.t)*1e3
-			delays := make([]float64, len(o.replicas))
-			for i, r := range o.replicas {
-				delays[i] = shadows[r](o.t) * 1e3
+			lat := cfg.BaseLatencyMS*o.jitter + remaining(nodePauses[o.coordinator], o.t)*1e3
+			for k := range delays {
+				delays[k] = remaining(nodePauses[(o.first+k)%cfg.Nodes], o.t) * 1e3
 			}
 			sort.Float64s(delays)
 			lat += delays[need-1]
-			samples = append(samples, stats.LatencySample{Completed: o.t + lat/1e3, LatencyMS: lat})
+			samples[i] = stats.LatencySample{Completed: o.t + lat/1e3, LatencyMS: lat}
 		}
-		// Pauses of ALL nodes form the reference set for %GCs columns.
-		var allPauses []stats.Interval
-		for _, nr := range res.Nodes {
-			for _, e := range nr.Log.Pauses() {
-				allPauses = append(allPauses, stats.Interval{Start: e.Start.Seconds(), End: e.End().Seconds()})
-			}
-		}
-		sort.Slice(allPauses, func(i, j int) bool { return allPauses[i].Start < allPauses[j].Start })
 		res.PerLevel[level] = stats.AnalyzeBands(samples, allPauses, 0.01)
 	}
 	return res, nil
+}
+
+// remaining returns how much of a pause is left at instant t, given one
+// node's pauses in time order (0 when t falls in none).
+func remaining(pauses []stats.Interval, t float64) float64 {
+	i := sort.Search(len(pauses), func(k int) bool { return pauses[k].End > t })
+	if i < len(pauses) && t >= pauses[i].Start {
+		return pauses[i].End - t
+	}
+	return 0
 }
 
 // Render prints the per-level comparison.

@@ -92,3 +92,29 @@ func BenchmarkClusterStep(b *testing.B) {
 		}
 	}
 }
+
+// perLevelPins holds, per collector, the SHA-256 of the %#v of the ONE,
+// QUORUM and ALL band reports of testConfig: every field of every band
+// row, where TestClusterDigestMatrix hashes only N, AVG and MAX and
+// compares worker counts with each other.
+var perLevelPins = map[string]string{
+	"ParallelOld": "8dd1168d3ac16211911d7bbb2c316bbfff4b143eb75760ba1354f30bfba8742d",
+	"CMS":         "d16dee888eaa261ff12610d2481309607b7111d732ad57e8244128080e82eed1",
+	"G1":          "0ed19ff3c1b7743f24d38cb483da6ef4c91f4a62db77aec0e9be4d287164e44b",
+}
+
+func TestPerLevelReportsPinned(t *testing.T) {
+	for gc, want := range perLevelPins {
+		res, err := Run(testConfig(gc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, lvl := range []ConsistencyLevel{One, Quorum, All} {
+			fmt.Fprintf(h, "%v %#v\n", lvl, res.PerLevel[lvl])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s: per-level report digest = %s, want %s", gc, got, want)
+		}
+	}
+}

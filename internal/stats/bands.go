@@ -61,13 +61,20 @@ type BandReport struct {
 // paper's tables arrive at 0.0% there while every exceedance band shows
 // ~100%.
 //
-// The pause/request correlation is one merged two-pointer sweep: with
-// samples sorted by completion and pauses by start, the first candidate
-// sample for each pause only moves forward, and each pause's scan stops
-// exactly at completion > pause end + max latency — past that bound no
-// sample's service interval can reach back into the pause. Band request
-// counts come from one sorted latency slice via binary search instead
-// of a full pass per band.
+// The analysis is linear in the samples, which it neither copies nor
+// sorts and which may come in any order. One pass counts band
+// membership: each sample tallies how many of the thresholds 2·avg,
+// 4·avg, … it exceeds, so the count above band k is a suffix sum of the
+// tally. The same pass finds each sample's overlapping pauses among
+// those sorted by start: a cursor holds the prefix that starts before
+// the sample completes, and walking that prefix backwards stops at the
+// first pause whose running maximum end does not reach the sample's
+// start. On the generators' nearly completion-ordered samples the
+// cursor moves O(1) per sample.
+//
+// Latencies must be non-negative: a negative mean sends every doubled
+// threshold to −∞, so the exceedance bands would never end. A zero mean
+// ends once the threshold 0·∞ turns NaN.
 func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64) BandReport {
 	var rep BandReport
 	if len(samples) == 0 {
@@ -82,65 +89,88 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 	rep.MinMS = w.Min()
 	rep.MaxMS = w.Max()
 	avg := rep.AvgMS
-	n := float64(len(samples))
 
-	// Sort samples by completion for the overlap sweep, and latencies
-	// alone for the band membership counts.
-	byTime := append([]LatencySample(nil), samples...)
-	sort.Slice(byTime, func(i, j int) bool { return byTime[i].Completed < byTime[j].Completed })
-	lat := make([]float64, len(samples))
-	for i, s := range samples {
-		lat[i] = s.LatencyMS
-	}
-	sort.Float64s(lat)
-
-	// For each pause, find the worst overlapping latency and whether any
-	// overlapping request exists: pauses in start order share one
-	// monotone candidate pointer into the completion-sorted samples.
-	worst := make([]float64, len(pauses))
-	hasReq := make([]bool, len(pauses))
-	order := make([]int, len(pauses))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return pauses[order[a]].Start < pauses[order[b]].Start })
-	maxSec := rep.MaxMS / 1e3
-	lo := 0
-	for _, pi := range order {
-		p := pauses[pi]
-		// Only requests completing after the pause starts can overlap it;
-		// later pauses start no earlier, so the pointer never backs up.
-		for lo < len(byTime) && byTime[lo].Completed <= p.Start {
-			lo++
+	sorted := append([]Interval(nil), pauses...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Start < sorted[b].Start })
+	reach := make([]float64, len(sorted))
+	for i, p := range sorted {
+		reach[i] = p.End
+		if i > 0 && reach[i-1] > p.End {
+			reach[i] = reach[i-1]
 		}
-		for i := lo; i < len(byTime); i++ {
-			s := byTime[i]
-			// Past this completion bound even the longest request's
-			// service interval starts after the pause ends.
-			if s.Completed > p.End+maxSec {
-				break
+	}
+	worst := make([]float64, len(sorted))
+	hasReq := make([]bool, len(sorted))
+
+	var over []int // over[k]: samples above exactly k+1 thresholds
+	bandLo, bandHi := 0.5*avg, 1.5*avg
+	geLo, gtHi := 0, 0
+	c := 0
+	for _, s := range samples {
+		l := s.LatencyMS
+		if l >= bandLo {
+			geLo++
+		}
+		if l > bandHi {
+			gtHi++
+		}
+		k := 0
+		for mult := 2.0; l > mult*avg; mult *= 2 {
+			k++
+		}
+		if k > 0 {
+			for len(over) < k {
+				over = append(over, 0)
 			}
-			if s.interval().Overlaps(p) {
-				hasReq[pi] = true
-				if s.LatencyMS > worst[pi] {
-					worst[pi] = s.LatencyMS
+			over[k-1]++
+		}
+
+		for c < len(sorted) && sorted[c].Start < s.Completed {
+			c++
+		}
+		for c > 0 && !(sorted[c-1].Start < s.Completed) {
+			c--
+		}
+		iv := s.interval()
+		for i := c - 1; i >= 0 && reach[i] > iv.Start; i-- {
+			if iv.Overlaps(sorted[i]) {
+				hasReq[i] = true
+				if l > worst[i] {
+					worst[i] = l
 				}
 			}
 		}
 	}
-	gcTotal := float64(len(pauses))
 
-	// countAbove returns how many latencies exceed thresh.
-	countAbove := func(thresh float64) int {
-		return len(lat) - sort.Search(len(lat), func(k int) bool { return lat[k] > thresh })
+	// Suffix sums: over[k] becomes the count above band k.
+	for k := len(over) - 2; k >= 0; k-- {
+		over[k] += over[k+1]
 	}
+	countAbove := func(band int, _ float64) int {
+		if band < len(over) {
+			return over[band]
+		}
+		return 0
+	}
+	rep.fillBands(geLo-gtHi, countAbove, worst, hasReq, minReqPct)
+	return rep
+}
+
+// fillBands completes a report whose N and AvgMS are set: the normal
+// band from inNormal requests, the exceedance bands from countAbove,
+// which returns the number of requests above band's threshold (band 0
+// is 2·avg, each next one doubles it), and the %GCs columns from each
+// pause's worst overlapping latency and whether any request overlapped
+// it.
+func (rep *BandReport) fillBands(inNormal int, countAbove func(band int, thresh float64) int, worst []float64, hasReq []bool, minReqPct float64) {
+	avg := rep.AvgMS
+	n := float64(rep.N)
+	gcTotal := float64(len(worst))
 
 	// Normal band: 0.5x–1.5x.
-	bandLo, bandHi := 0.5*avg, 1.5*avg
-	first := sort.Search(len(lat), func(k int) bool { return lat[k] >= bandLo })
-	inNormal := len(lat) - first - countAbove(bandHi)
+	bandHi := 1.5 * avg
 	quiet := 0
-	for pi := range pauses {
+	for pi := range worst {
 		if hasReq[pi] && worst[pi] <= bandHi {
 			quiet++
 		}
@@ -153,7 +183,7 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 	// Exceedance bands: >2x, >4x, >8x, ...
 	for mult := 2.0; ; mult *= 2 {
 		thresh := mult * avg
-		count := countAbove(thresh)
+		count := countAbove(len(rep.Above), thresh)
 		pct := 100 * float64(count) / n
 		if pct < minReqPct && len(rep.Above) > 0 {
 			break
@@ -161,8 +191,8 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 		row := BandRow{Label: bandLabel(mult), Reqs: pct}
 		if gcTotal > 0 {
 			hit := 0
-			for pi := range pauses {
-				if worst[pi] > thresh {
+			for _, wl := range worst {
+				if wl > thresh {
 					hit++
 				}
 			}
@@ -173,7 +203,6 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 			break
 		}
 	}
-	return rep
 }
 
 func bandLabel(mult float64) string {

@@ -90,48 +90,10 @@ func (a *BandAccumulator) Report() BandReport {
 	rep.AvgMS = a.w.Mean()
 	rep.MinMS = a.w.Min()
 	rep.MaxMS = a.w.Max()
-	avg := rep.AvgMS
-	n := float64(a.w.N())
-	gcTotal := float64(len(a.pauses))
-
-	countAbove := func(thresh float64) int { return int(a.hist.CountAbove(thresh)) }
-
+	above := func(thresh float64) int { return int(a.hist.CountAbove(thresh)) }
 	// Normal band: 0.5x–1.5x (bucket-resolution edges).
-	bandHi := 1.5 * avg
-	inNormal := countAbove(0.5*avg) - countAbove(bandHi)
-	quiet := 0
-	for pi := range a.pauses {
-		if a.hasReq[pi] && a.worst[pi] <= bandHi {
-			quiet++
-		}
-	}
-	rep.Normal = BandRow{Label: "0.5x-1.5x AVG", Reqs: 100 * float64(inNormal) / n}
-	if gcTotal > 0 {
-		rep.Normal.GCs = 100 * float64(quiet) / gcTotal
-	}
-
-	// Exceedance bands: >2x, >4x, >8x, ...
-	for mult := 2.0; ; mult *= 2 {
-		thresh := mult * avg
-		count := countAbove(thresh)
-		pct := 100 * float64(count) / n
-		if pct < a.minReqPct && len(rep.Above) > 0 {
-			break
-		}
-		row := BandRow{Label: bandLabel(mult), Reqs: pct}
-		if gcTotal > 0 {
-			hit := 0
-			for pi := range a.pauses {
-				if a.worst[pi] > thresh {
-					hit++
-				}
-			}
-			row.GCs = 100 * float64(hit) / gcTotal
-		}
-		rep.Above = append(rep.Above, row)
-		if count == 0 {
-			break
-		}
-	}
+	inNormal := above(0.5*rep.AvgMS) - above(1.5*rep.AvgMS)
+	rep.fillBands(inNormal, func(_ int, thresh float64) int { return above(thresh) },
+		a.worst, a.hasReq, a.minReqPct)
 	return rep
 }

@@ -18,6 +18,9 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// item1 is 1 + 0.5^theta: a scaled draw u·zetan in [1, item1)
+	// selects item 1.
+	item1 float64
 }
 
 // NewZipf returns a zipfian generator over [0, n) with parameter theta in
@@ -34,6 +37,7 @@ func NewZipf(r *Rand, n uint64, theta float64) *Zipf {
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.item1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -105,7 +109,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.item1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -144,6 +144,11 @@ func clientPauses(server cassandra.Result, startAfter float64) []stats.Interval 
 // each completed operation to visit in ascending arrival (service
 // start) order. Telemetry emission lives here too, so both modes
 // produce the same counters and shadow spans.
+//
+// Per operation it does only the draws: the service-time means are
+// logged once, and the read means again only when the database has
+// grown, which a cursor over the server's record curve detects because
+// arrivals only move forward in time.
 func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Interval, visit func(op Op)) {
 	rng := xrand.New(cfg.Seed).SplitLabeled("ycsb/txn/" + server.Config.CollectorName)
 	zipf := xrand.NewZipf(rng.Split(), cfg.KeySpace, cfg.ZipfTheta)
@@ -151,6 +156,24 @@ func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Int
 	ctrRead := cfg.Recorder.CounterHandle("ycsb.ops.read")
 	ctrUpdate := cfg.Recorder.CounterHandle("ycsb.ops.update")
 	ctrShadowed := cfg.Recorder.CounterHandle("ycsb.ops.shadowed")
+	readFrac := cfg.ReadFraction
+	if readFrac < 0 {
+		readFrac = 0
+	}
+	updateMu := math.Log(cfg.UpdateBaseMS)
+	// records is the database size at the latest arrival, as
+	// server.RecordsAt gives it: the last curve point at or before it.
+	var records int64
+	var coldMu, hotMu float64
+	setRecords := func(n int64) {
+		records = n
+		base := readStepMS(cfg.ReadBaseMS, n)
+		// Hot keys are served from the row cache faster.
+		coldMu, hotMu = math.Log(base), math.Log(base*0.85)
+	}
+	setRecords(0)
+	curve := server.Records
+	ri := 0
 	pi := 0
 	t := cfg.StartAfter
 	for {
@@ -159,21 +182,23 @@ func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Int
 			break
 		}
 		var op Op
-		readFrac := cfg.ReadFraction
-		if readFrac < 0 {
-			readFrac = 0
-		}
 		if rng.Bool(readFrac) {
 			op.Type = Read
-			base := readStepMS(cfg.ReadBaseMS, server.RecordsAt(simtime.Time(simtime.Seconds(t))))
-			// Hot keys are served from the row cache faster.
-			if zipf.Scrambled() < cfg.KeySpace/10 {
-				base *= 0.85
+			at := simtime.Time(simtime.Seconds(t))
+			for ri < len(curve) && curve[ri].Time <= at {
+				ri++
 			}
-			op.LatencyMS = rng.LogNormal(math.Log(base), 0.18)
+			if ri > 0 && curve[ri-1].Records != records {
+				setRecords(curve[ri-1].Records)
+			}
+			mu := coldMu
+			if zipf.Scrambled() < cfg.KeySpace/10 {
+				mu = hotMu
+			}
+			op.LatencyMS = rng.LogNormal(mu, 0.18)
 		} else {
 			op.Type = Update
-			op.LatencyMS = rng.LogNormal(math.Log(cfg.UpdateBaseMS), 0.12)
+			op.LatencyMS = rng.LogNormal(updateMu, 0.12)
 		}
 		for pi < len(pauses) && pauses[pi].End <= t {
 			pi++
@@ -222,7 +247,16 @@ func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
 
 // Samples extracts the latency samples of one operation type.
 func (tr Trace) Samples(t OpType) []stats.LatencySample {
-	var out []stats.LatencySample
+	n := 0
+	for _, op := range tr.Ops {
+		if op.Type == t {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]stats.LatencySample, 0, n)
 	for _, op := range tr.Ops {
 		if op.Type == t {
 			out = append(out, stats.LatencySample{Completed: op.Completed, LatencyMS: op.LatencyMS})
