@@ -6,10 +6,10 @@
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — a short fuzz budget for each gclog
-# target and the band analysis, and the bench-gate step, which measures
-# the kernel-bound benchmarks, one whole Simulate call and the whole
-# three-collector client study, and fails on regression
-# against the committed BENCH_baseline.json (>25% ns/op, or any
+# target, the band analysis and the hdrhist decoder, and the bench-gate
+# step, which measures the kernel-bound benchmarks, one whole Simulate
+# call and the whole three-collector client study, and fails on
+# regression against the committed BENCH_baseline.json (>25% ns/op, or any
 # allocs/op growth: allocation counts are deterministic, so an increase
 # is a real leak back onto the hot path).
 set -eux
@@ -75,6 +75,9 @@ go test -run=NONE -fuzz='^FuzzParse$' -fuzztime=10s ./internal/gclog/
 # FuzzAnalyzeBands holds the linear band analysis equal to the sort-based
 # oracle kept in internal/stats/bands_test.go.
 go test -run=NONE -fuzz='^FuzzAnalyzeBands$' -fuzztime=10s ./internal/stats/
+# FuzzDecode holds hdrhist's decoder, which the fleet aggregator runs on
+# peers' histograms, panic-free, within its bucket cap and round-tripping.
+go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/hdrhist/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.

@@ -32,7 +32,6 @@ func main() {
 		seed          = flag.Uint64("seed", 1, "random seed")
 		verbose       = flag.Bool("v", false, "print the full GC log")
 		asJSON        = flag.Bool("json", false, "emit the result as JSON")
-		streaming     = flag.Bool("streaming-stats", false, "bounded-memory safepoint statistics (histogram percentiles within 1%); default retains every sample")
 		trace         = flag.String("trace", "", "CSV allocation trace to replay (seconds,alloc_bytes_per_sec); overrides -alloc and -duration")
 		traceOut      = flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file")
 		metricsOut    = flag.String("metrics-out", "", "write a Prometheus text-format metrics snapshot of the run to this file")
@@ -69,7 +68,6 @@ func main() {
 		DisableTLAB:      *noTLAB,
 		Threads:          *threads,
 		AllocBytesPerSec: float64(allocBytes),
-		StreamingStats:   *streaming,
 		Seed:             *seed,
 	}
 	if *traceOut != "" || *metricsOut != "" {

@@ -35,7 +35,6 @@ func main() {
 		plot       = flag.Bool("plot", false, "render the figures as ASCII scatter plots")
 		extended   = flag.Bool("extended", false, "also run the extension studies (nogc, machines, g1sweep, workloads, cluster, ext)")
 		par        = flag.Int("parallelism", 0, "worker count for the deterministic work-stealing runner fanning out independent experiments (0 = all cores); output is byte-identical at any setting")
-		statsMode  = flag.String("stats-mode", "exact", "client-study statistics mode: exact (retain every sample; reproduces the pinned seed digest) or streaming (bounded-memory histograms, quantiles within 1%)")
 		only       = flag.String("only", "", "run a single artifact: t2, f1, f2, t3, t4, f3, f4, f5, t8, nogc (§3.3 statistics), seeds (claim robustness), machines (topology sensitivity), g1sweep (pause-target frontier), workloads (YCSB A-F comparison), cluster (3-node ring extension), ext (HTM future-work study)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the evaluation to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile of the evaluation to this file (go tool pprof)")
@@ -60,14 +59,6 @@ func main() {
 		lab = core.QuickLab(*seed)
 	}
 	lab.Parallelism = *par
-	switch *statsMode {
-	case "exact":
-	case "streaming":
-		lab.StreamingStats = true
-	default:
-		fmt.Fprintf(os.Stderr, "paper: unknown -stats-mode %q (want exact or streaming)\n", *statsMode)
-		os.Exit(2)
-	}
 
 	if *only != "" {
 		err := runOne(lab, *only)
@@ -253,7 +244,7 @@ func printPlots(rep jvmgc.PaperReport) {
 		var read, update, gc textplot.Series
 		read.Name, update.Name, gc.Name = "READ", "UPDATE", "GC"
 		read.Glyph, update.Glyph, gc.Glyph = '.', '+', '#'
-		for _, op := range c.TopPoints(2000) {
+		for _, op := range c.Trace.TopPoints(2000) {
 			if op.Type == ycsb.Read {
 				read.X = append(read.X, op.Completed)
 				read.Y = append(read.Y, op.LatencyMS)
@@ -262,7 +253,7 @@ func printPlots(rep jvmgc.PaperReport) {
 				update.Y = append(update.Y, op.LatencyMS)
 			}
 		}
-		for _, p := range c.Pauses() {
+		for _, p := range c.Trace.Pauses {
 			gc.X = append(gc.X, p.Start)
 			gc.Y = append(gc.Y, (p.End-p.Start)*1e3)
 		}

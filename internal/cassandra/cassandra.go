@@ -20,7 +20,6 @@ import (
 	"jvmgc/internal/event"
 	"jvmgc/internal/gclog"
 	"jvmgc/internal/gcmodel"
-	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/machine"
 	"jvmgc/internal/simtime"
 	"jvmgc/internal/telemetry"
@@ -102,11 +101,6 @@ type Config struct {
 	// (commitlog replay, memtable flushes, compactions) on the cassandra
 	// track. Nil disables all telemetry at zero cost.
 	Recorder *telemetry.Recorder
-
-	// StreamingStats selects bounded-memory statistics inside the server
-	// JVM (safepoint pauses fold into a histogram instead of a retained
-	// sample slice). The simulation itself is unaffected.
-	StreamingStats bool
 
 	Seed uint64
 }
@@ -228,10 +222,6 @@ type Result struct {
 	// OpsCompleted estimates the operations served during the client
 	// phase (reduced by stop-the-world time).
 	OpsCompleted int64
-	// PauseHist is the server JVM's streaming stop-the-world pause
-	// distribution (seconds): every pause is recorded as it happens, so
-	// consumers get percentiles without re-walking the GC log.
-	PauseHist *hdrhist.Hist
 }
 
 // Run simulates the node: optional commitlog replay, then Duration of

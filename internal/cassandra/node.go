@@ -127,11 +127,10 @@ func NewNode(cfg Config, clock *event.Sim) (*Node, error) {
 		// The paper pins -Xmn for the throughput collectors; G1 keeps its
 		// pause-target-driven sizing (fixing G1's young disables its pause
 		// goal, which no deployment does).
-		YoungExplicit:  col.Name() != "G1",
-		Recorder:       cfg.Recorder,
-		StreamingStats: cfg.StreamingStats,
-		Seed:           rng.Uint64(),
-		Clock:          clock,
+		YoungExplicit: col.Name() != "G1",
+		Recorder:      cfg.Recorder,
+		Seed:          rng.Uint64(),
+		Clock:         clock,
 	}, w)
 	return n, nil
 }
@@ -307,7 +306,6 @@ func (n *Node) finish() {
 	n.res.TotalDuration = j.Now().Sub(0)
 	n.res.Log = j.Log()
 	n.res.FinalOldLive = j.OldLive()
-	n.res.PauseHist = j.PauseDistribution()
 	if n.cfg.Recorder != nil {
 		n.cfg.Recorder.Add("cassandra.ops_completed", n.res.OpsCompleted)
 	}

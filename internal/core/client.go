@@ -12,36 +12,14 @@ import (
 )
 
 // ClientExperiment is one §4.2 run: a server under one collector serving
-// the 50/50 read-update workload, with the client latency trace. In
-// exact mode Trace holds every operation; in streaming mode (Lab.
-// StreamingStats) Stream holds the bounded-memory equivalent and Trace
-// stays empty. Renderers go through TopPoints/Pauses, which dispatch on
-// the mode.
+// the 50/50 read-update workload, with the client latency trace of every
+// operation.
 type ClientExperiment struct {
 	Collector string
 	Server    cassandra.Result
 	Trace     ycsb.Trace
-	Stream    ycsb.StreamTrace
-	Streaming bool
 	Read      stats.BandReport
 	Update    stats.BandReport
-}
-
-// TopPoints returns the n highest-latency operations in completion
-// order, from the full trace or the streaming reservoir.
-func (e ClientExperiment) TopPoints(n int) []ycsb.Op {
-	if e.Streaming {
-		return e.Stream.TopPoints(n)
-	}
-	return e.Trace.TopPoints(n)
-}
-
-// Pauses returns the GC pause intervals the client observed.
-func (e ClientExperiment) Pauses() []stats.Interval {
-	if e.Streaming {
-		return e.Stream.Pauses
-	}
-	return e.Trace.Pauses
 }
 
 // clientServerConfig returns the §4.2 server configuration: the loaded
@@ -65,40 +43,20 @@ func (l *Lab) clientServerConfig(gc string) cassandra.Config {
 	return cfg
 }
 
-// clientTopK sizes the streaming mode's high-latency reservoir: the
-// paper plots the top 10000 points of each Figure 5 chart.
-const clientTopK = 10000
-
 // ClientLatencyStudy reproduces Figure 5 and Tables 5–7 for one
 // collector: run the server, replay the YCSB transactions phase against
-// its timeline, and compute the latency-band statistics. With
-// Lab.StreamingStats the phase is consumed online — same operation
-// sequence, bounded memory.
+// its timeline, and compute the latency-band statistics.
 func (l *Lab) ClientLatencyStudy(gc string) (ClientExperiment, error) {
-	cfg := l.clientServerConfig(gc)
-	cfg.StreamingStats = l.StreamingStats
-	srv, err := cassandra.Run(cfg)
+	srv, err := cassandra.Run(l.clientServerConfig(gc))
 	if err != nil {
 		return ClientExperiment{}, err
 	}
-	tcfg := ycsb.TransactionConfig{
+	trace := ycsb.TransactionTrace(srv, ycsb.TransactionConfig{
 		ReadFraction: 0.5,
 		OpsPerSec:    150,
 		StartAfter:   srv.ReplayDuration.Seconds(),
 		Seed:         l.Seed + 99,
-	}
-	if l.StreamingStats {
-		st := ycsb.TransactionStream(srv, tcfg, 0.01, clientTopK)
-		return ClientExperiment{
-			Collector: gc,
-			Server:    srv,
-			Stream:    st,
-			Streaming: true,
-			Read:      st.Read,
-			Update:    st.Update,
-		}, nil
-	}
-	trace := ycsb.TransactionTrace(srv, tcfg)
+	})
 	return ClientExperiment{
 		Collector: gc,
 		Server:    srv,
@@ -172,10 +130,10 @@ func (e ClientExperiment) RenderBands() string {
 func (e ClientExperiment) RenderFigure5(top int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5 data: response time under %s (top %d points)\n", e.Collector, top)
-	for _, op := range e.TopPoints(top) {
+	for _, op := range e.Trace.TopPoints(top) {
 		fmt.Fprintf(&b, "%s %.1f %.3f\n", op.Type, op.Completed, op.LatencyMS)
 	}
-	for _, p := range e.Pauses() {
+	for _, p := range e.Trace.Pauses {
 		fmt.Fprintf(&b, "GC %.1f %.3f\n", p.Start, (p.End-p.Start)*1e3)
 	}
 	return b.String()
@@ -185,7 +143,7 @@ func (e ClientExperiment) RenderFigure5(top int) string {
 // share of the top-N latency points whose service interval overlapped a
 // GC pause.
 func (e ClientExperiment) PeaksCoincideWithGCs(top int) float64 {
-	points := e.TopPoints(top)
+	points := e.Trace.TopPoints(top)
 	if len(points) == 0 {
 		return 0
 	}

@@ -38,14 +38,6 @@ type Lab struct {
 	// experiment runs across cores; 0 selects GOMAXPROCS. Results are
 	// byte-identical at any setting.
 	Parallelism int
-	// StreamingStats selects bounded-memory statistics for the
-	// client-server study: per-op latencies fold into log-bucketed
-	// histograms (internal/hdrhist) as they are generated instead of
-	// being retained, and only a fixed top-latency reservoir backs the
-	// Figure 5 plots. Exact mode (false, the default) retains every
-	// sample and reproduces the pinned seed-42 digest; streaming mode
-	// agrees within histogram resolution (≤1% on quantiles).
-	StreamingStats bool
 	// Recorder, when non-nil, receives core-track progress spans for the
 	// experiment runners (one span per sweep case or stability benchmark,
 	// tiled sequentially by simulated duration). Individual simulations

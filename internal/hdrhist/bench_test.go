@@ -25,7 +25,8 @@ func BenchmarkHDRRecord(b *testing.B) {
 }
 
 // BenchmarkHDRQuantile measures a full percentile query (cumulative
-// scan over the bucket array), the per-report cost in streaming mode.
+// scan over the bucket array), the per-report cost of a histogram
+// summary.
 func BenchmarkHDRQuantile(b *testing.B) {
 	h := New(Config{})
 	rng := xrand.New(42).SplitLabeled("hdrhist/benchq")

@@ -50,6 +50,13 @@ const (
 	DefaultMax           = 1e12
 )
 
+// maxBuckets caps the buckets a config may span. UnmarshalBinary takes
+// its config from the input, and New sizes the segment table by the
+// range the config names, so without a cap a 60-byte header could
+// demand hundreds of megabytes before a single pair is read. The
+// default config spans 8,929 buckets.
+const maxBuckets = 1 << 20
+
 // withDefaults resolves zero fields to the package defaults.
 func (c Config) withDefaults() Config {
 	if c.SubBucketBits == 0 {
@@ -66,7 +73,7 @@ func (c Config) withDefaults() Config {
 
 // validate rejects configs the bucketing math cannot support.
 func (c Config) validate() error {
-	if c.SubBucketBits > 20 {
+	if c.SubBucketBits == 0 || c.SubBucketBits > 20 {
 		return fmt.Errorf("hdrhist: SubBucketBits %d out of range [1,20]", c.SubBucketBits)
 	}
 	if !(c.Min > 0) || math.IsInf(c.Min, 0) {
@@ -75,7 +82,19 @@ func (c Config) validate() error {
 	if !(c.Max > c.Min) || math.IsInf(c.Max, 0) {
 		return fmt.Errorf("hdrhist: Max %v must exceed Min %v and be finite", c.Max, c.Min)
 	}
+	if n := c.numBuckets(); n > maxBuckets {
+		return fmt.Errorf("hdrhist: range [%v, %v) at %d bits spans %d buckets, more than %d",
+			c.Min, c.Max, c.SubBucketBits, n, maxBuckets)
+	}
 	return nil
+}
+
+// numBuckets returns the bucket count of a config whose bits and range
+// are valid: one per key covering [Min, Max), plus the sub-resolution
+// and saturation buckets.
+func (c Config) numBuckets() int {
+	shift := 52 - c.SubBucketBits
+	return int(math.Float64bits(c.Max)>>shift-math.Float64bits(c.Min)>>shift) + 2
 }
 
 // Bucket counts live in fixed-size segments allocated on first touch.
@@ -118,13 +137,11 @@ func New(cfg Config) *Hist {
 		panic(err)
 	}
 	shift := 52 - cfg.SubBucketBits
-	minKey := math.Float64bits(cfg.Min) >> shift
-	maxKey := math.Float64bits(cfg.Max) >> shift
-	n := int(maxKey-minKey) + 2
+	n := cfg.numBuckets()
 	return &Hist{
 		cfg:        cfg,
 		shift:      shift,
-		minKey:     minKey,
+		minKey:     math.Float64bits(cfg.Min) >> shift,
 		numBuckets: n,
 		segs:       make([][]uint64, (n+segSize-1)/segSize),
 	}

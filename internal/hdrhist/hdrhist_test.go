@@ -7,26 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"jvmgc/internal/stats"
 	"jvmgc/internal/xrand"
 )
-
-// exactPercentile mirrors stats.Percentile (nearest-rank with linear
-// interpolation) without importing stats, which itself builds on this
-// package.
-func exactPercentile(xs []float64, p float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 func exactMean(xs []float64) float64 {
 	sum := 0.0
@@ -53,7 +36,10 @@ func TestQuantileErrorBound(t *testing.T) {
 		h.Record(v)
 	}
 	for _, q := range []float64{0, 1, 10, 25, 50, 75, 90, 95, 99, 99.9, 99.99, 100} {
-		exact := exactPercentile(xs, q)
+		exact, err := stats.Percentile(xs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := h.Quantile(q)
 		if rel := math.Abs(got-exact) / exact; rel > maxRelErr {
 			t.Errorf("Quantile(%v) = %v, exact %v: relative error %.4f > %v", q, got, exact, rel, maxRelErr)
@@ -290,6 +276,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	h := New(Config{})
 	h.Record(1)
+	h.Record(2)
 	data, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +290,16 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"bad bits":    tamper(data, 4, 0xFF),
 		"zero pair":   tamper(data, headerSize+4, 0x00, 0, 0, 0, 0, 0, 0, 0),
 		"large index": tamper(data, headerSize, 0xFF, 0xFF, 0xFF, 0xFF),
+		// Bits 0 would decode as the default 7 and re-encode differently.
+		"zero bits": tamper(data, 4, 0),
+		// Bits 20 over the whole positive float64 range spans about 2^31
+		// buckets: a 201 MB segment table before any pair is read.
+		"huge range": tamper(tamper(tamper(data, 4, 20), 8, 1, 0, 0, 0, 0, 0, 0, 0),
+			16, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEF, 0x7F),
+		// Two pair counts of 2^63 wrap to the header's count of 0.
+		"count overflow": tamper(tamper(tamper(data, 24, 0, 0, 0, 0, 0, 0, 0, 0),
+			headerSize+4, 0, 0, 0, 0, 0, 0, 0, 0x80),
+			headerSize+pairSize+4, 0, 0, 0, 0, 0, 0, 0, 0x80),
 	}
 	for name, bad := range cases {
 		var rt Hist

@@ -94,7 +94,7 @@ func (h *Hist) UnmarshalBinary(data []byte) error {
 		off := headerSize + p*pairSize
 		idx := int(le.Uint32(data[off:]))
 		c := le.Uint64(data[off+4:])
-		if idx <= prev || idx >= nh.numBuckets || c == 0 {
+		if idx <= prev || idx >= nh.numBuckets || c == 0 || total+c < total {
 			return fmt.Errorf("hdrhist: corrupt pair %d (index %d, count %d)", p, idx, c)
 		}
 		nh.incr(idx, c)

@@ -36,7 +36,6 @@ func (j *JVM) survivorCap() machine.Bytes {
 // beginPause freezes mutators for `d` starting now and logs the event.
 func (j *JVM) beginPause(kind gclog.Kind, cause string, d simtime.Duration, before, after, promoted machine.Bytes) {
 	now := j.clock.Now()
-	j.pauseHist.Record(d.Seconds())
 	j.log.Append(gclog.Event{
 		Start:      now,
 		Duration:   d,

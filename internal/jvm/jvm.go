@@ -22,7 +22,6 @@ import (
 	"jvmgc/internal/event"
 	"jvmgc/internal/gclog"
 	"jvmgc/internal/gcmodel"
-	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/heapmodel"
 	"jvmgc/internal/machine"
 	"jvmgc/internal/safepoint"
@@ -93,11 +92,6 @@ type Config struct {
 	// recorder costs one pointer check per emission site and never
 	// changes simulation results.
 	Recorder *telemetry.Recorder
-	// StreamingStats switches the safepoint TTSP distribution to
-	// bounded-memory histogram storage (hdrhist) instead of retaining
-	// every sample; percentiles then carry the histogram's ≤1% relative
-	// error. The simulation itself is unaffected.
-	StreamingStats bool
 }
 
 func (c Config) withDefaults() Config {
@@ -175,12 +169,6 @@ type JVM struct {
 
 	// Safepoint accounting (-XX:+PrintSafepointStatistics equivalent).
 	sp safepoint.Stats
-
-	// pauseHist streams every STW pause duration into a log-bucketed
-	// histogram: O(1) per pause, bounded memory, feeding the Prometheus
-	// histogram export and the client-server pause statistics without
-	// re-walking the GC log.
-	pauseHist *hdrhist.Hist
 
 	// rec receives flight-recorder telemetry; nil when disabled.
 	rec *telemetry.Recorder
@@ -299,20 +287,16 @@ func New(cfg Config, w Workload) *JVM {
 		clock = event.New()
 	}
 	j := &JVM{
-		cfg:       cfg,
-		w:         w,
-		mach:      cfg.Machine,
-		col:       cfg.Collector,
-		clock:     clock,
-		tracker:   demography.NewTracker(w.Profile),
-		log:       gclog.New(),
-		rng:       xrand.New(cfg.Seed),
-		rec:       cfg.Recorder,
-		ctr:       newJVMCounters(cfg.Recorder),
-		pauseHist: hdrhist.New(hdrhist.Config{}),
-	}
-	if cfg.StreamingStats {
-		j.sp.UseStreaming()
+		cfg:     cfg,
+		w:       w,
+		mach:    cfg.Machine,
+		col:     cfg.Collector,
+		clock:   clock,
+		tracker: demography.NewTracker(w.Profile),
+		log:     gclog.New(),
+		rng:     xrand.New(cfg.Seed),
+		rec:     cfg.Recorder,
+		ctr:     newJVMCounters(cfg.Recorder),
 	}
 	j.hEden.j = j
 	j.hCMSIM.j = j
@@ -364,10 +348,6 @@ func (j *JVM) SafepointStats() (count int, total, max simtime.Duration) {
 // SafepointDistribution exposes the full TTSP distribution (percentiles,
 // mean) accumulated over the run.
 func (j *JVM) SafepointDistribution() *safepoint.Stats { return &j.sp }
-
-// PauseDistribution exposes the streaming histogram of STW pause
-// durations (seconds), recorded as pauses begin.
-func (j *JVM) PauseDistribution() *hdrhist.Hist { return j.pauseHist }
 
 // recordTTSP folds one safepoint's time-to-safepoint into the stats.
 func (j *JVM) recordTTSP(d simtime.Duration) simtime.Duration {

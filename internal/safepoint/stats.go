@@ -1,57 +1,28 @@
 package safepoint
 
 import (
-	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/simtime"
 	"jvmgc/internal/stats"
 )
 
 // Stats accumulates the time-to-safepoint distribution of a run — the
 // full -XX:+PrintSafepointStatistics picture rather than just
-// count/total/max.
-//
-// Two storage modes share the type. The exact mode (default) retains
-// every sample so percentiles are exact — the paper-reproduction path,
-// whose rendered digits are pinned by the seed-42 digest. Streaming
-// mode (UseStreaming) folds samples into a log-bucketed histogram
-// instead: O(buckets) memory however long the run, with percentiles
-// within hdrhist's ≤1% relative error bound.
+// count/total/max. It retains every sample, so percentiles are exact;
+// their rendered digits are pinned by the seed-42 digest.
 type Stats struct {
-	samples []float64     // seconds; exact mode only
-	hist    *hdrhist.Hist // non-nil in streaming mode
+	samples []float64 // seconds
 	count   int
 	total   simtime.Duration
 	max     simtime.Duration
 	last    simtime.Duration
 }
 
-// UseStreaming switches the distribution to bounded-memory histogram
-// storage. Call it before the run records; samples already retained
-// are folded into the histogram.
-func (s *Stats) UseStreaming() {
-	if s.hist != nil {
-		return
-	}
-	s.hist = hdrhist.New(hdrhist.Config{})
-	for _, v := range s.samples {
-		s.hist.Record(v)
-	}
-	s.samples = nil
-}
-
-// Streaming reports whether the distribution is histogram-backed.
-func (s *Stats) Streaming() bool { return s.hist != nil }
-
 // Record folds one safepoint's TTSP into the distribution.
 func (s *Stats) Record(d simtime.Duration) {
-	if s.hist != nil {
-		s.hist.Record(d.Seconds())
-	} else {
-		if s.samples == nil {
-			s.samples = make([]float64, 0, 32)
-		}
-		s.samples = append(s.samples, d.Seconds())
+	if s.samples == nil {
+		s.samples = make([]float64, 0, 32)
 	}
+	s.samples = append(s.samples, d.Seconds())
 	s.count++
 	s.total += d
 	if d > s.max {
@@ -80,32 +51,12 @@ func (s *Stats) Mean() simtime.Duration {
 	return s.total / simtime.Duration(s.count)
 }
 
-// Percentile returns the p-th percentile TTSP (0 <= p <= 100), or zero
-// with no samples.
-func (s *Stats) Percentile(p float64) simtime.Duration {
-	if s.hist != nil {
-		return simtime.Seconds(s.hist.Quantile(p))
-	}
-	v, err := stats.Percentile(s.samples, p)
-	if err != nil {
-		return 0
-	}
-	return simtime.Seconds(v)
-}
-
-// Percentiles returns one TTSP per requested percentile. In exact mode
-// the retained samples are sorted once for the whole batch — the
-// summary paths ask for p50/p95/p99 together — and in streaming mode
-// each quantile is a histogram scan. Zeros with no samples.
+// Percentiles returns one TTSP per requested percentile. The retained
+// samples are sorted once for the whole batch — the summary paths ask
+// for p50/p95/p99 together. Zeros with no samples.
 func (s *Stats) Percentiles(ps ...float64) []simtime.Duration {
 	out := make([]simtime.Duration, len(ps))
 	if s.count == 0 {
-		return out
-	}
-	if s.hist != nil {
-		for i, p := range ps {
-			out[i] = simtime.Seconds(s.hist.Quantile(p))
-		}
 		return out
 	}
 	vs, err := stats.Percentiles(s.samples, ps...)

@@ -146,36 +146,16 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 	for k := len(over) - 2; k >= 0; k-- {
 		over[k] += over[k+1]
 	}
-	countAbove := func(band int, _ float64) int {
-		if band < len(over) {
-			return over[band]
-		}
-		return 0
-	}
-	rep.fillBands(geLo-gtHi, countAbove, worst, hasReq, minReqPct)
-	return rep
-}
 
-// fillBands completes a report whose N and AvgMS are set: the normal
-// band from inNormal requests, the exceedance bands from countAbove,
-// which returns the number of requests above band's threshold (band 0
-// is 2·avg, each next one doubles it), and the %GCs columns from each
-// pause's worst overlapping latency and whether any request overlapped
-// it.
-func (rep *BandReport) fillBands(inNormal int, countAbove func(band int, thresh float64) int, worst []float64, hasReq []bool, minReqPct float64) {
-	avg := rep.AvgMS
 	n := float64(rep.N)
-	gcTotal := float64(len(worst))
-
-	// Normal band: 0.5x–1.5x.
-	bandHi := 1.5 * avg
+	gcTotal := float64(len(sorted))
 	quiet := 0
 	for pi := range worst {
 		if hasReq[pi] && worst[pi] <= bandHi {
 			quiet++
 		}
 	}
-	rep.Normal = BandRow{Label: "0.5x-1.5x AVG", Reqs: 100 * float64(inNormal) / n}
+	rep.Normal = BandRow{Label: "0.5x-1.5x AVG", Reqs: 100 * float64(geLo-gtHi) / n}
 	if gcTotal > 0 {
 		rep.Normal.GCs = 100 * float64(quiet) / gcTotal
 	}
@@ -183,7 +163,10 @@ func (rep *BandReport) fillBands(inNormal int, countAbove func(band int, thresh 
 	// Exceedance bands: >2x, >4x, >8x, ...
 	for mult := 2.0; ; mult *= 2 {
 		thresh := mult * avg
-		count := countAbove(len(rep.Above), thresh)
+		count := 0
+		if band := len(rep.Above); band < len(over) {
+			count = over[band]
+		}
 		pct := 100 * float64(count) / n
 		if pct < minReqPct && len(rep.Above) > 0 {
 			break
@@ -203,6 +186,7 @@ func (rep *BandReport) fillBands(inNormal int, countAbove func(band int, thresh 
 			break
 		}
 	}
+	return rep
 }
 
 func bandLabel(mult float64) string {

@@ -72,6 +72,35 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestPercentilesMatchPercentile checks the sort-once batch API gives
+// bit-identical answers to the one-at-a-time calls it replaces.
+func TestPercentilesMatchPercentile(t *testing.T) {
+	xs := []float64{9, 1, 7, 3, 5, 2, 8, 4, 6, 0}
+	ps := []float64{0, 10, 50, 90, 95, 99, 100}
+	batch, err := Percentiles(xs, ps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ps {
+		single, err := Percentile(xs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch[i] != single {
+			t.Errorf("Percentiles[%v] = %v, Percentile = %v", p, batch[i], single)
+		}
+	}
+	if _, err := Percentiles(nil, 50); err == nil {
+		t.Error("empty slice accepted")
+	}
+	if _, err := Percentiles(xs, 101); err == nil {
+		t.Error("out-of-range percentile accepted")
+	}
+	if _, err := Percentiles(xs); err != nil {
+		t.Errorf("zero percentiles rejected: %v", err)
+	}
+}
+
 func TestWelfordMatchesBatch(t *testing.T) {
 	r := xrand.New(5)
 	var xs []float64

@@ -138,21 +138,26 @@ func clientPauses(server cassandra.Result, startAfter float64) []stats.Interval 
 	return pauses
 }
 
-// generate is the transactions-phase arrival process shared by the
-// exact and streaming consumers: it draws the identical random
-// sequence either way — same rng labels, same draw order — and hands
-// each completed operation to visit in ascending arrival (service
-// start) order. Telemetry emission lives here too, so both modes
-// produce the same counters and shadow spans.
+// TransactionTrace replays a transactions phase against a finished server
+// run and returns the per-operation latency trace.
 //
 // Per operation it does only the draws: the service-time means are
 // logged once, and the read means again only when the database has
 // grown, which a cursor over the server's record curve detects because
 // arrivals only move forward in time.
-func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Interval, visit func(op Op)) {
+func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
+	cfg = cfg.withDefaults()
+	pauses := clientPauses(server, cfg.StartAfter)
+	horizon := server.TotalDuration.Seconds()
+	tr := Trace{Pauses: pauses}
+	if horizon > cfg.StartAfter && cfg.OpsPerSec > 0 {
+		// Size the op log for the expected arrival count up front; the
+		// Poisson spread around the mean is a few percent at these volumes.
+		expect := int((horizon - cfg.StartAfter) * cfg.OpsPerSec)
+		tr.Ops = make([]Op, 0, expect+expect/16+16)
+	}
 	rng := xrand.New(cfg.Seed).SplitLabeled("ycsb/txn/" + server.Config.CollectorName)
 	zipf := xrand.NewZipf(rng.Split(), cfg.KeySpace, cfg.ZipfTheta)
-	horizon := server.TotalDuration.Seconds()
 	ctrRead := cfg.Recorder.CounterHandle("ycsb.ops.read")
 	ctrUpdate := cfg.Recorder.CounterHandle("ycsb.ops.update")
 	ctrShadowed := cfg.Recorder.CounterHandle("ycsb.ops.shadowed")
@@ -208,7 +213,7 @@ func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Int
 			op.Shadowed = true
 		}
 		op.Completed = t + op.LatencyMS/1e3
-		visit(op)
+		tr.Ops = append(tr.Ops, op)
 		if cfg.Recorder != nil {
 			if op.Type == Read {
 				ctrRead.Add(1)
@@ -225,23 +230,6 @@ func generate(server cassandra.Result, cfg TransactionConfig, pauses []stats.Int
 			}
 		}
 	}
-}
-
-// TransactionTrace replays a transactions phase against a finished server
-// run and returns the per-operation latency trace.
-func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
-	cfg = cfg.withDefaults()
-	pauses := clientPauses(server, cfg.StartAfter)
-	horizon := server.TotalDuration.Seconds()
-	var tr Trace
-	tr.Pauses = pauses
-	if horizon > cfg.StartAfter && cfg.OpsPerSec > 0 {
-		// Size the op log for the expected arrival count up front; the
-		// Poisson spread around the mean is a few percent at these volumes.
-		expect := int((horizon - cfg.StartAfter) * cfg.OpsPerSec)
-		tr.Ops = make([]Op, 0, expect+expect/16+16)
-	}
-	generate(server, cfg, pauses, func(op Op) { tr.Ops = append(tr.Ops, op) })
 	return tr
 }
 

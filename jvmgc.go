@@ -122,11 +122,6 @@ type SimulationConfig struct {
 	// (GC span trees, time series, counters). Attaching one never changes
 	// simulation results: emission is read-only.
 	Recorder *Recorder
-	// StreamingStats folds the safepoint TTSP distribution into a
-	// bounded log-bucketed histogram instead of retaining every sample:
-	// constant memory for arbitrarily long runs, percentiles within 1%.
-	// The simulation itself is unaffected.
-	StreamingStats bool
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -198,14 +193,13 @@ func (c SimulationConfig) build() (jvm.Config, jvm.Workload, error) {
 	tlab := heapmodel.DefaultTLAB()
 	tlab.Enabled = !c.DisableTLAB
 	cfg := jvm.Config{
-		Machine:        m,
-		Collector:      col,
-		Geometry:       heapmodel.Geometry{Heap: heap, Young: young, SurvivorRatio: heapmodel.DefaultSurvivorRatio},
-		YoungExplicit:  youngExplicit,
-		TLAB:           tlab,
-		Recorder:       c.Recorder,
-		StreamingStats: c.StreamingStats,
-		Seed:           c.Seed,
+		Machine:       m,
+		Collector:     col,
+		Geometry:      heapmodel.Geometry{Heap: heap, Young: young, SurvivorRatio: heapmodel.DefaultSurvivorRatio},
+		YoungExplicit: youngExplicit,
+		TLAB:          tlab,
+		Recorder:      c.Recorder,
+		Seed:          c.Seed,
 	}
 	w := jvm.Workload{Threads: threads, AllocRate: alloc, Profile: profile}
 	return cfg, w, nil

@@ -3,6 +3,7 @@ package jvmgc_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +15,17 @@ import (
 // across every collector on an old-generation-pressure heap (4 GiB) and a
 // young-GC dominated one (16 GiB). Together the twelve logs cover all
 // seven event kinds and the B, MB and GB units, so any change to how a
-// GC-log line is rendered shows here as a different digest.
+// GC-log line is rendered shows here as a different digest. A second
+// digest pins each run's SafepointSummary, whose mean and percentiles
+// the time-to-safepoint distribution computes.
 func TestSimulateLogTextPinned(t *testing.T) {
 	const (
-		wantLines  = 905
-		wantSHA256 = "b27fa193f02a1c7fb8760d63f6d1be6fa01203330790ad991f7bded7b8f9e075"
+		wantLines      = 905
+		wantSHA256     = "b27fa193f02a1c7fb8760d63f6d1be6fa01203330790ad991f7bded7b8f9e075"
+		wantSafepoints = "1d0725b29bd64ef3cf69f333a45d733c282ebd02d429783d534695fe2e08baad"
 	)
 	h := sha256.New()
+	sp := sha256.New()
 	lines := 0
 	for _, col := range jvmgc.Collectors() {
 		for _, heap := range []int64{4 << 30, 16 << 30} {
@@ -34,12 +39,16 @@ func TestSimulateLogTextPinned(t *testing.T) {
 			}
 			h.Write([]byte(res.LogText))
 			lines += strings.Count(res.LogText, "\n")
+			fmt.Fprintf(sp, "%#v", res.Safepoints)
 		}
 	}
 	got := hex.EncodeToString(h.Sum(nil))
 	if lines != wantLines || got != wantSHA256 {
 		t.Errorf("LogText: %d lines, SHA-256 %s; want %d lines, %s",
 			lines, got, wantLines, wantSHA256)
+	}
+	if got := hex.EncodeToString(sp.Sum(nil)); got != wantSafepoints {
+		t.Errorf("Safepoints: SHA-256 %s; want %s", got, wantSafepoints)
 	}
 }
 
