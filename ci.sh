@@ -6,12 +6,13 @@
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — a short fuzz budget for each gclog
-# target, the band analysis and the hdrhist decoder, and the bench-gate
-# step, which measures the kernel-bound benchmarks, one whole Simulate
-# call and the whole three-collector client study, and fails on
-# regression against the committed BENCH_baseline.json (>25% ns/op, or any
-# allocs/op growth: allocation counts are deterministic, so an increase
-# is a real leak back onto the hot path).
+# target, the band analysis, the hdrhist decoder and the spec-key
+# encoder, and the bench-gate step, which measures the kernel-bound
+# benchmarks, one whole Simulate call and the whole three-collector
+# client study, and fails on regression against the committed
+# BENCH_baseline.json (>25% ns/op, or any allocs/op growth: allocation
+# counts are deterministic, so an increase is a real leak back onto the
+# hot path).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -32,8 +33,13 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # Fleet chaos e2e under the race detector: a 3-node fleet loses a node
 # mid-batch (injected kill), the router re-routes the dead shard, and
 # results must be byte-identical to a single-node run; plus the peer
-# cache tier and the exact-aggregation rollup.
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation' ./internal/fleet/
+# cache tier, the exact-aggregation rollup, the entry-node read replicas
+# (a replica hit equals the owner's bytes, a bad digest or cut body is
+# relayed but not kept, async and draining submissions reach the owner,
+# replicas never evict a result that has served a hit, and a leave or a
+# join moves each owned key once and no replica) and the relay's
+# declared length (a cut body is an error, not a 200).
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength' ./internal/fleet/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and
@@ -78,6 +84,10 @@ go test -run=NONE -fuzz='^FuzzAnalyzeBands$' -fuzztime=10s ./internal/stats/
 # FuzzDecode holds hdrhist's decoder, which the fleet aggregator runs on
 # peers' histograms, panic-free, within its bucket cap and round-tripping.
 go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/hdrhist/
+# FuzzAppendSpecJSON holds the fast spec encoder byte-identical to
+# encoding/json (or declining) and SpecKeyInto equal to SpecKey: fleet
+# placement and read-replica lookups use that key.
+go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.

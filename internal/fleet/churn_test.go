@@ -103,6 +103,49 @@ func startGossipFleet(t *testing.T, ids []string, interval, suspect time.Duratio
 	return nodes, kill
 }
 
+// startJoiner brings up a node that is not yet a member: its own
+// daemon and router, a membership of one, a gossiper in joining mode.
+// It enters a fleet through JoinAndWarm.
+func startJoiner(t *testing.T, id string) *gossipNode {
+	t.Helper()
+	swap := &handlerSwap{}
+	ts := httptest.NewServer(swap)
+	t.Cleanup(ts.Close)
+	rt, err := fleet.New(fleet.Config{Self: id, Nodes: map[string]string{id: ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := labd.New(labd.Config{Workers: 2, QueueDepth: 64, NodeID: id, Peers: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetLocal(srv)
+	g, err := gossip.New(gossip.Config{
+		Self:           id,
+		URL:            ts.URL,
+		Peers:          map[string]string{id: ts.URL},
+		Joining:        true,
+		Interval:       20 * time.Millisecond,
+		SuspectTimeout: 300 * time.Millisecond,
+		Rec:            srv.Recorder(),
+		OnUpdate:       rt.SetMembership,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.AttachGossip(g)
+	swap.set(rt.Handler())
+	g.Start()
+	t.Cleanup(func() {
+		g.Close()
+		rt.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	})
+	return &gossipNode{id: id, ts: ts, rt: rt, srv: srv, g: g}
+}
+
 // waitUntil polls cond until it holds or the deadline passes.
 func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -174,44 +217,9 @@ func TestFleetChurnByteIdentity(t *testing.T) {
 	nodes, kill := startGossipFleet(t, []string{"a", "b", "c"},
 		20*time.Millisecond, 300*time.Millisecond, "labd/job.latency:p=1,delay=30ms")
 
-	// The joiner: its own daemon and router, membership of one, a
-	// gossiper in joining mode. It enters the fleet mid-batch via
-	// JoinAndWarm against node a as the seed.
-	joinSwap := &handlerSwap{}
-	tsD := httptest.NewServer(joinSwap)
-	t.Cleanup(tsD.Close)
-	rtD, err := fleet.New(fleet.Config{Self: "d", Nodes: map[string]string{"d": tsD.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvD, err := labd.New(labd.Config{Workers: 2, QueueDepth: 64, NodeID: "d", Peers: rtD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtD.SetLocal(srvD)
-	gD, err := gossip.New(gossip.Config{
-		Self:           "d",
-		URL:            tsD.URL,
-		Peers:          map[string]string{"d": tsD.URL},
-		Joining:        true,
-		Interval:       20 * time.Millisecond,
-		SuspectTimeout: 300 * time.Millisecond,
-		Rec:            srvD.Recorder(),
-		OnUpdate:       rtD.SetMembership,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtD.AttachGossip(gD)
-	joinSwap.set(rtD.Handler())
-	gD.Start()
-	t.Cleanup(func() {
-		gD.Close()
-		rtD.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srvD.Drain(ctx)
-	})
+	// The joiner enters the fleet mid-batch via JoinAndWarm against
+	// node a as the seed.
+	rtD := startJoiner(t, "d").rt
 
 	// Scripted churn, gated on batch progress so each event lands while
 	// jobs are still in flight: join at the 4th completion, hard-kill at

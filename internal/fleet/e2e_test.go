@@ -56,8 +56,9 @@ type testNode struct {
 // each with an embedded router and the peer cache tier wired. chaosFor
 // may arm fault sites on individual nodes (nil = no chaos anywhere).
 // The returned kill function takes a node down the way a crash would:
-// in-flight connections cut, listener closed, no drain.
-func startFleet(t *testing.T, ids []string, chaosFor func(id string) *faultinject.Injector) (map[string]*testNode, func(victim string)) {
+// in-flight connections cut, listener closed, no drain. opts adjust
+// every daemon's config.
+func startFleet(t *testing.T, ids []string, chaosFor func(id string) *faultinject.Injector, opts ...func(*labd.Config)) (map[string]*testNode, func(victim string)) {
 	t.Helper()
 	nodes := make(map[string]*testNode, len(ids))
 	urls := make(map[string]string, len(ids))
@@ -88,12 +89,16 @@ func startFleet(t *testing.T, ids []string, chaosFor func(id string) *faultinjec
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := labd.New(labd.Config{
+		cfg := labd.Config{
 			Workers:    2,
 			QueueDepth: 64,
 			NodeID:     id,
 			Peers:      rt,
-		})
+		}
+		for _, opt := range opts {
+			opt(&cfg)
+		}
+		srv, err := labd.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

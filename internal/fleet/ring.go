@@ -15,7 +15,9 @@
 // labd.PeerFetcher cache tier over GET /v1/cache/{key}, and serves the
 // fleet-wide observability rollup under /fleet/* (counters summed,
 // histograms merged bucket-exactly, SLO windows re-derived, slowest-K
-// traces unioned with node labels).
+// traces unioned with node labels). Embedded in a node, it also answers
+// cache hits on keys the node does not own from read replicas: copies
+// of the owner's hits, kept once their SHA-256 checks out.
 package fleet
 
 import (

@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +179,10 @@ type Router struct {
 	partitions atomic.Int64 // FaultRoutePartition firings
 	peerHits   atomic.Int64 // peer cache fetches that returned bytes
 	peerProbes atomic.Int64 // peer cache fetch attempts
+
+	replicaHits    atomic.Int64 // hits on keys owned elsewhere, served from local memory
+	replicasKept   atomic.Int64 // relayed owner hits verified and kept
+	replicaRejects atomic.Int64 // relayed owner hits that failed verification
 }
 
 // New builds a router over the given boot membership.
@@ -578,8 +581,7 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 		// placed; this fetch just loses.
 		return nil, false
 	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != resp.Header.Get("X-Labd-Sha256") {
+	if labd.Digest(body) != resp.Header.Get("X-Labd-Sha256") {
 		// Corrupt or truncated transfer; recompute rather than trust it.
 		return nil, false
 	}
@@ -726,6 +728,9 @@ func (rt *Router) JoinAndWarm(ctx context.Context, seeds []string) error {
 				continue // warm-up is best-effort; the peer tier catches misses
 			}
 			for _, key := range keys {
+				if _, held := rt.local.CachePeek(key); held {
+					continue // pulled from an earlier member, or on disk
+				}
 				if b, ok := rt.fetchFrom(ctx, v.urls[id], id, key); ok {
 					rt.local.WarmCache(key, b)
 					warmed++
@@ -785,9 +790,10 @@ func (rt *Router) doLeave(ctx context.Context) error {
 		rt.g.Leave(ctx)
 	}
 	// Handoff: push every locally cached key to its owner in the
-	// post-leave ring. Best-effort per key (the chaos site models a push
-	// dying mid-handoff): a dropped key costs the successor one
-	// recompute, never correctness.
+	// post-leave ring; replicas stay behind, as their owners hold them.
+	// Best-effort per key (the chaos site models a push dying
+	// mid-handoff): a dropped key costs the successor one recompute,
+	// never correctness.
 	if rt.local != nil {
 		v := rt.view.Load()
 		if v.ring.Len() > 0 {
@@ -820,8 +826,7 @@ func (rt *Router) pushKey(ctx context.Context, url, key string) error {
 	if !ok {
 		return errors.New("fleet: key evicted mid-handoff")
 	}
-	sum := sha256.Sum256(body)
-	digest := hex.EncodeToString(sum[:])
+	digest := labd.Digest(body)
 	return rt.withRetry(ctx, 3, 50*time.Millisecond, time.Second, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 			url+"/v1/cache/"+key, bytes.NewReader(body))
@@ -924,6 +929,9 @@ func (rt *Router) routeSpec(spec labd.JobSpec, keyBuf *[64]byte) (string, error)
 // handleSubmit routes one job to its owner: local fast path when the
 // owner is this node, forward with failover otherwise. A request
 // already routed by a peer is always served locally (see routedHeader).
+// A synchronous hit on a key another node owns is answered from this
+// node's memory when it holds a replica; forwarded owner hits become
+// replicas once their digest checks out (see forward).
 //
 // The spec key is computed exactly once per request — here, into a
 // stack buffer — and carried to the owner on labd.HeaderSpecKey: the
@@ -965,6 +973,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	keyHash := finalize(hashBytes(keyBuf[:]))
+	// Results are content-addressed, so any node's copy of a key's bytes
+	// is the owner's answer: a synchronous submission this node would
+	// forward is first looked up in its own memory. Replicas are served
+	// and kept only while the local daemon's fast path is open (untraced,
+	// not draining).
+	replica := !req.Async && rt.local != nil && rt.local.FastPathOpen()
+	key := string(keyBuf[:])
 
 	for attempt := 0; attempt < rt.Ring().Len(); attempt++ {
 		owner := rt.pickHash(keyHash)
@@ -978,11 +993,18 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Placement decided: mark the request routed and attach the
 			// key so the daemon's fast path trusts and reuses it.
 			r.Header.Set(routedHeader, "1")
-			r.Header.Set(labd.HeaderSpecKey, string(keyBuf[:]))
+			r.Header.Set(labd.HeaderSpecKey, key)
 			rt.serveLocal(w, r, body)
 			return
 		}
-		if rt.forward(w, r, owner, body, keyBuf[:]) {
+		if replica {
+			if b, ok := rt.local.TryCacheHitKey(key); ok {
+				rt.replicaHits.Add(1)
+				rt.local.WriteCacheHit(w, key, b)
+				return
+			}
+		}
+		if rt.forward(w, r, owner, body, key, replica) {
 			return
 		}
 		// forward marked the owner down; the next pick slides to the
@@ -992,12 +1014,32 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusServiceUnavailable, errors.New("fleet: no nodes available"))
 }
 
+// relayBufs recycles the buffers forward copies response bodies
+// through. Once the relay declares a Content-Length, net/http hands a
+// plain io.Copy to the connection's ReadFrom, which allocates a fresh
+// 32 KB buffer per response.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// writerOnly hides a ResponseWriter's ReadFrom, so io.CopyBuffer copies
+// through the buffer it is given.
+type writerOnly struct{ io.Writer }
+
+// maxReplicaBytes bounds the relayed hit an entry node buffers to
+// verify and keep — the same bound a daemon puts on a handoff PUT.
+// Larger bodies are relayed but not kept.
+const maxReplicaBytes = 32 << 20
+
 // forward proxies one submission to a peer node, carrying the already-
 // computed spec key so the owner's daemon skips re-deriving it. False
 // reports a transport-level failure (node marked down, job should
 // re-route); true means a response — any response — was relayed to the
-// client.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, body, key []byte) bool {
+// client. With replica set, an owner's cache hit is relayed in full and
+// then kept as a replica by the local daemon once its bytes match the
+// SHA-256 the owner attached.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, body []byte, key string, replica bool) bool {
 	rt.acquire(node, 1)
 	defer rt.release(node, 1)
 	if err := rt.injectTransport(node); err != nil {
@@ -1017,8 +1059,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, b
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(routedHeader, "1")
-	if len(key) > 0 {
-		req.Header.Set(labd.HeaderSpecKey, string(key))
+	req.Header.Set(labd.HeaderSpecKey, key)
+	if replica {
+		req.Header.Set(labd.HeaderReplica, "1")
 	}
 	if tp := r.Header.Get("traceparent"); tp != "" {
 		req.Header.Set("traceparent", tp)
@@ -1036,8 +1079,36 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, b
 			w.Header().Set(h, v)
 		}
 	}
+	// Declare the owner's length: without it a body cut mid-relay would
+	// reach the client as a complete, shorter response.
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	digest := ""
+	if replica && resp.StatusCode == http.StatusOK && resp.Header.Get("X-Labd-Cache") == "hit" &&
+		resp.ContentLength >= 0 && resp.ContentLength <= maxReplicaBytes {
+		digest = resp.Header.Get("X-Labd-Sha256")
+	}
+	if digest == "" {
+		bp := relayBufs.Get().(*[]byte)
+		_, _ = io.CopyBuffer(writerOnly{w}, resp.Body, *bp)
+		relayBufs.Put(bp)
+		return true
+	}
+	// The client has the bytes before they are hashed and kept.
+	b := make([]byte, resp.ContentLength)
+	n, err := io.ReadFull(resp.Body, b)
+	_, _ = w.Write(b[:n])
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	switch {
+	case err != nil || labd.Digest(b) != digest:
+		rt.replicaRejects.Add(1)
+	case rt.local.KeepReplica(key, b):
+		rt.replicasKept.Add(1)
+	}
 	return true
 }
 
@@ -1108,6 +1179,14 @@ type RouterStats struct {
 	PeerProbes    int64  `json:"peer_probes"`
 	PeerHits      int64  `json:"peer_hits"`
 	PendingRouted int    `json:"pending_routed"`
+	// ReplicaHits counts hits on keys another node owns, answered from
+	// this node's memory; ReplicasKept the owner hits it relayed and
+	// kept once their digest matched (a verified hit finds no room when
+	// every entry it could evict has served a hit); ReplicaRejects those
+	// relayed but not kept, their body cut short or its digest different.
+	ReplicaHits    int64 `json:"replica_hits"`
+	ReplicasKept   int64 `json:"replicas_kept"`
+	ReplicaRejects int64 `json:"replica_rejects"`
 }
 
 // Stats snapshots the router counters.
@@ -1131,6 +1210,10 @@ func (rt *Router) Stats() RouterStats {
 		PeerProbes:    rt.peerProbes.Load(),
 		PeerHits:      rt.peerHits.Load(),
 		PendingRouted: pending,
+
+		ReplicaHits:    rt.replicaHits.Load(),
+		ReplicasKept:   rt.replicasKept.Load(),
+		ReplicaRejects: rt.replicaRejects.Load(),
 	}
 }
 

@@ -17,18 +17,30 @@ import (
 // promotion layer over a crash-safe store: memory misses fall through to
 // a verified disk read before electing a leader, and completed flights
 // write through. Disk entries survive restarts and LRU eviction.
+//
+// A fleet node also keeps replicas: verified copies of results another
+// node owns (see keep). They count against the same bound but sit in
+// their own recency list, stay in memory, and give way first: room is
+// made from this node's least recently used result only while that
+// result has not been asked for again since it was stored, and
+// otherwise from the least recently used replica. So a replica never
+// evicts a result that has served a hit, and such a result is evicted
+// only when no replica is left.
 type resultCache struct {
-	mu      sync.Mutex
-	max     int                      // entry bound (>=1)
-	byKey   map[string]*list.Element // key -> lru element
-	lru     *list.List               // front = most recently used
-	flights map[string]*flight
-	disk    *diskCache // nil = memory only
+	mu       sync.Mutex
+	max      int                      // entry bound (>=1), replicas included
+	byKey    map[string]*list.Element // key -> element of lru or replicas
+	lru      *list.List               // this node's results; front = most recently used
+	replicas *list.List               // other nodes' results; front = most recently used
+	flights  map[string]*flight
+	disk     *diskCache // nil = memory only
 }
 
 type cacheEntry struct {
-	key   string
-	bytes []byte
+	key     string
+	bytes   []byte
+	replica bool // held in replicas, not lru
+	reused  bool // served from memory since it was stored
 }
 
 // flight is one in-progress execution of a key. done closes exactly once,
@@ -44,11 +56,12 @@ func newResultCache(max int, disk *diskCache) *resultCache {
 		max = 1
 	}
 	return &resultCache{
-		max:     max,
-		byKey:   make(map[string]*list.Element),
-		lru:     list.New(),
-		flights: make(map[string]*flight),
-		disk:    disk,
+		max:      max,
+		byKey:    make(map[string]*list.Element),
+		lru:      list.New(),
+		replicas: list.New(),
+		flights:  make(map[string]*flight),
+		disk:     disk,
 	}
 }
 
@@ -71,8 +84,7 @@ func (c *resultCache) beginTier(key string) (cached []byte, tier string, fl *fli
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(e)
-		return e.Value.(*cacheEntry).bytes, "memory", nil, false
+		return c.hit(e), "memory", nil, false
 	}
 	if fl, ok := c.flights[key]; ok {
 		return nil, "coalesced", fl, false
@@ -118,19 +130,85 @@ func (c *resultCache) complete(key string, fl *flight, bytes []byte, err error) 
 	close(fl.done)
 }
 
-// insert stores bytes under key in the memory LRU, evicting past the
-// bound. Caller holds c.mu.
+// insert stores bytes under key in the memory LRU as this node's own
+// result, making room at the bound. A replica of the key becomes the
+// node's own: a handoff, a warm-up or a disk read stored it here.
+// Caller holds c.mu.
 func (c *resultCache) insert(key string, bytes []byte) {
 	if e, dup := c.byKey[key]; dup {
+		ce := e.Value.(*cacheEntry)
+		if ce.replica {
+			c.replicas.Remove(e)
+			ce.replica = false
+			c.byKey[key] = c.lru.PushFront(ce)
+			return
+		}
 		c.lru.MoveToFront(e)
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, bytes: bytes})
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
+	for c.lru.Len()+c.replicas.Len() >= c.max {
+		victim := c.expendable()
+		if victim == nil {
+			victim = c.lru.Back()
+		}
+		c.remove(victim)
 	}
+	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, bytes: bytes})
+}
+
+// keep stores a verified copy of a result another node owns, in memory
+// only, and reports whether it was kept: at the bound it takes the
+// place of the expendable entry, and with none it is dropped.
+func (c *resultCache) keep(key string, bytes []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, dup := c.byKey[key]; dup {
+		c.listOf(e).MoveToFront(e)
+		return true
+	}
+	if c.lru.Len()+c.replicas.Len() >= c.max {
+		victim := c.expendable()
+		if victim == nil {
+			return false
+		}
+		c.remove(victim)
+	}
+	c.byKey[key] = c.replicas.PushFront(&cacheEntry{key: key, bytes: bytes, replica: true})
+	return true
+}
+
+// expendable is the entry room is made from first: this node's least
+// recently used result if it has not served a hit since it was stored,
+// else the least recently used replica; nil when neither exists.
+// Caller holds c.mu.
+func (c *resultCache) expendable() *list.Element {
+	if e := c.lru.Back(); e != nil && !e.Value.(*cacheEntry).reused {
+		return e
+	}
+	return c.replicas.Back()
+}
+
+// listOf is the recency list e belongs to.
+func (c *resultCache) listOf(e *list.Element) *list.List {
+	if e.Value.(*cacheEntry).replica {
+		return c.replicas
+	}
+	return c.lru
+}
+
+// hit marks an entry served: most recently used in its list, and
+// reused. Caller holds c.mu.
+func (c *resultCache) hit(e *list.Element) []byte {
+	ce := e.Value.(*cacheEntry)
+	ce.reused = true
+	c.listOf(e).MoveToFront(e)
+	return ce.bytes
+}
+
+// remove drops an entry. Caller holds c.mu.
+func (c *resultCache) remove(e *list.Element) {
+	c.listOf(e).Remove(e)
+	delete(c.byKey, e.Value.(*cacheEntry).key)
 }
 
 // peek resolves a key from the local tiers only — memory, then a
@@ -141,9 +219,9 @@ func (c *resultCache) insert(key string, bytes []byte) {
 func (c *resultCache) peek(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(e)
+		bytes := c.hit(e)
 		c.mu.Unlock()
-		return e.Value.(*cacheEntry).bytes, true
+		return bytes, true
 	}
 	disk := c.disk
 	c.mu.Unlock()
@@ -170,8 +248,7 @@ func (c *resultCache) getBytes(key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.lru.MoveToFront(e)
-	return e.Value.(*cacheEntry).bytes, true
+	return c.hit(e), true
 }
 
 // get returns the stored bytes for a key without starting a flight.
@@ -182,15 +259,14 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.lru.MoveToFront(e)
-	return e.Value.(*cacheEntry).bytes, true
+	return c.hit(e), true
 }
 
-// len returns the number of stored entries.
+// len returns the number of stored entries, replicas included.
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.lru.Len() + c.replicas.Len()
 }
 
 // seed stores externally-obtained bytes under key — the write side of
@@ -211,7 +287,8 @@ func (c *resultCache) seed(key string, bytes []byte) {
 	}
 }
 
-// keys returns the stored keys, most recently used first.
+// keys returns the keys of this node's own results, most recently used
+// first; replicas are left out.
 func (c *resultCache) keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -125,6 +125,77 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheReplicasGiveWay: replicas share the entry bound with the
+// node's own results but never evict one that has served a hit, are
+// evicted before one, stay out of keys() and off disk, and become the
+// node's own when a handoff stores the same key.
+func TestCacheReplicasGiveWay(t *testing.T) {
+	disk, _ := testDiskCache(t, nil)
+	c := newResultCache(3, disk)
+	own := func(key string) { c.seed(key, []byte(key)) }
+	held := func(key string) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.byKey[key]
+		return ok
+	}
+	check := func(step, keys string, replicas ...string) {
+		t.Helper()
+		if got := fmt.Sprint(c.keys()); got != keys {
+			t.Fatalf("%s: own keys %v, want %v", step, got, keys)
+		}
+		for _, r := range replicas {
+			if !held(r) {
+				t.Fatalf("%s: replica %s missing", step, r)
+			}
+		}
+		if n := len(c.keys()) + len(replicas); c.len() != n {
+			t.Fatalf("%s: %d entries, want %d", step, c.len(), n)
+		}
+	}
+
+	own("a")
+	own("b")
+	c.get("a")
+	c.get("b")
+	if !c.keep("r1", []byte("r1")) {
+		t.Fatal("a replica must take free room")
+	}
+	check("free room", "[b a]", "r1")
+	// Full, and both own results have served a hit: a replica replaces
+	// only another replica, and an own result evicts a replica first.
+	if !c.keep("r2", []byte("r2")) || held("r1") {
+		t.Fatal("a replica must replace the least recently used replica")
+	}
+	own("c")
+	check("own insert", "[c b a]")
+	if held("r2") {
+		t.Fatal("an own result must evict the replica before a result that served a hit")
+	}
+	if c.keep("r3", []byte("r3")) || held("r3") {
+		t.Fatal("a replica must not evict a result that has served a hit")
+	}
+	// With no replica left, own results evict least recently used first.
+	own("d")
+	check("plain LRU", "[d c b]")
+	// The least recently used own result has not served a hit: a replica
+	// may take its place.
+	c.get("b")
+	if !c.keep("r4", []byte("r4")) || held("c") {
+		t.Fatal("a replica must take the place of an LRU result that never served a hit")
+	}
+	check("unreused LRU result", "[b d]", "r4")
+	if _, ok := disk.read("r4"); ok {
+		t.Fatal("a replica reached the disk tier")
+	}
+	// A handoff of the replica's key makes it the node's own.
+	own("r4")
+	check("handoff", "[r4 b d]")
+	if _, ok := disk.read("r4"); !ok {
+		t.Fatal("an own result must write through to disk")
+	}
+}
+
 // TestSpecKeyNormalization: default-equivalent specs share one content
 // address; different experiments get different ones.
 func TestSpecKeyNormalization(t *testing.T) {

@@ -115,8 +115,9 @@ type Stats struct {
 	BreakerFastFails int64
 	// NodeAttempts counts answered requests per fleet node, keyed by the
 	// X-Labd-Node a response carried. Against a standalone daemon (no
-	// NodeID) the map stays empty; against a fleet it shows how this
-	// client's traffic spread across the ring.
+	// NodeID) the map stays empty; against a fleet it shows which nodes
+	// answered this client: the key's owner, or the entry node itself
+	// when it served a cache hit from a read replica.
 	NodeAttempts map[string]int64
 }
 
@@ -513,9 +514,10 @@ type Submission struct {
 	// Cache is the disposition: "hit", "miss", "coalesced" or "peer".
 	Cache string
 	// Node is the fleet node that answered (X-Labd-Node; empty for a
-	// standalone daemon). With fleet routing this is the address the
-	// submission actually landed on, which may not be the node it was
-	// sent to.
+	// standalone daemon). With fleet routing this is the node the
+	// submission actually landed on: the key's owner, which may not be
+	// the node it was sent to, or, for a cache hit served from a read
+	// replica, the node it was sent to.
 	Node string
 	// Bytes is the raw result body — byte-identical for every
 	// submission of the same spec.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"net/http"
 	"strconv"
 	"sync"
 	"time"
@@ -43,9 +44,16 @@ import (
 // lets a routed request bypass ring placement: both headers are
 // meaningful only inside the fleet's internal network, where routers
 // are the only senders.
+//
+// HeaderReplica marks a forward from a fleet node that keeps a replica
+// of the owner's cache hits. On a hit the owner attaches the body's
+// SHA-256 as X-Labd-Sha256, which the entry node verifies before it
+// keeps the bytes. A standalone router keeps nothing and does not send
+// it, so the hits it forwards cost the owner no hashing.
 const (
 	HeaderRouted  = "X-Labd-Routed"
 	HeaderSpecKey = "X-Labd-Spec-Key"
+	HeaderReplica = "X-Labd-Replica"
 )
 
 // specScratch pools the JSON scratch buffers spec keys are encoded
@@ -229,7 +237,7 @@ func SpecKeyInto(spec JobSpec, out *[64]byte) error {
 // path — a miss, a disk-tier candidate, an invalid spec, tracing
 // enabled, or a draining daemon.
 func (s *Server) TryCacheHit(spec JobSpec) (result []byte, hexKey [64]byte, ok bool) {
-	if s.tracer.Enabled() || s.drainFast.Load() {
+	if !s.FastPathOpen() {
 		return nil, hexKey, false
 	}
 	start := time.Now()
@@ -252,7 +260,7 @@ func (s *Server) TryCacheHit(spec JobSpec) (result []byte, hexKey [64]byte, ok b
 // spec's content address — the fleet fast path, where the router
 // computed the key for placement and carried it on the request.
 func (s *Server) TryCacheHitKey(key string) ([]byte, bool) {
-	if s.tracer.Enabled() || s.drainFast.Load() {
+	if !s.FastPathOpen() {
 		return nil, false
 	}
 	start := time.Now()
@@ -262,6 +270,25 @@ func (s *Server) TryCacheHitKey(key string) ([]byte, bool) {
 	}
 	s.recordFastHit(time.Since(start))
 	return bytes, true
+}
+
+// FastPathOpen reports whether the fast path takes requests at all: it
+// is closed on a traced daemon (every request gets a trace) and on a
+// draining one. A fleet node keeps replicas of its peers' hits only
+// while it can serve them here.
+func (s *Server) FastPathOpen() bool {
+	return !s.tracer.Enabled() && !s.drainFast.Load()
+}
+
+// WriteCacheHit answers a synchronous submission with the bytes
+// TryCacheHitKey returned for key: the response the daemon's own fast
+// path writes, X-Labd-Node included. A fleet node answers hits on keys
+// it does not own through it.
+func (s *Server) WriteCacheHit(w http.ResponseWriter, key string, bytes []byte) {
+	if s.cfg.NodeID != "" {
+		w.Header().Set("X-Labd-Node", s.cfg.NodeID)
+	}
+	s.writeCachedResult(w, key, bytes, false)
 }
 
 // recordFastHit files a fast-path hit's accounting: the same counters a

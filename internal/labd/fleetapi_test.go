@@ -15,6 +15,7 @@ import (
 	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/labd"
 	"jvmgc/internal/labd/client"
+	"jvmgc/internal/obs"
 )
 
 // startDaemonURL is startDaemon plus the listener URL, for tests that
@@ -239,5 +240,72 @@ func TestNodeStateSnapshot(t *testing.T) {
 	}
 	if _, err := hdrhist.Decode(st.QueueHist); err != nil {
 		t.Fatalf("queue histogram does not decode: %v", err)
+	}
+}
+
+// TestReplicaDigest: a submission carrying labd.HeaderReplica gets the
+// result's SHA-256 in X-Labd-Sha256 when it is a cache hit — served by
+// the fast path or, on a traced daemon, by the scheduler — and never on
+// a miss or an async answer. Without the header no hit is hashed.
+func TestReplicaDigest(t *testing.T) {
+	spec := []byte(`{"job":{"kind":"simulate","collector":"CMS","heap_bytes":2147483648,"duration_seconds":5,"seed":12}}`)
+	async := []byte(`{"job":{"kind":"simulate","collector":"CMS","heap_bytes":2147483648,"duration_seconds":5,"seed":12},"async":true}`)
+	for _, tc := range []struct {
+		name string
+		cfg  labd.Config
+	}{
+		{"fast path", labd.Config{Workers: 1}},
+		{"scheduler", labd.Config{Workers: 1, Tracer: obs.NewTracer(obs.Config{Seed: 3})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, url := startDaemonURL(t, tc.cfg)
+			submit := func(body []byte, replica bool) (*http.Response, []byte) {
+				t.Helper()
+				req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set(labd.HeaderRouted, "1")
+				if replica {
+					req.Header.Set(labd.HeaderReplica, "1")
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				b, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp, b
+			}
+			for i, want := range []struct {
+				body    []byte
+				replica bool
+				cache   string
+				digest  bool
+			}{
+				{spec, true, "miss", false},
+				{spec, false, "hit", false},
+				{async, true, "hit", false},
+				{spec, true, "hit", true},
+			} {
+				resp, body := submit(want.body, want.replica)
+				if c := resp.Header.Get("X-Labd-Cache"); c != want.cache {
+					t.Fatalf("request %d: cache %q, want %q", i, c, want.cache)
+				}
+				got := resp.Header.Get("X-Labd-Sha256")
+				if !want.digest {
+					if got != "" {
+						t.Errorf("request %d: unexpected digest %q", i, got)
+					}
+					continue
+				}
+				if sum := sha256.Sum256(body); got != hex.EncodeToString(sum[:]) {
+					t.Errorf("request %d: digest %q does not match the %d-byte body", i, got, len(body))
+				}
+			}
+		})
 	}
 }

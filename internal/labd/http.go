@@ -164,6 +164,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(HeaderRouted) != "" {
 		hint = r.Header.Get(HeaderSpecKey)
 	}
+	// The forwarding node keeps a replica of a hit: give it the digest.
+	replica := r.Header.Get(HeaderReplica) != ""
 
 	// Zero-allocation fast path (fastpath.go): a synchronous, untraced
 	// submission whose result sits in the memory tier is answered from
@@ -173,11 +175,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !req.Async {
 		if hint != "" {
 			if bytes, ok := s.TryCacheHitKey(hint); ok {
-				s.writeCachedResult(w, hint, bytes)
+				s.writeCachedResult(w, hint, bytes, replica)
 				return
 			}
 		} else if bytes, hexKey, ok := s.TryCacheHit(req.Job); ok {
-			s.writeCachedResult(w, string(hexKey[:]), bytes)
+			s.writeCachedResult(w, string(hexKey[:]), bytes, replica)
 			return
 		}
 	}
@@ -243,8 +245,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Disposition is read after completion: a peer-tier hit is only
 	// discovered once the job reaches a worker, so reading it at submit
 	// time would report "miss" for peer-served results.
-	w.Header().Set("X-Labd-Cache", cacheDisposition(j))
+	disposition := cacheDisposition(j)
+	w.Header().Set("X-Labd-Cache", disposition)
+	if replica && disposition == "hit" {
+		if bytes, err := j.Result(); err == nil {
+			w.Header().Set("X-Labd-Sha256", Digest(bytes))
+		}
+	}
 	s.respondResult(w, j)
+}
+
+// Digest is the hex SHA-256 of b: the form a spec key takes, and the
+// X-Labd-Sha256 value a fleet node checks before it trusts result bytes
+// that crossed the network.
+func Digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 func cacheDisposition(j *Job) string {
@@ -288,9 +304,13 @@ func (s *Server) respondResult(w http.ResponseWriter, j *Job) {
 
 // writeCachedResult answers a fast-path cache hit: the stored bytes
 // verbatim with explicit Content-Length and the same key/disposition
-// headers a scheduled hit carries. No X-Labd-Job — the fast path
-// creates no job record (see fastpath.go).
-func (s *Server) writeCachedResult(w http.ResponseWriter, key string, bytes []byte) {
+// headers a scheduled hit carries, plus the digest when the forwarding
+// node keeps a replica. No X-Labd-Job — the fast path creates no job
+// record (see fastpath.go).
+func (s *Server) writeCachedResult(w http.ResponseWriter, key string, bytes []byte, digest bool) {
+	if digest {
+		w.Header().Set("X-Labd-Sha256", Digest(bytes))
+	}
 	w.Header().Set("X-Labd-Key", key)
 	w.Header().Set("X-Labd-Cache", "hit")
 	w.Header().Set("Content-Type", "application/json")
@@ -518,17 +538,17 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("labd: key not cached here"))
 		return
 	}
-	sum := sha256.Sum256(bytes)
+	w.Header().Set("X-Labd-Sha256", Digest(bytes))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(bytes)))
-	w.Header().Set("X-Labd-Sha256", hex.EncodeToString(sum[:]))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(bytes)
 }
 
-// handleCacheKeys lists the keys this node holds in memory, MRU-first —
-// the inventory a joiner (or a router filtering by ring arc) walks to
-// warm a cache before taking placement.
+// handleCacheKeys lists the keys this node holds in memory as its own
+// results (replicas excluded), MRU-first — the inventory a joiner (or
+// a router filtering by ring arc) walks to warm a cache before taking
+// placement.
 func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Keys []string `json:"keys"`
@@ -552,8 +572,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != want {
+	if Digest(body) != want {
 		s.rec.Add("labd.cache.corruptions.detected", 1)
 		writeError(w, http.StatusBadRequest,
 			errors.New("labd: cache put digest mismatch; bytes rejected"))

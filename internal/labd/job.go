@@ -1,8 +1,6 @@
 package labd
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -201,8 +199,7 @@ func (s JobSpec) key() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("labd: marshal spec: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return Digest(b), nil
 }
 
 // SpecKey normalizes a spec and returns its content address — exactly

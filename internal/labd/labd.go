@@ -789,9 +789,10 @@ func (s *Server) DiskCacheEntries() int {
 	return s.cache.disk.entries()
 }
 
-// CacheKeys returns the in-memory cache's keys, most recently used
-// first — the inventory a fleet router walks when a joiner warms its arc
-// or a leaver hands its keys to successors.
+// CacheKeys returns the keys of the results the in-memory cache holds
+// as this node's own (replicas excluded), most recently used first —
+// the inventory a fleet router walks when a joiner warms its arc or a
+// leaver hands its keys to successors.
 func (s *Server) CacheKeys() []string { return s.cache.keys() }
 
 // CachePeek returns a key's stored result bytes from the local tiers
@@ -804,6 +805,16 @@ func (s *Server) CachePeek(key string) ([]byte, bool) { return s.cache.peek(key)
 func (s *Server) WarmCache(key string, bytes []byte) {
 	s.cache.seed(key, bytes)
 	s.rec.Add("labd.cache.warmed", 1)
+}
+
+// KeepReplica stores a copy of a result another fleet node owns
+// (already SHA-verified by the caller) in memory only, and reports
+// whether it was kept. A replica never evicts a result that has served
+// a hit, is evicted before one, and stays out of CacheKeys, so a leave
+// does not hand it off and a joiner does not pull it. Served by
+// TryCacheHitKey like any memory entry.
+func (s *Server) KeepReplica(key string, bytes []byte) bool {
+	return s.cache.keep(key, bytes)
 }
 
 // Recorder exposes the daemon's telemetry recorder (counters and job

@@ -311,14 +311,16 @@ func (r *Recorder) Samples() []Sample {
 	return r.samples
 }
 
-// Counters returns the counters in first-touch order.
+// Counters returns a snapshot of the counters in first-touch order. It
+// is a copy: Add updates counter values in place, and a live daemon
+// exports them while its requests keep counting.
 func (r *Recorder) Counters() []Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters
+	return append([]Counter(nil), r.counters...)
 }
 
 // Counter returns the named counter's value (zero when absent or nil).

@@ -238,6 +238,12 @@ func TestCounters(t *testing.T) {
 	if len(cs) != 2 || cs[0].Name != "a" || cs[1].Name != "b" {
 		t.Errorf("counters %+v, want first-touch order", cs)
 	}
+	// A snapshot: a later Add, which may run on another goroutine while
+	// the caller reads it, does not write into it.
+	r.Add("a", 1)
+	if cs[0].Value != 5 {
+		t.Errorf("snapshot of a reads %d after a later Add, want 5", cs[0].Value)
+	}
 }
 
 // BenchmarkTelemetryDisabled measures a full jvm run with recording
