@@ -10,11 +10,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"jvmgc"
+	"jvmgc/internal/machine"
 )
 
 func main() {
@@ -30,17 +29,17 @@ func main() {
 	)
 	flag.Parse()
 
-	heapBytes, err := parseSize(*heap)
+	heapBytes, err := machine.ParseSize(*heap)
 	if err != nil {
 		fatal(err)
 	}
-	allocBytes, err := parseSize(*alloc)
+	allocBytes, err := machine.ParseSize(*alloc)
 	if err != nil {
 		fatal(err)
 	}
 
 	advice, err := jvmgc.Advise(jvmgc.AdviseOptions{
-		HeapBytes:        heapBytes,
+		HeapBytes:        int64(heapBytes),
 		Threads:          *threads,
 		AllocBytesPerSec: float64(allocBytes),
 		MaxPause:         *maxPause,
@@ -81,30 +80,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "advisor:", err)
 	os.Exit(1)
-}
-
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	if s == "" {
-		return 0, fmt.Errorf("empty size")
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k':
-		mult = 1 << 10
-		s = s[:len(s)-1]
-	case 'm':
-		mult = 1 << 20
-		s = s[:len(s)-1]
-	case 'g':
-		mult = 1 << 30
-		s = s[:len(s)-1]
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", s, err)
-	}
-	return int64(v * float64(mult)), nil
 }
 
 func size(b int64) string {

@@ -3,7 +3,7 @@
 // (which pauses would get a Cassandra node declared down).
 //
 // It reads logs in this laboratory's HotSpot-flavoured rendering — the
-// output of `gcsim -v`, `gctrace` (the unified-log export), or
+// output of `gcsim -v`, the unified log `gcsim [dacapo] -gclog-out` writes, or
 // `jvmgc.SimulationResult.LogText` — from the file argument, or from
 // stdin when no file is given. Parse errors abort with a non-zero exit
 // rather than printing partial statistics.

@@ -147,18 +147,6 @@ func TestEndToEndCacheByteIdentity(t *testing.T) {
 	if got := metricValue(t, metrics, "jvmgc_labd_jobs_submitted_total"); got != 3 {
 		t.Errorf("submitted = %g, want 3", got)
 	}
-	// The latency summary is fed by job-record spans, and only scheduled
-	// submissions create job records — fast-path cache hits (fastpath.go)
-	// are served without one, precisely so a hit storm cannot grow the
-	// span buffer. So the summary must count exactly the registered jobs,
-	// while the streaming histogram must have seen all three submissions.
-	jobs, err := c.Jobs(ctx)
-	if err != nil {
-		t.Fatalf("jobs: %v", err)
-	}
-	if got := metricValue(t, metrics, "jvmgc_labd_job_latency_seconds_count"); got != float64(len(jobs)) {
-		t.Errorf("latency summary count = %g, want %d (one per scheduled job)", got, len(jobs))
-	}
 	if got := metricValue(t, metrics, "jvmgc_labd_job_latency_hist_seconds_count"); got != 3 {
 		t.Errorf("latency histogram count = %g, want 3 (every submission)", got)
 	}

@@ -362,7 +362,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the daemon's observability snapshot: recorder
 // counters (jobs, cache, simulations), live scheduler gauges, the
-// job-latency summary and histograms, SLO burn rates and the Go
+// job-latency and queue-wait histograms, SLO burn rates and the Go
 // runtime's own GC vitals, all through telemetry's Prometheus exporter.
 //
 // The format is negotiated: the classic text format (version 0.0.4) by
@@ -398,13 +398,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.addSLOMetrics(&snap)
 	obs.ReadRuntimeSample().AddTo(&snap)
 
-	var latencies []float64
-	for _, span := range s.rec.TrackSpans("labd") {
-		latencies = append(latencies, span.Duration.Seconds())
-	}
-	snap.Summary("labd_job_latency_seconds",
-		"End-to-end job latency (enqueue to completion), including cache hits.",
-		latencies)
 	s.histMu.Lock()
 	snap.HistogramExemplars("labd_job_latency_hist_seconds",
 		"End-to-end job latency distribution (streaming histogram over the daemon's whole lifetime).",

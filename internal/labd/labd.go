@@ -38,7 +38,6 @@ import (
 	"jvmgc/internal/faultinject"
 	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/obs"
-	"jvmgc/internal/simtime"
 	"jvmgc/internal/sweep"
 	"jvmgc/internal/telemetry"
 )
@@ -731,20 +730,16 @@ func (s *Server) finish(j *Job, bytes []byte, err error) {
 			j.status = StatusDone
 			j.result = bytes
 		}
-		kind := j.spec.Kind
 		j.mu.Unlock()
 		if err != nil {
 			s.rec.Add("labd.jobs.failed", 1)
 		} else {
 			s.rec.Add("labd.jobs.completed", 1)
 		}
-		// Job latency lands on the "labd" track; /metrics summarizes the
-		// span durations as jvmgc_labd_job_latency_seconds and streams
-		// them into the bounded latency histogram. A traced job leaves
-		// its trace ID as the bucket's exemplar, so the histogram's tail
-		// points at the trace that put a request there.
+		// Job latency streams into the bounded latency histogram. A
+		// traced job leaves its trace ID as the bucket's exemplar, so the
+		// histogram's tail points at the trace that put a request there.
 		elapsed := time.Since(j.enqueued)
-		s.rec.Span("labd", kind, 0, simtime.FromStd(elapsed), 0)
 		now := time.Now()
 		s.histMu.Lock()
 		if id := j.trace.ID(); !id.IsZero() {

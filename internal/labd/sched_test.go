@@ -209,3 +209,27 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 		t.Fatalf("post-drain submit: got %v, want ErrDraining", err)
 	}
 }
+
+// TestFinishedJobsLeaveNoSpans: MaxJobRecords bounds everything the
+// daemon keeps per scheduled job. Finishing a job records its latency in
+// the fixed-size histogram and adds no span to the daemon's recorder, so
+// memory stays bounded however many jobs run.
+func TestFinishedJobsLeaveNoSpans(t *testing.T) {
+	s := stubServer(t, Config{Workers: 1, QueueDepth: 16, MaxJobRecords: 4},
+		func(_ context.Context, spec JobSpec, _ int) (*JobResult, error) {
+			return &JobResult{Kind: spec.Kind, Spec: spec, Text: "ok"}, nil
+		})
+	for seed := uint64(1); seed <= 10; seed++ {
+		j, err := s.Submit(SubmitRequest{Job: simSpec(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	if got := len(s.JobInfos()); got != 4 {
+		t.Errorf("job records = %d, want 4", got)
+	}
+	if got := len(s.Recorder().Spans()); got != 0 {
+		t.Errorf("recorder holds %d spans after 10 jobs, want 0", got)
+	}
+}

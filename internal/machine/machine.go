@@ -19,7 +19,9 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Bytes is a memory quantity in bytes.
@@ -55,6 +57,38 @@ func (b Bytes) Append(dst []byte) []byte {
 	}
 	dst = strconv.AppendFloat(dst, float64(b)/float64(unit), 'g', 4, 64)
 	return append(dst, name...)
+}
+
+// ParseSize parses a size the way the JVM's -Xmx takes one: "512m",
+// "16g", "100k" or a plain byte count, in either case; the number may be
+// fractional ("1.5g"). It rejects NaN, infinities, negative sizes and
+// sizes beyond int64. Zero is a valid size.
+func ParseSize(s string) (Bytes, error) {
+	t := strings.ToLower(strings.TrimSpace(s))
+	mult := Bytes(1)
+	if t != "" {
+		switch t[len(t)-1] {
+		case 'k':
+			mult = KB
+		case 'm':
+			mult = MB
+		case 'g':
+			mult = GB
+		}
+		if mult > 1 {
+			t = t[:len(t)-1]
+		}
+	}
+	v, err := strconv.ParseFloat(t, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	n := v * float64(mult)
+	// Negated so that NaN, which fails every comparison, is rejected too.
+	if !(n >= 0 && n < 1<<63) {
+		return 0, fmt.Errorf("size %q out of range", s)
+	}
+	return Bytes(n), nil
 }
 
 // Topology describes the processor and memory layout of a machine.

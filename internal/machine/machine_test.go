@@ -24,6 +24,32 @@ func TestBytesString(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Bytes
+	}{
+		{"512", 512},
+		{"0", 0},
+		{"2k", 2048},
+		{"3m", 3 << 20},
+		{"16g", 16 << 30},
+		{"1.5g", 3 << 29},
+		{"  8M ", 8 << 20},
+	}
+	for _, c := range cases {
+		got, err := ParseSize(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "abc", "12q3g", "nan", "NaN", "inf", "-inf", "-4g", "-1g", "1e30g", "9223372036854775808"} {
+		if got, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", bad, got)
+		}
+	}
+}
+
 func TestPaperTestbedShape(t *testing.T) {
 	topo := PaperTestbed()
 	if topo.Cores() != 48 {

@@ -283,7 +283,11 @@ type BenchmarkOptions struct {
 	Iterations int
 	// NoSystemGC disables the forced full collection between iterations.
 	NoSystemGC bool
-	Seed       uint64
+	// Recorder, when non-nil, receives the run's flight-recorder stream,
+	// as SimulationConfig.Recorder does; the harness adds one span per
+	// iteration. Attaching one never changes the result.
+	Recorder *Recorder
+	Seed     uint64
 }
 
 // BenchmarkResult is the outcome of RunBenchmark.
@@ -319,6 +323,7 @@ func RunBenchmark(opts BenchmarkOptions) (*BenchmarkResult, error) {
 		cfg.Iterations = opts.Iterations
 	}
 	cfg.SystemGC = !opts.NoSystemGC
+	cfg.Recorder = opts.Recorder
 	cfg.Seed = opts.Seed
 	res, err := dacapo.Run(cfg)
 	if err != nil {
