@@ -6,13 +6,13 @@
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — a short fuzz budget for each gclog
-# target, the band analysis, the hdrhist decoder and the spec-key
-# encoder, and the bench-gate step, which measures the kernel-bound
-# benchmarks, one whole Simulate call and the whole three-collector
-# client study, and fails on regression against the committed
-# BENCH_baseline.json (>25% ns/op, or any allocs/op growth: allocation
-# counts are deterministic, so an increase is a real leak back onto the
-# hot path).
+# target, the band analysis, the hdrhist decoder, the spec-key encoder
+# and the gossip wire encoder, and the bench-gate step, which measures
+# the kernel-bound benchmarks, one whole Simulate call and the whole
+# three-collector client study, and fails on regression against the
+# committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
+# allocation counts are deterministic, so an increase is a real leak
+# back onto the hot path).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -37,18 +37,24 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # (a replica hit equals the owner's bytes, a bad digest or cut body is
 # relayed but not kept, async and draining submissions reach the owner,
 # replicas never evict a result that has served a hit, and a leave or a
-# join moves each owned key once and no replica) and the relay's
-# declared length (a cut body is an error, not a 200).
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength' ./internal/fleet/
+# join moves each owned key once and no replica), the relay's declared
+# length (a cut body is an error, not a 200), and the one failure
+# detector: only a refused connection on a fetch, forward or batch shard
+# makes a node a gossip suspect, a client that hangs up suspects no one,
+# and a suspect returns to routing once gossip confirms it.
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover' ./internal/fleet/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and
 # every result must be byte-identical to a single-node run with zero
-# client-visible failures. Alongside it, the SWIM false-positive guard:
-# a node stalled just under the suspicion window refutes and is never
-# declared dead.
+# client-visible failures; the kill reaches gossip first through the
+# entry node's broken shard stream. Alongside it, the SWIM
+# false-positive guard: a node stalled just under the suspicion window
+# refutes and is never declared dead; a joiner whose ticks run before
+# it announces is placed by no peer until it does; and a node that left
+# and restarts under the same ID and -peers is placed again.
 go test -race -count=1 -run 'TestFleetChurnByteIdentity' ./internal/fleet/
-go test -race -count=1 -run 'TestStallRefutedNotDeclaredDead|TestDeathAndRecovery|TestJoinAnnounceLeaveLifecycle' ./internal/fleet/gossip/
+go test -race -count=1 -run 'TestStallRefutedNotDeclaredDead|TestDeathAndRecovery|TestJoinAnnounceLeaveLifecycle|TestRestartAfterLeaveRejoinsPlacement' ./internal/fleet/gossip/
 # Load-generator smoke. First the virtual-time determinism anchor: the
 # same seed must print byte-identical saturation curves (the generator's
 # schedules, queueing arithmetic and histogram are all pure functions of
@@ -88,6 +94,9 @@ go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/hdrhist/
 # encoding/json (or declining) and SpecKeyInto equal to SpecKey: fleet
 # placement and read-replica lookups use that key.
 go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
+# FuzzAppendMessage holds the hand-encoded gossip ping to encoding/json:
+# every message decodes to the value json.Marshal's encoding does.
+go test -run=NONE -fuzz='^FuzzAppendMessage$' -fuzztime=10s ./internal/fleet/gossip/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.

@@ -22,22 +22,22 @@
 //
 //	gclabd -addr :8372 -fleet a -peers a=http://h1:8372,b=http://h2:8372,c=http://h3:8372
 //
+// Every fleet process runs a SWIM gossip failure detector, and -peers is
+// its boot membership: a node that stops answering probes, or whose
+// connection fails on a forward, is suspected and routed around, then
+// confirmed via indirect probes through peers and eventually removed
+// from placement — and rejoins automatically when it answers again.
 // -peers without -fleet runs a standalone router: no local daemon, jobs
-// are only forwarded.
+// are only forwarded, and it gossips as a member that never announces,
+// so it learns liveness without being placed. New nodes join a running
+// fleet without membership restarts:
 //
-// Live membership (-gossip) runs a SWIM failure detector between the
-// nodes: a node that stops answering probes is suspected, confirmed via
-// indirect probes through peers, and eventually removed from placement —
-// and rejoins automatically when it answers again. New nodes join a
-// running fleet without membership restarts:
-//
-//	gclabd -addr :8375 -fleet d -advertise http://h4:8375 \
-//	    -gossip -join http://h1:8372
+//	gclabd -addr :8375 -fleet d -advertise http://h4:8375 -join http://h1:8372
 //
 // The joiner fetches the membership snapshot from a seed, warms its
 // future cache arc from the current owners, and only then announces
-// itself into placement. POST /v1/fleet/leave (or SIGTERM in gossip
-// mode) departs gracefully: the leave is broadcast, the node's cached
+// itself into placement. POST /v1/fleet/leave (or SIGTERM on a fleet
+// node) departs gracefully: the leave is broadcast, the node's cached
 // arc is handed to its successors, in-flight jobs drain, then the
 // process exits — zero client-visible failures.
 //
@@ -102,8 +102,7 @@ func main() {
 		vnodes   = flag.Int("fleet-vnodes", 0, "virtual nodes per fleet member on the placement ring (0 = default 128)")
 		loadFac  = flag.Float64("fleet-load-factor", 1.25, "bounded-load multiplier; a node holds at most ceil(factor x mean pending) routed jobs (<=1 disables the bound)")
 
-		gossipOn   = flag.Bool("gossip", false, "live fleet membership: SWIM gossip failure detection, join/leave, automatic ring reconfiguration")
-		joinSeeds  = flag.String("join", "", "comma-separated seed URLs of a running fleet to join (implies -gossip; requires -fleet and -advertise)")
+		joinSeeds  = flag.String("join", "", "comma-separated seed URLs of a running fleet to join (requires -fleet and -advertise)")
 		advertise  = flag.String("advertise", "", "base URL peers use to reach this node (default: this node's -peers entry)")
 		gossipTick = flag.Duration("gossip-interval", time.Second, "gossip protocol period")
 		suspectTO  = flag.Duration("suspect-timeout", 0, "how long a suspicion lives before a death declaration (0 = 8x gossip interval; always raised to 32x the runtime's worst GC pause)")
@@ -148,9 +147,8 @@ func main() {
 			ErrorTarget:      *sloErrTgt,
 		})
 	}
-	useGossip := *gossipOn || *joinSeeds != ""
-	if useGossip && *fleetID == "" {
-		fmt.Fprintln(os.Stderr, "gclabd: -gossip/-join require -fleet")
+	if *joinSeeds != "" && *fleetID == "" {
+		fmt.Fprintln(os.Stderr, "gclabd: -join requires -fleet")
 		os.Exit(2)
 	}
 
@@ -222,23 +220,25 @@ func main() {
 		router.SetLocal(srv)
 	}
 
-	// Live membership: the gossiper owns the fleet view and pushes every
-	// placement change into the router's ring via SetMembership.
-	var gsp *gossip.Gossiper
-	if useGossip && router != nil {
-		adv := strings.TrimRight(*advertise, "/")
+	// The gossiper owns the fleet view and pushes every placement and
+	// liveness change into the router via SetMembership. A standalone
+	// router gossips under a name of its own and never announces.
+	if router != nil {
+		self, adv := *fleetID, strings.TrimRight(*advertise, "/")
 		if adv == "" {
-			adv = peers[*fleetID]
+			adv = peers[self]
 		}
-		if adv == "" {
-			fmt.Fprintln(os.Stderr, "gclabd: -gossip requires -advertise or a -peers entry for this node")
-			os.Exit(2)
+		if self == "" {
+			self = "router@" + *addr
+			if adv == "" {
+				adv = "http://" + *addr
+			}
 		}
 		gcfg := gossip.Config{
-			Self:           *fleetID,
+			Self:           self,
 			URL:            adv,
 			Peers:          peers,
-			Joining:        *joinSeeds != "",
+			Joining:        *joinSeeds != "" || *fleetID == "",
 			Interval:       *gossipTick,
 			SuspectTimeout: *suspectTO,
 			Chaos:          chaos,
@@ -247,12 +247,19 @@ func main() {
 		if srv != nil {
 			gcfg.Rec = srv.Recorder()
 		}
-		gsp, err = gossip.New(gcfg)
+		g, err := gossip.New(gcfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gclabd:", err)
 			os.Exit(2)
 		}
-		router.AttachGossip(gsp)
+		router.AttachGossip(g)
+		if *joinSeeds == "" {
+			// Name the -peers view by gossip's content-derived epoch from
+			// boot, so a node restarted into a fleet that has changed
+			// since reports the epoch its peers do.
+			epoch, urls := g.Memberlist().Placement()
+			router.SetMembership(epoch, urls, nil)
+		}
 	}
 
 	var handler http.Handler
@@ -278,8 +285,8 @@ func main() {
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "gclabd: listening on %s\n", *addr)
 
-	if gsp != nil {
-		gsp.Start()
+	if router != nil {
+		router.Gossip().Start()
 		if *joinSeeds != "" {
 			// Join in the background — the listener is already up to
 			// answer gossip, and traffic routes here only after the
@@ -318,8 +325,8 @@ func main() {
 	fmt.Fprintln(os.Stderr, "gclabd: draining...")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	if gsp != nil && router != nil && !left {
-		// Gossip mode turns a SIGTERM into a graceful leave: broadcast,
+	if srv != nil && router != nil && !left {
+		// A fleet node turns a SIGTERM into a graceful leave: broadcast,
 		// hand the cache arc to successors, drain — peers re-ring around
 		// this node instead of having to detect its death.
 		if err := router.Leave(shutdownCtx); err != nil {
@@ -333,11 +340,8 @@ func main() {
 	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "gclabd: http shutdown:", err)
 	}
-	if gsp != nil {
-		gsp.Close()
-	}
 	if router != nil {
-		router.Close()
+		router.Close() // stops the gossiper
 	}
 	if srv != nil && !left {
 		if err := srv.Drain(shutdownCtx); err != nil {

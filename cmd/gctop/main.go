@@ -60,8 +60,8 @@ type sample struct {
 }
 
 // nodeRow is one fleet member in the -fleet membership panel. State and
-// Incarnation come from gossip when live membership is on
-// (alive/suspect/dead/left); a static fleet reports alive/down.
+// Incarnation come from gossip (alive/suspect/dead/left); a router
+// without a gossiper reports its fixed view alive.
 type nodeRow struct {
 	ID          string `json:"id"`
 	Alive       bool   `json:"alive"`

@@ -126,7 +126,8 @@ func mergeHist(acc *hdrhist.Hist, data []byte) *hdrhist.Hist {
 }
 
 // gatherStates pulls /v1/state from every placed node (the local
-// daemon directly), marking unreachable nodes down.
+// daemon directly), listing the ones that do not answer. It only reads:
+// liveness is gossip's to decide.
 func (rt *Router) gatherStates(ctx context.Context) (states []labd.NodeState, unreachable []string) {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -148,7 +149,6 @@ func (rt *Router) gatherStates(ctx context.Context) (states []labd.NodeState, un
 			defer mu.Unlock()
 			if err != nil {
 				unreachable = append(unreachable, id)
-				rt.MarkDown(id)
 				return
 			}
 			if st.Node == "" {
@@ -288,8 +288,9 @@ func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 
 // NodeInfo is one row of /fleet/nodes: membership plus a live probe.
 // State/Incarnation come from the gossip memberlist when one is
-// attached ("alive"/"suspect"/"dead"/"left"); a static fleet reports
-// "alive" or "down" from the router's own mark-down set.
+// attached ("alive"/"suspect"/"dead"/"left"); a router without one
+// reports every node of its fixed view "alive" and leaves the probe
+// (Alive, Health) to tell.
 type NodeInfo struct {
 	ID          string             `json:"id"`
 	URL         string             `json:"url"`
@@ -301,7 +302,7 @@ type NodeInfo struct {
 }
 
 // handleFleetNodes probes every placed node and serves membership
-// (with gossip states when live membership is on), health and the
+// (with gossip states when a gossiper is attached), health and the
 // router's own placement counters.
 func (rt *Router) handleFleetNodes(w http.ResponseWriter, r *http.Request) {
 	health := rt.Health(r.Context())
@@ -331,9 +332,6 @@ func (rt *Router) handleFleetNodes(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		h := health[id]
 		ms := members[id]
-		if rt.g == nil && rt.Down(id) {
-			ms.state = "down"
-		}
 		nodes = append(nodes, NodeInfo{
 			ID:          id,
 			URL:         ms.url,

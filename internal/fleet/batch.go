@@ -26,10 +26,10 @@ const maxShardLine = 16 << 20
 //
 // Failover is per shard and windowed by completion: when a node dies
 // mid-stream, only the jobs whose events had not yet arrived re-route
-// to their keys' next ring arcs; everything already delivered stays
-// delivered. Determinism makes this safe: a job that ran twice (once on
-// the dead node, once on its successor) produced identical bytes both
-// times.
+// to their keys' next ring arcs, and the node is excluded for the rest
+// of the request; everything already delivered stays delivered.
+// Determinism makes this safe: a job that ran twice (once on the dead
+// node, once on its successor) produced identical bytes both times.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
@@ -85,20 +85,31 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		pending[i] = true
 	}
 
-	// Placement rounds: shard by owner, stream, re-shard whatever a dead
-	// node left unfinished. Each round removes at least one node from
-	// the alive set or finishes, so ring-size+1 rounds always suffice.
+	// Placement rounds: shard by owner on the current view, stream,
+	// re-shard whatever a failed or draining node left unfinished. That
+	// node is excluded for the rest of the request, so each round
+	// finishes or removes a node: ring-size+1 rounds always suffice.
+	failed := make(map[string]bool)
+	owners := make([]string, len(req.Jobs))
 	for round := 0; len(pending) > 0 && round <= rt.Ring().Len(); round++ {
+		if r.Context().Err() != nil {
+			return // the client is gone; no one is reading the stream
+		}
 		if round > 0 {
 			rt.reroutes.Add(int64(len(pending)))
 		}
+		v := rt.view.Load()
+		var exclude uint64
+		for id := range failed {
+			exclude |= v.bit(id)
+		}
 		groups := make(map[string][]int)
-		idxs := sortedIndices(pending)
-		for _, i := range idxs {
-			owner := rt.pick(keys[i])
+		for _, i := range sortedIndices(pending) {
+			owner := rt.pickHash(v, finalize(hashString(keys[i])), exclude)
 			if owner == "" {
-				continue // whole fleet down; fails after the loop
+				continue // no node routable; fails after the loop
 			}
+			owners[i] = owner
 			groups[owner] = append(groups[owner], i)
 		}
 		if len(groups) == 0 {
@@ -107,6 +118,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Buffered for every possible event, so shard workers never block
 		// on a client that stopped reading mid-stream.
 		msgs := make(chan labd.BatchEvent, len(pending))
+		lost := make(chan string, len(groups)) // nodes a shard failed on
 		var wg sync.WaitGroup
 		for owner, indices := range groups {
 			jobs := make([]labd.JobSpec, len(indices))
@@ -122,13 +134,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			} else {
 				go func(owner string, indices []int, jobs []labd.JobSpec) {
 					defer wg.Done()
-					rt.forwardShard(r, owner, indices, jobs, req.TimeoutSeconds, msgs)
+					if !rt.forwardShard(r, v.urls[owner], owner, indices, jobs, req.TimeoutSeconds, msgs) {
+						lost <- owner
+					}
 				}(owner, indices, jobs)
 			}
 		}
 		go func() {
 			wg.Wait()
 			close(msgs)
+			close(lost)
 		}()
 		clientGone := false
 		for ev := range msgs {
@@ -138,7 +153,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if ev.Status == labd.StatusFailed && strings.Contains(ev.Error, labd.ErrDraining.Error()) {
 				// The job raced a graceful leave: the shard landed after
 				// the target stopped intake. Not a failure — the job stays
-				// pending and re-routes to the post-leave ring next round.
+				// pending and re-routes, away from the leaver, next round.
+				failed[owners[ev.Index]] = true
 				continue
 			}
 			delete(pending, ev.Index)
@@ -150,6 +166,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if clientGone {
 			return
+		}
+		for id := range lost {
+			failed[id] = true
 		}
 	}
 	for _, i := range sortedIndices(pending) {
@@ -220,70 +239,56 @@ func (rt *Router) localShard(r *http.Request, indices []int, jobs []labd.JobSpec
 	wg.Wait()
 }
 
-// forwardShard streams one shard through a peer node's batch endpoint,
-// remapping event indices back into the caller's space. Any transport-
-// level failure — connect, mid-stream cut, 5xx — marks the node down
-// and returns; the indices whose events never arrived stay pending and
-// re-route next round.
-func (rt *Router) forwardShard(r *http.Request, node string, indices []int, jobs []labd.JobSpec, timeout float64, msgs chan<- labd.BatchEvent) {
+// forwardShard streams one shard through a peer node's batch endpoint
+// at url, remapping event indices back into the caller's space. False
+// reports that the shard failed on the node — connect, 5xx, a stream
+// cut mid-batch: the indices whose events never arrived stay pending
+// and re-route next round. Connection-level failures also go to gossip.
+func (rt *Router) forwardShard(r *http.Request, url, node string, indices []int, jobs []labd.JobSpec, timeout float64, msgs chan<- labd.BatchEvent) bool {
 	rt.acquire(node, len(indices))
 	defer rt.release(node, len(indices))
+	fail := func(msg string) bool {
+		for _, i := range indices {
+			msgs <- labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: msg}
+		}
+		return true
+	}
 	if err := rt.injectTransport(node); err != nil {
-		rt.MarkDown(node)
-		return
+		rt.suspect(node, err)
+		return false
 	}
 	payload, err := json.Marshal(labd.BatchRequest{Jobs: jobs, TimeoutSeconds: timeout})
 	if err != nil {
-		for _, i := range indices {
-			msgs <- labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: err.Error()}
-		}
-		return
-	}
-	url, ok := rt.view.Load().urls[node]
-	if !ok {
-		// The node left between pick and forward; the shard re-routes.
-		return
+		return fail(err.Error())
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		url+"/v1/jobs/batch", bytes.NewReader(payload))
 	if err != nil {
-		for _, i := range indices {
-			msgs <- labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: err.Error()}
-		}
-		return
+		return fail(err.Error())
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(routedHeader, "1")
 	resp, err := rt.cfg.HTTPClient.Do(req)
 	if err != nil {
-		rt.MarkDown(node)
-		return
+		rt.suspect(node, err)
+		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if resp.StatusCode >= http.StatusInternalServerError {
-			rt.MarkDown(node)
-			return
+			return false
 		}
 		// Deliberate rejection (4xx): retrying elsewhere cannot help.
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		msg := strings.TrimSpace(string(body))
-		for _, i := range indices {
-			msgs <- labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: msg}
-		}
-		return
+		return fail(strings.TrimSpace(string(body)))
 	}
 	rt.forwards.Add(int64(len(indices)))
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), maxShardLine)
-	if !sc.Scan() {
-		rt.MarkDown(node)
-		return
-	}
 	var header labd.BatchHeader
-	if json.Unmarshal(sc.Bytes(), &header) != nil {
-		rt.MarkDown(node)
-		return
+	if !sc.Scan() || json.Unmarshal(sc.Bytes(), &header) != nil {
+		rt.suspect(node, sc.Err())
+		return false
 	}
 	got := 0
 	for got < header.Batch && sc.Scan() {
@@ -301,6 +306,8 @@ func (rt *Router) forwardShard(r *http.Request, node string, indices []int, jobs
 	if got < header.Batch {
 		// The stream broke mid-batch (this is how a node kill manifests):
 		// the unacked remainder re-routes.
-		rt.MarkDown(node)
+		rt.suspect(node, sc.Err())
+		return false
 	}
+	return true
 }

@@ -8,110 +8,23 @@ import (
 	"testing"
 	"time"
 
-	"jvmgc/internal/faultinject"
 	"jvmgc/internal/fleet"
 	"jvmgc/internal/fleet/gossip"
 	"jvmgc/internal/labd"
 	"jvmgc/internal/labd/client"
 )
 
-type gossipNode struct {
-	id  string
-	ts  *httptest.Server
-	rt  *fleet.Router
-	srv *labd.Server
-	g   *gossip.Gossiper
-}
-
-// startGossipFleet brings up a live-membership fleet: every node runs a
-// gossiper wired to its router (OnUpdate swaps the ring), tick loops
-// started. jobChaos, when non-empty, arms the same fault spec on every
-// daemon (e.g. job latency, to stretch a batch across churn events).
-func startGossipFleet(t *testing.T, ids []string, interval, suspect time.Duration, jobChaos string) (map[string]*gossipNode, func(victim string)) {
-	t.Helper()
-	nodes := make(map[string]*gossipNode, len(ids))
-	urls := make(map[string]string, len(ids))
-	swaps := make(map[string]*handlerSwap, len(ids))
-	for _, id := range ids {
-		swap := &handlerSwap{}
-		ts := httptest.NewServer(swap)
-		nodes[id] = &gossipNode{id: id, ts: ts}
-		urls[id] = ts.URL
-		swaps[id] = swap
-	}
-	kill := func(victim string) {
-		n := nodes[victim]
-		n.ts.CloseClientConnections()
-		_ = n.ts.Listener.Close()
-	}
-	for i, id := range ids {
-		var chaos *faultinject.Injector
-		if jobChaos != "" {
-			inj, err := faultinject.Parse(uint64(1000+i), jobChaos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chaos = inj
-		}
-		rt, err := fleet.New(fleet.Config{Self: id, Nodes: urls, KillHook: kill})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := labd.New(labd.Config{
-			Workers:    2,
-			QueueDepth: 64,
-			NodeID:     id,
-			Peers:      rt,
-			Chaos:      chaos,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.SetLocal(srv)
-		g, err := gossip.New(gossip.Config{
-			Self:           id,
-			URL:            urls[id],
-			Peers:          urls,
-			Interval:       interval,
-			SuspectTimeout: suspect,
-			Rec:            srv.Recorder(),
-			OnUpdate:       rt.SetMembership,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.AttachGossip(g)
-		swaps[id].set(rt.Handler())
-		n := nodes[id]
-		n.rt, n.srv, n.g = rt, srv, g
-	}
-	for _, n := range nodes {
-		n.g.Start()
-	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			n.g.Close()
-		}
-		for _, n := range nodes {
-			n.rt.Close()
-			n.ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = n.srv.Drain(ctx)
-			cancel()
-		}
-	})
-	return nodes, kill
-}
-
 // startJoiner brings up a node that is not yet a member: its own
-// daemon and router, a membership of one, a gossiper in joining mode.
-// It enters a fleet through JoinAndWarm.
-func startJoiner(t *testing.T, id string) *gossipNode {
+// daemon and router, a membership of one, a gossiper in joining mode
+// whose tick loop runs from the start, as gclabd's does. It enters a
+// fleet through JoinAndWarm.
+func startJoiner(t *testing.T, id string) *testNode {
 	t.Helper()
 	swap := &handlerSwap{}
 	ts := httptest.NewServer(swap)
 	t.Cleanup(ts.Close)
-	rt, err := fleet.New(fleet.Config{Self: id, Nodes: map[string]string{id: ts.URL}})
+	self := map[string]string{id: ts.URL}
+	rt, err := fleet.New(fleet.Config{Self: id, Nodes: self})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +33,9 @@ func startJoiner(t *testing.T, id string) *gossipNode {
 		t.Fatal(err)
 	}
 	rt.SetLocal(srv)
-	g, err := gossip.New(gossip.Config{
-		Self:           id,
-		URL:            ts.URL,
-		Peers:          map[string]string{id: ts.URL},
-		Joining:        true,
-		Interval:       20 * time.Millisecond,
-		SuspectTimeout: 300 * time.Millisecond,
-		Rec:            srv.Recorder(),
-		OnUpdate:       rt.SetMembership,
-	})
+	gcfg := gossipConfig(id, ts.URL, self, fleetOpts{tick: 20 * time.Millisecond, suspect: 300 * time.Millisecond}, rt, srv)
+	gcfg.Joining = true
+	g, err := gossip.New(gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +43,12 @@ func startJoiner(t *testing.T, id string) *gossipNode {
 	swap.set(rt.Handler())
 	g.Start()
 	t.Cleanup(func() {
-		g.Close()
 		rt.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Drain(ctx)
 	})
-	return &gossipNode{id: id, ts: ts, rt: rt, srv: srv, g: g}
+	return &testNode{id: id, ts: ts, swap: swap, rt: rt, srv: srv, g: g}
 }
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -186,8 +91,10 @@ func ringIs(rt *fleet.Router, want ...string) bool {
 // the fleet reconfigures under it — a fourth node joins and warms up, a
 // node is hard-killed, and a node leaves gracefully — and every result
 // is byte-identical to a single standalone daemon running the same
-// sweep, with zero client-visible failures. Per-job latency chaos
-// stretches the batch so the churn lands mid-flight.
+// sweep, with zero client-visible failures. The kill reaches gossip
+// first from the data path: the entry node's shard stream to the victim
+// breaks. Per-job latency chaos stretches the batch so the churn lands
+// mid-flight.
 func TestFleetChurnByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	specs := sweepSpecs(24)
@@ -214,8 +121,10 @@ func TestFleetChurnByteIdentity(t *testing.T) {
 		}
 	}
 
-	nodes, kill := startGossipFleet(t, []string{"a", "b", "c"},
-		20*time.Millisecond, 300*time.Millisecond, "labd/job.latency:p=1,delay=30ms")
+	nodes, kill := startFleet(t, []string{"a", "b", "c"}, fleetOpts{
+		tick: 20 * time.Millisecond, suspect: 300 * time.Millisecond,
+		chaos: everyNode(t, "labd/job.latency:p=1,delay=30ms"),
+	})
 
 	// The joiner enters the fleet mid-batch via JoinAndWarm against
 	// node a as the seed.
@@ -239,12 +148,7 @@ func TestFleetChurnByteIdentity(t *testing.T) {
 				joinErr = rtD.JoinAndWarm(jctx, []string{nodes["a"].ts.URL})
 			}()
 		case 10:
-			// A crash takes the whole process: the listener AND the tick
-			// loop. Killing only the listener would leave c's outbound
-			// pings refuting its own suspicion forever — which is SWIM
-			// working as designed, not a crash.
 			kill("c")
-			nodes["c"].g.Close()
 		case 16:
 			churn.Add(1)
 			go func() {

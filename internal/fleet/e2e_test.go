@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"jvmgc/internal/faultinject"
 	"jvmgc/internal/fleet"
+	"jvmgc/internal/fleet/gossip"
 	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/labd"
 	"jvmgc/internal/labd/client"
@@ -23,12 +25,21 @@ import (
 // handlerSwap lets a listener exist before the handler behind it does:
 // fleet wiring needs every node's URL up front (the membership map),
 // but a node's handler needs the router, which needs the membership.
+// It also counts the requests it is serving, and once killed cuts every
+// request off, as a crashed process would.
 type handlerSwap struct {
-	mu sync.RWMutex
-	h  http.Handler
+	mu     sync.RWMutex
+	h      http.Handler
+	active atomic.Int64
+	dead   atomic.Bool
 }
 
 func (s *handlerSwap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.dead.Load() {
+		panic(http.ErrAbortHandler) // drops the connection unanswered
+	}
+	s.active.Add(1)
+	defer s.active.Add(-1)
 	s.mu.RLock()
 	h := s.h
 	s.mu.RUnlock()
@@ -46,39 +57,91 @@ func (s *handlerSwap) set(h http.Handler) {
 }
 
 type testNode struct {
-	id  string
-	ts  *httptest.Server
-	rt  *fleet.Router
-	srv *labd.Server
+	id   string
+	ts   *httptest.Server
+	swap *handlerSwap
+	rt   *fleet.Router
+	srv  *labd.Server
+	g    *gossip.Gossiper
+	// suspects counts the suspects in the last view gossip handed the
+	// router, stored after the swap: the memberlist changes first, so a
+	// test waiting on routing must wait on this.
+	suspects atomic.Int32
+}
+
+// fleetOpts configures startFleet. The zero value is a quiet fleet:
+// every node gossips, as every gclabd fleet node does, but no tick loop
+// runs, so liveness changes only when the data path reports a failed
+// connection.
+type fleetOpts struct {
+	// tick and suspect start every node's gossip tick loop with this
+	// period and suspicion window (tick 0 = no tick loop).
+	tick, suspect time.Duration
+	// chaos arms fault sites on a node's router and daemon (nil = none).
+	chaos func(id string) *faultinject.Injector
+	// labd adjusts every daemon's config.
+	labd func(*labd.Config)
+}
+
+// everyNode arms the same fault spec on every node.
+func everyNode(t *testing.T, spec string) func(id string) *faultinject.Injector {
+	return func(string) *faultinject.Injector {
+		inj, err := faultinject.Parse(1, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inj
+	}
+}
+
+// gossipConfig is a test node's gossip setup. A dead peer refuses
+// connections at once, so the generous probe timeout does not slow
+// crash detection; it keeps a peer that is merely slow under the race
+// detector from being suspected, which would move traffic that tests
+// pin to its owner.
+func gossipConfig(id, url string, peers map[string]string, o fleetOpts, rt *fleet.Router, srv *labd.Server) gossip.Config {
+	return gossip.Config{
+		Self:           id,
+		URL:            url,
+		Peers:          peers,
+		Interval:       o.tick,
+		ProbeTimeout:   250 * time.Millisecond,
+		SuspectTimeout: o.suspect,
+		Rec:            srv.Recorder(),
+		OnUpdate:       rt.SetMembership,
+	}
 }
 
 // startFleet brings up a fleet of real daemons on ephemeral listeners,
-// each with an embedded router and the peer cache tier wired. chaosFor
-// may arm fault sites on individual nodes (nil = no chaos anywhere).
-// The returned kill function takes a node down the way a crash would:
-// in-flight connections cut, listener closed, no drain. opts adjust
-// every daemon's config.
-func startFleet(t *testing.T, ids []string, chaosFor func(id string) *faultinject.Injector, opts ...func(*labd.Config)) (map[string]*testNode, func(victim string)) {
+// each with an embedded router, the peer cache tier and a gossiper
+// wired. The returned kill function takes a node down the way a crash
+// would: listener closed, connections cut, gossip stopped, no drain.
+// The handler refuses too, so a connection accepted just before the
+// listener closed cannot keep answering pings for the dead node.
+// Killing only the listener would leave the victim's outbound pings
+// refuting its own suspicion forever — SWIM working as designed, not a
+// crash.
+func startFleet(t *testing.T, ids []string, o fleetOpts) (map[string]*testNode, func(victim string)) {
 	t.Helper()
 	nodes := make(map[string]*testNode, len(ids))
 	urls := make(map[string]string, len(ids))
-	swaps := make(map[string]*handlerSwap, len(ids))
 	for _, id := range ids {
 		swap := &handlerSwap{}
 		ts := httptest.NewServer(swap)
-		nodes[id] = &testNode{id: id, ts: ts}
+		nodes[id] = &testNode{id: id, ts: ts, swap: swap}
 		urls[id] = ts.URL
-		swaps[id] = swap
 	}
 	kill := func(victim string) {
 		n := nodes[victim]
-		n.ts.CloseClientConnections()
+		n.swap.dead.Store(true)
 		_ = n.ts.Listener.Close()
+		n.ts.CloseClientConnections()
+		n.g.Close()
 	}
 	for _, id := range ids {
 		var chaos *faultinject.Injector
-		if chaosFor != nil {
-			chaos = chaosFor(id)
+		if o.chaos != nil {
+			chaos = o.chaos(id)
 		}
 		rt, err := fleet.New(fleet.Config{
 			Self:     id,
@@ -94,20 +157,39 @@ func startFleet(t *testing.T, ids []string, chaosFor func(id string) *faultinjec
 			QueueDepth: 64,
 			NodeID:     id,
 			Peers:      rt,
+			Chaos:      chaos,
 		}
-		for _, opt := range opts {
-			opt(&cfg)
+		if o.labd != nil {
+			o.labd(&cfg)
 		}
 		srv, err := labd.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt.SetLocal(srv)
-		swaps[id].set(rt.Handler())
-		nodes[id].rt = rt
-		nodes[id].srv = srv
+		n := nodes[id]
+		gcfg := gossipConfig(id, urls[id], urls, o, rt, srv)
+		gcfg.OnUpdate = func(epoch uint64, urls map[string]string, suspects []string) {
+			rt.SetMembership(epoch, urls, suspects)
+			n.suspects.Store(int32(len(suspects)))
+		}
+		g, err := gossip.New(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.AttachGossip(g)
+		n.swap.set(rt.Handler())
+		n.rt, n.srv, n.g = rt, srv, g
+	}
+	if o.tick > 0 {
+		for _, n := range nodes {
+			n.g.Start()
+		}
 	}
 	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.rt.Close()
+		}
 		for _, n := range nodes {
 			n.ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -134,9 +216,10 @@ func sweepSpecs(n int) []labd.JobSpec {
 
 // TestFleetChaosNodeKillByteIdentity is the subsystem's acceptance
 // test: a fixed-seed chaos campaign kills one fleet node mid-batch, the
-// entry router marks it down and re-routes its shard's unfinished jobs
-// to their keys' next ring arcs, and the surviving fleet's results are
-// byte-identical to a single standalone daemon running the same sweep.
+// entry router excludes it for the rest of the batch (and gossip
+// suspects it) and re-routes its shard's unfinished jobs to their keys'
+// next ring arcs, and the surviving fleet's results are byte-identical
+// to a single standalone daemon running the same sweep.
 func TestFleetChaosNodeKillByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	specs := sweepSpecs(12)
@@ -168,7 +251,7 @@ func TestFleetChaosNodeKillByteIdentity(t *testing.T) {
 	// Which peer dies depends on goroutine interleaving (shard forwards
 	// and peer-cache probes race); byte identity must hold either way,
 	// which is the property under test.
-	nodes, _ := startFleet(t, []string{"n0", "n1", "n2"}, func(id string) *faultinject.Injector {
+	nodes, _ := startFleet(t, []string{"n0", "n1", "n2"}, fleetOpts{chaos: func(id string) *faultinject.Injector {
 		if id != "n0" {
 			return nil
 		}
@@ -177,7 +260,7 @@ func TestFleetChaosNodeKillByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		return inj
-	})
+	}})
 
 	got, err := client.New(nodes["n0"].ts.URL).Batch(ctx, specs, 0, nil)
 	if err != nil {
@@ -203,9 +286,6 @@ func TestFleetChaosNodeKillByteIdentity(t *testing.T) {
 	if st.Kills != 1 {
 		t.Errorf("injected kills = %d, want exactly 1", st.Kills)
 	}
-	if st.MarksDown < 1 {
-		t.Errorf("marks down = %d, want >= 1 (the victim)", st.MarksDown)
-	}
 	if st.Reroutes < 1 {
 		t.Errorf("reroutes = %d, want >= 1 (the dead shard's unfinished jobs)", st.Reroutes)
 	}
@@ -217,7 +297,7 @@ func TestFleetChaosNodeKillByteIdentity(t *testing.T) {
 // the owner's /metrics, disposition "peer" end to end.
 func TestFleetPeerCacheHit(t *testing.T) {
 	ctx := context.Background()
-	nodes, _ := startFleet(t, []string{"a", "b", "c"}, nil)
+	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{})
 
 	spec := labd.JobSpec{
 		Kind:            labd.KindSimulate,
@@ -313,7 +393,7 @@ func TestFleetPeerCacheHit(t *testing.T) {
 // member alive.
 func TestFleetExactAggregation(t *testing.T) {
 	ctx := context.Background()
-	nodes, _ := startFleet(t, []string{"a", "b", "c"}, nil)
+	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{})
 	entry := client.New(nodes["a"].ts.URL)
 
 	results, err := entry.Batch(ctx, sweepSpecs(9), 0, nil)
@@ -418,7 +498,7 @@ func TestFleetExactAggregation(t *testing.T) {
 // submissions and serves the fleet surface.
 func TestStandaloneRouter(t *testing.T) {
 	ctx := context.Background()
-	nodes, _ := startFleet(t, []string{"a", "b"}, nil)
+	nodes, _ := startFleet(t, []string{"a", "b"}, fleetOpts{})
 
 	urls := map[string]string{
 		"a": nodes["a"].ts.URL,
@@ -444,6 +524,130 @@ func TestStandaloneRouter(t *testing.T) {
 	if rt.Stats().Forwards != 1 {
 		t.Errorf("forwards = %d, want 1", rt.Stats().Forwards)
 	}
+}
+
+// TestFleetHangUpSuspectsNoOne: a client that hangs up on a forwarded
+// submission or batch says nothing about the nodes it was waiting on.
+// The entry node stops retrying, no member becomes suspect, and the
+// next submission of the spec is answered by its owner.
+func TestFleetHangUpSuspectsNoOne(t *testing.T) {
+	nodes, _ := startFleet(t, []string{"n0", "n1", "n2"},
+		fleetOpts{chaos: everyNode(t, "labd/job.latency:p=1,delay=400ms")})
+	entry := nodes["n0"]
+	specs := ownedSpecs(entry.rt, "n2", 2) // a fresh key for each path
+	for i, path := range []string{"/v1/jobs", "/v1/jobs/batch"} {
+		spec := specs[i]
+		var payload []byte
+		if path == "/v1/jobs" {
+			payload, _ = json.Marshal(labd.SubmitRequest{Job: spec})
+		} else {
+			payload, _ = json.Marshal(labd.BatchRequest{Jobs: []labd.JobSpec{spec}})
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, entry.ts.URL+path, bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			_, _ = io.Copy(io.Discard, resp.Body) // cut off at the deadline
+			resp.Body.Close()
+		}
+		cancel()
+		waitUntil(t, 5*time.Second, "the entry node to finish the abandoned request", func() bool {
+			return entry.swap.active.Load() == 0
+		})
+
+		resp, _, err := post(t, entry.ts.URL, labd.SubmitRequest{Job: spec})
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: resubmission: HTTP %d, %v", path, resp.StatusCode, err)
+		}
+		if n := resp.Header.Get("X-Labd-Node"); n != "n2" {
+			t.Errorf("%s: resubmission answered by %q, want the owner n2", path, n)
+		}
+		for id, n := range nodes {
+			for _, m := range n.g.Memberlist().Members() {
+				if m.State != gossip.StateAlive {
+					t.Errorf("%s: node %s holds %s as %s", path, id, m.ID, m.StateName)
+				}
+			}
+		}
+	}
+	if st := entry.rt.Stats(); st.Reroutes != 0 {
+		t.Errorf("entry node rerouted %d times for clients that hung up", st.Reroutes)
+	}
+}
+
+// TestFleetSuspectReturnsToRouting: a node suspected from the data path
+// (here an injected partition on one forward) keeps its arcs but is
+// routed around, and returns to routing once gossip hears from it — a
+// probe's ack or its own refutation.
+func TestFleetSuspectReturnsToRouting(t *testing.T) {
+	nodes, _ := startFleet(t, []string{"a", "b"}, fleetOpts{
+		// A long suspicion window: b must come back by confirmation,
+		// not by dying and being revived.
+		suspect: time.Minute,
+		chaos: func(id string) *faultinject.Injector {
+			if id != "a" {
+				return nil
+			}
+			inj, err := faultinject.Parse(1, "fleet/route.partition:count=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inj
+		},
+	})
+	a := nodes["a"]
+	// Fresh keys b owns for each step: a keeps what it computes, so a
+	// repeated key would show a's memory, not where routing goes.
+	specs := ownedSpecs(a.rt, "b", 3)
+	resp, _, err := post(t, a.ts.URL, labd.SubmitRequest{Job: specs[0]})
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("partitioned submission: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if n := resp.Header.Get("X-Labd-Node"); n != "a" {
+		t.Errorf("partitioned submission answered by %q, want a (b's arc slid over)", n)
+	}
+	if st, _, _ := a.g.Memberlist().State("b"); st != gossip.StateSuspect {
+		t.Fatalf("b is %v on a after the partition, want suspect", st)
+	}
+	if !ringIs(a.rt, "a", "b") {
+		t.Error("the suspect lost its arcs")
+	}
+	resp, _, err = post(t, a.ts.URL, labd.SubmitRequest{Job: specs[1]})
+	if err != nil || resp.Header.Get("X-Labd-Node") != "a" {
+		t.Errorf("submission while b is suspect: node %q, %v; want a", resp.Header.Get("X-Labd-Node"), err)
+	}
+
+	for _, n := range nodes {
+		n.g.Start()
+	}
+	waitUntil(t, 10*time.Second, "gossip to return b to routing on a", func() bool {
+		st, _, _ := a.g.Memberlist().State("b")
+		return st == gossip.StateAlive && a.suspects.Load() == 0
+	})
+	resp, _, err = post(t, a.ts.URL, labd.SubmitRequest{Job: specs[2]})
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("submission after confirmation: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if n := resp.Header.Get("X-Labd-Node"); n != "b" {
+		t.Errorf("submission after confirmation answered by %q, want the owner b", n)
+	}
+	if st := a.rt.Stats(); st.Partitions != 1 || st.Reroutes != 1 {
+		t.Errorf("a's router: %d partitions, %d reroutes; want 1 and 1", st.Partitions, st.Reroutes)
+	}
+}
+
+// ownedSpecs returns the first n specs of a seed sweep whose keys the
+// router's ring places on owner.
+func ownedSpecs(rt *fleet.Router, owner string, n int) []labd.JobSpec {
+	var specs []labd.JobSpec
+	for _, spec := range sweepSpecs(200) {
+		if key, _ := labd.SpecKey(spec); rt.Ring().Lookup(key) == owner && len(specs) < n {
+			specs = append(specs, spec)
+		}
+	}
+	return specs
 }
 
 func fetchText(t *testing.T, url string) string {

@@ -52,12 +52,14 @@ type Config struct {
 	Self string
 	URL  string
 	// Peers seeds the membership with statically-known nodes (id → URL,
-	// self ignored) — the -peers boot path, where every node starts
-	// with the same list and gossip takes over from there.
+	// self ignored) — gclabd's -peers boot, where every node starts with
+	// the same list and gossip takes over from there.
 	Peers map[string]string
 	// Joining starts this node outside placement: it must Join a seed,
 	// warm its arc, then Announce. The zero value is the static boot,
-	// where the node is placed from the first tick.
+	// where the node is placed from the first tick. A standalone router
+	// sets Joining and never announces: it probes and learns liveness
+	// but makes no claim about itself, so no one places it.
 	Joining bool
 
 	// Interval is the gossip tick period (default 1s).
@@ -82,10 +84,11 @@ type Config struct {
 	Rec *telemetry.Recorder
 	// Chaos injects drops and delays on the send path (nil = off).
 	Chaos *faultinject.Injector
-	// OnUpdate fires after every placement change with the new epoch
-	// and placement set; the router swaps its ring here. Calls are
-	// serialized.
-	OnUpdate func(epoch uint64, urls map[string]string)
+	// OnUpdate fires after every placement or routability change with
+	// the new epoch, the placement set and its suspects (sorted), which
+	// keep their arcs but must not be routed to; the router swaps its
+	// view here. Calls are serialized.
+	OnUpdate func(epoch uint64, urls map[string]string, suspects []string)
 }
 
 // Gossiper runs the SWIM loop for one node: a periodic probe tick, the
@@ -347,8 +350,7 @@ func (g *Gossiper) prepareTick(tickN uint64) string {
 	if target == "" {
 		return ""
 	}
-	g.piggy = g.piggy[:0]
-	g.piggy = append(g.piggy, g.ml.SelfDelta())
+	g.piggy = g.ml.appendSelf(g.piggy[:0])
 	// Tell a suspect or dead target what the fleet thinks of it: the
 	// claim may have exhausted its piggyback budget long ago, and
 	// carrying it directly is what gives the target its chance to
@@ -362,8 +364,9 @@ func (g *Gossiper) prepareTick(tickN uint64) string {
 }
 
 // probe runs the SWIM probe chain for one target: direct ping, then K
-// indirect ping-reqs, then suspicion. Owns g.buf/g.reqBuf/g.proxies
-// until it releases the probing flag.
+// indirect ping-reqs, then suspicion. An ack confirms the target, which
+// returns a suspect to routing. Owns g.buf/g.reqBuf/g.proxies until it
+// releases the probing flag.
 func (g *Gossiper) probe(target string) {
 	defer g.wg.Done()
 	defer g.probing.Store(false)
@@ -440,8 +443,19 @@ func (g *Gossiper) probe(target string) {
 		}
 	}
 
-	if _, suspected := g.ml.Suspect(target); suspected {
+	g.Suspect(target)
+}
+
+// Suspect marks a placed member suspect — the transition a failed probe
+// chain makes — and tells OnUpdate, so routers stop routing to it. The
+// router calls it when a connection to the member fails on the data
+// path. The member keeps its arcs; a probe's ack or its own refutation
+// returns it to routing, and an unrefuted suspicion becomes a death
+// after the suspect timeout.
+func (g *Gossiper) Suspect(id string) {
+	if _, ok := g.ml.Suspect(id); ok {
 		g.cfg.Rec.Add("fleet.gossip.suspects", 1)
+		g.notify()
 	}
 }
 
@@ -484,12 +498,12 @@ func (g *Gossiper) send(ctx context.Context, base, path string, body []byte) (*m
 }
 
 // applyAll merges received deltas and fires OnUpdate once if placement
-// changed.
+// or routability changed.
 func (g *Gossiper) applyAll(deltas []Delta) {
 	changed := false
 	for _, d := range deltas {
-		pc, refuted := g.ml.Apply(d)
-		if pc {
+		c, refuted := g.ml.Apply(d)
+		if c {
 			changed = true
 		}
 		if refuted {
@@ -515,8 +529,7 @@ func (g *Gossiper) notify() {
 	}
 	g.notifyMu.Lock()
 	defer g.notifyMu.Unlock()
-	epoch, urls := g.ml.Placement()
-	g.cfg.OnUpdate(epoch, urls)
+	g.cfg.OnUpdate(g.ml.routing())
 }
 
 // Handler returns the gossip endpoints, mounted by the router under
@@ -538,13 +551,11 @@ func decode(r *http.Request) (*message, error) {
 	return &m, nil
 }
 
-// ackWith writes a 200 ack carrying this node's self delta plus queued
+// ack writes a 200 ack carrying this node's self delta plus queued
 // piggyback — the heartbeat every exchange doubles as, and the channel a
 // refutation rides back on.
-func (g *Gossiper) ackWith(w http.ResponseWriter, extra []Delta) {
-	deltas := make([]Delta, 0, 1+len(extra)+g.cfg.PiggybackLimit)
-	deltas = append(deltas, g.ml.SelfDelta())
-	deltas = append(deltas, extra...)
+func (g *Gossiper) ack(w http.ResponseWriter) {
+	deltas := g.ml.appendSelf(make([]Delta, 0, 1+g.cfg.PiggybackLimit))
 	deltas = g.ml.AppendPiggyback(deltas, len(deltas)+g.cfg.PiggybackLimit)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(message{T: msgAck, From: g.cfg.Self, Deltas: deltas})
@@ -557,7 +568,7 @@ func (g *Gossiper) handlePing(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.applyAll(m.Deltas)
-	g.ackWith(w, nil)
+	g.ack(w)
 }
 
 // handlePingReq proxies a probe: the origin could not reach the target
@@ -580,7 +591,7 @@ func (g *Gossiper) handlePingReq(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "gossip: unknown ping-req target", http.StatusBadGateway)
 		return
 	}
-	body, err := json.Marshal(message{T: msgPing, From: g.cfg.Self, Deltas: []Delta{g.ml.SelfDelta()}})
+	body, err := json.Marshal(message{T: msgPing, From: g.cfg.Self, Deltas: g.ml.appendSelf(nil)})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -593,7 +604,7 @@ func (g *Gossiper) handlePingReq(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.applyAll(ack.Deltas)
-	g.ackWith(w, nil)
+	g.ack(w)
 }
 
 // handleJoin serves a membership snapshot to a joining node. The joiner
@@ -699,7 +710,7 @@ func (g *Gossiper) broadcast(ctx context.Context, n int) {
 	if n > len(ids) {
 		n = len(ids)
 	}
-	deltas := g.ml.AppendPiggyback([]Delta{g.ml.SelfDelta()}, g.cfg.PiggybackLimit)
+	deltas := g.ml.AppendPiggyback(g.ml.appendSelf(nil), g.cfg.PiggybackLimit)
 	body, err := json.Marshal(message{T: msgPing, From: g.cfg.Self, Deltas: deltas})
 	if err != nil {
 		return

@@ -24,7 +24,7 @@ type stallGate struct {
 
 func (g *stallGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
-	ch := g.blocked
+	ch, h := g.blocked, g.h
 	g.mu.Unlock()
 	if ch != nil {
 		select {
@@ -33,7 +33,15 @@ func (g *stallGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g.h.ServeHTTP(w, r)
+	h.ServeHTTP(w, r)
+}
+
+// serve swaps the handler behind the gate — a process restarting on the
+// same address.
+func (g *stallGate) serve(h http.Handler) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.h = h
 }
 
 func (g *stallGate) stall() {
@@ -92,7 +100,7 @@ func startCluster(t *testing.T, ids []string, interval, suspect time.Duration) *
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.gates[id].h = g.Handler()
+		c.gates[id].serve(g.Handler())
 		c.gs[id] = g
 		c.recs[id] = rec
 	}
@@ -243,8 +251,9 @@ func TestDeathAndRecovery(t *testing.T) {
 
 // TestJoinAnnounceLeaveLifecycle walks the full membership choreography
 // over live gossip: a joiner fetches a snapshot without entering
-// placement, announces itself in, and later leaves gracefully —
-// distinguishable from a death in every survivor's memberlist.
+// placement, probes the fleet without being placed by it, announces
+// itself in, and later leaves gracefully — distinguishable from a death
+// in every survivor's memberlist.
 func TestJoinAnnounceLeaveLifecycle(t *testing.T) {
 	ctx := context.Background()
 	c := startCluster(t, []string{"a", "b"}, 15*time.Millisecond, 500*time.Millisecond)
@@ -253,27 +262,38 @@ func TestJoinAnnounceLeaveLifecycle(t *testing.T) {
 	gate := &stallGate{}
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
+	rec := telemetry.New(telemetry.Config{})
 	joiner, err := New(Config{
 		Self:     "j",
 		URL:      ts.URL,
 		Joining:  true,
 		Interval: 15 * time.Millisecond,
+		Rec:      rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.h = joiner.Handler()
+	gate.serve(joiner.Handler())
 	defer joiner.Close()
+	// Ticks start before Join, as gclabd starts them.
+	joiner.Start()
 
 	if err := joiner.Join(ctx, []string{c.urls["a"]}); err != nil {
 		t.Fatal(err)
 	}
-	// Joined but not announced: the joiner knows the fleet, the fleet
-	// does not place the joiner.
+	// Joined but not announced: the joiner knows the fleet and probes
+	// it, the fleet does not place the joiner.
 	if _, urls := joiner.Memberlist().Placement(); len(urls) != 2 {
 		t.Fatalf("joiner placement before announce = %v, want the 2 seeds only", urls)
 	}
-	joiner.Start()
+	waitFor(t, 5*time.Second, "the joiner to exchange pings with the fleet", func() bool {
+		return rec.Counter("fleet.gossip.acks") >= 6
+	})
+	for _, id := range []string{"a", "b"} {
+		if _, urls := c.gs[id].Memberlist().Placement(); len(urls) != 2 {
+			t.Fatalf("node %s placed %v before the joiner announced", id, urls)
+		}
+	}
 
 	joiner.Announce(ctx)
 	waitFor(t, 5*time.Second, "all nodes to place the joiner", func() bool {
@@ -310,6 +330,80 @@ func TestJoinAnnounceLeaveLifecycle(t *testing.T) {
 	}
 }
 
+// TestRestartAfterLeaveRejoinsPlacement: a static-boot node that left
+// gracefully (gclabd's SIGTERM) and restarts under the same ID and the
+// same Peers boots alive@0, below the left@1 its peers hold. The peers
+// answer its stale claim with their register, the node out-bids it, and
+// every node places it again — nothing else would, since a left member
+// is never probed.
+func TestRestartAfterLeaveRejoinsPlacement(t *testing.T) {
+	ctx := context.Background()
+	c := startCluster(t, []string{"a", "b", "c"}, 15*time.Millisecond, 2*time.Second)
+	c.start("a", "b", "c")
+
+	c.gs["c"].Leave(ctx)
+	waitFor(t, 5*time.Second, "a and b to see c leave", func() bool {
+		for _, id := range []string{"a", "b"} {
+			if st, _, ok := c.gs[id].Memberlist().State("c"); !ok || st != StateLeft {
+				return false
+			}
+		}
+		return true
+	})
+	c.gs["c"].Close()
+	// Restart only once the departure has exhausted its piggyback
+	// budget, as it has long before an operator restarts a node.
+	waitFor(t, 5*time.Second, "a's and b's piggyback queues to drain", func() bool {
+		for _, id := range []string{"a", "b"} {
+			ml := c.gs[id].Memberlist()
+			ml.mu.Lock()
+			n := len(ml.queue)
+			ml.mu.Unlock()
+			if n != 0 {
+				return false
+			}
+		}
+		return true
+	})
+
+	rec := telemetry.New(telemetry.Config{})
+	g, err := New(Config{
+		Self:           "c",
+		URL:            c.urls["c"],
+		Peers:          c.urls,
+		Interval:       15 * time.Millisecond,
+		SuspectTimeout: 2 * time.Second,
+		Rec:            rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.gs["c"], c.recs["c"] = g, rec
+	c.gates["c"].serve(g.Handler())
+	g.Start()
+
+	waitFor(t, 5*time.Second, "a and b to place the restarted c", func() bool {
+		for _, id := range []string{"a", "b"} {
+			if st, _, ok := c.gs[id].Memberlist().State("c"); !ok || st != StateAlive {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, 5*time.Second, "epochs to converge after the restart", func() bool {
+		e := g.Epoch()
+		return c.gs["a"].Epoch() == e && c.gs["b"].Epoch() == e
+	})
+	for _, id := range c.ids {
+		if _, urls := c.gs[id].Memberlist().Placement(); len(urls) != 3 {
+			t.Errorf("node %s placement has %d members after the restart, want 3", id, len(urls))
+		}
+	}
+	if inc := g.Memberlist().Incarnation(); inc < 2 {
+		t.Errorf("restarted c incarnation = %d, want >= 2 (out-bidding left@1)", inc)
+	}
+}
+
 // TestOnUpdateDeliversPlacement: membership changes reach the router
 // callback with the right epoch and URL set.
 func TestOnUpdateDeliversPlacement(t *testing.T) {
@@ -319,7 +413,7 @@ func TestOnUpdateDeliversPlacement(t *testing.T) {
 	g, err := New(Config{
 		Self: "a",
 		URL:  "http://a",
-		OnUpdate: func(epoch uint64, urls map[string]string) {
+		OnUpdate: func(epoch uint64, urls map[string]string, _ []string) {
 			gotEpoch.Store(epoch)
 			mu.Lock()
 			gotURLs = urls

@@ -40,10 +40,11 @@ const (
 	// StateAlive: the member answers probes (or its suspicion was
 	// refuted). In the placement ring.
 	StateAlive State = iota
-	// StateSuspect: the member missed a direct and K indirect probes.
-	// Still in the placement ring — a suspect is more often a long GC
-	// pause than a corpse, and evicting it would churn its arc's keys
-	// for nothing when it refutes.
+	// StateSuspect: the member missed a direct and K indirect probes,
+	// or a router's connection to it failed. Still in the placement
+	// ring — a suspect is more often a long GC pause than a corpse, and
+	// evicting it would churn its arc's keys for nothing when it
+	// refutes — but routers route around it until it is confirmed.
 	StateSuspect
 	// StateDead: the suspicion survived the full suspect timeout
 	// unrefuted. Out of the ring; its arc slides to its successors.
@@ -179,13 +180,18 @@ func (ml *Memberlist) Refutations() uint64 {
 	return ml.refutations
 }
 
-// SelfDelta returns this node's own current claim — piggybacked on
-// every outgoing message, which is both the steady-state heartbeat and
-// the refutation carrier.
-func (ml *Memberlist) SelfDelta() Delta {
+// appendSelf appends this node's own current claim to dst — piggybacked
+// on every outgoing message, which is both the steady-state heartbeat
+// and the refutation carrier. A node that has not announced makes no
+// claim about itself: a joiner warming up, or a standalone router, must
+// not be placed by a peer that merely heard from it.
+func (ml *Memberlist) appendSelf(dst []Delta) []Delta {
 	ml.mu.Lock()
 	defer ml.mu.Unlock()
-	return ml.selfDeltaLocked()
+	if !ml.announced {
+		return dst
+	}
+	return append(dst, ml.selfDeltaLocked())
 }
 
 func (ml *Memberlist) selfDeltaLocked() Delta {
@@ -213,10 +219,10 @@ func (ml *Memberlist) push(d Delta) {
 	ml.queue = append(ml.queue, queued{d: d, left: retransmitBudget(len(ml.members) + 1)})
 }
 
-// Apply merges one gossiped delta. It reports whether the placement
-// set changed (the caller rebuilds rings) and whether the delta was a
-// claim about self that this node refuted.
-func (ml *Memberlist) Apply(d Delta) (placementChanged, refuted bool) {
+// Apply merges one gossiped delta. It reports whether the placement set
+// or a placed member's routability changed (the caller rebuilds rings)
+// and whether the delta was a claim about self that this node refuted.
+func (ml *Memberlist) Apply(d Delta) (changed, refuted bool) {
 	if d.ID == "" {
 		return false, false
 	}
@@ -225,19 +231,25 @@ func (ml *Memberlist) Apply(d Delta) (placementChanged, refuted bool) {
 	return ml.applyLocked(d)
 }
 
-func (ml *Memberlist) applyLocked(d Delta) (placementChanged, refuted bool) {
+func (ml *Memberlist) applyLocked(d Delta) (changed, refuted bool) {
 	if d.ID == ml.self {
-		// A claim about this node. Suspicion or death at our
+		// A claim about this node. Suspicion, death or departure at our
 		// incarnation (or higher) is refuted by out-bidding it: bump
-		// the incarnation past the claim and re-announce. A left node
-		// does not refute — the claim is true.
+		// the incarnation past the claim and re-announce (once
+		// announced; a joiner carries the bump into its Announce). A
+		// left claim about a node that has not left was minted by an
+		// earlier run under this ID that left gracefully — a restart
+		// with the same -peers, or a re-join. A node that has left does
+		// not refute — the claim is true.
 		if ml.selfState == StateLeft {
 			return false, false
 		}
-		if (d.State == StateSuspect || d.State == StateDead) && d.Inc >= ml.selfInc {
+		if d.State != StateAlive && d.Inc >= ml.selfInc {
 			ml.selfInc = d.Inc + 1
 			ml.refutations++
-			ml.push(ml.selfDeltaLocked())
+			if ml.announced {
+				ml.push(ml.selfDeltaLocked())
+			}
 			return false, true
 		}
 		return false, false
@@ -267,9 +279,17 @@ func (ml *Memberlist) applyLocked(d Delta) (placementChanged, refuted bool) {
 	}
 
 	if !d.supersedes(m.state, m.inc) {
+		if d.State.InPlacement() && !m.state.InPlacement() {
+			// A stale claim that a dead or left member is placed —
+			// typically the member itself, restarted below the
+			// incarnation it died or left at. Nothing probes a left
+			// member, so queue our register back: the claimant hears it
+			// on this exchange's ack and the member can out-bid it.
+			ml.push(Delta{ID: d.ID, State: m.state, Inc: m.inc})
+		}
 		return false, false
 	}
-	wasPlaced := m.state.InPlacement()
+	was := m.state
 	if d.URL != "" {
 		m.url = d.URL
 	}
@@ -278,18 +298,19 @@ func (ml *Memberlist) applyLocked(d Delta) (placementChanged, refuted bool) {
 	}
 	m.state, m.inc = d.State, d.Inc
 	ml.push(d)
-	if wasPlaced != m.state.InPlacement() {
+	if was.InPlacement() != m.state.InPlacement() {
 		ml.placementOK = false
 		return true, false
 	}
-	return false, false
+	return (was == StateSuspect) != (m.state == StateSuspect), false
 }
 
-// Confirm records a successful direct probe of a member: proof of life
-// that supersedes a local suspicion at the same incarnation. Unlike a
-// refutation it does not bump the incarnation (only the member itself
-// may), so a suspicion gossiped at a higher incarnation still wins.
-func (ml *Memberlist) Confirm(id string) (placementChanged bool) {
+// Confirm records a successful probe of a member: proof of life that
+// supersedes a local suspicion at the same incarnation, and returns the
+// member to routing (reported as changed). Unlike a refutation it does
+// not bump the incarnation (only the member itself may), so a suspicion
+// gossiped at a higher incarnation still wins.
+func (ml *Memberlist) Confirm(id string) (changed bool) {
 	ml.mu.Lock()
 	defer ml.mu.Unlock()
 	m, ok := ml.members[id]
@@ -302,12 +323,12 @@ func (ml *Memberlist) Confirm(id string) (placementChanged bool) {
 	// propagates to everyone else.
 	m.state = StateAlive
 	m.suspectedAt = time.Time{}
-	return false
+	return true
 }
 
 // Suspect marks a member suspect at its current incarnation (a failed
-// probe sequence) and returns the delta to gossip, or ok=false when the
-// member is not in a suspectable state.
+// probe sequence or data-path connection) and returns the delta to
+// gossip, or ok=false when the member is not in a suspectable state.
 func (ml *Memberlist) Suspect(id string) (d Delta, ok bool) {
 	ml.mu.Lock()
 	defer ml.mu.Unlock()
@@ -374,7 +395,9 @@ func (ml *Memberlist) Leave() Delta {
 		ml.placementOK = false
 	}
 	d := ml.selfDeltaLocked()
-	ml.push(d)
+	if ml.announced {
+		ml.push(d)
+	}
 	return d
 }
 
@@ -441,6 +464,14 @@ func (ml *Memberlist) rebuildPlacementLocked() {
 // Placement returns the current ring epoch and the placement set as
 // id → URL (self included once announced).
 func (ml *Memberlist) Placement() (epoch uint64, urls map[string]string) {
+	epoch, urls, _ = ml.routing()
+	return epoch, urls
+}
+
+// routing returns Placement plus the placed members that are suspect,
+// sorted — read under one lock, so routers never see a suspect set from
+// a different placement.
+func (ml *Memberlist) routing() (epoch uint64, urls map[string]string, suspects []string) {
 	ml.mu.Lock()
 	defer ml.mu.Unlock()
 	if !ml.placementOK {
@@ -452,9 +483,13 @@ func (ml *Memberlist) Placement() (epoch uint64, urls map[string]string) {
 			urls[id] = ml.selfURL
 			continue
 		}
-		urls[id] = ml.members[id].url
+		m := ml.members[id]
+		urls[id] = m.url
+		if m.state == StateSuspect {
+			suspects = append(suspects, id)
+		}
 	}
-	return ml.epoch, urls
+	return ml.epoch, urls, suspects
 }
 
 // Epoch returns the current placement epoch.
@@ -467,25 +502,19 @@ func (ml *Memberlist) Epoch() uint64 {
 	return ml.epoch
 }
 
-// Members snapshots every known member — self included — sorted by ID,
-// for /fleet/nodes and the gctop membership panel.
+// Members snapshots every known member — self included once announced
+// — sorted by ID, for /fleet/nodes and the gctop membership panel.
 func (ml *Memberlist) Members() []Member {
 	ml.mu.Lock()
 	defer ml.mu.Unlock()
 	out := make([]Member, 0, len(ml.members)+1)
-	selfState := ml.selfState
-	if !ml.announced {
-		// A warming-up joiner: report as suspect-of-placement? No —
-		// report the truth: alive but not yet placed. The state machine
-		// has no separate state for it; "alive" plus absence from the
-		// placement set tells the story.
-		selfState = StateAlive
+	if ml.announced {
+		out = append(out, Member{
+			ID: ml.self, URL: ml.selfURL,
+			State: ml.selfState, StateName: ml.selfState.String(),
+			Incarnation: ml.selfInc,
+		})
 	}
-	out = append(out, Member{
-		ID: ml.self, URL: ml.selfURL,
-		State: selfState, StateName: selfState.String(),
-		Incarnation: ml.selfInc,
-	})
 	for id, m := range ml.members {
 		out = append(out, Member{
 			ID: id, URL: m.url,

@@ -42,7 +42,7 @@ func TestRefutationBumpsIncarnation(t *testing.T) {
 	if ml.Refutations() != 1 {
 		t.Fatalf("refutations = %d, want 1", ml.Refutations())
 	}
-	d := ml.SelfDelta()
+	d := ml.appendSelf(nil)[0]
 	if d.State != StateAlive || d.Inc != 1 {
 		t.Fatalf("self delta after refutation = %+v, want alive@1", d)
 	}
@@ -59,6 +59,40 @@ func TestRefutationBumpsIncarnation(t *testing.T) {
 	if _, refuted := ml.Apply(Delta{ID: "a", State: StateSuspect, Inc: 2}); refuted {
 		t.Fatal("stale suspicion (inc below self) should not trigger a refutation")
 	}
+
+	// A left claim about a node that has not left (an earlier run under
+	// this ID left gracefully) is out-bid like a death.
+	if _, refuted := ml.Apply(Delta{ID: "a", State: StateLeft, Inc: 6}); !refuted {
+		t.Fatal("left claim about a live self was not refuted")
+	}
+	if inc := ml.Incarnation(); inc != 7 {
+		t.Fatalf("incarnation after left refutation = %d, want 7", inc)
+	}
+}
+
+// TestStaleAliveClaimQueuesRegisterBack: a claim that a left or dead
+// member is placed, below the register's incarnation, changes nothing
+// but queues the register back so the claimant (usually the member
+// itself, restarted) hears it and can out-bid it.
+func TestStaleAliveClaimQueuesRegisterBack(t *testing.T) {
+	for _, st := range []State{StateLeft, StateDead} {
+		ml := NewMemberlist("a", "http://a", true)
+		ml.Apply(Delta{ID: "c", URL: "http://c", State: st, Inc: 1})
+		drainPiggyback(ml)
+		if changed, _ := ml.Apply(Delta{ID: "c", URL: "http://c", State: StateAlive, Inc: 0}); changed {
+			t.Fatalf("%v: stale alive claim changed placement", st)
+		}
+		got := ml.AppendPiggyback(nil, 8)
+		if len(got) != 1 || got[0].ID != "c" || got[0].State != st || got[0].Inc != 1 {
+			t.Fatalf("%v: piggyback after stale alive claim = %+v, want c %v@1", st, got, st)
+		}
+		// A stale claim that agrees the member is out queues nothing.
+		drainPiggyback(ml)
+		ml.Apply(Delta{ID: "c", State: StateDead, Inc: 0})
+		if got := ml.AppendPiggyback(nil, 8); len(got) != 0 {
+			t.Fatalf("%v: piggyback after stale dead claim = %+v, want none", st, got)
+		}
+	}
 }
 
 func TestLeftNodeDoesNotRefute(t *testing.T) {
@@ -69,6 +103,13 @@ func TestLeftNodeDoesNotRefute(t *testing.T) {
 	}
 	if !ml.Left() {
 		t.Fatal("Left() = false after Leave")
+	}
+}
+
+// drainPiggyback spends every queued delta's retransmission budget.
+func drainPiggyback(ml *Memberlist) {
+	for i := 0; i < 64; i++ {
+		ml.AppendPiggyback(nil, 16)
 	}
 }
 

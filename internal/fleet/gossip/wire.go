@@ -1,6 +1,10 @@
 package gossip
 
-import "strconv"
+import (
+	"encoding/json"
+	"strconv"
+	"unicode/utf8"
+)
 
 // The gossip wire protocol: every message — ping, ack, ping-req, join —
 // is one small JSON object, and every message carries membership deltas,
@@ -28,40 +32,57 @@ type message struct {
 }
 
 // appendMessage hand-encodes a message into buf and returns the extended
-// slice. The output is plain JSON, byte-compatible with the message
-// struct's tags, so receivers decode it with encoding/json.
+// slice. The output is plain JSON that decodes to the same value as
+// json.Marshal of the message (FuzzAppendMessage holds it there).
 func appendMessage(buf []byte, t, from, target string, deltas []Delta) []byte {
 	buf = append(buf, `{"t":`...)
-	buf = strconv.AppendQuote(buf, t)
+	buf = appendString(buf, t)
 	buf = append(buf, `,"from":`...)
-	buf = strconv.AppendQuote(buf, from)
+	buf = appendString(buf, from)
 	if target != "" {
 		buf = append(buf, `,"target":`...)
-		buf = strconv.AppendQuote(buf, target)
+		buf = appendString(buf, target)
 	}
-	buf = append(buf, `,"deltas":[`...)
-	for i := range deltas {
-		if i > 0 {
-			buf = append(buf, ',')
+	if len(deltas) > 0 {
+		buf = append(buf, `,"deltas":[`...)
+		for i := range deltas {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendDelta(buf, deltas[i])
 		}
-		buf = appendDelta(buf, deltas[i])
+		buf = append(buf, ']')
 	}
-	buf = append(buf, ']', '}')
-	return buf
+	return append(buf, '}')
 }
 
 // appendDelta hand-encodes one membership delta.
 func appendDelta(buf []byte, d Delta) []byte {
 	buf = append(buf, `{"id":`...)
-	buf = strconv.AppendQuote(buf, d.ID)
+	buf = appendString(buf, d.ID)
 	if d.URL != "" {
 		buf = append(buf, `,"url":`...)
-		buf = strconv.AppendQuote(buf, d.URL)
+		buf = appendString(buf, d.URL)
 	}
 	buf = append(buf, `,"state":`...)
 	buf = strconv.AppendUint(buf, uint64(d.State), 10)
 	buf = append(buf, `,"inc":`...)
 	buf = strconv.AppendUint(buf, d.Inc, 10)
-	buf = append(buf, '}')
-	return buf
+	return append(buf, '}')
+}
+
+// appendString quotes s as a JSON string. Printable ASCII other than the
+// quote and the backslash is written verbatim, without allocating; any
+// other string goes through encoding/json, whose escapes (unlike Go's
+// strconv quoting) every JSON decoder accepts.
+func appendString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }

@@ -1,152 +1,142 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
+
+	"jvmgc/internal/fleet/gossip"
+	"jvmgc/internal/labd"
 )
 
-func healthzOK() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"status":"ok"}`)
-	})
-	return mux
-}
-
-// TestReprobeRevivesMarkedDownNode: a mark-down is a quarantine, not a
-// verdict — the background re-probe must revive a healthy node without
-// anyone calling Health().
-func TestReprobeRevivesMarkedDownNode(t *testing.T) {
-	peer := httptest.NewServer(healthzOK())
-	defer peer.Close()
-
-	rt, err := New(Config{
-		Self:        "a",
-		Nodes:       map[string]string{"a": "http://unused", "b": peer.URL},
-		ReprobeBase: 5 * time.Millisecond,
-	})
+// TestDataPathSuspicion pins which data-path failures feed gossip: a
+// refused connection suspects the node, and routing skips it. An HTTP
+// 500, a timeout and a caller that gave up prove nothing about the
+// node, which stays alive and routable. The rules hold alike for a peer
+// fetch, a forwarded submission and a batch shard.
+func TestDataPathSuspicion(t *testing.T) {
+	spec := labd.JobSpec{Kind: labd.KindSimulate, Collector: "CMS", DurationSeconds: 5, Seed: 1}
+	key, err := labd.SpecKey(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-
-	rt.MarkDown("b")
-	if !rt.Down("b") {
-		t.Fatal("MarkDown did not take")
+	refused := func(t *testing.T) string {
+		peer := httptest.NewServer(http.NotFoundHandler())
+		peer.Close() // port now refuses
+		return peer.URL
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Down("b") && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if rt.Down("b") {
-		t.Fatal("re-probe never revived a healthy node")
-	}
-	if st := rt.Stats(); st.Revivals != 1 {
-		t.Errorf("revivals = %d, want 1", st.Revivals)
-	}
-}
-
-// TestReprobeStopsWhenNodeLeavesMembership: the re-probe loop must not
-// spin forever on a node that departed the view.
-func TestReprobeStopsWhenNodeLeavesMembership(t *testing.T) {
-	rt, err := New(Config{
-		Self:        "a",
-		Nodes:       map[string]string{"a": "http://unused", "b": "http://127.0.0.1:1"},
-		ReprobeBase: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	rt.MarkDown("b")
-	rt.SetMembership(7, map[string]string{"a": "http://unused"})
-	// The swap pruned the down set; the loop notices within a few probes.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		rt.mu.Lock()
-		live := rt.reprobing["b"]
-		rt.mu.Unlock()
-		if !live {
-			return
+	serve := func(h http.HandlerFunc) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			peer := httptest.NewServer(h)
+			t.Cleanup(peer.Close)
+			return peer.URL
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("re-probe loop survived its node's departure")
-}
-
-// TestPeerFetchMarkDownSemantics pins the mark-down rules for the peer
-// cache tier: only a connection-level failure may quarantine a node.
-// HTTP-level errors and slow responses prove something is listening.
-func TestPeerFetchMarkDownSemantics(t *testing.T) {
-	ctx := context.Background()
-	key := testKeys(1)[0]
-
-	build := func(peerURL string, timeout time.Duration) *Router {
-		rt, err := New(Config{
-			Self:  "a",
-			Nodes: map[string]string{"a": "http://unused", "b": peerURL},
-			// Long reprobe so a mark-down stays observable.
-			ReprobeBase: time.Hour, ReprobeMax: time.Hour,
-			HTTPClient: &http.Client{Timeout: timeout},
-		})
+	failing := serve(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "internal", http.StatusInternalServerError)
+	})
+	stalled := serve(func(w http.ResponseWriter, r *http.Request) {
+		// Reading the body lets the server notice the caller leave.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	})
+	cases := []struct {
+		name          string
+		peer          func(t *testing.T) string
+		clientTimeout time.Duration // the router's HTTP client
+		callerTimeout time.Duration // the caller's context (0 = none)
+		suspect       bool
+	}{
+		{"connection refused suspects node", refused, time.Second, 0, true},
+		{"http 500 keeps node routable", failing, time.Second, 0, false},
+		{"timeout keeps node routable", stalled, 30 * time.Millisecond, 0, false},
+		{"done context keeps node routable", stalled, time.Second, 30 * time.Millisecond, false},
+	}
+	body := func(v any) io.Reader {
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(rt.Close)
-		return rt
+		return bytes.NewReader(b)
 	}
-
-	t.Run("http 500 keeps node placed", func(t *testing.T) {
-		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "internal", http.StatusInternalServerError)
-		}))
-		defer peer.Close()
-		rt := build(peer.URL, time.Second)
-		if _, ok := rt.Fetch(ctx, key); ok {
-			t.Fatal("fetch against a 500 should miss")
-		}
-		if rt.Down("b") {
-			t.Error("HTTP 500 marked the node down; an answering node is alive")
-		}
-	})
-
-	t.Run("timeout keeps node placed", func(t *testing.T) {
-		release := make(chan struct{})
-		defer close(release)
-		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			select {
-			case <-release:
-			case <-r.Context().Done():
+	paths := map[string]func(ctx context.Context, rt *Router, front string) error{
+		"fetch": func(ctx context.Context, rt *Router, _ string) error {
+			if _, ok := rt.Fetch(ctx, key); ok {
+				return errors.New("fetch hit")
 			}
-		}))
-		defer peer.Close()
-		rt := build(peer.URL, 30*time.Millisecond)
-		if _, ok := rt.Fetch(ctx, key); ok {
-			t.Fatal("fetch against a stalled peer should miss")
-		}
-		if rt.Down("b") {
-			t.Error("a slow peer was marked down; slow is not dead")
-		}
-	})
+			return nil
+		},
+		"submit": func(ctx context.Context, _ *Router, front string) error {
+			return postAll(ctx, front+"/v1/jobs", body(labd.SubmitRequest{Job: spec}))
+		},
+		"batch": func(ctx context.Context, _ *Router, front string) error {
+			return postAll(ctx, front+"/v1/jobs/batch", body(labd.BatchRequest{Jobs: []labd.JobSpec{spec}}))
+		},
+	}
+	for _, c := range cases {
+		for _, path := range []string{"fetch", "submit", "batch"} {
+			t.Run(c.name+"/"+path, func(t *testing.T) {
+				// A standalone router over one node b, its gossiper idle,
+				// so only the data path can change b's state.
+				rt, err := New(Config{
+					Nodes:      map[string]string{"b": c.peer(t)},
+					HTTPClient: &http.Client{Timeout: c.clientTimeout},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := gossip.New(gossip.Config{Self: "r", URL: "http://r", Joining: true,
+					Peers: rt.view.Load().urls, OnUpdate: rt.SetMembership})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.AttachGossip(g)
+				t.Cleanup(rt.Close)
+				front := httptest.NewServer(rt.Handler())
 
-	t.Run("connection refused marks node down", func(t *testing.T) {
-		peer := httptest.NewServer(healthzOK())
-		peer.Close() // port now refuses
-		rt := build(peer.URL, time.Second)
-		if _, ok := rt.Fetch(ctx, key); ok {
-			t.Fatal("fetch against a closed port cannot hit")
+				ctx := context.Background()
+				if c.callerTimeout > 0 {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithTimeout(ctx, c.callerTimeout)
+					defer cancel()
+				}
+				err = paths[path](ctx, rt, front.URL)
+				front.Close() // waits for the router's handler to return
+				if c.callerTimeout == 0 && err != nil {
+					t.Fatal(err)
+				}
+				if st, _, _ := g.Memberlist().State("b"); (st == gossip.StateSuspect) != c.suspect {
+					t.Errorf("b is %v after the failure, want suspect=%v", st, c.suspect)
+				}
+				if routable := rt.pick(key) == "b"; routable == c.suspect {
+					t.Errorf("b routable=%v, want %v", routable, !c.suspect)
+				}
+			})
 		}
-		if !rt.Down("b") {
-			t.Error("connection refused did not mark the node down")
-		}
-	})
+	}
+}
+
+// postAll posts body and reads the whole answer, whatever its status.
+func postAll(ctx context.Context, url string, body io.Reader) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 // TestConcurrentPlacementDuringMembershipChange hammers the placement
@@ -189,15 +179,14 @@ func TestConcurrentPlacementDuringMembershipChange(t *testing.T) {
 				}
 				r.Walk(k, func(string) bool { return false })
 				_ = rt.Stats()
-				_ = rt.aliveNodes()
 			}
 		}(w)
 	}
 	for i := 0; i < 400; i++ {
 		if i%2 == 0 {
-			rt.SetMembership(uint64(i+1), four)
+			rt.SetMembership(uint64(i+1), four, []string{"b"})
 		} else {
-			rt.SetMembership(uint64(i+1), three)
+			rt.SetMembership(uint64(i+1), three, nil)
 		}
 	}
 	close(stop)
@@ -228,7 +217,7 @@ func TestSetMembershipRejectsOversizedRing(t *testing.T) {
 	for i := 0; i <= maxRingNodes; i++ {
 		huge[fmt.Sprintf("n%02d", i)] = "http://x"
 	}
-	rt.SetMembership(9, huge)
+	rt.SetMembership(9, huge, nil)
 	if rt.Epoch() != 0 {
 		t.Fatal("oversized membership replaced the view")
 	}

@@ -73,7 +73,7 @@ func ownedSpec(t *testing.T, rt *fleet.Router, want string) (labd.JobSpec, strin
 // checks out, and from then on answered by the entry node itself with
 // the owner's exact bytes.
 func TestFleetReplicaHit(t *testing.T) {
-	nodes, _ := startFleet(t, []string{"a", "b"}, nil)
+	nodes, _ := startFleet(t, []string{"a", "b"}, fleetOpts{})
 	spec, key := ownedSpec(t, nodes["a"].rt, "a")
 	owner, entry := nodes["a"], nodes["b"]
 	req := labd.SubmitRequest{Job: spec}
@@ -139,7 +139,7 @@ func TestFleetReplicaHit(t *testing.T) {
 // draining entry node, still goes to the owner even when the entry
 // node holds a replica.
 func TestFleetReplicaBypass(t *testing.T) {
-	nodes, _ := startFleet(t, []string{"a", "b"}, nil)
+	nodes, _ := startFleet(t, []string{"a", "b"}, fleetOpts{})
 	spec, _ := ownedSpec(t, nodes["a"].rt, "a")
 	entry := nodes["b"]
 	req := labd.SubmitRequest{Job: spec}
@@ -380,7 +380,7 @@ func TestFleetReplicasSpareOwnedHits(t *testing.T) {
 	if entries >= n {
 		t.Fatalf("owned shares %v leave no hot set larger than a %d-entry cache", owned, entries)
 	}
-	nodes, _ := startFleet(t, []string{"a", "b"}, nil, func(c *labd.Config) { c.CacheEntries = entries })
+	nodes, _ := startFleet(t, []string{"a", "b"}, fleetOpts{labd: func(c *labd.Config) { c.CacheEntries = entries }})
 
 	// Each owner computes its share and serves one hit on every result.
 	want := make([][]byte, n)
@@ -427,7 +427,7 @@ func TestFleetReplicasSpareOwnedHits(t *testing.T) {
 // each key of its arc once, even when two members hold it as their own.
 func TestFleetChurnLeavesReplicasBehind(t *testing.T) {
 	ctx := context.Background()
-	nodes, _ := startGossipFleet(t, []string{"a", "b", "c"}, 20*time.Millisecond, 300*time.Millisecond, "")
+	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{tick: 20 * time.Millisecond, suspect: 300 * time.Millisecond})
 	specs := sweepSpecs(16)
 	keys := make([]string, len(specs))
 	for i, spec := range specs {

@@ -136,11 +136,11 @@ func TestRingEmpty(t *testing.T) {
 
 // TestRouterPickBoundedLoadAndFailover drives the placement policy
 // directly: healthy owner wins, an overloaded owner slides to the next
-// arc, a dead owner is skipped, and a fully dead fleet returns "".
+// arc, an owner the request already failed on or gossip suspects is
+// skipped, and a fleet with nothing routable returns "".
 func TestRouterPickBoundedLoadAndFailover(t *testing.T) {
-	rt, err := New(Config{Nodes: map[string]string{
-		"a": "http://a", "b": "http://b", "c": "http://c",
-	}})
+	urls := map[string]string{"a": "http://a", "b": "http://b", "c": "http://c"}
+	rt, err := New(Config{Nodes: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,17 +171,27 @@ func TestRouterPickBoundedLoadAndFailover(t *testing.T) {
 	}
 	rt.release(owner, 8)
 
-	// Dead owner: skipped. Dead fleet: no placement.
-	rt.MarkDown(owner)
+	// An owner this request failed on: skipped by this request only.
+	v := rt.view.Load()
+	h := finalize(hashString(key))
+	if got := rt.pickHash(v, h, v.bit(owner)); got != next {
+		t.Errorf("excluded-owner pick = %s, want %s", got, next)
+	}
+	if got := rt.pickHash(v, h, 0); got != owner {
+		t.Errorf("the exclusion outlived its request: pick = %s, want %s", got, owner)
+	}
+	// A suspect owner keeps its arcs but no request is routed to it.
+	rt.SetMembership(1, urls, []string{owner})
+	if got := rt.Ring().Lookup(key); got != owner {
+		t.Errorf("suspect lost its arc: ring owner = %s, want %s", got, owner)
+	}
 	if got := rt.pick(key); got != next {
-		t.Errorf("dead-owner pick = %s, want %s", got, next)
+		t.Errorf("suspect-owner pick = %s, want %s", got, next)
 	}
-	rt.MarkUp(owner)
-	for n := range rt.cfg.Nodes {
-		rt.MarkDown(n)
-	}
+	// Nothing routable: no placement.
+	rt.SetMembership(2, urls, []string{"a", "b", "c"})
 	if got := rt.pick(key); got != "" {
-		t.Errorf("all-down pick = %q, want \"\"", got)
+		t.Errorf("all-suspect pick = %q, want \"\"", got)
 	}
 }
 

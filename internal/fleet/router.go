@@ -27,12 +27,13 @@ import (
 const (
 	// FaultNodeKill kills the forward's target node: Config.KillHook is
 	// invoked with the target's ID (the chaos test closes that node's
-	// listener), and the forward then fails for real, exercising the
-	// mark-down → re-route failover path end to end.
+	// listener and stops its gossiper), and the forward then fails for
+	// real, exercising failover end to end: the request re-picks, and
+	// gossip suspects the node.
 	FaultNodeKill = "fleet/node.kill"
 	// FaultRoutePartition fails a forward as if the network between this
-	// router and the target dropped: the request is never sent, the
-	// target is marked down, and the job re-routes.
+	// router and the target dropped: the request is never sent, gossip
+	// suspects the target, and the job re-routes.
 	FaultRoutePartition = "fleet/route.partition"
 	// FaultHandoffAbort drops one key's push during the graceful-leave
 	// handoff. Correctness survives — the successor recomputes or
@@ -59,7 +60,8 @@ type Config struct {
 	// Nodes maps node ID → base URL ("http://host:port") for the boot
 	// membership, including Self (its URL is what peers use). With a
 	// gossiper attached this is only the starting view; live membership
-	// replaces it through SetMembership.
+	// replaces it through SetMembership. Without one it is the fixed
+	// view, and only the request that saw a node fail avoids it.
 	Nodes map[string]string
 	// Vnodes is the virtual-node count per node (<=0 = default 128).
 	Vnodes int
@@ -79,12 +81,6 @@ type Config struct {
 	// KillHook is invoked with the target node's ID when FaultNodeKill
 	// fires; chaos tests use it to actually take the node down.
 	KillHook func(node string)
-	// ReprobeBase/ReprobeMax bound the jittered exponential backoff of
-	// the background re-probe that revives a marked-down node (defaults
-	// 500ms / 30s). Without it a single transport hiccup would quarantine
-	// a node until something happened to call Health().
-	ReprobeBase time.Duration
-	ReprobeMax  time.Duration
 	// AfterLeave runs (on its own goroutine) once a POST /v1/fleet/leave
 	// has fully drained — the daemon wires process shutdown here.
 	AfterLeave func()
@@ -118,24 +114,31 @@ func (c Config) withDefaults() Config {
 		// release under concurrent forwarding.
 		c.HTTPClient = defaultForwardClient
 	}
-	if c.ReprobeBase <= 0 {
-		c.ReprobeBase = 500 * time.Millisecond
-	}
-	if c.ReprobeMax <= 0 {
-		c.ReprobeMax = 30 * time.Second
-	}
 	return c
 }
 
 // view is one immutable membership snapshot: the placement ring, the
-// node URLs it routes to, and the epoch that names it. Routers never
-// mutate a view — a membership change builds a new one and swaps the
-// pointer, so every in-flight request keeps the ring it started with
-// while new requests see the new epoch, with no lock on the hot path.
+// node URLs it routes to, the epoch that names it, and which of its
+// nodes gossip suspects. Routers never mutate a view — a membership or
+// liveness change builds a new one and swaps the pointer, so every
+// in-flight request keeps the ring it started with while new requests
+// see the new one, with no lock on the hot path.
 type view struct {
 	epoch uint64
 	ring  *Ring
 	urls  map[string]string
+	// suspect is a bitmask over ring.nodes: suspects keep their arcs,
+	// but no request is routed to them.
+	suspect uint64
+}
+
+// bit returns id's bit in masks over v.ring.nodes (0 when not placed).
+func (v *view) bit(id string) uint64 {
+	nodes := v.ring.nodes
+	if i := sort.SearchStrings(nodes, id); i < len(nodes) && nodes[i] == id {
+		return 1 << uint(i)
+	}
+	return 0
 }
 
 // Router places jobs on their ring owners and serves the fleet rollup.
@@ -145,8 +148,9 @@ type Router struct {
 	cfg  Config
 	view atomic.Pointer[view]
 
-	// g is the live-membership gossiper (nil = static fleet). Attach
-	// before Handler(); the gossip endpoints mount under /v1/gossip/.
+	// g is the gossiper, the fleet's only failure detector (nil = a
+	// fixed view with per-request failover). Attach before Handler();
+	// the gossip endpoints mount under /v1/gossip/.
 	g *gossip.Gossiper
 
 	// local is the co-resident daemon (nil for a standalone router);
@@ -155,25 +159,17 @@ type Router struct {
 	local  *labd.Server
 	localH http.Handler
 
-	mu        sync.Mutex
-	down      map[string]bool
-	pending   map[string]int  // routed jobs in flight per node (bounded load)
-	reprobing map[string]bool // nodes with a live re-probe loop
-	closed    bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	mu      sync.Mutex
+	pending map[string]int // routed jobs in flight per node (bounded load)
 
 	leaveOnce sync.Once
 	leaveErr  error
 
-	rngState atomic.Uint64 // jitter for re-probe and handoff backoff
+	rngState atomic.Uint64 // jitter for warm-up and handoff retries
 
 	forwards   atomic.Int64 // jobs forwarded to a peer
 	localJobs  atomic.Int64 // jobs placed on the local daemon
 	reroutes   atomic.Int64 // placements retried after a node failure
-	marksDown  atomic.Int64 // node-down transitions observed
-	revivals   atomic.Int64 // nodes revived by the background re-probe
 	epochSwaps atomic.Int64 // membership views swapped in
 	kills      atomic.Int64 // FaultNodeKill firings
 	partitions atomic.Int64 // FaultRoutePartition firings
@@ -196,24 +192,19 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("fleet: self %q not in node set", cfg.Self)
 		}
 	}
-	v, err := buildView(0, cfg.Nodes, cfg.Vnodes)
+	v, err := buildView(0, cfg.Nodes, nil, cfg.Vnodes)
 	if err != nil {
 		return nil, err
 	}
-	rt := &Router{
-		cfg:       cfg,
-		down:      make(map[string]bool),
-		pending:   make(map[string]int),
-		reprobing: make(map[string]bool),
-		done:      make(chan struct{}),
-	}
+	rt := &Router{cfg: cfg, pending: make(map[string]int)}
 	rt.rngState.Store(hashString(cfg.Self) | 1)
 	rt.view.Store(v)
 	return rt, nil
 }
 
-// buildView constructs an immutable view from a membership set.
-func buildView(epoch uint64, urls map[string]string, vnodes int) (*view, error) {
+// buildView constructs an immutable view from a membership set and its
+// suspects.
+func buildView(epoch uint64, urls map[string]string, suspects []string, vnodes int) (*view, error) {
 	ids := make([]string, 0, len(urls))
 	own := make(map[string]string, len(urls))
 	for id, u := range urls {
@@ -224,7 +215,11 @@ func buildView(epoch uint64, urls map[string]string, vnodes int) (*view, error) 
 	if err := ring.Validate(); err != nil {
 		return nil, err
 	}
-	return &view{epoch: epoch, ring: ring, urls: own}, nil
+	v := &view{epoch: epoch, ring: ring, urls: own}
+	for _, id := range suspects {
+		v.suspect |= v.bit(id)
+	}
+	return v, nil
 }
 
 // jitter returns a uniform duration in [0, d) — full jitter, so a herd
@@ -251,12 +246,14 @@ func (rt *Router) SetLocal(s *labd.Server) {
 	rt.localH = s.Handler()
 }
 
-// AttachGossip wires the live-membership gossiper. The gossiper should
-// be constructed with OnUpdate: rt.SetMembership so placement follows
-// membership; attach before Handler() so /v1/gossip/* is mounted.
+// AttachGossip wires the gossiper. The gossiper should be constructed
+// with OnUpdate: rt.SetMembership so placement and routing follow
+// membership; attach before Handler() so /v1/gossip/* is mounted. The
+// router reports failed connections to it (Gossiper.Suspect) and closes
+// it in Close.
 func (rt *Router) AttachGossip(g *gossip.Gossiper) { rt.g = g }
 
-// Gossip returns the attached gossiper (nil for a static fleet).
+// Gossip returns the attached gossiper (nil without one).
 func (rt *Router) Gossip() *gossip.Gossiper { return rt.g }
 
 // rec returns the local daemon's recorder; nil (a no-op recorder) for a
@@ -273,16 +270,17 @@ func (rt *Router) rec() *telemetry.Recorder {
 // swaps the router's view but never mutates a ring already handed out.
 func (rt *Router) Ring() *Ring { return rt.view.Load().ring }
 
-// Epoch returns the current membership epoch (0 for a static fleet).
+// Epoch returns the current membership epoch (0 until gossip first
+// reports a change).
 func (rt *Router) Epoch() uint64 { return rt.view.Load().epoch }
 
-// SetMembership atomically replaces the placement view — gossip's
-// OnUpdate callback. In-flight requests keep the old view; requests
-// that start after the swap place on the new ring. Mark-down and
-// pending-load state for departed nodes is pruned so a node that
-// rejoins later starts clean.
-func (rt *Router) SetMembership(epoch uint64, urls map[string]string) {
-	v, err := buildView(epoch, urls, rt.cfg.Vnodes)
+// SetMembership atomically replaces the view — gossip's OnUpdate
+// callback: the placement set, its epoch, and the suspects no request
+// is routed to. In-flight requests keep the old view; requests that
+// start after the swap see the new one. Pending-load state for departed
+// nodes is pruned so a node that rejoins later starts clean.
+func (rt *Router) SetMembership(epoch uint64, urls map[string]string, suspects []string) {
+	v, err := buildView(epoch, urls, suspects, rt.cfg.Vnodes)
 	if err != nil {
 		// An invalid membership (fleet grew past the ring's node bound)
 		// cannot be placed; keep routing on the last good view.
@@ -291,11 +289,6 @@ func (rt *Router) SetMembership(epoch uint64, urls map[string]string) {
 	rt.view.Store(v)
 	rt.epochSwaps.Add(1)
 	rt.mu.Lock()
-	for id := range rt.down {
-		if _, ok := v.urls[id]; !ok {
-			delete(rt.down, id)
-		}
-	}
 	for id := range rt.pending {
 		if _, ok := v.urls[id]; !ok {
 			delete(rt.pending, id)
@@ -304,93 +297,12 @@ func (rt *Router) SetMembership(epoch uint64, urls map[string]string) {
 	rt.mu.Unlock()
 }
 
-// Close stops the router's background work (re-probe loops, and the
-// leave path if one is running waits for drain elsewhere).
+// Close stops the attached gossiper, if any. The router itself runs no
+// background work.
 func (rt *Router) Close() {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return
+	if rt.g != nil {
+		rt.g.Close()
 	}
-	rt.closed = true
-	rt.mu.Unlock()
-	close(rt.done)
-	rt.wg.Wait()
-}
-
-// MarkDown records a node as unavailable; placement skips it until it
-// is revived — by MarkUp, a successful Health() probe, or the jittered
-// background re-probe MarkDown itself schedules. The re-probe is what
-// keeps a quarantine temporary: a node marked down by one transport
-// hiccup rejoins placement on its own, no operator action needed.
-func (rt *Router) MarkDown(node string) {
-	rt.mu.Lock()
-	was := rt.down[node]
-	rt.down[node] = true
-	spawn := !rt.reprobing[node] && !rt.closed
-	if spawn {
-		rt.reprobing[node] = true
-		rt.wg.Add(1)
-	}
-	rt.mu.Unlock()
-	if !was {
-		rt.marksDown.Add(1)
-	}
-	if spawn {
-		go rt.reprobeLoop(node)
-	}
-}
-
-// reprobeLoop probes a marked-down node's /healthz with jittered
-// exponential backoff until the node answers (MarkUp), leaves the
-// membership, is revived by someone else, or the router closes.
-func (rt *Router) reprobeLoop(node string) {
-	defer rt.wg.Done()
-	defer func() {
-		rt.mu.Lock()
-		delete(rt.reprobing, node)
-		rt.mu.Unlock()
-	}()
-	backoff := rt.cfg.ReprobeBase
-	for {
-		select {
-		case <-rt.done:
-			return
-		case <-time.After(rt.jitter(backoff) + backoff/4):
-		}
-		if !rt.Down(node) {
-			return // revived by Health() or gossip in the meantime
-		}
-		url, ok := rt.view.Load().urls[node]
-		if !ok {
-			return // no longer a member; nothing to revive
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		h := rt.probeHealth(ctx, url)
-		cancel()
-		if h != nil && h.Status == "ok" {
-			rt.MarkUp(node)
-			rt.revivals.Add(1)
-			return
-		}
-		if backoff *= 2; backoff > rt.cfg.ReprobeMax {
-			backoff = rt.cfg.ReprobeMax
-		}
-	}
-}
-
-// MarkUp records a node as available again.
-func (rt *Router) MarkUp(node string) {
-	rt.mu.Lock()
-	delete(rt.down, node)
-	rt.mu.Unlock()
-}
-
-// Down reports whether a node is currently marked down.
-func (rt *Router) Down(node string) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.down[node]
 }
 
 func (rt *Router) acquire(node string, n int) {
@@ -407,32 +319,34 @@ func (rt *Router) release(node string, n int) {
 	rt.mu.Unlock()
 }
 
-// pick places a key: the first alive candidate in ring order whose
-// pending load is under the bounded-load cap, falling back to the first
-// alive candidate when every node is at the bound. Returns "" when the
-// whole fleet is down. Allocation-free (benchmarked): the walk is
-// inlined with a bitmask visited set rather than using Ring.Walk, whose
-// closure argument would allocate per placement. Placement reads one
-// view snapshot, so a concurrent membership swap cannot tear it.
+// pick places a key on the current view (see pickHash).
 func (rt *Router) pick(key string) string {
-	return rt.pickHash(finalize(hashString(key)))
+	return rt.pickHash(rt.view.Load(), finalize(hashString(key)), 0)
 }
 
-// pickHash is pick for callers that already finalized the key's hash:
-// the submit path hashes its stack-buffer key once and re-picks on the
-// same hash across failover attempts.
-func (rt *Router) pickHash(h uint64) string {
-	r := rt.view.Load().ring
+// pickHash places a finalized key hash on v: the first routable
+// candidate in ring order whose pending load is under the bounded-load
+// cap, falling back to the first routable candidate when every node is
+// at the bound. A candidate is routable unless gossip suspects it or
+// exclude — a bitmask over v.ring.nodes naming the nodes this request
+// already failed on — holds it. Returns "" when no node is routable.
+// Allocation-free (benchmarked): the walk is inlined with a bitmask
+// visited set rather than using Ring.Walk, whose closure argument would
+// allocate per placement. The submit path hashes its stack-buffer key
+// once and re-picks on the same hash and view across failover attempts.
+func (rt *Router) pickHash(v *view, h uint64, exclude uint64) string {
+	r := v.ring
 	if len(r.points) == 0 {
 		return ""
 	}
+	skip := exclude | v.suspect
 	start := r.startHash(h)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
 	alive, total := 0, 0
-	for _, n := range r.nodes {
-		if !rt.down[n] {
+	for i, n := range r.nodes {
+		if skip&(1<<uint(i)) == 0 {
 			alive++
 			total += rt.pending[n]
 		}
@@ -459,10 +373,10 @@ func (rt *Router) pickHash(h uint64) string {
 		}
 		visited |= bit
 		offered++
-		n := r.nodes[p.node]
-		if rt.down[n] {
+		if skip&bit != 0 {
 			continue
 		}
+		n := r.nodes[p.node]
 		if fallback == "" {
 			fallback = n
 		}
@@ -498,10 +412,10 @@ func (rt *Router) injectTransport(node string) error {
 const maxPeerProbes = 2
 
 // Fetch implements labd.PeerFetcher: ask the key's ring successors
-// (skipping self) for cached result bytes, verifying the SHA-256 the
-// peer advertises before trusting bytes that crossed the network. A
-// false return sends the local daemon to recompute — peer fetching is
-// an optimization, never a correctness dependency.
+// (skipping self and suspects) for cached result bytes, verifying the
+// SHA-256 the peer advertises before trusting bytes that crossed the
+// network. A false return sends the local daemon to recompute — peer
+// fetching is an optimization, never a correctness dependency.
 func (rt *Router) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	v := rt.view.Load()
 	r := v.ring
@@ -520,7 +434,7 @@ func (rt *Router) Fetch(ctx context.Context, key string) ([]byte, bool) {
 		visited |= bit
 		offered++
 		n := r.nodes[p.node]
-		if n == rt.cfg.Self || rt.Down(n) {
+		if n == rt.cfg.Self || v.suspect&bit != 0 {
 			continue
 		}
 		probes++
@@ -533,12 +447,16 @@ func (rt *Router) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	return nil, false
 }
 
-// connectionRefused classifies a transport error for mark-down: true
+// connectionRefused classifies a transport error for suspicion: true
 // for connection-level failures (refused, reset, DNS — the node or its
 // socket is gone), false for timeouts — a slow peer is not a dead peer,
 // and conflating the two is how one overloaded cache probe used to
-// quarantine a healthy node.
+// quarantine a healthy node — and for a caller that gave up, which says
+// nothing about the node it was waiting on.
 func connectionRefused(err error) bool {
+	if err == nil {
+		return false
+	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return false
@@ -549,13 +467,23 @@ func connectionRefused(err error) bool {
 	return true
 }
 
+// suspect reports a connection-level failure to reach node to gossip,
+// which then stops every request on this router from routing to the
+// node until a probe confirms it or it refutes. Without a gossiper
+// there is no failure memory; only the failing request avoids the node.
+func (rt *Router) suspect(node string, err error) {
+	if rt.g != nil && connectionRefused(err) {
+		rt.g.Suspect(node)
+	}
+}
+
 // fetchFrom asks one peer for one key (GET /v1/cache/{key}). Only a
-// connection-level failure marks the peer down: an HTTP error, a slow
-// or broken body, or a digest mismatch is a failed *fetch*, not a dead
+// connection-level failure suspects the peer: an HTTP error, a slow or
+// broken body, or a digest mismatch is a failed *fetch*, not a dead
 // *node* — the probe itself proved something is listening.
 func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte, bool) {
 	if err := rt.injectTransport(node); err != nil {
-		rt.MarkDown(node)
+		rt.suspect(node, err)
 		return nil, false
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cache/"+key, nil)
@@ -564,21 +492,19 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 	}
 	resp, err := rt.cfg.HTTPClient.Do(req)
 	if err != nil {
-		if connectionRefused(err) {
-			rt.MarkDown(node)
-		}
+		rt.suspect(node, err)
 		return nil, false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// A clean miss (404) — or any HTTP-level rejection — proves the
-		// node alive; placement keeps it.
+		// node alive; routing keeps it.
 		return nil, false
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		// Mid-body failure: the connection answered, so the node stays
-		// placed; this fetch just loses.
+		// routable; this fetch just loses.
 		return nil, false
 	}
 	if labd.Digest(body) != resp.Header.Get("X-Labd-Sha256") {
@@ -923,7 +849,7 @@ func (rt *Router) routeSpec(spec labd.JobSpec, keyBuf *[64]byte) (string, error)
 	if err := labd.SpecKeyInto(spec, keyBuf); err != nil {
 		return "", err
 	}
-	return rt.pickHash(finalize(hashBytes(keyBuf[:]))), nil
+	return rt.pickHash(rt.view.Load(), finalize(hashBytes(keyBuf[:])), 0), nil
 }
 
 // handleSubmit routes one job to its owner: local fast path when the
@@ -981,8 +907,16 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	replica := !req.Async && rt.local != nil && rt.local.FastPathOpen()
 	key := string(keyBuf[:])
 
-	for attempt := 0; attempt < rt.Ring().Len(); attempt++ {
-		owner := rt.pickHash(keyHash)
+	// Failover is per request: a node the forward failed on is excluded
+	// from this request's later picks, on the view the request started
+	// with; whether other requests avoid it is gossip's call.
+	v := rt.view.Load()
+	var failed uint64
+	for attempt := 0; attempt < v.ring.Len(); attempt++ {
+		if r.Context().Err() != nil {
+			return // the client is gone; no one is waiting for an answer
+		}
+		owner := rt.pickHash(v, keyHash, failed)
 		if owner == "" {
 			break
 		}
@@ -1004,11 +938,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if rt.forward(w, r, owner, body, key, replica) {
+		if rt.forward(w, r, v.urls[owner], owner, body, key, replica) {
 			return
 		}
-		// forward marked the owner down; the next pick slides to the
-		// key's next arc.
+		// The next pick slides to the key's next arc.
+		failed |= v.bit(owner)
 	}
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable, errors.New("fleet: no nodes available"))
@@ -1032,23 +966,18 @@ type writerOnly struct{ io.Writer }
 // Larger bodies are relayed but not kept.
 const maxReplicaBytes = 32 << 20
 
-// forward proxies one submission to a peer node, carrying the already-
-// computed spec key so the owner's daemon skips re-deriving it. False
-// reports a transport-level failure (node marked down, job should
-// re-route); true means a response — any response — was relayed to the
-// client. With replica set, an owner's cache hit is relayed in full and
-// then kept as a replica by the local daemon once its bytes match the
+// forward proxies one submission to a peer node at url, carrying the
+// already-computed spec key so the owner's daemon skips re-deriving it.
+// False reports a transport-level failure (the job should re-route);
+// true means a response — any response — was relayed to the client.
+// With replica set, an owner's cache hit is relayed in full and then
+// kept as a replica by the local daemon once its bytes match the
 // SHA-256 the owner attached.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, body []byte, key string, replica bool) bool {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, url, node string, body []byte, key string, replica bool) bool {
 	rt.acquire(node, 1)
 	defer rt.release(node, 1)
 	if err := rt.injectTransport(node); err != nil {
-		rt.MarkDown(node)
-		return false
-	}
-	url, ok := rt.view.Load().urls[node]
-	if !ok {
-		// The node left between pick and forward; re-route.
+		rt.suspect(node, err)
 		return false
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
@@ -1068,7 +997,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, b
 	}
 	resp, err := rt.cfg.HTTPClient.Do(req)
 	if err != nil {
-		rt.MarkDown(node)
+		rt.suspect(node, err)
 		return false
 	}
 	defer resp.Body.Close()
@@ -1113,8 +1042,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, b
 }
 
 // Health probes every placed node's /healthz (the local daemon
-// directly), updating the down set from what it finds, and returns the
-// readings keyed by node ID (nil entry = unreachable).
+// directly) and returns the readings keyed by node ID (nil entry =
+// unreachable). It only reads: liveness is gossip's to decide.
 func (rt *Router) Health(ctx context.Context) map[string]*labd.HealthStatus {
 	v := rt.view.Load()
 	out := make(map[string]*labd.HealthStatus, len(v.urls))
@@ -1135,11 +1064,6 @@ func (rt *Router) Health(ctx context.Context) map[string]*labd.HealthStatus {
 			mu.Lock()
 			out[id] = h
 			mu.Unlock()
-			if h == nil || h.Status != "ok" {
-				rt.MarkDown(id)
-			} else {
-				rt.MarkUp(id)
-			}
 		}(id, url)
 	}
 	wg.Wait()
@@ -1170,8 +1094,6 @@ type RouterStats struct {
 	Forwards      int64  `json:"forwards"`
 	LocalJobs     int64  `json:"local_jobs"`
 	Reroutes      int64  `json:"reroutes"`
-	MarksDown     int64  `json:"marks_down"`
-	Revivals      int64  `json:"revivals"`
 	Epoch         uint64 `json:"epoch"`
 	EpochSwaps    int64  `json:"epoch_swaps"`
 	Kills         int64  `json:"injected_kills"`
@@ -1201,8 +1123,6 @@ func (rt *Router) Stats() RouterStats {
 		Forwards:      rt.forwards.Load(),
 		LocalJobs:     rt.localJobs.Load(),
 		Reroutes:      rt.reroutes.Load(),
-		MarksDown:     rt.marksDown.Load(),
-		Revivals:      rt.revivals.Load(),
 		Epoch:         rt.Epoch(),
 		EpochSwaps:    rt.epochSwaps.Load(),
 		Kills:         rt.kills.Load(),
@@ -1215,21 +1135,6 @@ func (rt *Router) Stats() RouterStats {
 		ReplicasKept:   rt.replicasKept.Load(),
 		ReplicaRejects: rt.replicaRejects.Load(),
 	}
-}
-
-// aliveNodes returns the placed node IDs not marked down, sorted.
-func (rt *Router) aliveNodes() []string {
-	v := rt.view.Load()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]string, 0, len(v.urls))
-	for _, n := range v.ring.nodes {
-		if !rt.down[n] {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
