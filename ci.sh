@@ -6,8 +6,9 @@
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — a short fuzz budget for each gclog
-# target, the band analysis, the hdrhist decoder, the spec-key encoder
-# and the gossip wire encoder, and the bench-gate step, which measures
+# target, the band analysis, the hdrhist decoder, the spec-key encoder,
+# the gossip wire encoder, the Prometheus-text reader and the
+# traceparent parser, and the bench-gate step, which measures
 # the kernel-bound benchmarks, one whole Simulate call and the whole
 # three-collector client study, and fails on regression against the
 # committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
@@ -97,6 +98,12 @@ go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
 # FuzzAppendMessage holds the hand-encoded gossip ping to encoding/json:
 # every message decodes to the value json.Marshal's encoding does.
 go test -run=NONE -fuzz='^FuzzAppendMessage$' -fuzztime=10s ./internal/fleet/gossip/
+# FuzzParsePromText holds the Prometheus-text reader that gctop scrapes
+# with to PromSnapshot.Write: every sample, exemplars included, parses
+# back to its name, labels and value bits. FuzzParseTraceparent holds the
+# traceparent parser to the W3C version-00 grammar (lowercase hex only).
+go test -run=NONE -fuzz='^FuzzParsePromText$' -fuzztime=10s ./internal/obs/
+go test -run=NONE -fuzz='^FuzzParseTraceparent$' -fuzztime=10s ./internal/obs/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.

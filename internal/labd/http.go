@@ -194,7 +194,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.tracer.Enabled() {
 		tid, rsid, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 		tr = s.tracer.StartTrace("labd.request", tid, rsid)
-		tr.Annotate(obs.Str("method", r.Method), obs.Str("path", r.URL.Path))
+		tr.Annotate(telemetry.Str("method", r.Method), telemetry.Str("path", r.URL.Path))
 		ctx = obs.NewContext(ctx, tr)
 		w.Header().Set("X-Labd-Trace", tr.ID().String())
 	}

@@ -410,7 +410,7 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 	// built at the call site before the nil-receiver check, so unguarded
 	// calls would put allocations on the untraced hot path (bench-gated).
 	if j.trace != nil {
-		j.trace.Annotate(obs.Str("kind", spec.Kind), obs.Str("key", key))
+		j.trace.Annotate(telemetry.Str("kind", spec.Kind), telemetry.Str("key", key))
 	}
 
 	s.mu.Lock()
@@ -425,11 +425,11 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 	s.register(j)
 	s.rec.Add("labd.jobs.submitted", 1)
 
-	lookup := j.trace.StartSpan("cache.lookup", "sched", obs.SpanID{})
+	lookup := j.trace.StartSpan("cache.lookup", "sched", 0)
 	cached, tier, fl, leader := s.cache.beginTier(j.Key)
 	if j.trace != nil {
-		lookup.End(obs.Str("tier", tier))
-		j.trace.Annotate(obs.Str("cache", tier))
+		lookup.End(telemetry.Str("tier", tier))
+		j.trace.Annotate(telemetry.Str("cache", tier))
 	}
 	switch {
 	case cached != nil:
@@ -447,7 +447,7 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 		s.mu.Unlock()
 		s.rec.Add("labd.jobs.coalesced", 1)
 		go func() {
-			wait := j.trace.StartSpan("coalesce.wait", "sched", obs.SpanID{})
+			wait := j.trace.StartSpan("coalesce.wait", "sched", 0)
 			select {
 			case <-fl.done:
 				wait.End()
@@ -561,8 +561,8 @@ func (s *Server) runJob(j *Job, worker int) {
 	// pool saturation cost this job before any work happened.
 	queueWait := time.Since(j.enqueued)
 	if j.trace != nil {
-		j.trace.Span("queue.wait", "sched", obs.SpanID{}, 0, queueWait, false,
-			obs.Num("worker", float64(worker)))
+		j.trace.Add(telemetry.Span{Track: "sched", Name: "queue.wait", Duration: queueWait,
+			Attrs: []telemetry.Attr{telemetry.Num("worker", float64(worker))}})
 	}
 	s.histMu.Lock()
 	s.queueHist.Record(queueWait.Seconds())
@@ -576,10 +576,10 @@ func (s *Server) runJob(j *Job, worker int) {
 	// followers, disk write-through and byte-identity all behave the
 	// same — it just costs one HTTP fetch instead of a simulation.
 	if s.peers != nil {
-		peerSpan := j.trace.StartSpan("cache.peer", "exec", obs.SpanID{})
+		peerSpan := j.trace.StartSpan("cache.peer", "exec", 0)
 		bytes, ok := s.peers.Fetch(j.ctx, j.Key)
 		if j.trace != nil {
-			peerSpan.End(obs.Str("hit", peerTier(ok)))
+			peerSpan.End(telemetry.Str("hit", peerTier(ok)))
 		}
 		if ok {
 			j.mu.Lock()
@@ -651,8 +651,8 @@ func (s *Server) execute(j *Job, worker int) (bytes []byte, err error) {
 		if j.spec.Kind == KindSimulate {
 			rec = telemetry.New(telemetry.Config{})
 		}
-		simSpan = j.trace.StartSpan("simulate", "exec", obs.SpanID{},
-			obs.Num("worker", float64(worker)), obs.Str("kind", j.spec.Kind))
+		simSpan = j.trace.StartSpan("simulate", "exec", 0,
+			telemetry.Num("worker", float64(worker)), telemetry.Str("kind", j.spec.Kind))
 	}
 	res, err := s.runSpec(j.ctx, j.spec, s.cfg.Parallelism, rec)
 	simID := simSpan.End()
@@ -660,63 +660,48 @@ func (s *Server) execute(j *Job, worker int) (bytes []byte, err error) {
 		return nil, err
 	}
 	importGCSpans(j.trace, simID, rec)
-	encode := j.trace.StartSpan("encode", "exec", obs.SpanID{})
+	encode := j.trace.StartSpan("encode", "exec", 0)
 	bytes, err = marshalResult(res)
 	if j.trace != nil {
-		encode.End(obs.Num("bytes", float64(len(bytes))))
+		encode.End(telemetry.Num("bytes", float64(len(bytes))))
 	}
 	return bytes, err
 }
 
 // importGCSpans adopts a per-job flight recorder's stop-the-world pause
 // spans (and their phase children) into the request trace as
-// simulated-time children of the simulate span. The cap keeps a
-// pause-storm simulation from flooding the trace; the trace's own
-// MaxSpans bound backstops it.
+// simulated-time children of the simulate span, on the trace's "sim.gc"
+// track. The cap keeps a pause-storm simulation from flooding the trace;
+// the trace's own MaxSpans bound backstops it.
 const maxImportedGCSpans = 64
 
-func importGCSpans(tr *obs.Trace, simID obs.SpanID, rec *telemetry.Recorder) {
+func importGCSpans(tr *obs.Trace, simID telemetry.SpanID, rec *telemetry.Recorder) {
 	if tr == nil || rec == nil {
 		return
 	}
-	spans := rec.Spans()
 	imported := 0
-	// Telemetry span IDs are indices+1; scan once, mapping each adopted
-	// pause's ID to its obs span so phase children nest under it.
-	adopted := make(map[telemetry.SpanID]obs.SpanID)
-	for i, sp := range spans {
-		id := telemetry.SpanID(i + 1)
-		switch {
-		case sp.Track == telemetry.TrackGC && sp.Parent == 0:
+	// Recorder span IDs are indices+1; scan once, mapping each adopted
+	// pause's ID to its trace span ID so phase children nest under it.
+	adopted := make(map[telemetry.SpanID]telemetry.SpanID)
+	for i, sp := range rec.Spans() {
+		pause := sp.Track == telemetry.TrackGC && sp.Parent == 0
+		if pause {
 			if imported >= maxImportedGCSpans {
 				continue
 			}
 			imported++
-			adopted[id] = tr.Span(sp.Name, "sim.gc", simID,
-				time.Duration(sp.Start), sp.Duration.Std(), true,
-				importAttrs(sp.Attrs)...)
-		case sp.Parent != 0:
-			parent, ok := adopted[sp.Parent]
-			if !ok {
-				continue
-			}
-			tr.Span(sp.Name, "sim.gc", parent,
-				time.Duration(sp.Start), sp.Duration.Std(), true,
-				importAttrs(sp.Attrs)...)
+			sp.Parent = simID
+		} else if parent, ok := adopted[sp.Parent]; ok {
+			sp.Parent = parent
+		} else {
+			continue
+		}
+		sp.Track = "sim.gc"
+		id := tr.Add(sp)
+		if pause {
+			adopted[telemetry.SpanID(i+1)] = id
 		}
 	}
-}
-
-// importAttrs converts telemetry attributes to trace attributes.
-func importAttrs(attrs []telemetry.Attr) []obs.Attr {
-	if len(attrs) == 0 {
-		return nil
-	}
-	out := make([]obs.Attr, len(attrs))
-	for i, a := range attrs {
-		out[i] = obs.Attr{Key: a.Key, Str: a.Str, Num: a.Num, IsNum: a.IsNum}
-	}
-	return out
 }
 
 // finish moves a job to its terminal status exactly once.

@@ -15,6 +15,7 @@ import (
 	"jvmgc/internal/labd"
 	"jvmgc/internal/labd/client"
 	"jvmgc/internal/obs"
+	"jvmgc/internal/telemetry"
 )
 
 // tracedDaemon starts a daemon with tracing and SLO monitoring on.
@@ -107,10 +108,15 @@ func TestEndToEndTracing(t *testing.T) {
 		t.Error("trace lost the client's remote span (traceparent not adopted)")
 	}
 
-	spans := map[string]obs.Span{}
-	for _, s := range td.Spans {
+	spans := map[string]telemetry.Span{}
+	var simID telemetry.SpanID
+	for i, s := range td.Spans {
 		if _, dup := spans[s.Name]; !dup {
 			spans[s.Name] = s
+		}
+		// A trace span's ID is its position + 1.
+		if s.Name == "simulate" && simID == 0 {
+			simID = telemetry.SpanID(i + 1)
 		}
 	}
 	for _, name := range []string{"cache.lookup", "queue.wait", "simulate", "encode"} {
@@ -127,7 +133,6 @@ func TestEndToEndTracing(t *testing.T) {
 
 	// The simulate span adopts at least one simulated-time GC pause from
 	// the flight recorder.
-	simID := spans["simulate"].ID
 	gcChildren := 0
 	for _, s := range td.Spans {
 		if s.Parent == simID && s.Sim && s.Track == "sim.gc" {
@@ -226,7 +231,7 @@ func TestEndToEndTracing(t *testing.T) {
 	}
 }
 
-func names(spans []obs.Span) []string {
+func names(spans []telemetry.Span) []string {
 	out := make([]string, len(spans))
 	for i, s := range spans {
 		out[i] = s.Name

@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"jvmgc/internal/telemetry"
 )
 
 // TestNilTraceZeroAlloc pins the disabled path's cost: every method on a
@@ -20,8 +22,8 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 		_ = tc.StartTrace("x", TraceID{1}, SpanID{})
 		_ = tr.ID()
 		tr.Annotate()
-		_ = tr.Span("s", "t", SpanID{}, 0, time.Millisecond, false)
-		sp := tr.StartSpan("s", "t", SpanID{})
+		_ = tr.Add(telemetry.Span{Track: "t", Name: "s", Duration: time.Millisecond})
+		sp := tr.StartSpan("s", "t", 0)
 		sp.End()
 		tr.Finish(nil)
 		slo.Observe(time.Millisecond, false)
@@ -40,9 +42,9 @@ func BenchmarkNoopTracePoint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Annotate()
-		sp := tr.StartSpan("queue.wait", "sched", SpanID{})
+		sp := tr.StartSpan("queue.wait", "sched", 0)
 		sp.End()
-		_ = tr.Span("encode", "request", SpanID{}, 0, time.Microsecond, false)
+		_ = tr.Add(telemetry.Span{Track: "request", Name: "encode", Duration: time.Microsecond})
 		tr.Finish(nil)
 		slo.Observe(time.Microsecond, false)
 	}

@@ -27,10 +27,6 @@ func ParsePromText(body string) []MetricPoint {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		// Strip an OpenMetrics exemplar suffix: " # {...} v ts".
-		if i := strings.Index(line, " # "); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
 		p, ok := parseSample(line)
 		if ok {
 			out = append(out, p)
@@ -39,30 +35,25 @@ func ParsePromText(body string) []MetricPoint {
 	return out
 }
 
+// parseSample parses `name{labels} value`, ignoring whatever follows the
+// value (a timestamp, or an OpenMetrics exemplar " # {...} v ts"). The
+// exemplar can only begin after the label set closes: a quoted label
+// value may itself hold " # ", braces or spaces.
 func parseSample(line string) (MetricPoint, bool) {
 	var p MetricPoint
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		p.Name = rest[:i]
-		end := strings.LastIndexByte(rest, '}')
-		if end < i {
-			return p, false
-		}
-		labels, ok := parseLabels(rest[i+1 : end])
+	end := strings.IndexAny(line, "{ \t")
+	if end <= 0 {
+		return p, false
+	}
+	p.Name, line = line[:end], line[end:]
+	if line[0] == '{' {
+		labels, n, ok := parseLabels(line[1:])
 		if !ok {
 			return p, false
 		}
-		p.Labels = labels
-		rest = strings.TrimSpace(rest[end+1:])
-	} else {
-		fields := strings.Fields(rest)
-		if len(fields) < 2 {
-			return p, false
-		}
-		p.Name = fields[0]
-		rest = fields[1]
+		p.Labels, line = labels, line[1+n:]
 	}
-	fields := strings.Fields(rest)
+	fields := strings.Fields(line)
 	if len(fields) < 1 {
 		return p, false
 	}
@@ -71,21 +62,29 @@ func parseSample(line string) (MetricPoint, bool) {
 		return p, false
 	}
 	p.Value = v
-	return p, p.Name != ""
+	return p, true
 }
 
-// parseLabels parses `k="v",k2="v2"` honoring the text-format escapes
-// (\\, \", \n) inside values.
-func parseLabels(s string) (map[string]string, bool) {
+// parseLabels parses `k="v",k2="v2"}` honoring the text-format escapes
+// (\\, \", \n) inside values, and returns the labels and the length up
+// to and including the closing brace.
+func parseLabels(s string) (map[string]string, int, bool) {
 	labels := map[string]string{}
-	for len(s) > 0 {
-		eq := strings.IndexByte(s, '=')
-		if eq < 0 || eq+1 >= len(s) || s[eq+1] != '"' {
-			return nil, false
+	i := 0
+	for {
+		for i < len(s) && s[i] == ' ' {
+			i++
 		}
-		name := strings.TrimSpace(s[:eq])
+		if i < len(s) && s[i] == '}' {
+			return labels, i + 1, true
+		}
+		eq := strings.IndexAny(s[i:], "=}")
+		if eq < 0 || s[i+eq] != '=' || i+eq+1 >= len(s) || s[i+eq+1] != '"' {
+			return nil, 0, false
+		}
+		name := strings.TrimSpace(s[i : i+eq])
 		var b strings.Builder
-		i := eq + 2
+		i += eq + 2
 		closed := false
 		for i < len(s) {
 			c := s[i]
@@ -108,13 +107,16 @@ func parseLabels(s string) (map[string]string, bool) {
 			i++
 		}
 		if !closed {
-			return nil, false
+			return nil, 0, false
 		}
 		labels[name] = b.String()
-		s = strings.TrimPrefix(strings.TrimSpace(s[i:]), ",")
-		s = strings.TrimSpace(s)
+		for i < len(s) && s[i] == ' ' {
+			i++
+		}
+		if i < len(s) && s[i] == ',' {
+			i++
+		}
 	}
-	return labels, true
 }
 
 // Metric returns the value of the first point matching name and every

@@ -187,14 +187,10 @@ func (s *SLO) Status() Status {
 		Slow:                    s.slow,
 		Errors:                  s.errors,
 	}
-	latBudget := 1 - s.cfg.LatencyTarget
-	errBudget := 1 - s.cfg.ErrorTarget
-	minBurn := 0.0
 	for i := range s.windows {
 		w := &s.windows[i]
 		cur := now.UnixNano() / int64(w.bucketW)
-		var ws WindowStatus
-		ws.Window = w.width.String()
+		ws := WindowStatus{Window: w.width.String()}
 		for _, b := range w.buckets {
 			// Live buckets cover (cur-len, cur]; anything else is stale.
 			if b.epoch > cur-int64(len(w.buckets)) && b.epoch <= cur {
@@ -203,23 +199,33 @@ func (s *SLO) Status() Status {
 				ws.Errors += b.errors
 			}
 		}
-		if ws.Total > 0 {
+		st.Windows = append(st.Windows, ws)
+	}
+	st.burn()
+	return st
+}
+
+// burn derives every window's fractions and burn rates from its counts,
+// against the status's objectives, and the severity from the smallest
+// window burn.
+func (st *Status) burn() {
+	latBudget := 1 - st.LatencyTarget
+	errBudget := 1 - st.ErrorTarget
+	minBurn := 0.0
+	for i := range st.Windows {
+		ws := &st.Windows[i]
+		if ws.Total > 0 && latBudget > 0 && errBudget > 0 {
 			ws.SlowFraction = float64(ws.Slow) / float64(ws.Total)
 			ws.ErrorFraction = float64(ws.Errors) / float64(ws.Total)
 			ws.LatencyBurnRate = ws.SlowFraction / latBudget
 			ws.ErrorBurnRate = ws.ErrorFraction / errBudget
 		}
-		burn := ws.LatencyBurnRate
-		if ws.ErrorBurnRate > burn {
-			burn = ws.ErrorBurnRate
-		}
+		burn := max(ws.LatencyBurnRate, ws.ErrorBurnRate)
 		if i == 0 || burn < minBurn {
 			minBurn = burn
 		}
-		st.Windows = append(st.Windows, ws)
 	}
 	st.Severity = severityFor(minBurn, st.Total)
-	return st
 }
 
 // severityFor maps the multiwindow minimum burn rate onto the alert
@@ -246,7 +252,7 @@ func severityFor(minBurn float64, total int64) string {
 // are recomputed from the summed counts against the first status's
 // objectives (a fleet runs one SLO policy), and the severity is
 // re-derived with the same multiwindow rule a single node uses. Empty
-// input returns the zero Status.
+// input returns an idle Status with no windows.
 func MergeStatus(sts ...Status) Status {
 	var out Status
 	var windows []string
@@ -272,26 +278,9 @@ func MergeStatus(sts ...Status) Status {
 			ws.Errors += w.Errors
 		}
 	}
-	latBudget := 1 - out.LatencyTarget
-	errBudget := 1 - out.ErrorTarget
-	minBurn := 0.0
-	for i, label := range windows {
-		ws := byLabel[label]
-		if ws.Total > 0 && latBudget > 0 && errBudget > 0 {
-			ws.SlowFraction = float64(ws.Slow) / float64(ws.Total)
-			ws.ErrorFraction = float64(ws.Errors) / float64(ws.Total)
-			ws.LatencyBurnRate = ws.SlowFraction / latBudget
-			ws.ErrorBurnRate = ws.ErrorFraction / errBudget
-		}
-		burn := ws.LatencyBurnRate
-		if ws.ErrorBurnRate > burn {
-			burn = ws.ErrorBurnRate
-		}
-		if i == 0 || burn < minBurn {
-			minBurn = burn
-		}
-		out.Windows = append(out.Windows, *ws)
+	for _, label := range windows {
+		out.Windows = append(out.Windows, *byLabel[label])
 	}
-	out.Severity = severityFor(minBurn, out.Total)
+	out.burn()
 	return out
 }

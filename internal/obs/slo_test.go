@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -141,5 +143,37 @@ func TestSLODefaults(t *testing.T) {
 	if cfg.LatencyThreshold != 500*time.Millisecond || cfg.LatencyTarget != 0.99 ||
 		cfg.ErrorTarget != 0.999 || len(cfg.Windows) != 2 || cfg.Buckets != 30 {
 		t.Fatalf("defaults = %+v", cfg)
+	}
+}
+
+// TestMergeStatusEqualsOneMonitor: two monitors that split a stream
+// between them merge to exactly the reading of one monitor fed all of
+// it — window counts, fractions, burn rates, severity and lifetime
+// totals alike. Each seed draws its own slow and error rates and clock
+// steps, so windows age out and severities range from ok to page.
+func TestMergeStatusEqualsOneMonitor(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		slowP, errP := rng.Float64()*0.3, rng.Float64()*0.03
+		clk := newFakeClock()
+		a, b, whole := testSLO(clk), testSLO(clk), testSLO(clk)
+		for i := 0; i < 500; i++ {
+			clk.Advance(time.Duration(rng.Int63n(int64(5 * time.Second))))
+			lat := 10 * time.Millisecond
+			if rng.Float64() < slowP {
+				lat = 150 * time.Millisecond
+			}
+			failed := rng.Float64() < errP
+			part := a
+			if rng.Intn(2) == 0 {
+				part = b
+			}
+			part.Observe(lat, failed)
+			whole.Observe(lat, failed)
+		}
+		got, want := MergeStatus(a.Status(), b.Status()), whole.Status()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: merged status\n%+v\nwant one monitor's\n%+v", seed, got, want)
+		}
 	}
 }

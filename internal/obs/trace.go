@@ -9,7 +9,9 @@
 // the daemon's cache lookup, queue wait and sweep worker into the
 // simulation itself — the simulate span adopts the flight recorder's GC
 // pause spans as children, so one trace shows the whole causal chain
-// from HTTP edge to safepoint.
+// from HTTP edge to safepoint. Traces record the flight recorder's own
+// span type, telemetry.Span, with its Sim flag telling the two clocks
+// apart, and export through its Chrome-trace writer.
 //
 // Contracts, mirroring telemetry:
 //
@@ -28,9 +30,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"jvmgc/internal/telemetry"
 )
 
 // TraceID is a W3C trace-context trace ID: 16 bytes, hex-rendered.
@@ -100,26 +105,36 @@ func Traceparent(t TraceID, s SpanID) string {
 }
 
 // ParseTraceparent decodes a version-00 traceparent header. ok is false
-// for anything malformed or carrying the invalid all-zero IDs.
+// for anything W3C Trace Context says to ignore: a malformed header, a
+// field that is not lowercase hex, or the invalid all-zero IDs.
 func ParseTraceparent(h string) (t TraceID, s SpanID, ok bool) {
 	// 00-<32 hex>-<16 hex>-<2 hex>
 	if len(h) != 55 || h[0] != '0' || h[1] != '0' ||
-		h[2] != '-' || h[35] != '-' || h[52] != '-' {
+		h[2] != '-' || h[35] != '-' || h[52] != '-' ||
+		!lowerHex(h[3:35]) || !lowerHex(h[36:52]) || !lowerHex(h[53:]) {
 		return t, s, false
 	}
-	if _, err := hex.Decode(t[:], []byte(h[3:35])); err != nil {
-		return t, s, false
-	}
-	if _, err := hex.Decode(s[:], []byte(h[36:52])); err != nil {
-		return t, s, false
-	}
+	// Both fields are lowercase hex by now, so decoding cannot fail.
+	_, _ = hex.Decode(t[:], []byte(h[3:35]))
+	_, _ = hex.Decode(s[:], []byte(h[36:52]))
 	if t.IsZero() || s.IsZero() {
 		return t, s, false
 	}
 	return t, s, true
 }
 
-// IDGen mints trace and span IDs from a splitmix64 stream. It is safe
+// lowerHex reports whether s is all lowercase hex digits (HEXDIGLC), the
+// only digits a version-00 traceparent may carry.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// IDGen mints W3C trace and span IDs from a splitmix64 stream. It is safe
 // for concurrent use; a fixed seed yields a reproducible ID sequence
 // (tests), seed 0 derives one from the wall clock.
 type IDGen struct {
@@ -168,51 +183,6 @@ func putUint64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (56 - 8*i))
 	}
-}
-
-// Attr is one key/value attribute on a span (string or numeric),
-// mirroring telemetry.Attr.
-type Attr struct {
-	Key   string  `json:"key"`
-	Str   string  `json:"str,omitempty"`
-	Num   float64 `json:"num,omitempty"`
-	IsNum bool    `json:"is_num,omitempty"`
-}
-
-// Str builds a string attribute.
-func Str(key, value string) Attr { return Attr{Key: key, Str: value} }
-
-// Num builds a numeric attribute.
-func Num(key string, value float64) Attr { return Attr{Key: key, Num: value, IsNum: true} }
-
-// Span is one completed interval of a trace. Wall-clock spans carry
-// offsets from the trace's start; simulation spans (Sim true) carry
-// simulated-time offsets from the simulation's own origin — the two
-// clocks are unrelated, which is why the flag exists.
-type Span struct {
-	ID     SpanID `json:"id"`
-	Parent SpanID `json:"parent,omitempty"`
-	// Name labels the operation ("queue.wait", "simulate", "GC (young)").
-	Name string `json:"name"`
-	// Track groups spans into display rows ("request", "sched", "sim.gc").
-	Track string `json:"track"`
-	// Start is the offset from the trace start (wall spans) or from the
-	// simulation origin (sim spans).
-	Start    time.Duration `json:"start_ns"`
-	Duration time.Duration `json:"duration_ns"`
-	// Sim marks flight-recorder spans measured in simulated time.
-	Sim   bool   `json:"sim,omitempty"`
-	Attrs []Attr `json:"attrs,omitempty"`
-}
-
-// Attr returns the named attribute and whether it exists.
-func (s Span) Attr(key string) (Attr, bool) {
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a, true
-		}
-	}
-	return Attr{}, false
 }
 
 // Config parameterizes a Tracer. Zero values select the defaults.
@@ -278,9 +248,8 @@ func (t *Tracer) Store() *Store {
 
 // StartTrace begins a trace named name. A zero tid mints a fresh trace
 // ID; a non-zero tid (from an inbound traceparent) adopts the caller's
-// identity, and remoteParent becomes the root span's parent so the
-// emitted trace links under the client's span. Returns nil on a nil
-// tracer.
+// identity, and remoteParent records the client's span the trace links
+// under. Returns nil on a nil tracer.
 func (t *Tracer) StartTrace(name string, tid TraceID, remoteParent SpanID) *Trace {
 	if t == nil {
 		return nil
@@ -294,7 +263,6 @@ func (t *Tracer) StartTrace(name string, tid TraceID, remoteParent SpanID) *Trac
 		data: TraceData{
 			ID:         tid,
 			Name:       name,
-			Root:       t.ids.SpanID(),
 			RemoteSpan: remoteParent,
 		},
 	}
@@ -306,21 +274,21 @@ func (t *Tracer) StartTrace(name string, tid TraceID, remoteParent SpanID) *Trac
 type TraceData struct {
 	ID   TraceID `json:"-"`
 	Name string  `json:"name"`
-	// Root is the root span's ID; RemoteSpan the inbound parent (zero
-	// when the trace was minted locally).
-	Root       SpanID        `json:"root"`
+	// RemoteSpan is the inbound parent (zero when the trace was minted
+	// locally).
 	RemoteSpan SpanID        `json:"remote_span,omitempty"`
 	Start      time.Time     `json:"start"`
 	Duration   time.Duration `json:"duration_ns"`
 	Status     string        `json:"status"` // "ok" | "error"
 	Error      string        `json:"error,omitempty"`
 	// Spans holds every captured span except the root (which is
-	// synthesized from Name/Duration); Dropped counts spans past the
-	// per-trace bound.
-	Spans   []Span `json:"spans"`
-	Dropped int    `json:"dropped,omitempty"`
+	// synthesized from Name/Duration/Attrs). As in a flight recording,
+	// span i has ID i+1; Parent 0 is the root. Dropped counts spans past
+	// the per-trace bound.
+	Spans   []telemetry.Span `json:"spans"`
+	Dropped int              `json:"dropped,omitempty"`
 	// Attrs annotate the root span (job kind, cache disposition, ...).
-	Attrs []Attr `json:"attrs,omitempty"`
+	Attrs []telemetry.Attr `json:"attrs,omitempty"`
 
 	// retention bookkeeping, guarded by the owning store's mutex.
 	inRing, inSlow bool
@@ -347,16 +315,8 @@ func (tr *Trace) ID() TraceID {
 	return tr.data.ID
 }
 
-// Root returns the root span's ID (zero on nil).
-func (tr *Trace) Root() SpanID {
-	if tr == nil {
-		return SpanID{}
-	}
-	return tr.data.Root
-}
-
 // Annotate adds attributes to the root span.
-func (tr *Trace) Annotate(attrs ...Attr) {
+func (tr *Trace) Annotate(attrs ...telemetry.Attr) {
 	if tr == nil {
 		return
 	}
@@ -367,46 +327,35 @@ func (tr *Trace) Annotate(attrs ...Attr) {
 	tr.mu.Unlock()
 }
 
-// add appends one span under the per-trace bound. Caller built the span
-// except for its ID, which is assigned here.
-func (tr *Trace) add(s Span) SpanID {
+// Add records a completed span under the per-trace bound and returns
+// its ID, zero when the trace is nil, finished or full. A wall-clock
+// span's Start is its offset from the trace start; a simulated span
+// (Sim true) keeps its simulation's offsets. A zero Parent attaches the
+// span to the root.
+func (tr *Trace) Add(s telemetry.Span) telemetry.SpanID {
 	if tr == nil {
-		return SpanID{}
+		return 0
 	}
-	s.ID = tr.tracer.ids.SpanID()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.finished || len(tr.data.Spans) >= tr.tracer.cfg.MaxSpans {
 		tr.data.Dropped++
-		return SpanID{}
+		return 0
 	}
 	tr.data.Spans = append(tr.data.Spans, s)
-	return s.ID
-}
-
-// Span records a completed span with explicit offsets (wall time when
-// sim is false, simulated time when true). A zero parent attaches the
-// span to the root.
-func (tr *Trace) Span(name, track string, parent SpanID, start, d time.Duration, sim bool, attrs ...Attr) SpanID {
-	if tr == nil {
-		return SpanID{}
-	}
-	if parent.IsZero() {
-		parent = tr.data.Root
-	}
-	return tr.add(Span{
-		Parent: parent, Name: name, Track: track,
-		Start: start, Duration: d, Sim: sim, Attrs: attrs,
-	})
+	return telemetry.SpanID(len(tr.data.Spans))
 }
 
 // SpanBetween records a wall-clock span from begin to end, offset
 // against the trace start.
-func (tr *Trace) SpanBetween(name, track string, parent SpanID, begin, end time.Time, attrs ...Attr) SpanID {
+func (tr *Trace) SpanBetween(name, track string, parent telemetry.SpanID, begin, end time.Time, attrs ...telemetry.Attr) telemetry.SpanID {
 	if tr == nil {
-		return SpanID{}
+		return 0
 	}
-	return tr.Span(name, track, parent, begin.Sub(tr.start), end.Sub(begin), false, attrs...)
+	return tr.Add(telemetry.Span{
+		Track: track, Name: name, Start: begin.Sub(tr.start), Duration: end.Sub(begin),
+		Parent: parent, Attrs: attrs,
+	})
 }
 
 // ActiveSpan is an open wall-clock span; End records it.
@@ -414,13 +363,13 @@ type ActiveSpan struct {
 	tr     *Trace
 	name   string
 	track  string
-	parent SpanID
+	parent telemetry.SpanID
 	begin  time.Time
-	attrs  []Attr
+	attrs  []telemetry.Attr
 }
 
 // StartSpan opens a wall-clock span beginning now.
-func (tr *Trace) StartSpan(name, track string, parent SpanID, attrs ...Attr) ActiveSpan {
+func (tr *Trace) StartSpan(name, track string, parent telemetry.SpanID, attrs ...telemetry.Attr) ActiveSpan {
 	if tr == nil {
 		return ActiveSpan{}
 	}
@@ -432,9 +381,9 @@ func (tr *Trace) StartSpan(name, track string, parent SpanID, attrs ...Attr) Act
 
 // End records the span with its measured duration plus any extra
 // attributes, returning its ID (zero on a disabled trace).
-func (a ActiveSpan) End(extra ...Attr) SpanID {
+func (a ActiveSpan) End(extra ...telemetry.Attr) telemetry.SpanID {
 	if a.tr == nil {
-		return SpanID{}
+		return 0
 	}
 	return a.tr.SpanBetween(a.name, a.track, a.parent,
 		a.begin, a.tr.tracer.cfg.Now(), append(a.attrs, extra...)...)
@@ -463,4 +412,19 @@ func (tr *Trace) Finish(err error) {
 	snapshot := tr.data
 	tr.mu.Unlock()
 	tr.tracer.store.add(&snapshot)
+}
+
+// WriteChromeTrace renders one trace as Chrome trace-event JSON through
+// the flight recorder's writer: the root and the wall-clock spans render
+// as process 1, and the adopted simulation spans, whose timestamps are
+// simulated time on an unrelated clock, as process 2.
+func WriteChromeTrace(w io.Writer, td *TraceData) error {
+	id := td.ID.String()
+	root := telemetry.Span{
+		Track: "request", Name: td.Name, Duration: td.Duration,
+		Attrs: append([]telemetry.Attr{telemetry.Str("trace_id", id), telemetry.Str("status", td.Status)}, td.Attrs...),
+	}
+	return telemetry.WriteChromeTrace(w,
+		[2]string{"labd request " + id, "simulation (simulated time)"},
+		append([]telemetry.Span{root}, td.Spans...), nil)
 }

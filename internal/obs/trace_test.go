@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"jvmgc/internal/telemetry"
 )
 
 // fakeClock is a deterministic, manually advanced wall clock.
@@ -99,15 +101,15 @@ func TestNilTracerAndTraceAreNoOps(t *testing.T) {
 		t.Fatal("nil tracer started a trace")
 	}
 	// Every method on a nil trace must be safe.
-	if !trace.ID().IsZero() || !trace.Root().IsZero() {
+	if !trace.ID().IsZero() {
 		t.Fatal("nil trace has identity")
 	}
-	trace.Annotate(Str("k", "v"))
-	if id := trace.Span("a", "b", SpanID{}, 0, 0, false); !id.IsZero() {
+	trace.Annotate(telemetry.Str("k", "v"))
+	if id := trace.Add(telemetry.Span{Track: "b", Name: "a"}); id != 0 {
 		t.Fatal("nil trace recorded a span")
 	}
-	sp := trace.StartSpan("a", "b", SpanID{})
-	if id := sp.End(); !id.IsZero() {
+	sp := trace.StartSpan("a", "b", 0)
+	if id := sp.End(); id != 0 {
 		t.Fatal("nil active span recorded")
 	}
 	trace.Finish(nil)
@@ -118,20 +120,23 @@ func TestTraceLifecycleAndStore(t *testing.T) {
 	tracer := testTracer(clk)
 
 	tr := tracer.StartTrace("labd.request", TraceID{}, SpanID{})
-	tr.Annotate(Str("kind", "simulate"))
-	cache := tr.StartSpan("cache.lookup", "sched", SpanID{})
+	tr.Annotate(telemetry.Str("kind", "simulate"))
+	cache := tr.StartSpan("cache.lookup", "sched", 0)
 	clk.Advance(2 * time.Millisecond)
-	cache.End(Str("tier", "miss"))
+	cache.End(telemetry.Str("tier", "miss"))
 
 	simStart := clk.Now()
 	clk.Advance(300 * time.Millisecond)
-	simID := tr.SpanBetween("simulate", "sched", SpanID{}, simStart, clk.Now(), Str("kind", "simulate"))
-	if simID.IsZero() {
-		t.Fatal("simulate span dropped")
+	simID := tr.SpanBetween("simulate", "sched", 0, simStart, clk.Now(), telemetry.Str("kind", "simulate"))
+	if simID != 2 {
+		t.Fatalf("simulate span ID = %d, want 2 (its position + 1)", simID)
 	}
 	// A simulated-time GC pause child.
-	tr.Span("GC (young)", "sim.gc", simID, 1500*time.Millisecond, 12*time.Millisecond, true,
-		Str("cause", "Allocation Failure"))
+	tr.Add(telemetry.Span{
+		Track: "sim.gc", Name: "GC (young)", Start: 1500 * time.Millisecond,
+		Duration: 12 * time.Millisecond, Parent: simID, Sim: true,
+		Attrs: []telemetry.Attr{telemetry.Str("cause", "Allocation Failure")},
+	})
 
 	clk.Advance(time.Millisecond)
 	tr.Finish(nil)
@@ -147,19 +152,17 @@ func TestTraceLifecycleAndStore(t *testing.T) {
 	if len(td.Spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(td.Spans))
 	}
-	byName := map[string]Span{}
-	for _, s := range td.Spans {
-		byName[s.Name] = s
+	// Spans keep their recording order, so span i has ID i+1.
+	cacheSpan, sim, gc := td.Spans[0], td.Spans[1], td.Spans[2]
+	if cacheSpan.Name != "cache.lookup" || cacheSpan.Duration != 2*time.Millisecond {
+		t.Errorf("span 1 = %+v, want a 2ms cache.lookup", cacheSpan)
 	}
-	if byName["cache.lookup"].Duration != 2*time.Millisecond {
-		t.Errorf("cache.lookup duration = %v", byName["cache.lookup"].Duration)
+	if sim.Name != "simulate" || sim.Parent != 0 || sim.Start != 2*time.Millisecond ||
+		sim.Duration != 300*time.Millisecond || sim.Sim {
+		t.Errorf("span 2 = %+v, want the root's 300ms wall-clock simulate", sim)
 	}
-	if got := byName["simulate"]; got.Parent != td.Root || got.Duration != 300*time.Millisecond {
-		t.Errorf("simulate span = %+v", got)
-	}
-	gc := byName["GC (young)"]
-	if gc.Parent != simID || !gc.Sim || gc.Start != 1500*time.Millisecond {
-		t.Errorf("gc child = %+v", gc)
+	if gc.Name != "GC (young)" || gc.Parent != simID || !gc.Sim || gc.Start != 1500*time.Millisecond {
+		t.Errorf("span 3 = %+v, want the simulate span's GC child", gc)
 	}
 	if a, ok := gc.Attr("cause"); !ok || a.Str != "Allocation Failure" {
 		t.Errorf("gc cause attr = %+v ok=%v", a, ok)
@@ -188,7 +191,7 @@ func TestTraceSpanBound(t *testing.T) {
 	tracer := NewTracer(Config{Seed: 1, Now: clk.Now, MaxSpans: 3})
 	tr := tracer.StartTrace("r", TraceID{}, SpanID{})
 	for i := 0; i < 10; i++ {
-		tr.Span("s", "t", SpanID{}, 0, time.Millisecond, false)
+		tr.Add(telemetry.Span{Track: "t", Name: "s", Duration: time.Millisecond})
 	}
 	tr.Finish(nil)
 	td, _ := tracer.Store().Get(tr.ID())
@@ -260,7 +263,7 @@ func TestStoreConcurrentAdds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tr := tracer.StartTrace("r", TraceID{}, SpanID{})
-				tr.Span("s", "t", SpanID{}, 0, time.Millisecond, false)
+				tr.Add(telemetry.Span{Track: "t", Name: "s", Duration: time.Millisecond})
 				tr.Finish(nil)
 			}
 		}()
@@ -279,10 +282,13 @@ func TestChromeExport(t *testing.T) {
 	clk := newFakeClock()
 	tracer := testTracer(clk)
 	tr := tracer.StartTrace("labd.request", TraceID{}, SpanID{})
-	sp := tr.StartSpan("simulate", "sched", SpanID{})
+	sp := tr.StartSpan("simulate", "sched", 0)
 	clk.Advance(50 * time.Millisecond)
 	simID := sp.End()
-	tr.Span("GC (young)", "sim.gc", simID, time.Second, 5*time.Millisecond, true)
+	tr.Add(telemetry.Span{
+		Track: "sim.gc", Name: "GC (young)", Start: time.Second,
+		Duration: 5 * time.Millisecond, Parent: simID, Sim: true,
+	})
 	tr.Finish(nil)
 	td, _ := tracer.Store().Get(tr.ID())
 

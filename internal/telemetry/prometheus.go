@@ -74,7 +74,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 func (r *Recorder) pauseSeconds() []float64 {
 	var out []float64
 	for _, s := range r.TrackSpans(TrackGC) {
-		out = append(out, s.Duration.Seconds())
+		out = append(out, seconds(s.Duration))
 	}
 	return out
 }
@@ -85,7 +85,7 @@ func (r *Recorder) childSeconds(name string) []float64 {
 	var out []float64
 	for _, s := range r.Spans() {
 		if s.Parent != 0 && s.Name == name {
-			out = append(out, s.Duration.Seconds())
+			out = append(out, seconds(s.Duration))
 		}
 	}
 	return out

@@ -23,6 +23,10 @@
 // (prometheus.go), and a HotSpot-flavoured unified GC log (unifiedlog.go)
 // that internal/gclog.Parse round-trips.
 //
+// Span, Attr and the Chrome-trace writer are also the span model of
+// internal/obs's request traces, which record wall-clock spans and adopt
+// a recording's GC pauses as they are; Span.Sim tells the clocks apart.
+//
 // Recording is disabled by default everywhere: a nil *Recorder is a valid
 // recorder whose methods are no-ops, so instrumented hot paths pay only a
 // nil check. All emission points in the simulator are additionally
@@ -37,6 +41,7 @@ package telemetry
 
 import (
 	"sync"
+	"time"
 
 	"jvmgc/internal/machine"
 	"jvmgc/internal/simtime"
@@ -89,10 +94,10 @@ const (
 // Attr is one key/value attribute on a span, either a string or a
 // number. Numbers keep byte volumes exact up to 2^53.
 type Attr struct {
-	Key   string
-	Str   string
-	Num   float64
-	IsNum bool
+	Key   string  `json:"key"`
+	Str   string  `json:"str,omitempty"`
+	Num   float64 `json:"num,omitempty"`
+	IsNum bool    `json:"is_num,omitempty"`
 }
 
 // Str builds a string attribute.
@@ -104,23 +109,34 @@ func Num(key string, value float64) Attr { return Attr{Key: key, Num: value, IsN
 // ByteCount builds a numeric attribute from a byte volume.
 func ByteCount(key string, b machine.Bytes) Attr { return Num(key, float64(b)) }
 
-// Span is one recorded interval on a named track.
+// Span is one recorded interval on a named track, in simulated time
+// (the flight recorder's spans) or wall time (a request trace's own
+// spans, see internal/obs). Span i of a recording or trace has SpanID
+// i+1.
 type Span struct {
 	// Track groups spans into display rows ("gc", "concurrent",
-	// "cassandra", "core", ...).
-	Track string
+	// "cassandra", "core", "sched", ...).
+	Track string `json:"track"`
 	// Name is the span label ("GC (young)", "ttsp", "copy", ...).
-	Name     string
-	Start    simtime.Time
-	Duration simtime.Duration
+	Name string `json:"name"`
+	// Start and Duration are nanoseconds; Start is the offset from the
+	// span's clock origin (simulation start, or the trace's start).
+	Start    time.Duration `json:"start_ns"`
+	Duration time.Duration `json:"duration_ns"`
 	// Parent is the enclosing span (phase spans point at their pause),
 	// zero for top-level spans.
-	Parent SpanID
-	Attrs  []Attr
+	Parent SpanID `json:"parent,omitempty"`
+	// Sim marks spans measured in simulated time. The two clocks are
+	// unrelated, so exporters keep them apart.
+	Sim   bool   `json:"sim,omitempty"`
+	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// End returns the instant the span finished.
-func (s Span) End() simtime.Time { return s.Start.Add(s.Duration) }
+// seconds converts a span offset to seconds as simtime does,
+// float64(ns)/1e9. time.Duration.Seconds splits whole and fractional
+// seconds and differs from it in the last bit for some offsets, which
+// would move the pinned exports.
+func seconds(d time.Duration) float64 { return simtime.Duration(d).Seconds() }
 
 // Attr returns the named attribute and whether it exists.
 func (s Span) Attr(key string) (Attr, bool) {
@@ -190,7 +206,8 @@ func (r *Recorder) SampleInterval() simtime.Duration {
 	return r.cfg.SampleInterval
 }
 
-// Span records a completed interval and returns its ID (zero on nil).
+// Span records a completed simulated-time interval and returns its ID
+// (zero on nil).
 // Spans must be recorded in non-decreasing start order per track for the
 // unified-log export to round-trip; the simulator's emission points
 // guarantee that naturally.
@@ -200,8 +217,8 @@ func (r *Recorder) Span(track, name string, start simtime.Time, d simtime.Durati
 	}
 	r.mu.Lock()
 	r.spans = append(r.spans, Span{
-		Track: track, Name: name, Start: start, Duration: d,
-		Parent: parent, Attrs: attrs,
+		Track: track, Name: name, Start: time.Duration(start), Duration: d.Std(),
+		Parent: parent, Sim: true, Attrs: attrs,
 	})
 	id := SpanID(len(r.spans))
 	r.mu.Unlock()

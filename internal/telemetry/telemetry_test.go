@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"jvmgc/internal/collector"
 	"jvmgc/internal/demography"
@@ -165,7 +166,7 @@ func TestChromeTraceShape(t *testing.T) {
 			t.Errorf("pause %q at %v has %d phase children, want >= 3",
 				s.Name, s.Start, len(children))
 		}
-		var sum simtime.Duration
+		var sum time.Duration
 		for _, c := range children {
 			sum += c.Duration
 		}

@@ -7,6 +7,7 @@ import (
 
 	"jvmgc/internal/gclog"
 	"jvmgc/internal/machine"
+	"jvmgc/internal/simtime"
 )
 
 // Unified-log export: a HotSpot -Xlog:gc*-flavoured text rendering of the
@@ -65,7 +66,7 @@ func (r *Recorder) WriteUnifiedLog(w io.Writer) error {
 		}
 		for _, c := range children[e.id] {
 			if _, err := fmt.Fprintf(w, "#   phase %s %.6f secs\n",
-				c.Name, c.Duration.Seconds()); err != nil {
+				c.Name, seconds(c.Duration)); err != nil {
 				return err
 			}
 		}
@@ -82,8 +83,8 @@ func spanToEvent(s Span) (gclog.Event, error) {
 		return gclog.Event{}, fmt.Errorf("span %q is not a GC event kind", s.Name)
 	}
 	ev := gclog.Event{
-		Start:    s.Start,
-		Duration: s.Duration,
+		Start:    simtime.Time(s.Start),
+		Duration: simtime.FromStd(s.Duration),
 		Kind:     kind,
 	}
 	if a, ok := s.Attr(AttrCause); ok {
