@@ -5,10 +5,14 @@
 # cache corruption and flaky HTTP must all converge byte-identically),
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
-# fault-point overhead guard — a short fuzz budget for each gclog
-# target, the band analysis, the hdrhist decoder, the spec-key encoder,
-# the gossip wire encoder, the Prometheus-text reader and the
-# traceparent parser, and the bench-gate step, which measures
+# fault-point overhead guard — the metric set's zero-allocation counter
+# handles (TestCounterHandleZeroAlloc), its concurrent export
+# (TestMetricsConcurrentExport) and the fleet rollup's merge property
+# (TestMergeStatesMatchesOneNode) under the race detector, a short fuzz
+# budget for each gclog target, the band analysis, the hdrhist decoder,
+# the spec-key encoder, the batch NDJSON framing, the gossip wire
+# encoder, the Prometheus-text reader and the traceparent parser, and
+# the bench-gate step, which measures
 # the kernel-bound benchmarks, one whole Simulate call and the whole
 # three-collector client study, and fails on regression against the
 # committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
@@ -29,12 +33,17 @@ go test -race -count=1 -run 'TestChaosCampaignConvergence|TestWarmRestartAndCorr
 go test -race -count=1 ./internal/sweep/
 # Trace e2e under the race detector: a trace is written from the HTTP
 # handler, the scheduler watcher and the executing worker, and the
-# chaos variant drives that concurrently with injected faults.
-go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositions|TestEndToEndTraceChaos' ./internal/labd/
+# chaos variant drives that concurrently with injected faults. The
+# metric set those requests count into takes concurrent adds, snapshots
+# and exports, and its counter handles stay allocation-free.
+go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositions|TestEndToEndTraceChaos|TestCounterHandleZeroAlloc|TestMetricsConcurrentExport' ./internal/labd/ ./internal/telemetry/
 # Fleet chaos e2e under the race detector: a 3-node fleet loses a node
 # mid-batch (injected kill), the router re-routes the dead shard, and
 # results must be byte-identical to a single-node run; plus the peer
-# cache tier, the exact-aggregation rollup, the entry-node read replicas
+# cache tier, the exact-aggregation rollup (every node's metric set,
+# router counters included, folded by name, and the fold equal to one
+# node fed every observation in any arrival order), a standalone
+# router's own /metrics, the entry-node read replicas
 # (a replica hit equals the owner's bytes, a bad digest or cut body is
 # relayed but not kept, async and draining submissions reach the owner,
 # replicas never evict a result that has served a hit, and a leave or a
@@ -43,7 +52,7 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # detector: only a refused connection on a fetch, forward or batch shard
 # makes a node a gossip suspect, a client that hangs up suspects no one,
 # and a suspect returns to routing once gossip confirms it.
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover' ./internal/fleet/
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover' ./internal/fleet/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and
@@ -95,6 +104,10 @@ go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/hdrhist/
 # encoding/json (or declining) and SpecKeyInto equal to SpecKey: fleet
 # placement and read-replica lookups use that key.
 go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
+# FuzzAppendBatchEvent holds the batch NDJSON framing to json.Encoder
+# (SetEscapeHTML(false)): equal bytes whenever it frames an event, and no
+# framing of an event the encoder rejects.
+go test -run=NONE -fuzz='^FuzzAppendBatchEvent$' -fuzztime=10s ./internal/labd/
 # FuzzAppendMessage holds the hand-encoded gossip ping to encoding/json:
 # every message decodes to the value json.Marshal's encoding does.
 go test -run=NONE -fuzz='^FuzzAppendMessage$' -fuzztime=10s ./internal/fleet/gossip/

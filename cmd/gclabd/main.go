@@ -241,11 +241,9 @@ func main() {
 			Joining:        *joinSeeds != "" || *fleetID == "",
 			Interval:       *gossipTick,
 			SuspectTimeout: *suspectTO,
+			Metrics:        router.Metrics(),
 			Chaos:          chaos,
 			OnUpdate:       router.SetMembership,
-		}
-		if srv != nil {
-			gcfg.Rec = srv.Recorder()
 		}
 		g, err := gossip.New(gcfg)
 		if err != nil {

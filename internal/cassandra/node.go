@@ -88,9 +88,9 @@ func NewNode(cfg Config, clock *event.Sim) (*Node, error) {
 	n.res = Result{Config: cfg}
 	// The record curve gains ~400 duration-spaced samples plus endpoints.
 	n.res.Records = make([]RecordPoint, 0, 404)
-	n.ctrFlushes = cfg.Recorder.CounterHandle("cassandra.flushes")
-	n.ctrFlushedBytes = cfg.Recorder.CounterHandle("cassandra.flushed_bytes")
-	n.ctrCompactions = cfg.Recorder.CounterHandle("cassandra.compactions")
+	n.ctrFlushes = cfg.Recorder.Metrics().CounterHandle("cassandra.flushes")
+	n.ctrFlushedBytes = cfg.Recorder.Metrics().CounterHandle("cassandra.flushed_bytes")
+	n.ctrCompactions = cfg.Recorder.Metrics().CounterHandle("cassandra.compactions")
 
 	// Workload shape: writes deposit HeapPerRecord of long-lived bytes in
 	// the memtable; every op allocates TransientPerOp of short/medium
@@ -182,7 +182,7 @@ func (n *Node) onReplayDone() {
 			n.replayStart, n.res.ReplayDuration, 0,
 			telemetry.ByteCount("replayed", cfg.PreloadBytes),
 		)
-		cfg.Recorder.Add("cassandra.replayed_bytes", int64(cfg.PreloadBytes))
+		cfg.Recorder.Metrics().Add("cassandra.replayed_bytes", int64(cfg.PreloadBytes))
 	}
 	n.memtable = float64(cfg.PreloadBytes)
 	n.records = int64(cfg.PreloadBytes / cfg.HeapPerRecord)
@@ -307,7 +307,7 @@ func (n *Node) finish() {
 	n.res.Log = j.Log()
 	n.res.FinalOldLive = j.OldLive()
 	if n.cfg.Recorder != nil {
-		n.cfg.Recorder.Add("cassandra.ops_completed", n.res.OpsCompleted)
+		n.cfg.Recorder.Metrics().Add("cassandra.ops_completed", n.res.OpsCompleted)
 	}
 	n.done = true
 	n.clock.Halt()

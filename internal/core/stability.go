@@ -80,7 +80,7 @@ func (l *Lab) TableStability() StabilityTable {
 				telemetry.Num("final_rsd", rows[i].FinalRSD),
 				telemetry.Num("stable", boolNum(rows[i].Stable)),
 			)
-			l.Recorder.Add("core.stability.benchmarks", 1)
+			l.Recorder.Metrics().Add("core.stability.benchmarks", 1)
 			cursor = cursor.Add(simTime[i])
 		}
 	}

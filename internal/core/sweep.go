@@ -87,7 +87,7 @@ func (l *Lab) TableHeapYoungSweep(bench, collectorName string, cases []SweepCase
 				telemetry.Num("pauses", float64(p)),
 				telemetry.Num("full_gcs", float64(full)),
 			)
-			l.Recorder.Add("core.sweep.cases", 1)
+			l.Recorder.Metrics().Add("core.sweep.cases", 1)
 			cursor = cursor.Add(res.Total)
 		}
 		out.Rows = append(out.Rows, SweepRow{

@@ -213,7 +213,7 @@ func Run(cfg RunConfig) (Result, error) {
 				telemetry.Str("benchmark", b.Name),
 				telemetry.Num("warmup", boolNum(it < cfg.WarmupIterations)),
 			)
-			cfg.Recorder.Add("dacapo.iterations", 1)
+			cfg.Recorder.Metrics().Add("dacapo.iterations", 1)
 		}
 	}
 	for _, d := range res.Iterations {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,10 +18,9 @@ import (
 
 // FleetState is the fleet-wide rollup of per-node observability
 // snapshots (GET /fleet/state). Every aggregate is exact, not
-// approximate: counters are sums, the latency histogram is the
-// bucket-level merge of the per-node histograms (hdrhist.Merge is
-// commutative and lossless, and nodes are folded in sorted-ID order so
-// two aggregators always produce identical bytes), SLO burn rates are
+// approximate: the nodes' metric sets fold by name (counters and gauges
+// sum; histograms merge bucket-exactly, nodes folded in sorted-ID order
+// so two aggregators always produce identical bytes), SLO burn rates are
 // recomputed from summed window counts, and the slowest-trace list is
 // the union of per-node slowest sets with node labels intact.
 type FleetState struct {
@@ -32,22 +30,11 @@ type FleetState struct {
 	// Unreachable lists configured nodes that did not answer.
 	Unreachable []string `json:"unreachable,omitempty"`
 
-	Counters map[string]int64 `json:"counters"`
-
-	QueueDepth   int `json:"queue_depth"`
-	Running      int `json:"running"`
-	Workers      int `json:"workers"`
-	CacheEntries int `json:"cache_entries"`
-	DiskEntries  int `json:"disk_entries,omitempty"`
-
-	LatencyHist []byte `json:"latency_hist,omitempty"`
-	QueueHist   []byte `json:"queue_hist,omitempty"`
+	telemetry.MetricsState
 
 	SLO *obs.Status `json:"slo,omitempty"`
 
-	Slowest        []obs.TraceSummary `json:"slowest,omitempty"`
-	TracesSeen     int64              `json:"traces_seen,omitempty"`
-	TracesRetained int                `json:"traces_retained,omitempty"`
+	Slowest []obs.TraceSummary `json:"slowest,omitempty"`
 }
 
 // MergeStates folds per-node snapshots into the fleet rollup. States
@@ -58,21 +45,12 @@ func MergeStates(states []labd.NodeState) FleetState {
 	copy(sorted, states)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Node < sorted[b].Node })
 
-	out := FleetState{Nodes: sorted, Counters: make(map[string]int64)}
-	var latAcc, queueAcc *hdrhist.Hist
+	out := FleetState{Nodes: sorted}
+	metrics := make([]telemetry.MetricsState, len(sorted))
 	var slos []obs.Status
 	maxSlowest := 0
-	for _, st := range sorted {
-		for name, v := range st.Counters {
-			out.Counters[name] += v
-		}
-		out.QueueDepth += st.QueueDepth
-		out.Running += st.Running
-		out.Workers += st.Workers
-		out.CacheEntries += st.CacheEntries
-		out.DiskEntries += st.DiskEntries
-		latAcc = mergeHist(latAcc, st.LatencyHist)
-		queueAcc = mergeHist(queueAcc, st.QueueHist)
+	for i, st := range sorted {
+		metrics[i] = st.MetricsState
 		if st.SLO != nil {
 			slos = append(slos, *st.SLO)
 		}
@@ -80,15 +58,8 @@ func MergeStates(states []labd.NodeState) FleetState {
 		if len(st.Slowest) > maxSlowest {
 			maxSlowest = len(st.Slowest)
 		}
-		out.TracesSeen += st.TracesSeen
-		out.TracesRetained += st.TracesRetained
 	}
-	if latAcc != nil {
-		out.LatencyHist, _ = latAcc.MarshalBinary()
-	}
-	if queueAcc != nil {
-		out.QueueHist, _ = queueAcc.MarshalBinary()
-	}
+	out.MetricsState = telemetry.MergeMetrics(metrics...)
 	if len(slos) > 0 {
 		merged := obs.MergeStatus(slos...)
 		out.SLO = &merged
@@ -103,26 +74,6 @@ func MergeStates(states []labd.NodeState) FleetState {
 		out.Slowest = out.Slowest[:maxSlowest]
 	}
 	return out
-}
-
-// mergeHist folds one node's serialized histogram into the accumulator.
-// A decode or config mismatch drops that node's histogram rather than
-// failing the rollup (mixed-version fleets mid-upgrade).
-func mergeHist(acc *hdrhist.Hist, data []byte) *hdrhist.Hist {
-	if len(data) == 0 {
-		return acc
-	}
-	h, err := hdrhist.Decode(data)
-	if err != nil {
-		return acc
-	}
-	if acc == nil {
-		return h
-	}
-	if acc.Merge(h) != nil {
-		return acc
-	}
-	return acc
 }
 
 // gatherStates pulls /v1/state from every placed node (the local
@@ -220,70 +171,44 @@ func (rt *Router) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
 		Retained    int                `json:"retained"`
 		Slowest     []obs.TraceSummary `json:"slowest"`
 		Unreachable []string           `json:"unreachable,omitempty"`
-	}{merged.TracesSeen, merged.TracesRetained, merged.Slowest, unreachable})
+	}{int64(merged.Gauges["labd.traces.seen"]), int(merged.Gauges["labd.traces.retained"]),
+		merged.Slowest, unreachable})
 }
 
-// handleFleetMetrics renders the rollup in Prometheus text format under
-// the same metric names a single daemon serves, so anything that reads
-// a daemon's /metrics (cmd/gctop, a scrape config) reads the fleet by
-// pointing at /fleet/metrics instead.
+// handleFleetMetrics renders the merged metric set under the names a
+// single daemon serves, so anything that reads a daemon's /metrics
+// (cmd/gctop, a scrape config) reads the fleet at /fleet/metrics, plus
+// the gauges only a fleet has.
 func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	states, _ := rt.gatherStates(r.Context())
 	merged := MergeStates(states)
 
-	openMetrics := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-	snap := telemetry.PromSnapshot{OpenMetrics: openMetrics}
-	names := make([]string, 0, len(merged.Counters))
-	for name := range merged.Counters {
-		names = append(names, name)
+	var snap telemetry.PromSnapshot
+	for name, v := range merged.Counters {
+		snap.Counter(name, "Fleet-wide sum of the per-node counter.", v)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap.Counter(name, "Fleet-wide sum of the per-node counter.", merged.Counters[name])
+	for name, v := range merged.Gauges {
+		snap.Gauge(name, "Fleet-wide sum of the per-node gauge.", v)
+	}
+	for name, b := range merged.Hists {
+		if h, err := hdrhist.Decode(b); err == nil {
+			snap.Histogram(name, "Fleet-wide merge of the per-node histogram.", h)
+		}
 	}
 	snap.Gauge("fleet.nodes", "Placed fleet nodes in the current view.",
 		float64(rt.Ring().Len()))
 	snap.Gauge("fleet.epoch", "Current membership epoch.", float64(rt.Epoch()))
 	snap.Gauge("fleet.nodes.reachable", "Nodes that answered the state probe.",
 		float64(len(merged.Nodes)))
-	snap.Gauge("labd.queue.depth", "Jobs waiting for a worker, fleet-wide.",
-		float64(merged.QueueDepth))
-	snap.Gauge("labd.jobs.running", "Jobs executing right now, fleet-wide.",
-		float64(merged.Running))
-	snap.Gauge("labd.workers", "Total worker-pool size across nodes.", float64(merged.Workers))
-	snap.Gauge("labd.cache.entries", "Results held in memory caches, fleet-wide.",
-		float64(merged.CacheEntries))
-	if merged.DiskEntries > 0 {
-		snap.Gauge("labd.cache.disk.entries", "On-disk cache entries, fleet-wide.",
-			float64(merged.DiskEntries))
-	}
-	snap.Gauge("labd.traces.seen", "Traces ever filed, fleet-wide.",
-		float64(merged.TracesSeen))
-	snap.Gauge("labd.traces.retained", "Traces retained across node stores.",
-		float64(merged.TracesRetained))
 	per := make([]telemetry.LabeledValue, 0, len(merged.Nodes))
 	for _, st := range merged.Nodes {
 		per = append(per, telemetry.LabeledValue{
 			Labels: []telemetry.Label{{Name: "node", Value: st.Node}},
-			Value:  float64(st.QueueDepth),
+			Value:  st.Gauges["labd.queue.depth"],
 		})
 	}
 	snap.LabeledGauge("fleet.node.queue.depth", "Per-node queue depth.", per)
-	if h, err := hdrhist.Decode(merged.LatencyHist); err == nil {
-		snap.Histogram("labd_job_latency_hist_seconds",
-			"End-to-end job latency distribution, merged across the fleet.", h)
-	}
-	if h, err := hdrhist.Decode(merged.QueueHist); err == nil {
-		snap.Histogram("labd_queue_wait_seconds",
-			"Queue wait distribution, merged across the fleet.", h)
-	}
-
-	if openMetrics {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	}
-	_ = snap.Write(w)
+	labd.WriteMetrics(w, r, &snap)
 }
 
 // NodeInfo is one row of /fleet/nodes: membership plus a live probe.

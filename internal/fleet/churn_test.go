@@ -33,7 +33,7 @@ func startJoiner(t *testing.T, id string) *testNode {
 		t.Fatal(err)
 	}
 	rt.SetLocal(srv)
-	gcfg := gossipConfig(id, ts.URL, self, fleetOpts{tick: 20 * time.Millisecond, suspect: 300 * time.Millisecond}, rt, srv)
+	gcfg := gossipConfig(id, ts.URL, self, fleetOpts{tick: 20 * time.Millisecond, suspect: 300 * time.Millisecond}, rt)
 	gcfg.Joining = true
 	g, err := gossip.New(gcfg)
 	if err != nil {

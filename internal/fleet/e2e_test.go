@@ -6,9 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,7 +101,7 @@ func everyNode(t *testing.T, spec string) func(id string) *faultinject.Injector 
 // crash detection; it keeps a peer that is merely slow under the race
 // detector from being suspected, which would move traffic that tests
 // pin to its owner.
-func gossipConfig(id, url string, peers map[string]string, o fleetOpts, rt *fleet.Router, srv *labd.Server) gossip.Config {
+func gossipConfig(id, url string, peers map[string]string, o fleetOpts, rt *fleet.Router) gossip.Config {
 	return gossip.Config{
 		Self:           id,
 		URL:            url,
@@ -107,7 +109,7 @@ func gossipConfig(id, url string, peers map[string]string, o fleetOpts, rt *flee
 		Interval:       o.tick,
 		ProbeTimeout:   250 * time.Millisecond,
 		SuspectTimeout: o.suspect,
-		Rec:            srv.Recorder(),
+		Metrics:        rt.Metrics(),
 		OnUpdate:       rt.SetMembership,
 	}
 }
@@ -168,7 +170,7 @@ func startFleet(t *testing.T, ids []string, o fleetOpts) (map[string]*testNode, 
 		}
 		rt.SetLocal(srv)
 		n := nodes[id]
-		gcfg := gossipConfig(id, urls[id], urls, o, rt, srv)
+		gcfg := gossipConfig(id, urls[id], urls, o, rt)
 		gcfg.OnUpdate = func(epoch uint64, urls map[string]string, suspects []string) {
 			rt.SetMembership(epoch, urls, suspects)
 			n.suspects.Store(int32(len(suspects)))
@@ -389,8 +391,8 @@ func TestFleetPeerCacheHit(t *testing.T) {
 
 // TestFleetExactAggregation: the fleet rollup is exact — /fleet/state's
 // merged latency histogram is byte-identical to merging the per-node
-// histograms by hand, counters are sums, and /fleet/nodes sees every
-// member alive.
+// histograms by hand, counters are sums (the routers' fleet.router.*
+// counters included), and /fleet/nodes sees every member alive.
 func TestFleetExactAggregation(t *testing.T) {
 	ctx := context.Background()
 	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{})
@@ -409,11 +411,13 @@ func TestFleetExactAggregation(t *testing.T) {
 	// Hand-merge the per-node snapshots (read directly, no HTTP, so the
 	// snapshots cannot drift between the two reads), then compare with
 	// what the rollup endpoint serves.
+	const lat, queue = "labd_job_latency_hist_seconds", "labd_queue_wait_seconds"
 	var states []labd.NodeState
-	var wantSubmitted int64
+	var wantSubmitted, wantForwards int64
 	for _, n := range nodes {
 		st := n.srv.NodeState()
 		wantSubmitted += st.Counters["labd.jobs.submitted"]
+		wantForwards += n.rt.Stats().Forwards
 		states = append(states, st)
 	}
 	want := fleet.MergeStates(states)
@@ -424,15 +428,15 @@ func TestFleetExactAggregation(t *testing.T) {
 		if err := json.Unmarshal([]byte(fetchText(t, nodes["a"].ts.URL+"/fleet/state")), &got); err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Equal(got.LatencyHist, want.LatencyHist) || time.Now().After(deadline) {
+		if bytes.Equal(got.Hists[lat], want.Hists[lat]) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if !bytes.Equal(got.LatencyHist, want.LatencyHist) {
+	if !bytes.Equal(got.Hists[lat], want.Hists[lat]) {
 		t.Error("fleet latency histogram differs from the hand-merged per-node histograms")
 	}
-	if !bytes.Equal(got.QueueHist, want.QueueHist) {
+	if !bytes.Equal(got.Hists[queue], want.Hists[queue]) {
 		t.Error("fleet queue-wait histogram differs from the hand merge")
 	}
 	if got.Counters["labd.jobs.submitted"] != wantSubmitted {
@@ -443,13 +447,13 @@ func TestFleetExactAggregation(t *testing.T) {
 		t.Errorf("rollup saw %d nodes, %d unreachable; want 3, 0",
 			len(got.Nodes), len(got.Unreachable))
 	}
-	h, err := hdrhist.Decode(got.LatencyHist)
+	h, err := hdrhist.Decode(got.Hists[lat])
 	if err != nil {
 		t.Fatalf("merged histogram does not decode: %v", err)
 	}
 	var perNodeCount uint64
 	for _, st := range states {
-		if nh, err := hdrhist.Decode(st.LatencyHist); err == nil {
+		if nh, err := hdrhist.Decode(st.Hists[lat]); err == nil {
 			perNodeCount += nh.Count()
 		}
 	}
@@ -458,9 +462,17 @@ func TestFleetExactAggregation(t *testing.T) {
 	}
 
 	// The Prometheus rollup serves the same names a single daemon does,
-	// so gctop and scrape configs are mode-blind.
+	// so gctop and scrape configs are mode-blind, and sums the routers'
+	// counters, which each node's /metrics carries.
+	if wantForwards == 0 {
+		t.Fatal("a batch over three nodes forwarded nothing")
+	}
+	if text := fetchText(t, nodes["a"].ts.URL+"/metrics"); !strings.Contains(text, "jvmgc_fleet_router_forwards_total ") {
+		t.Error("node /metrics carries no fleet.router.forwards counter")
+	}
 	promText := fetchText(t, nodes["a"].ts.URL+"/fleet/metrics")
 	for _, name := range []string{
+		fmt.Sprintf("jvmgc_fleet_router_forwards_total %d\n", wantForwards),
 		"jvmgc_fleet_nodes 3",
 		"jvmgc_fleet_nodes_reachable 3",
 		"jvmgc_labd_jobs_submitted_total",
@@ -523,6 +535,11 @@ func TestStandaloneRouter(t *testing.T) {
 	}
 	if rt.Stats().Forwards != 1 {
 		t.Errorf("forwards = %d, want 1", rt.Stats().Forwards)
+	}
+	// A standalone router counts into a metric set of its own and serves
+	// it, since no daemon's /metrics would show its forwards.
+	if text := fetchText(t, front.URL+"/metrics"); !strings.Contains(text, "jvmgc_fleet_router_forwards_total 1\n") {
+		t.Errorf("standalone router /metrics does not count its forward:\n%s", text)
 	}
 }
 

@@ -80,8 +80,8 @@ type Config struct {
 	// HTTPClient is the transport for gossip I/O (default
 	// http.DefaultClient; tests inject per-fleet transports).
 	HTTPClient *http.Client
-	// Rec receives the fleet.gossip.* counter family (nil = no counters).
-	Rec *telemetry.Recorder
+	// Metrics receives the fleet.gossip.* counters (nil = none).
+	Metrics *telemetry.Metrics
 	// Chaos injects drops and delays on the send path (nil = off).
 	Chaos *faultinject.Injector
 	// OnUpdate fires after every placement or routability change with
@@ -113,9 +113,8 @@ type Gossiper struct {
 	proxies []string
 	probing atomic.Bool
 
-	suspectNanos atomic.Int64 // effective suspect timeout
-	ticks        atomic.Uint64
-	deaths       atomic.Uint64
+	suspectNanos atomic.Int64  // effective suspect timeout
+	ticks        atomic.Uint64 // paces the pause-floor refresh
 
 	rngMu    sync.Mutex
 	rngState uint64
@@ -191,12 +190,12 @@ func New(cfg Config) (*Gossiper, error) {
 		g.ml.Apply(Delta{ID: id, URL: url, State: StateAlive, Inc: 0})
 	}
 	for _, name := range gossipCounters {
-		cfg.Rec.Add(name, 0)
+		cfg.Metrics.Add(name, 0)
 	}
-	g.cTicks = cfg.Rec.CounterHandle("fleet.gossip.ticks")
-	g.cPings = cfg.Rec.CounterHandle("fleet.gossip.pings")
-	g.cAcks = cfg.Rec.CounterHandle("fleet.gossip.acks")
-	g.cPingFail = cfg.Rec.CounterHandle("fleet.gossip.ping.failures")
+	g.cTicks = cfg.Metrics.CounterHandle("fleet.gossip.ticks")
+	g.cPings = cfg.Metrics.CounterHandle("fleet.gossip.pings")
+	g.cAcks = cfg.Metrics.CounterHandle("fleet.gossip.acks")
+	g.cPingFail = cfg.Metrics.CounterHandle("fleet.gossip.ping.failures")
 	g.refreshSuspectFloor()
 	g.staleSched.Store(true)
 	return g, nil
@@ -232,12 +231,6 @@ func (g *Gossiper) Memberlist() *Memberlist { return g.ml }
 
 // Epoch returns the current placement epoch.
 func (g *Gossiper) Epoch() uint64 { return g.ml.Epoch() }
-
-// Ticks returns how many gossip ticks have run.
-func (g *Gossiper) Ticks() uint64 { return g.ticks.Load() }
-
-// Deaths returns how many death declarations this node has originated.
-func (g *Gossiper) Deaths() uint64 { return g.deaths.Load() }
 
 // SuspectTimeout returns the effective suspect timeout — the configured
 // value, raised to the GC-pause floor.
@@ -293,8 +286,7 @@ func (g *Gossiper) tick() {
 		g.refreshSuspectFloor()
 	}
 	if deaths, changed := g.ml.ExpireSuspects(time.Now(), g.SuspectTimeout()); len(deaths) > 0 {
-		g.deaths.Add(uint64(len(deaths)))
-		g.cfg.Rec.Add("fleet.gossip.deaths", int64(len(deaths)))
+		g.cfg.Metrics.Add("fleet.gossip.deaths", int64(len(deaths)))
 		if changed {
 			g.notify()
 		}
@@ -419,7 +411,7 @@ func (g *Gossiper) probe(target string) {
 				confirmed <- false
 				continue
 			}
-			g.cfg.Rec.Add("fleet.gossip.pingreq.sent", 1)
+			g.cfg.Metrics.Add("fleet.gossip.pingreq.sent", 1)
 			go func(u string) {
 				ack, err := g.send(ctx, u, "/v1/gossip/ping-req", g.reqBuf)
 				if err == nil {
@@ -454,7 +446,7 @@ func (g *Gossiper) probe(target string) {
 // after the suspect timeout.
 func (g *Gossiper) Suspect(id string) {
 	if _, ok := g.ml.Suspect(id); ok {
-		g.cfg.Rec.Add("fleet.gossip.suspects", 1)
+		g.cfg.Metrics.Add("fleet.gossip.suspects", 1)
 		g.notify()
 	}
 }
@@ -464,7 +456,7 @@ func (g *Gossiper) Suspect(id string) {
 // mode of a lossy network), a delay stalls it.
 func (g *Gossiper) send(ctx context.Context, base, path string, body []byte) (*message, error) {
 	if g.cfg.Chaos.Fire(FaultGossipDrop) {
-		g.cfg.Rec.Add("fleet.gossip.drops", 1)
+		g.cfg.Metrics.Add("fleet.gossip.drops", 1)
 		return nil, errDropped
 	}
 	if d := g.cfg.Chaos.Latency(FaultGossipDelay); d > 0 {
@@ -507,13 +499,13 @@ func (g *Gossiper) applyAll(deltas []Delta) {
 			changed = true
 		}
 		if refuted {
-			g.cfg.Rec.Add("fleet.gossip.refutations", 1)
+			g.cfg.Metrics.Add("fleet.gossip.refutations", 1)
 		}
 		if d.State == StateLeft {
-			g.cfg.Rec.Add("fleet.gossip.leaves", 1)
+			g.cfg.Metrics.Add("fleet.gossip.leaves", 1)
 		}
 	}
-	g.cfg.Rec.Add("fleet.gossip.deltas.applied", int64(len(deltas)))
+	g.cfg.Metrics.Add("fleet.gossip.deltas.applied", int64(len(deltas)))
 	if changed {
 		g.notify()
 	}
@@ -581,7 +573,7 @@ func (g *Gossiper) handlePingReq(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.applyAll(m.Deltas)
-	g.cfg.Rec.Add("fleet.gossip.pingreq.relayed", 1)
+	g.cfg.Metrics.Add("fleet.gossip.pingreq.relayed", 1)
 	if m.Target == "" || m.Target == g.cfg.Self {
 		http.Error(w, "gossip: ping-req without a remote target", http.StatusBadRequest)
 		return
@@ -617,7 +609,7 @@ func (g *Gossiper) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.applyAll(m.Deltas)
-	g.cfg.Rec.Add("fleet.gossip.joins", 1)
+	g.cfg.Metrics.Add("fleet.gossip.joins", 1)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(message{T: msgAck, From: g.cfg.Self, Deltas: g.ml.Snapshot()})
 }
@@ -693,7 +685,7 @@ func (g *Gossiper) Announce(ctx context.Context) {
 // "left" member — until the process exits.
 func (g *Gossiper) Leave(ctx context.Context) {
 	g.ml.Leave()
-	g.cfg.Rec.Add("fleet.gossip.leaves", 1)
+	g.cfg.Metrics.Add("fleet.gossip.leaves", 1)
 	g.notify()
 	g.broadcast(ctx, 3)
 }

@@ -66,7 +66,7 @@ type testCluster struct {
 	ids   []string
 	gs    map[string]*Gossiper
 	gates map[string]*stallGate
-	recs  map[string]*telemetry.Recorder
+	recs  map[string]*telemetry.Metrics
 	urls  map[string]string
 	srvs  []*httptest.Server
 }
@@ -77,7 +77,7 @@ func startCluster(t *testing.T, ids []string, interval, suspect time.Duration) *
 		ids:   ids,
 		gs:    make(map[string]*Gossiper),
 		gates: make(map[string]*stallGate),
-		recs:  make(map[string]*telemetry.Recorder),
+		recs:  make(map[string]*telemetry.Metrics),
 		urls:  make(map[string]string),
 	}
 	for _, id := range ids {
@@ -88,14 +88,14 @@ func startCluster(t *testing.T, ids []string, interval, suspect time.Duration) *
 		c.srvs = append(c.srvs, ts)
 	}
 	for _, id := range ids {
-		rec := telemetry.New(telemetry.Config{})
+		rec := telemetry.NewMetrics()
 		g, err := New(Config{
 			Self:           id,
 			URL:            c.urls[id],
 			Peers:          c.urls,
 			Interval:       interval,
 			SuspectTimeout: suspect,
-			Rec:            rec,
+			Metrics:        rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -181,9 +181,6 @@ func TestStallRefutedNotDeclaredDead(t *testing.T) {
 	})
 
 	for _, id := range c.ids {
-		if d := c.gs[id].Deaths(); d != 0 {
-			t.Errorf("node %s declared %d deaths; a sub-window stall must never kill", id, d)
-		}
 		if v := c.recs[id].Counter("fleet.gossip.deaths"); v != 0 {
 			t.Errorf("node %s fleet.gossip.deaths = %d, want 0", id, v)
 		}
@@ -262,13 +259,13 @@ func TestJoinAnnounceLeaveLifecycle(t *testing.T) {
 	gate := &stallGate{}
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
-	rec := telemetry.New(telemetry.Config{})
+	rec := telemetry.NewMetrics()
 	joiner, err := New(Config{
 		Self:     "j",
 		URL:      ts.URL,
 		Joining:  true,
 		Interval: 15 * time.Millisecond,
-		Rec:      rec,
+		Metrics:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +318,7 @@ func TestJoinAnnounceLeaveLifecycle(t *testing.T) {
 		return true
 	})
 	for _, id := range []string{"a", "b"} {
-		if d := c.gs[id].Deaths(); d != 0 {
+		if d := c.recs[id].Counter("fleet.gossip.deaths"); d != 0 {
 			t.Errorf("node %s counted %d deaths for a graceful leave", id, d)
 		}
 		if _, urls := c.gs[id].Memberlist().Placement(); len(urls) != 2 {
@@ -366,14 +363,14 @@ func TestRestartAfterLeaveRejoinsPlacement(t *testing.T) {
 		return true
 	})
 
-	rec := telemetry.New(telemetry.Config{})
+	rec := telemetry.NewMetrics()
 	g, err := New(Config{
 		Self:           "c",
 		URL:            c.urls["c"],
 		Peers:          c.urls,
 		Interval:       15 * time.Millisecond,
 		SuspectTimeout: 2 * time.Second,
-		Rec:            rec,
+		Metrics:        rec,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -167,18 +167,21 @@ type Router struct {
 
 	rngState atomic.Uint64 // jitter for warm-up and handoff retries
 
-	forwards   atomic.Int64 // jobs forwarded to a peer
-	localJobs  atomic.Int64 // jobs placed on the local daemon
-	reroutes   atomic.Int64 // placements retried after a node failure
-	epochSwaps atomic.Int64 // membership views swapped in
-	kills      atomic.Int64 // FaultNodeKill firings
-	partitions atomic.Int64 // FaultRoutePartition firings
-	peerHits   atomic.Int64 // peer cache fetches that returned bytes
-	peerProbes atomic.Int64 // peer cache fetch attempts
+	// metrics is the router's own set until SetLocal adopts the daemon's;
+	// the handles are its fleet.router.<RouterStats JSON name> counters.
+	metrics    *telemetry.Metrics
+	forwards   *telemetry.CounterHandle // jobs forwarded to a peer
+	localJobs  *telemetry.CounterHandle // jobs placed on the local daemon
+	reroutes   *telemetry.CounterHandle // placements retried after a node failure
+	epochSwaps *telemetry.CounterHandle // membership views swapped in
+	kills      *telemetry.CounterHandle // FaultNodeKill firings
+	partitions *telemetry.CounterHandle // FaultRoutePartition firings
+	peerHits   *telemetry.CounterHandle // peer cache fetches that returned bytes
+	peerProbes *telemetry.CounterHandle // peer cache fetch attempts
 
-	replicaHits    atomic.Int64 // hits on keys owned elsewhere, served from local memory
-	replicasKept   atomic.Int64 // relayed owner hits verified and kept
-	replicaRejects atomic.Int64 // relayed owner hits that failed verification
+	replicaHits    *telemetry.CounterHandle // hits on keys owned elsewhere, served from local memory
+	replicasKept   *telemetry.CounterHandle // relayed owner hits verified and kept
+	replicaRejects *telemetry.CounterHandle // relayed owner hits that failed verification
 }
 
 // New builds a router over the given boot membership.
@@ -199,7 +202,27 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{cfg: cfg, pending: make(map[string]int)}
 	rt.rngState.Store(hashString(cfg.Self) | 1)
 	rt.view.Store(v)
+	rt.useMetrics(telemetry.NewMetrics())
 	return rt, nil
+}
+
+// useMetrics makes m the router's set, listing its counters at zero so
+// every fleet process exports them from boot.
+func (rt *Router) useMetrics(m *telemetry.Metrics) {
+	rt.metrics = m
+	for _, c := range []struct {
+		name string
+		h    **telemetry.CounterHandle
+	}{
+		{"forwards", &rt.forwards}, {"local_jobs", &rt.localJobs}, {"reroutes", &rt.reroutes},
+		{"epoch_swaps", &rt.epochSwaps}, {"injected_kills", &rt.kills},
+		{"injected_partitions", &rt.partitions}, {"peer_probes", &rt.peerProbes},
+		{"peer_hits", &rt.peerHits}, {"replica_hits", &rt.replicaHits},
+		{"replicas_kept", &rt.replicasKept}, {"replica_rejects", &rt.replicaRejects},
+	} {
+		*c.h = m.CounterHandle("fleet.router." + c.name)
+		(*c.h).Add(0)
+	}
 }
 
 // buildView constructs an immutable view from a membership set and its
@@ -237,13 +260,14 @@ func (rt *Router) jitter(d time.Duration) time.Duration {
 	return time.Duration(z % uint64(d))
 }
 
-// SetLocal attaches the co-resident daemon. Separate from New because
-// the daemon and router reference each other (the daemon's peer cache
-// tier is the router): build the router, pass it as labd.Config.Peers,
-// then attach the daemon here.
+// SetLocal attaches the co-resident daemon and adopts its metric set.
+// Separate from New because the daemon and router reference each other
+// (the daemon's peer cache tier is the router): build the router, pass
+// it as labd.Config.Peers, then attach the daemon here, before serving.
 func (rt *Router) SetLocal(s *labd.Server) {
 	rt.local = s
 	rt.localH = s.Handler()
+	rt.useMetrics(s.Metrics())
 }
 
 // AttachGossip wires the gossiper. The gossiper should be constructed
@@ -256,14 +280,9 @@ func (rt *Router) AttachGossip(g *gossip.Gossiper) { rt.g = g }
 // Gossip returns the attached gossiper (nil without one).
 func (rt *Router) Gossip() *gossip.Gossiper { return rt.g }
 
-// rec returns the local daemon's recorder; nil (a no-op recorder) for a
-// standalone router.
-func (rt *Router) rec() *telemetry.Recorder {
-	if rt.local == nil {
-		return nil
-	}
-	return rt.local.Recorder()
-}
+// Metrics returns the router's metric set, which gossip counts into too:
+// the local daemon's on a fleet node, its own on a standalone router.
+func (rt *Router) Metrics() *telemetry.Metrics { return rt.metrics }
 
 // Ring exposes the current placement ring (for tests and the fleet
 // dashboard). The pointer is a snapshot: a concurrent membership change
@@ -518,7 +537,8 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 // endpoints (when a gossiper is attached), membership operations, the
 // /fleet/* observability rollup, and — when a local daemon is attached —
 // everything else (job status, results, metrics, health) from the local
-// daemon unchanged. Call after AttachGossip.
+// daemon unchanged. A standalone router serves its own metric set at
+// /metrics. Call after SetLocal and AttachGossip.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
@@ -532,6 +552,13 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet/nodes", rt.handleFleetNodes)
 	if rt.g != nil {
 		mux.Handle("POST /v1/gossip/", rt.g.Handler())
+	}
+	if rt.local == nil {
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			var snap telemetry.PromSnapshot
+			rt.metrics.AddTo(&snap)
+			labd.WriteMetrics(w, r, &snap)
+		})
 	}
 	mux.HandleFunc("/", rt.handleFallthrough)
 	return mux
@@ -550,7 +577,7 @@ func (rt *Router) handleFallthrough(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusNotFound,
-		errors.New("fleet: standalone router: only /v1/jobs, /v1/jobs/batch and /fleet/* are served"))
+		errors.New("fleet: standalone router: only /v1/jobs, /v1/jobs/batch, /metrics and /fleet/* are served"))
 }
 
 // handleCacheKeys lists the local daemon's cached keys — all of them,
@@ -664,7 +691,7 @@ func (rt *Router) JoinAndWarm(ctx context.Context, seeds []string) error {
 			}
 		}
 	}
-	rt.rec().Add("fleet.gossip.warmup.keys", int64(warmed))
+	rt.metrics.Add("fleet.gossip.warmup.keys", int64(warmed))
 	rt.g.Announce(ctx)
 	return nil
 }
@@ -730,14 +757,14 @@ func (rt *Router) doLeave(ctx context.Context) error {
 					continue
 				}
 				if rt.cfg.Chaos.Fire(FaultHandoffAbort) {
-					rt.rec().Add("fleet.gossip.handoff.aborts", 1)
+					rt.metrics.Add("fleet.gossip.handoff.aborts", 1)
 					continue
 				}
 				if rt.pushKey(ctx, v.urls[owner], key) == nil {
 					handed++
 				}
 			}
-			rt.rec().Add("fleet.gossip.handoff.keys", int64(handed))
+			rt.metrics.Add("fleet.gossip.handoff.keys", int64(handed))
 		}
 		if err := rt.local.Drain(ctx); err != nil {
 			return fmt.Errorf("fleet: leave: drain: %w", err)
@@ -1089,7 +1116,8 @@ func (rt *Router) probeHealth(ctx context.Context, url string) *labd.HealthStatu
 	return &h
 }
 
-// RouterStats snapshots the router's own counters for /fleet/nodes.
+// RouterStats snapshots the router's own counters for /fleet/nodes. Each
+// counter is fleet.router.<JSON name> in the router's metric set.
 type RouterStats struct {
 	Forwards      int64  `json:"forwards"`
 	LocalJobs     int64  `json:"local_jobs"`
@@ -1120,20 +1148,20 @@ func (rt *Router) Stats() RouterStats {
 	}
 	rt.mu.Unlock()
 	return RouterStats{
-		Forwards:      rt.forwards.Load(),
-		LocalJobs:     rt.localJobs.Load(),
-		Reroutes:      rt.reroutes.Load(),
+		Forwards:      rt.forwards.Value(),
+		LocalJobs:     rt.localJobs.Value(),
+		Reroutes:      rt.reroutes.Value(),
 		Epoch:         rt.Epoch(),
-		EpochSwaps:    rt.epochSwaps.Load(),
-		Kills:         rt.kills.Load(),
-		Partitions:    rt.partitions.Load(),
-		PeerProbes:    rt.peerProbes.Load(),
-		PeerHits:      rt.peerHits.Load(),
+		EpochSwaps:    rt.epochSwaps.Value(),
+		Kills:         rt.kills.Value(),
+		Partitions:    rt.partitions.Value(),
+		PeerProbes:    rt.peerProbes.Value(),
+		PeerHits:      rt.peerHits.Value(),
 		PendingRouted: pending,
 
-		ReplicaHits:    rt.replicaHits.Load(),
-		ReplicasKept:   rt.replicasKept.Load(),
-		ReplicaRejects: rt.replicaRejects.Load(),
+		ReplicaHits:    rt.replicaHits.Value(),
+		ReplicasKept:   rt.replicasKept.Value(),
+		ReplicaRejects: rt.replicaRejects.Value(),
 	}
 }
 

@@ -248,20 +248,20 @@ type jvmCounters struct {
 
 func newJVMCounters(r *telemetry.Recorder) jvmCounters {
 	return jvmCounters{
-		safepoints:      r.CounterHandle("safepoint.count"),
-		humongousAllocs: r.CounterHandle("gc.humongous.allocations"),
-		humongousBytes:  r.CounterHandle("gc.humongous.bytes"),
-		failPromotion:   r.CounterHandle("gc.failures.promotion"),
-		failEvacuation:  r.CounterHandle("gc.failures.evacuation"),
-		failConcMode:    r.CounterHandle("gc.failures.concurrent_mode"),
-		collYoung:       r.CounterHandle("gc.collections.young"),
-		collMixed:       r.CounterHandle("gc.collections.mixed"),
-		collInitialMark: r.CounterHandle("gc.collections.initial_mark"),
-		collFull:        r.CounterHandle("gc.collections.full"),
-		collRemark:      r.CounterHandle("gc.collections.remark"),
-		promotedBytes:   r.CounterHandle("gc.promoted_bytes"),
-		oomEvents:       r.CounterHandle("oom.events"),
-		concCycles:      r.CounterHandle("gc.concurrent.cycles"),
+		safepoints:      r.Metrics().CounterHandle("safepoint.count"),
+		humongousAllocs: r.Metrics().CounterHandle("gc.humongous.allocations"),
+		humongousBytes:  r.Metrics().CounterHandle("gc.humongous.bytes"),
+		failPromotion:   r.Metrics().CounterHandle("gc.failures.promotion"),
+		failEvacuation:  r.Metrics().CounterHandle("gc.failures.evacuation"),
+		failConcMode:    r.Metrics().CounterHandle("gc.failures.concurrent_mode"),
+		collYoung:       r.Metrics().CounterHandle("gc.collections.young"),
+		collMixed:       r.Metrics().CounterHandle("gc.collections.mixed"),
+		collInitialMark: r.Metrics().CounterHandle("gc.collections.initial_mark"),
+		collFull:        r.Metrics().CounterHandle("gc.collections.full"),
+		collRemark:      r.Metrics().CounterHandle("gc.collections.remark"),
+		promotedBytes:   r.Metrics().CounterHandle("gc.promoted_bytes"),
+		oomEvents:       r.Metrics().CounterHandle("oom.events"),
+		concCycles:      r.Metrics().CounterHandle("gc.concurrent.cycles"),
 	}
 }
 

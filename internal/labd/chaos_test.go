@@ -216,7 +216,7 @@ func TestWarmRestartAndCorruptionRecovery(t *testing.T) {
 	if !bytes.Equal(healed.Bytes, first.Bytes) {
 		t.Error("recomputed bytes differ from the original run")
 	}
-	if got := srv3.Recorder().Counter("labd.cache.corruptions.detected"); got != 1 {
+	if got := srv3.Metrics().Counter("labd.cache.corruptions.detected"); got != 1 {
 		t.Errorf("corruptions detected = %d, want 1", got)
 	}
 	if srv3.DiskCacheEntries() != 1 {

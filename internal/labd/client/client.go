@@ -43,7 +43,6 @@ import (
 
 	"jvmgc/internal/labd"
 	"jvmgc/internal/obs"
-	"jvmgc/internal/telemetry"
 )
 
 // RetryPolicy shapes the retry loop for idempotent requests.
@@ -217,52 +216,6 @@ func (c *Client) recordNode(resp *http.Response) {
 	}
 	c.stats.NodeAttempts[node]++
 	c.mu.Unlock()
-}
-
-// State reports the circuit breaker's current state: "closed", "open"
-// or "half-open".
-func (c *Client) State() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch c.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// WritePrometheus renders the client's resilience counters and breaker
-// state in Prometheus text format, so a campaign driver embedding this
-// client can expose its side of the conversation next to the daemon's.
-func (c *Client) WritePrometheus(w io.Writer) error {
-	st := c.Stats()
-	state := c.State()
-	var snap telemetry.PromSnapshot
-	snap.Counter("labd.client.attempts", "HTTP requests actually sent.", st.Attempts)
-	snap.Counter("labd.client.retries", "Re-sent requests (attempts beyond the first, per call).", st.Retries)
-	snap.Counter("labd.client.retry.after.honored",
-		"Backoffs that used a server-provided Retry-After.", st.RetryAfterHonored)
-	snap.Counter("labd.client.breaker.opens",
-		"Circuit breaker transitions to open.", st.BreakerOpens)
-	snap.Counter("labd.client.breaker.fast.fails",
-		"Calls rejected without a request because the breaker was open.", st.BreakerFastFails)
-	rows := make([]telemetry.LabeledValue, 0, 3)
-	for _, s := range []string{"closed", "open", "half-open"} {
-		v := 0.0
-		if s == state {
-			v = 1
-		}
-		rows = append(rows, telemetry.LabeledValue{
-			Labels: []telemetry.Label{{Name: "state", Value: s}},
-			Value:  v,
-		})
-	}
-	snap.LabeledGauge("labd.client.breaker.state",
-		"Circuit breaker state (the current state's row is 1).", rows)
-	return snap.Write(w)
 }
 
 // mintTraceparent returns a fresh traceparent header value and the

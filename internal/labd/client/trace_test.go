@@ -87,40 +87,3 @@ func TestUntracedClientSendsNoHeader(t *testing.T) {
 		t.Errorf("untraced submission carries trace id %q", sub.TraceID)
 	}
 }
-
-// TestWritePrometheus: the client's own resilience counters and breaker
-// state render as a parseable Prometheus page.
-func TestWritePrometheus(t *testing.T) {
-	ts, _ := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		if n <= 2 {
-			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
-			return
-		}
-		okJobResponse(w)
-	})
-	c := fastClient(ts.URL)
-	if _, err := c.Submit(context.Background(), testSpec); err != nil {
-		t.Fatal(err)
-	}
-
-	var sb strings.Builder
-	if err := c.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	pts := obs.ParsePromText(sb.String())
-	if v, ok := obs.Metric(pts, "jvmgc_labd_client_attempts_total"); !ok || v != 3 {
-		t.Errorf("attempts = %v ok=%v, want 3", v, ok)
-	}
-	if v, ok := obs.Metric(pts, "jvmgc_labd_client_retries_total"); !ok || v != 2 {
-		t.Errorf("retries = %v ok=%v, want 2", v, ok)
-	}
-	if v, ok := obs.Metric(pts, "jvmgc_labd_client_breaker_state", "state", "closed"); !ok || v != 1 {
-		t.Errorf("breaker closed row = %v ok=%v, want 1", v, ok)
-	}
-	if v, ok := obs.Metric(pts, "jvmgc_labd_client_breaker_state", "state", "open"); !ok || v != 0 {
-		t.Errorf("breaker open row = %v ok=%v, want 0", v, ok)
-	}
-	if got := c.State(); got != "closed" {
-		t.Errorf("State() = %q, want closed", got)
-	}
-}

@@ -37,9 +37,9 @@ import (
 // prior campaigns' results as byte-identical cache hits with zero warm-up
 // simulations.
 type diskCache struct {
-	dir   string
-	rec   *telemetry.Recorder
-	chaos *faultinject.Injector
+	dir     string
+	metrics *telemetry.Metrics
+	chaos   *faultinject.Injector
 }
 
 // diskMagic versions the entry format; entries with any other first
@@ -50,11 +50,11 @@ const diskMagic = "labd-cache-v1"
 // directory scan can ignore them.
 const diskSuffix = ".res"
 
-func newDiskCache(dir string, rec *telemetry.Recorder, chaos *faultinject.Injector) (*diskCache, error) {
+func newDiskCache(dir string, metrics *telemetry.Metrics, chaos *faultinject.Injector) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("labd: cache dir: %w", err)
 	}
-	return &diskCache{dir: dir, rec: rec, chaos: chaos}, nil
+	return &diskCache{dir: dir, metrics: metrics, chaos: chaos}, nil
 }
 
 func (d *diskCache) path(key string) string {
@@ -106,7 +106,7 @@ func (d *diskCache) read(key string) ([]byte, bool) {
 			return payload, true
 		}
 	}
-	d.rec.Add("labd.cache.corruptions.detected", 1)
+	d.metrics.Add("labd.cache.corruptions.detected", 1)
 	log.Printf("labd: cache entry %.12s… corrupt: %v (removed; recomputing)", key, err)
 	os.Remove(d.path(key))
 	return nil, false

@@ -28,8 +28,8 @@ import (
 // counter the slow path would (submitted, hits, hits.memory, completed),
 // the streaming latency histogram and the SLO monitor — but they do not
 // create Job records or latency-summary spans: a hit resolved in
-// hundreds of nanoseconds has no lifecycle to record, and appending a
-// span per hit would grow the recorder without bound under load.
+// hundreds of nanoseconds has no lifecycle to record, and keeping a span
+// per hit would grow without bound under load.
 //
 // The fast path declines (returns ok=false, sending the caller to the
 // full scheduler) whenever any of its assumptions fail: tracing enabled,
@@ -300,8 +300,6 @@ func (s *Server) recordFastHit(elapsed time.Duration) {
 	s.fastHits.Add(1)
 	s.fastHitsMem.Add(1)
 	s.fastCompleted.Add(1)
-	s.histMu.Lock()
-	s.latHist.Record(elapsed.Seconds())
-	s.histMu.Unlock()
+	s.latency.Observe(elapsed.Seconds())
 	s.slo.Observe(elapsed, false)
 }

@@ -228,17 +228,17 @@ func TestNodeStateSnapshot(t *testing.T) {
 	if got := st.Counters["labd.jobs.submitted"]; got != 2 {
 		t.Errorf("submitted counter = %d, want 2", got)
 	}
-	if st.Workers != 2 {
-		t.Errorf("workers = %d, want 2", st.Workers)
+	if got := st.Gauges["labd.workers"]; got != 2 {
+		t.Errorf("workers gauge = %g, want 2", got)
 	}
-	h, err := hdrhist.Decode(st.LatencyHist)
+	h, err := hdrhist.Decode(st.Hists["labd_job_latency_hist_seconds"])
 	if err != nil {
 		t.Fatalf("latency histogram does not decode: %v", err)
 	}
 	if h.Count() != 2 {
 		t.Errorf("latency histogram count = %d, want 2", h.Count())
 	}
-	if _, err := hdrhist.Decode(st.QueueHist); err != nil {
+	if _, err := hdrhist.Decode(st.Hists["labd_queue_wait_seconds"]); err != nil {
 		t.Fatalf("queue histogram does not decode: %v", err)
 	}
 }

@@ -49,3 +49,29 @@ func FuzzAppendSpecJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendBatchEvent holds the batch NDJSON framing to json.Encoder
+// with SetEscapeHTML(false), the encoder it stands in for: whenever
+// appendBatchEvent accepts an event, its line equals the encoder's byte
+// for byte, and it never accepts an event the encoder rejects (an
+// embedded result that is not JSON). The seed corpus under
+// testdata/fuzz/FuzzAppendBatchEvent holds HTML characters, non-ASCII
+// text, a negative index, whitespace-padded results and invalid ones.
+func FuzzAppendBatchEvent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, index int, id, key, status, cache, errMsg string, result []byte) {
+		ev := BatchEvent{Index: index, ID: id, Key: key, Status: status, Cache: cache,
+			Error: errMsg, Result: json.RawMessage(result)}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		eerr := enc.Encode(ev)
+		var got bytes.Buffer
+		ok := appendBatchEvent(&got, ev)
+		switch {
+		case ok && eerr != nil:
+			t.Fatalf("framed %q where json.Encoder fails: %v", got.Bytes(), eerr)
+		case ok && !bytes.Equal(got.Bytes(), want.Bytes()):
+			t.Fatalf("framing diverges\n got %q\nwant %q", got.Bytes(), want.Bytes())
+		}
+	})
+}

@@ -103,7 +103,7 @@ func (s *Server) Handler() http.Handler {
 	if s.chaos.Enabled() {
 		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/v1/") && s.chaos.Fire(FaultHTTPFlaky) {
-				s.rec.Add("labd.http.injected.faults", 1)
+				s.metrics.Add("labd.http.injected.faults", 1)
 				w.Header().Set("Retry-After", "0")
 				writeError(w, http.StatusServiceUnavailable,
 					errors.New("faultinject: injected flaky response"))
@@ -360,59 +360,35 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics serves the daemon's observability snapshot: recorder
-// counters (jobs, cache, simulations), live scheduler gauges, the
-// job-latency and queue-wait histograms, SLO burn rates and the Go
-// runtime's own GC vitals, all through telemetry's Prometheus exporter.
-//
-// The format is negotiated: the classic text format (version 0.0.4) by
-// default, OpenMetrics when the Accept header asks for
-// application/openmetrics-text — exemplars (the trace IDs attached to
-// latency-histogram buckets) are only legal in OpenMetrics, so only that
-// form carries them.
+// handleMetrics serves the daemon's metric set (with a fleet node's
+// router and gossip counters) plus what only this process reports:
+// uptime, chaos faults, SLO burn rates and the Go runtime's GC vitals.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	openMetrics := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-	snap := telemetry.PromSnapshot{OpenMetrics: openMetrics}
-	snap.AddRecorderCounters(s.rec)
-	snap.Gauge("labd.queue.depth", "Jobs waiting for a worker.", float64(s.QueueDepth()))
-	snap.Gauge("labd.jobs.running", "Jobs executing right now.", float64(s.Running()))
-	snap.Gauge("labd.cache.entries", "Results held in the LRU cache.", float64(s.CacheLen()))
-	snap.Gauge("labd.workers", "Size of the worker pool.", float64(s.cfg.Workers))
+	var snap telemetry.PromSnapshot
+	s.metrics.AddTo(&snap)
 	snap.Gauge("labd.uptime.seconds", "Seconds since the daemon started.",
 		time.Since(s.started).Seconds())
-	if s.cache.disk != nil {
-		snap.Gauge("labd.cache.disk.entries",
-			"Verified result entries in the on-disk cache tier.",
-			float64(s.DiskCacheEntries()))
-	}
 	if s.chaos.Enabled() {
 		snap.Counter("labd.faults.injected",
 			"Faults fired by the chaos injector across all sites.",
 			s.chaos.Total())
 	}
-	if store := s.tracer.Store(); store != nil {
-		snap.Gauge("labd.traces.seen", "Traces ever filed by the daemon.", float64(store.Seen()))
-		snap.Gauge("labd.traces.retained", "Traces currently retained for /debug/traces.",
-			float64(store.Len()))
-	}
 	s.addSLOMetrics(&snap)
 	obs.ReadRuntimeSample().AddTo(&snap)
+	WriteMetrics(w, r, &snap)
+}
 
-	s.histMu.Lock()
-	snap.HistogramExemplars("labd_job_latency_hist_seconds",
-		"End-to-end job latency distribution (streaming histogram over the daemon's whole lifetime).",
-		s.latHist, s.latEx)
-	snap.Histogram("labd_queue_wait_seconds",
-		"Time leader jobs spent queued before a worker claimed them.",
-		s.queueHist)
-	s.histMu.Unlock()
-
-	if openMetrics {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+// WriteMetrics answers a /metrics request with snap: OpenMetrics, the
+// only form that carries exemplars, when the Accept header asks for it,
+// and the classic text format (version 0.0.4) otherwise.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, snap *telemetry.PromSnapshot) {
+	snap.OpenMetrics = strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
+	ct := "text/plain; version=0.0.4; charset=utf-8"
+	if snap.OpenMetrics {
+		ct = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 	}
-	_ = snap.Write(w)
+	w.Header().Set("Content-Type", ct)
+	_ = snap.Write(w) // a failed write means the scraper went away
 }
 
 // addSLOMetrics renders the burn-rate monitor as gauges: one labeled
@@ -566,13 +542,13 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if Digest(body) != want {
-		s.rec.Add("labd.cache.corruptions.detected", 1)
+		s.metrics.Add("labd.cache.corruptions.detected", 1)
 		writeError(w, http.StatusBadRequest,
 			errors.New("labd: cache put digest mismatch; bytes rejected"))
 		return
 	}
 	s.cache.seed(r.PathValue("key"), body)
-	s.rec.Add("labd.cache.handoff.received", 1)
+	s.metrics.Add("labd.cache.handoff.received", 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 

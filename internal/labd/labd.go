@@ -14,10 +14,10 @@
 //     execution; every caller gets the same bytes, and the simulation
 //     runs once.
 //
-// The observability surface reuses internal/telemetry: job and cache
-// counters are Recorder counters, per-job latency is recorded as spans,
-// and /metrics serves a telemetry.PromSnapshot combining them with live
-// scheduler gauges (queue depth, jobs running, cache entries).
+// The observability surface is one telemetry.Metrics set — job and cache
+// counters, live scheduler gauges, the job-latency and queue-wait
+// histograms — that a fleet node's router and gossiper count into too;
+// /metrics renders it and /v1/state ships it to the fleet rollup.
 //
 // Assembly: New builds the daemon, Handler serves the API, Drain stops
 // intake and waits for in-flight work — the pieces cmd/gclabd wires to a
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"jvmgc/internal/faultinject"
-	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/obs"
 	"jvmgc/internal/sweep"
 	"jvmgc/internal/telemetry"
@@ -232,10 +231,10 @@ func (j *Job) Info() JobInfo {
 
 // Server is the daemon: scheduler, cache, registry and HTTP surface.
 type Server struct {
-	cfg   Config
-	rec   *telemetry.Recorder
-	cache *resultCache
-	chaos *faultinject.Injector
+	cfg     Config
+	metrics *telemetry.Metrics
+	cache   *resultCache
+	chaos   *faultinject.Injector
 	// pool executes leader jobs: a bounded work-stealing pool whose
 	// owners drain in FIFO order (jobs age out in arrival order) while
 	// idle workers steal queued bursts from busy peers.
@@ -262,21 +261,17 @@ type Server struct {
 	drainFast atomic.Bool
 
 	// Counter handles for the zero-allocation fast path (fastpath.go):
-	// indexed adds under the recorder mutex, no map lookup per hit.
+	// one atomic add each, no map lookup per hit.
 	fastSubmitted *telemetry.CounterHandle
 	fastHits      *telemetry.CounterHandle
 	fastHitsMem   *telemetry.CounterHandle
 	fastCompleted *telemetry.CounterHandle
 
-	// latHist streams every finished job's end-to-end latency
-	// (seconds) into a bounded histogram for /metrics, independent of
-	// the span ring's retention; latEx pins one exemplar trace ID per
-	// bucket so a latency spike on the histogram resolves to the trace
-	// that caused it. queueHist streams leader jobs' queue wait.
-	histMu    sync.Mutex
-	latHist   *hdrhist.Hist
-	latEx     *hdrhist.Exemplars
-	queueHist *hdrhist.Hist
+	// latency streams finished jobs' end-to-end latency (seconds); a
+	// traced job leaves its trace ID as its bucket's exemplar, so a
+	// latency spike resolves to its trace. queueWait streams leader
+	// jobs' queue wait.
+	latency, queueWait *telemetry.Histogram
 
 	mu       sync.Mutex
 	draining bool
@@ -289,52 +284,70 @@ type Server struct {
 // Config.CacheDir is set and cannot be created.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	rec := telemetry.New(telemetry.Config{})
+	m := telemetry.NewMetrics()
 	var disk *diskCache
 	if cfg.CacheDir != "" {
 		var err error
-		if disk, err = newDiskCache(cfg.CacheDir, rec, cfg.Chaos); err != nil {
+		if disk, err = newDiskCache(cfg.CacheDir, m, cfg.Chaos); err != nil {
 			return nil, err
 		}
 	}
 	s := &Server{
-		cfg:   cfg,
-		rec:   rec,
-		cache: newResultCache(cfg.CacheEntries, disk),
-		chaos: cfg.Chaos,
+		cfg:     cfg,
+		metrics: m,
+		cache:   newResultCache(cfg.CacheEntries, disk),
+		chaos:   cfg.Chaos,
 		pool: sweep.NewPool(sweep.PoolOptions{
 			Workers:    cfg.Workers,
 			QueueLimit: cfg.QueueDepth,
 		}),
-		runSpec:   runSpec,
-		tracer:    cfg.Tracer,
-		slo:       cfg.SLO,
-		peers:     cfg.Peers,
-		started:   time.Now(),
-		jobs:      make(map[string]*Job),
-		latHist:   hdrhist.New(hdrhist.Config{}),
-		queueHist: hdrhist.New(hdrhist.Config{}),
+		runSpec: runSpec,
+		tracer:  cfg.Tracer,
+		slo:     cfg.SLO,
+		peers:   cfg.Peers,
+		started: time.Now(),
+		jobs:    make(map[string]*Job),
 	}
-	s.latEx = hdrhist.NewExemplars(s.latHist)
-	s.fastSubmitted = rec.CounterHandle("labd.jobs.submitted")
-	s.fastHits = rec.CounterHandle("labd.cache.hits")
-	s.fastHitsMem = rec.CounterHandle("labd.cache.hits.memory")
-	s.fastCompleted = rec.CounterHandle("labd.jobs.completed")
+	s.fastSubmitted = m.CounterHandle("labd.jobs.submitted")
+	s.fastHits = m.CounterHandle("labd.cache.hits")
+	s.fastHitsMem = m.CounterHandle("labd.cache.hits.memory")
+	s.fastCompleted = m.CounterHandle("labd.jobs.completed")
 	// Pre-register the resilience counters so /metrics exposes them at
 	// zero before (and whether or not) anything goes wrong.
-	s.rec.Add("labd.jobs.panicked", 0)
-	s.rec.Add("labd.cache.corruptions.detected", 0)
-	s.rec.Add("labd.http.injected.faults", 0)
+	m.Add("labd.jobs.panicked", 0)
+	m.Add("labd.cache.corruptions.detected", 0)
+	m.Add("labd.http.injected.faults", 0)
 	// Per-tier cache traffic, so /healthz and fleet views can tell a
 	// memory hit from a disk promotion from a peer fetch.
-	s.rec.Add("labd.cache.hits.memory", 0)
+	m.Add("labd.cache.hits.memory", 0)
 	if disk != nil {
-		s.rec.Add("labd.cache.hits.disk", 0)
+		m.Add("labd.cache.hits.disk", 0)
 	}
 	if cfg.Peers != nil {
-		s.rec.Add("labd.cache.hits.peer", 0)
-		s.rec.Add("labd.cache.peer.misses", 0)
+		m.Add("labd.cache.hits.peer", 0)
+		m.Add("labd.cache.peer.misses", 0)
 	}
+	// Gauges are what a fleet sums; /metrics adds uptime, SLO and runtime.
+	m.Gauge("labd.queue.depth", "Jobs waiting for a worker.",
+		func() float64 { return float64(s.QueueDepth()) })
+	m.Gauge("labd.jobs.running", "Jobs executing right now.",
+		func() float64 { return float64(s.Running()) })
+	m.Gauge("labd.cache.entries", "Results held in the LRU cache.",
+		func() float64 { return float64(s.CacheLen()) })
+	m.Gauge("labd.workers", "Size of the worker pool.",
+		func() float64 { return float64(cfg.Workers) })
+	if disk != nil {
+		m.Gauge("labd.cache.disk.entries", "Verified result entries in the on-disk cache tier.",
+			func() float64 { return float64(disk.entries()) })
+	}
+	m.Gauge("labd.traces.seen", "Traces ever filed by the daemon.",
+		func() float64 { return float64(s.tracer.Store().Seen()) })
+	m.Gauge("labd.traces.retained", "Traces currently retained for /debug/traces.",
+		func() float64 { return float64(s.tracer.Store().Len()) })
+	s.latency = m.Histogram("labd_job_latency_hist_seconds",
+		"End-to-end job latency distribution (streaming histogram over the daemon's whole lifetime).")
+	s.queueWait = m.Histogram("labd_queue_wait_seconds",
+		"Time leader jobs spent queued before a worker claimed them.")
 	return s, nil
 }
 
@@ -355,14 +368,14 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 func (s *Server) SubmitContext(ctx context.Context, req SubmitRequest) (*Job, error) {
 	spec, err := req.Job.normalized()
 	if err != nil {
-		s.rec.Add("labd.jobs.rejected", 1)
+		s.metrics.Add("labd.jobs.rejected", 1)
 		return nil, errInvalid{err}
 	}
 	key, err := spec.key()
 	if err != nil {
 		// Marshal failure is a daemon bug, not a client one: surface it
 		// as a plain error (HTTP 500) instead of panicking the daemon.
-		s.rec.Add("labd.jobs.rejected", 1)
+		s.metrics.Add("labd.jobs.rejected", 1)
 		return nil, err
 	}
 	return s.submitPrepared(ctx, req, spec, key)
@@ -376,7 +389,7 @@ func (s *Server) SubmitContext(ctx context.Context, req SubmitRequest) (*Job, er
 func (s *Server) SubmitPreKeyed(ctx context.Context, req SubmitRequest, key string) (*Job, error) {
 	spec, err := req.Job.normalized()
 	if err != nil {
-		s.rec.Add("labd.jobs.rejected", 1)
+		s.metrics.Add("labd.jobs.rejected", 1)
 		return nil, errInvalid{err}
 	}
 	return s.submitPrepared(ctx, req, spec, key)
@@ -417,13 +430,13 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 	if s.draining {
 		s.mu.Unlock()
 		cancel()
-		s.rec.Add("labd.jobs.rejected", 1)
+		s.metrics.Add("labd.jobs.rejected", 1)
 		return nil, ErrDraining
 	}
 	s.nextID++
 	j.ID = fmt.Sprintf("j%d", s.nextID)
 	s.register(j)
-	s.rec.Add("labd.jobs.submitted", 1)
+	s.metrics.Add("labd.jobs.submitted", 1)
 
 	lookup := j.trace.StartSpan("cache.lookup", "sched", 0)
 	cached, tier, fl, leader := s.cache.beginTier(j.Key)
@@ -435,17 +448,17 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 	case cached != nil:
 		j.cacheHit = true
 		s.mu.Unlock()
-		s.rec.Add("labd.cache.hits", 1)
+		s.metrics.Add("labd.cache.hits", 1)
 		if tier == "disk" {
-			s.rec.Add("labd.cache.hits.disk", 1)
+			s.metrics.Add("labd.cache.hits.disk", 1)
 		} else {
-			s.rec.Add("labd.cache.hits.memory", 1)
+			s.metrics.Add("labd.cache.hits.memory", 1)
 		}
 		s.finish(j, cached, nil)
 	case !leader:
 		j.coalesced = true
 		s.mu.Unlock()
-		s.rec.Add("labd.jobs.coalesced", 1)
+		s.metrics.Add("labd.jobs.coalesced", 1)
 		go func() {
 			wait := j.trace.StartSpan("coalesce.wait", "sched", 0)
 			select {
@@ -464,7 +477,7 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 		switch err := s.pool.SubmitWorker(func(worker int) { s.runJob(j, worker) }); err {
 		case nil:
 			s.mu.Unlock()
-			s.rec.Add("labd.cache.misses", 1)
+			s.metrics.Add("labd.cache.misses", 1)
 			go s.watchLeader(j)
 		default:
 			s.mu.Unlock()
@@ -473,7 +486,7 @@ func (s *Server) submitPrepared(ctx context.Context, req SubmitRequest, spec Job
 			} else {
 				err = ErrDraining
 			}
-			s.rec.Add("labd.jobs.rejected", 1)
+			s.metrics.Add("labd.jobs.rejected", 1)
 			s.cache.complete(j.Key, fl, nil, err)
 			s.finish(j, nil, err)
 			return nil, err
@@ -559,14 +572,12 @@ func (s *Server) runJob(j *Job, worker int) {
 	j.mu.Unlock()
 	// Queue wait is the enqueue-to-claim interval: what backpressure and
 	// pool saturation cost this job before any work happened.
-	queueWait := time.Since(j.enqueued)
+	claimed := time.Now()
 	if j.trace != nil {
-		j.trace.Add(telemetry.Span{Track: "sched", Name: "queue.wait", Duration: queueWait,
-			Attrs: []telemetry.Attr{telemetry.Num("worker", float64(worker))}})
+		j.trace.SpanBetween("queue.wait", "sched", 0, j.enqueued, claimed,
+			telemetry.Num("worker", float64(worker)))
 	}
-	s.histMu.Lock()
-	s.queueHist.Record(queueWait.Seconds())
-	s.histMu.Unlock()
+	s.queueWait.Observe(claimed.Sub(j.enqueued).Seconds())
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
@@ -585,14 +596,14 @@ func (s *Server) runJob(j *Job, worker int) {
 			j.mu.Lock()
 			j.peerHit = true
 			j.mu.Unlock()
-			s.rec.Add("labd.cache.hits.peer", 1)
+			s.metrics.Add("labd.cache.hits.peer", 1)
 			s.cache.complete(j.Key, j.fl, bytes, nil)
 			s.finish(j, bytes, nil)
 			return
 		}
-		s.rec.Add("labd.cache.peer.misses", 1)
+		s.metrics.Add("labd.cache.peer.misses", 1)
 	}
-	s.rec.Add("labd.simulations", 1)
+	s.metrics.Add("labd.simulations", 1)
 
 	type execOutcome struct {
 		bytes []byte
@@ -623,7 +634,7 @@ func (s *Server) runJob(j *Job, worker int) {
 func (s *Server) execute(j *Job, worker int) (bytes []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.rec.Add("labd.jobs.panicked", 1)
+			s.metrics.Add("labd.jobs.panicked", 1)
 			bytes = nil
 			err = fmt.Errorf("%w: %v\n%s", ErrJobPanicked, r, debug.Stack())
 		}
@@ -717,22 +728,20 @@ func (s *Server) finish(j *Job, bytes []byte, err error) {
 		}
 		j.mu.Unlock()
 		if err != nil {
-			s.rec.Add("labd.jobs.failed", 1)
+			s.metrics.Add("labd.jobs.failed", 1)
 		} else {
-			s.rec.Add("labd.jobs.completed", 1)
+			s.metrics.Add("labd.jobs.completed", 1)
 		}
 		// Job latency streams into the bounded latency histogram. A
 		// traced job leaves its trace ID as the bucket's exemplar, so the
 		// histogram's tail points at the trace that put a request there.
-		elapsed := time.Since(j.enqueued)
 		now := time.Now()
-		s.histMu.Lock()
+		elapsed := now.Sub(j.enqueued)
 		if id := j.trace.ID(); !id.IsZero() {
-			s.latEx.Observe(elapsed.Seconds(), id.String(), float64(now.UnixNano())/1e9)
+			s.latency.ObserveExemplar(elapsed.Seconds(), id.String(), float64(now.UnixNano())/1e9)
 		} else {
-			s.latHist.Record(elapsed.Seconds())
+			s.latency.Observe(elapsed.Seconds())
 		}
-		s.histMu.Unlock()
 		s.slo.Observe(elapsed, err != nil)
 		j.trace.Finish(err)
 		j.cancel()
@@ -784,7 +793,7 @@ func (s *Server) CachePeek(key string) ([]byte, bool) { return s.cache.peek(key)
 // SHA-verified by the caller) into the local cache tiers.
 func (s *Server) WarmCache(key string, bytes []byte) {
 	s.cache.seed(key, bytes)
-	s.rec.Add("labd.cache.warmed", 1)
+	s.metrics.Add("labd.cache.warmed", 1)
 }
 
 // KeepReplica stores a copy of a result another fleet node owns
@@ -797,9 +806,9 @@ func (s *Server) KeepReplica(key string, bytes []byte) bool {
 	return s.cache.keep(key, bytes)
 }
 
-// Recorder exposes the daemon's telemetry recorder (counters and job
-// latency spans).
-func (s *Server) Recorder() *telemetry.Recorder { return s.rec }
+// Metrics exposes the daemon's metric set, which a fleet node's router
+// and gossiper count into too.
+func (s *Server) Metrics() *telemetry.Metrics { return s.metrics }
 
 // Tracer exposes the daemon's request tracer; nil when tracing is off.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }

@@ -41,7 +41,7 @@ func TestJobPanicIsolation(t *testing.T) {
 			t.Errorf("stack trace missing from error: %v", err)
 		}
 	}
-	if got := s.Recorder().Counter("labd.jobs.panicked"); got != 1 {
+	if got := s.Metrics().Counter("labd.jobs.panicked"); got != 1 {
 		t.Errorf("jobs.panicked = %d, want 1", got)
 	}
 
@@ -75,7 +75,7 @@ func TestInjectedPanicCounted(t *testing.T) {
 	if _, err := j.Result(); !errors.Is(err, ErrJobPanicked) {
 		t.Fatalf("result err = %v, want ErrJobPanicked", err)
 	}
-	if got := s.Recorder().Counter("labd.jobs.panicked"); got != 1 {
+	if got := s.Metrics().Counter("labd.jobs.panicked"); got != 1 {
 		t.Errorf("jobs.panicked = %d, want 1", got)
 	}
 	if got := chaos.Fired(FaultJobPanic); got != 1 {
@@ -126,9 +126,9 @@ func TestExpiredDeadlineNeverSimulates(t *testing.T) {
 
 // --- disk cache ---
 
-func testDiskCache(t *testing.T, chaos *faultinject.Injector) (*diskCache, *telemetry.Recorder) {
+func testDiskCache(t *testing.T, chaos *faultinject.Injector) (*diskCache, *telemetry.Metrics) {
 	t.Helper()
-	rec := telemetry.New(telemetry.Config{})
+	rec := telemetry.NewMetrics()
 	d, err := newDiskCache(t.TempDir(), rec, chaos)
 	if err != nil {
 		t.Fatal(err)

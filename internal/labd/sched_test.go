@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/telemetry"
 )
 
@@ -61,7 +62,7 @@ func TestBackpressure(t *testing.T) {
 	if _, err := s.Submit(SubmitRequest{Job: simSpec(3)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("job 3: got %v, want ErrQueueFull", err)
 	}
-	if got := s.Recorder().Counter("labd.jobs.rejected"); got != 1 {
+	if got := s.Metrics().Counter("labd.jobs.rejected"); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 
@@ -212,8 +213,8 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 
 // TestFinishedJobsLeaveNoSpans: MaxJobRecords bounds everything the
 // daemon keeps per scheduled job. Finishing a job records its latency in
-// the fixed-size histogram and adds no span to the daemon's recorder, so
-// memory stays bounded however many jobs run.
+// the fixed-size histogram and keeps no span, so memory stays bounded
+// however many jobs run.
 func TestFinishedJobsLeaveNoSpans(t *testing.T) {
 	s := stubServer(t, Config{Workers: 1, QueueDepth: 16, MaxJobRecords: 4},
 		func(_ context.Context, spec JobSpec, _ int) (*JobResult, error) {
@@ -229,7 +230,11 @@ func TestFinishedJobsLeaveNoSpans(t *testing.T) {
 	if got := len(s.JobInfos()); got != 4 {
 		t.Errorf("job records = %d, want 4", got)
 	}
-	if got := len(s.Recorder().Spans()); got != 0 {
-		t.Errorf("recorder holds %d spans after 10 jobs, want 0", got)
+	h, err := hdrhist.Decode(s.NodeState().Hists["labd_job_latency_hist_seconds"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Count() != 10 {
+		t.Errorf("latency histogram holds %d jobs, want 10", h.Count())
 	}
 }

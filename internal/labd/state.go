@@ -4,48 +4,30 @@ import (
 	"time"
 
 	"jvmgc/internal/obs"
+	"jvmgc/internal/telemetry"
 )
 
 // NodeState is one daemon's observability snapshot in a machine-mergeable
-// form: raw counters, binary histograms and per-window SLO counts rather
-// than rendered text. The fleet aggregator (internal/fleet) pulls one per
-// node from GET /v1/state and folds them — counters sum, histograms merge
-// bucket-exactly, SLO windows sum and re-derive, slowest traces union —
-// so the fleet view is arithmetic over node views, never a re-scrape.
+// form: its metric set and per-window SLO counts rather than rendered
+// text. The fleet aggregator (internal/fleet) pulls one per node from GET
+// /v1/state and folds them — metric sets by name, SLO windows summed and
+// re-derived, slowest traces unioned — never re-scraping.
 type NodeState struct {
 	// Node is the daemon's fleet identity (Config.NodeID).
 	Node          string  `json:"node,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
-	// Counters are the recorder's monotonic counters by name
-	// (labd.jobs.submitted, labd.cache.hits.peer, ...).
-	Counters map[string]int64 `json:"counters"`
-
-	// Live scheduler gauges.
-	QueueDepth   int `json:"queue_depth"`
-	Running      int `json:"running"`
-	Workers      int `json:"workers"`
-	CacheEntries int `json:"cache_entries"`
-	DiskEntries  int `json:"disk_entries,omitempty"`
-
-	// LatencyHist and QueueHist are hdrhist binary encodings ("hdr1",
-	// base64 in JSON). Shipping the buckets rather than quantiles is what
-	// makes fleet aggregation exact: Merge is commutative and lossless,
-	// so fleet p99 is computed from the merged distribution, not
-	// averaged from per-node p99s (which would be meaningless).
-	LatencyHist []byte `json:"latency_hist,omitempty"`
-	QueueHist   []byte `json:"queue_hist,omitempty"`
+	// The metric set ("counters", "gauges", "hists" in JSON), with a
+	// fleet node's router and gossip counters.
+	telemetry.MetricsState
 
 	// SLO carries the burn-rate monitor's reading; nil when disabled.
 	// obs.MergeStatus folds these across nodes.
 	SLO *obs.Status `json:"slo,omitempty"`
 
 	// Slowest lists the node's slowest retained traces (tail-latency
-	// candidates for the fleet-wide slowest-K union). TracesSeen and
-	// TracesRetained are the store totals.
-	Slowest        []obs.TraceSummary `json:"slowest,omitempty"`
-	TracesSeen     int64              `json:"traces_seen,omitempty"`
-	TracesRetained int                `json:"traces_retained,omitempty"`
+	// candidates for the fleet-wide slowest-K union).
+	Slowest []obs.TraceSummary `json:"slowest,omitempty"`
 }
 
 // NodeState snapshots the daemon for fleet aggregation.
@@ -53,26 +35,8 @@ func (s *Server) NodeState() NodeState {
 	st := NodeState{
 		Node:          s.cfg.NodeID,
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Counters:      make(map[string]int64),
-		QueueDepth:    s.QueueDepth(),
-		Running:       s.Running(),
-		Workers:       s.cfg.Workers,
-		CacheEntries:  s.CacheLen(),
-		DiskEntries:   s.DiskCacheEntries(),
+		MetricsState:  s.metrics.State(),
 	}
-	for _, c := range s.rec.Counters() {
-		st.Counters[c.Name] = c.Value
-	}
-	s.histMu.Lock()
-	// Marshal cannot fail for a live histogram; losing the hist from one
-	// snapshot is not worth failing the whole state endpoint over.
-	if b, err := s.latHist.MarshalBinary(); err == nil {
-		st.LatencyHist = b
-	}
-	if b, err := s.queueHist.MarshalBinary(); err == nil {
-		st.QueueHist = b
-	}
-	s.histMu.Unlock()
 	if s.slo.Enabled() {
 		slo := s.slo.Status()
 		st.SLO = &slo
@@ -82,8 +46,6 @@ func (s *Server) NodeState() NodeState {
 		for i := range st.Slowest {
 			st.Slowest[i].Node = s.cfg.NodeID
 		}
-		st.TracesSeen = store.Seen()
-		st.TracesRetained = store.Len()
 	}
 	return st
 }
@@ -131,10 +93,10 @@ func (s *Server) Health() HealthStatus {
 		Cache: CacheHealth{
 			Entries:     s.CacheLen(),
 			DiskEntries: s.DiskCacheEntries(),
-			MemoryHits:  s.rec.Counter("labd.cache.hits.memory"),
-			DiskHits:    s.rec.Counter("labd.cache.hits.disk"),
-			PeerHits:    s.rec.Counter("labd.cache.hits.peer"),
-			PeerMisses:  s.rec.Counter("labd.cache.peer.misses"),
+			MemoryHits:  s.metrics.Counter("labd.cache.hits.memory"),
+			DiskHits:    s.metrics.Counter("labd.cache.hits.disk"),
+			PeerHits:    s.metrics.Counter("labd.cache.hits.peer"),
+			PeerMisses:  s.metrics.Counter("labd.cache.peer.misses"),
 		},
 	}
 }

@@ -130,6 +130,13 @@ func TestEndToEndTracing(t *testing.T) {
 	if _, ok := spans["queue.wait"].Attr("worker"); !ok {
 		t.Error("queue.wait span has no worker attribute")
 	}
+	// queue.wait is the enqueue-to-claim interval: the job is queued by
+	// its cache lookup's miss, so the wait ends no earlier than the lookup.
+	lookup, wait := spans["cache.lookup"], spans["queue.wait"]
+	if wait.Start+wait.Duration < lookup.Start+lookup.Duration {
+		t.Errorf("queue.wait [%v +%v] ends before the cache lookup that queued it [%v +%v]",
+			wait.Start, wait.Duration, lookup.Start, lookup.Duration)
+	}
 
 	// The simulate span adopts at least one simulated-time GC pause from
 	// the flight recorder.

@@ -33,7 +33,7 @@ func populate(r *Recorder, workers int) {
 		for _, e := range emits {
 			id := r.Span(e.track, e.name, e.start, e.dur, 0, Str(AttrCause, "Allocation Failure"))
 			r.Span(e.track, "ttsp", e.start, e.dur/10, id)
-			r.Add("gc.young", 1)
+			r.Metrics().Add("gc.young", 1)
 		}
 		return
 	}
@@ -52,7 +52,7 @@ func populate(r *Recorder, workers int) {
 				e := emits[i]
 				id := r.Span(e.track, e.name, e.start, e.dur, 0, Str(AttrCause, "Allocation Failure"))
 				r.Span(e.track, "ttsp", e.start, e.dur/10, id)
-				r.Add("gc.young", 1)
+				r.Metrics().Add("gc.young", 1)
 				next := i + 1
 				if next >= len(emits) {
 					for _, t := range tokens {

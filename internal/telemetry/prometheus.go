@@ -32,7 +32,7 @@ type promFamily struct {
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	var snap PromSnapshot
 
-	snap.AddRecorderCounters(r)
+	r.Metrics().AddTo(&snap)
 	snap.Summary("gc_pause_seconds",
 		"Stop-the-world GC pause durations.", r.pauseSeconds())
 	snap.Summary("safepoint_ttsp_seconds",

@@ -12,10 +12,9 @@ import (
 
 // PromSnapshot accumulates metric families and renders them in Prometheus
 // text exposition format. It is the reusable core of the Recorder's
-// WritePrometheus export: subsystems that are not simulations (the labd
-// job daemon, for instance) build a snapshot from their own gauges and
-// summaries, fold in a Recorder's counters, and serve the result from a
-// /metrics endpoint.
+// WritePrometheus export: the lab service folds in its Metrics set
+// (Metrics.AddTo), adds what only its own process reports (uptime, SLO
+// burn, Go runtime vitals), and serves the result from /metrics.
 //
 // Families are emitted in sorted name order, so a snapshot built from the
 // same data renders byte-identically. All metric names share the jvmgc_
@@ -176,14 +175,6 @@ func (s *PromSnapshot) HistogramExemplars(name, help string, h *hdrhist.Hist, ex
 		fmt.Sprintf("%s%s_count %d", promPrefix, n, h.Count()))
 	f.ex = append(f.ex, "", "", "")
 	s.fams = append(s.fams, f)
-}
-
-// AddRecorderCounters appends one counter family per Recorder counter,
-// exactly as WritePrometheus exports them.
-func (s *PromSnapshot) AddRecorderCounters(r *Recorder) {
-	for _, c := range r.Counters() {
-		s.Counter(c.Name, "Count of "+c.Name+" events in the recording.", c.Value)
-	}
 }
 
 // family appends a pre-rendered family (internal emission sites with

@@ -49,15 +49,15 @@ func TestPromSnapshotRendering(t *testing.T) {
 	}
 }
 
-// TestPromSnapshotRecorderCounters: folding a Recorder's counters into a
-// snapshot matches the Recorder's own WritePrometheus counter families.
+// TestPromSnapshotRecorderCounters: folding a Recorder's metric set into
+// a snapshot matches the Recorder's own WritePrometheus counter families.
 func TestPromSnapshotRecorderCounters(t *testing.T) {
 	rec := telemetry.New(telemetry.Config{})
-	rec.Add("gc.young", 3)
-	rec.Add("gc.full", 1)
+	rec.Metrics().Add("gc.young", 3)
+	rec.Metrics().Add("gc.full", 1)
 
 	var snap telemetry.PromSnapshot
-	snap.AddRecorderCounters(rec)
+	rec.Metrics().AddTo(&snap)
 	var got bytes.Buffer
 	if err := snap.Write(&got); err != nil {
 		t.Fatalf("Write: %v", err)

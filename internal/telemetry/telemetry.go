@@ -16,7 +16,8 @@
 //     eden/survivor/old occupancy, allocation rate, TLAB refill rate,
 //     mutator vs GC CPU share, last time-to-safepoint.
 //   - Counters: monotonic event counts (collections by kind, concurrent
-//     mode failures, promotion failures, humongous allocations, ...).
+//     mode failures, promotion failures, humongous allocations, ...) in
+//     the recorder's Metrics set (metrics.go), the lab service's too.
 //
 // Exporters render a recording as Chrome trace-event JSON (chrometrace.go,
 // loadable in Perfetto), a Prometheus text-format snapshot
@@ -170,28 +171,29 @@ type Sample struct {
 	TTSP simtime.Duration
 }
 
-// Counter is one named monotonic count.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
 // Recorder accumulates a recording. The zero value is NOT ready; use New.
 // A nil *Recorder is a valid disabled recorder: every method is a no-op
 // and Enabled reports false.
 type Recorder struct {
-	cfg Config
+	cfg     Config
+	metrics *Metrics
 
-	mu         sync.Mutex
-	spans      []Span
-	samples    []Sample
-	counters   []Counter
-	counterIdx map[string]int
+	mu      sync.Mutex
+	spans   []Span
+	samples []Sample
 }
 
 // New returns an empty recorder.
 func New(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg, counterIdx: make(map[string]int)}
+	return &Recorder{cfg: cfg, metrics: NewMetrics()}
+}
+
+// Metrics returns the recording's counter set (nil on nil).
+func (r *Recorder) Metrics() *Metrics {
+	if r == nil {
+		return nil
+	}
+	return r.metrics
 }
 
 // Enabled reports whether the recorder records anything (false on nil).
@@ -225,78 +227,6 @@ func (r *Recorder) Span(track, name string, start simtime.Time, d simtime.Durati
 	return id
 }
 
-// Add increments the named counter by delta (no-op on nil).
-func (r *Recorder) Add(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters[r.counterSlot(name)].Value += delta
-	r.mu.Unlock()
-}
-
-// counterSlot resolves (creating if needed) the slice index of the named
-// counter. Callers must hold r.mu.
-func (r *Recorder) counterSlot(name string) int {
-	i, ok := r.counterIdx[name]
-	if !ok {
-		i = len(r.counters)
-		r.counters = append(r.counters, Counter{Name: name})
-		r.counterIdx[name] = i
-	}
-	return i
-}
-
-// CounterHandle is a pre-registered reference to one counter. Hot paths
-// that increment the same counter many times register a handle once and
-// increment through it: after the first Add the handle carries the
-// counter's slice index, so every subsequent increment is an indexed add
-// under the mutex instead of a map lookup per call.
-//
-// Index resolution is deferred to the first Add (not registration) so that
-// counters still appear in exporters in first-touch order and untouched
-// counters stay invisible — byte-identical exports with or without
-// handles. A handle obtained from a nil Recorder is nil, and Add on a nil
-// handle is a no-op, mirroring the nil-Recorder contract.
-type CounterHandle struct {
-	r        *Recorder
-	name     string
-	idx      int
-	resolved bool
-}
-
-// CounterHandle registers a handle for the named counter (nil on a nil
-// recorder).
-func (r *Recorder) CounterHandle(name string) *CounterHandle {
-	if r == nil {
-		return nil
-	}
-	return &CounterHandle{r: r, name: name, idx: -1}
-}
-
-// Name returns the counter name the handle is bound to (empty on nil).
-func (h *CounterHandle) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// Add increments the handle's counter by delta (no-op on nil).
-func (h *CounterHandle) Add(delta int64) {
-	if h == nil {
-		return
-	}
-	r := h.r
-	r.mu.Lock()
-	if !h.resolved {
-		h.idx = r.counterSlot(h.name)
-		h.resolved = true
-	}
-	r.counters[h.idx].Value += delta
-	r.mu.Unlock()
-}
-
 // Sample appends one time-series point (no-op on nil).
 func (r *Recorder) Sample(s Sample) {
 	if r == nil {
@@ -326,31 +256,6 @@ func (r *Recorder) Samples() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.samples
-}
-
-// Counters returns a snapshot of the counters in first-touch order. It
-// is a copy: Add updates counter values in place, and a live daemon
-// exports them while its requests keep counting.
-func (r *Recorder) Counters() []Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Counter(nil), r.counters...)
-}
-
-// Counter returns the named counter's value (zero when absent or nil).
-func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.counterIdx[name]; ok {
-		return r.counters[i].Value
-	}
-	return 0
 }
 
 // Children returns the direct child spans of the given span, in emission

@@ -63,13 +63,20 @@ func TestRecorderNilSafe(t *testing.T) {
 	if id := r.Span(telemetry.TrackGC, "x", 0, simtime.Second, 0); id != 0 {
 		t.Errorf("nil Span id %d", id)
 	}
-	r.Add("c", 1)
+	r.Metrics().Add("c", 1)
 	r.Sample(telemetry.Sample{})
-	if r.Spans() != nil || r.Samples() != nil || r.Counters() != nil {
+	if r.Spans() != nil || r.Samples() != nil || r.Metrics().Counters() != nil {
 		t.Error("nil recorder returned data")
 	}
-	if r.Counter("c") != 0 || r.SampleInterval() != 0 {
+	if r.Metrics().Counter("c") != 0 || r.SampleInterval() != 0 {
 		t.Error("nil recorder counted")
+	}
+	m := r.Metrics() // a nil set
+	m.Gauge("g", "", func() float64 { return 1 })
+	m.Histogram("h", "").Observe(1)
+	m.Histogram("h", "").ObserveExemplar(1, "trace", 0)
+	if st := m.State(); len(st.Counters)+len(st.Gauges)+len(st.Hists) != 0 {
+		t.Errorf("nil set state %+v, want empty", st)
 	}
 	var buf bytes.Buffer
 	for _, write := range []func(*bytes.Buffer) error{
@@ -229,19 +236,19 @@ func TestUnifiedLogRoundTrips(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	r := telemetry.New(telemetry.Config{})
-	r.Add("a", 2)
-	r.Add("b", 1)
-	r.Add("a", 3)
-	if got := r.Counter("a"); got != 5 {
+	r.Metrics().Add("a", 2)
+	r.Metrics().Add("b", 1)
+	r.Metrics().Add("a", 3)
+	if got := r.Metrics().Counter("a"); got != 5 {
 		t.Errorf("counter a = %d", got)
 	}
-	cs := r.Counters()
+	cs := r.Metrics().Counters()
 	if len(cs) != 2 || cs[0].Name != "a" || cs[1].Name != "b" {
 		t.Errorf("counters %+v, want first-touch order", cs)
 	}
 	// A snapshot: a later Add, which may run on another goroutine while
 	// the caller reads it, does not write into it.
-	r.Add("a", 1)
+	r.Metrics().Add("a", 1)
 	if cs[0].Value != 5 {
 		t.Errorf("snapshot of a reads %d after a later Add, want 5", cs[0].Value)
 	}

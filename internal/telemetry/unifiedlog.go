@@ -50,7 +50,7 @@ func (r *Recorder) WriteUnifiedLog(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "# jvmgc unified GC log (telemetry export)"); err != nil {
 		return err
 	}
-	for _, c := range r.Counters() {
+	for _, c := range r.Metrics().Counters() {
 		if _, err := fmt.Fprintf(w, "# counter %s = %d\n", c.Name, c.Value); err != nil {
 			return err
 		}

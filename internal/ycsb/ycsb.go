@@ -158,9 +158,9 @@ func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
 	}
 	rng := xrand.New(cfg.Seed).SplitLabeled("ycsb/txn/" + server.Config.CollectorName)
 	zipf := xrand.NewZipf(rng.Split(), cfg.KeySpace, cfg.ZipfTheta)
-	ctrRead := cfg.Recorder.CounterHandle("ycsb.ops.read")
-	ctrUpdate := cfg.Recorder.CounterHandle("ycsb.ops.update")
-	ctrShadowed := cfg.Recorder.CounterHandle("ycsb.ops.shadowed")
+	ctrRead := cfg.Recorder.Metrics().CounterHandle("ycsb.ops.read")
+	ctrUpdate := cfg.Recorder.Metrics().CounterHandle("ycsb.ops.update")
+	ctrShadowed := cfg.Recorder.Metrics().CounterHandle("ycsb.ops.shadowed")
 	readFrac := cfg.ReadFraction
 	if readFrac < 0 {
 		readFrac = 0
