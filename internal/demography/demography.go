@@ -321,10 +321,21 @@ func (tk *Tracker) MinorGC(t simtime.Time, tenure int, survivorCap machine.Bytes
 	var out MinorOutcome
 	stay := tk.scratch[:0]
 	before := 0.0
+	// Cohorts that share a birth instant sit next to each other: the
+	// survivors of one collection all carry its instant. Their decay
+	// factors, the live amounts of a unit cohort of that birth, are
+	// computed once from identical arguments, so every product has the
+	// bits a per-cohort rebase gives (a zero component stays zero).
+	birth, fs, fm := t, 1.0, 1.0
 	for i := range tk.young {
 		c := tk.young[i]
 		bs, bm, bl := c.short, c.medium, c.long // occupancy contribution (at-birth bytes)
-		c.rebase(t, tk.meanShortSec, tk.meanMediumSec)
+		if c.birth != birth {
+			birth = c.birth
+			unit := cohort{birth: birth, short: 1, medium: 1}
+			fs, fm, _ = unit.liveAt(t, tk.meanShortSec, tk.meanMediumSec)
+		}
+		c.short, c.medium, c.birth = bs*fs, bm*fm, t
 		before += bs + bm + bl
 		if c.total() < minLiveBytes {
 			continue

@@ -61,7 +61,10 @@ func FuzzParse(f *testing.F) {
 // occupancies. The seed corpus under testdata/fuzz/FuzzEventFormat holds
 // the rounding ties at both precisions, a carry into the next integer
 // second, the 2^52 ns edge of the integer path, zero and negative values,
-// and every Bytes unit boundary including the exponent form.
+// every Bytes unit boundary including the exponent form, and the edges
+// of Bytes' integer path: an exact tie (1088 B, 1.062KB), carries to a
+// new leading digit (10MB, 100KB), its last value (1000GB) and the first
+// strconv renders.
 func FuzzEventFormat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, start, dur int64, kind int, cause string, before, after int64) {
 		e := Event{

@@ -102,7 +102,11 @@ const maxLine = 128
 //
 //	fmt.Sprintf("%.3f: [%s (%s) %v->%v, %.4f secs]", e.Start.Seconds(),
 //		e.Kind, e.Cause, e.HeapBefore, e.HeapAfter, e.Duration.Seconds())
-func (e Event) AppendFormat(dst []byte) []byte {
+func (e Event) AppendFormat(dst []byte) []byte { return appendEvent(dst, &e) }
+
+// appendEvent is AppendFormat for an event the caller holds in place, so
+// that rendering a whole log copies no event.
+func appendEvent(dst []byte, e *Event) []byte {
 	dst = appendSeconds(dst, int64(e.Start), 3)
 	dst = append(dst, ": ["...)
 	dst = append(dst, e.Kind.String()...)
@@ -117,41 +121,67 @@ func (e Event) AppendFormat(dst []byte) []byte {
 	return append(dst, " secs]"...)
 }
 
-// pow10 holds 10^i for every i in 0..9.
-var pow10 = [10]int64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-
-// appendSeconds appends ns nanoseconds as seconds with prec decimals
-// (1 <= prec <= 9), the bytes strconv.AppendFloat(dst, float64(ns)/1e9,
-// 'f', prec, 64) gives, without its multiprecision path.
+// appendSeconds appends ns nanoseconds as seconds with prec decimals,
+// prec 3 or 4 (the two a log line uses): the bytes
+// strconv.AppendFloat(dst, float64(ns)/1e9, 'f', prec, 64) gives,
+// without its multiprecision path.
 //
 // For 0 <= ns < 2^52 the float quotient lies within half an ulp
 // (< 0.47 ns) of the exact one, while an ns that is not an exact tie
 // lies at least 1 ns from the rounding boundary, so rounding the
-// integer gives the float's digits. Ties, negative values and larger
-// ones take the float path.
+// integer gives the float's digits. Ties, negative values, larger ones
+// and other precisions take the float path. Every divisor is a
+// constant, which the compiler turns into a multiplication.
 func appendSeconds(dst []byte, ns int64, prec int) []byte {
-	unit := pow10[9-prec]
-	q, r := ns/unit, ns%unit
-	if ns < 0 || ns >= 1<<52 || 2*r == unit {
+	var q, r, half int64
+	switch prec {
+	case 3:
+		q, r, half = ns/1e6, ns%1e6, 5e5
+	case 4:
+		q, r, half = ns/1e5, ns%1e5, 5e4
+	}
+	if half == 0 || ns < 0 || ns >= 1<<52 || r == half {
 		return strconv.AppendFloat(dst, float64(ns)/1e9, 'f', prec, 64)
 	}
-	if 2*r > unit {
+	if r > half {
 		q++
 	}
-	scale := pow10[prec]
-	dst = strconv.AppendInt(dst, q/scale, 10)
-	dst = append(dst, '.')
-	frac := q % scale
-	for d := scale / 10; d > 0; d /= 10 {
-		dst = append(dst, byte('0'+frac/d%10))
+	// q counts units of the last decimal: write its prec fraction digits
+	// right to left, then the whole seconds in front of them.
+	u := uint64(q)
+	var frac [4]byte
+	for i := prec - 1; i >= 0; i-- {
+		frac[i] = byte('0' + u%10)
+		u /= 10
 	}
-	return dst
+	dst = strconv.AppendUint(dst, u, 10)
+	dst = append(dst, '.')
+	return append(dst, frac[:prec]...)
 }
 
-// Log accumulates GC events in time order.
+// Log accumulates GC events in time order. It stores them in chunks of
+// doubling capacity (16, 32, 64, …) and never moves a chunk once
+// written, so appending n events takes about log2(n/16) allocations and
+// copies no event, where a slice grown by append copies each event
+// several times. The chunk directory lives inside the Log, so a log
+// allocates nothing beyond its chunks.
 type Log struct {
-	events []Event
+	chunks [logChunks][]Event
+	last   int // index of the chunk being filled
 }
+
+const (
+	// firstChunk is the first chunk's capacity; chunk i holds
+	// firstChunk<<i events.
+	firstChunk = 16
+	// logChunks sizes the directory, which every log carries. Most logs
+	// are short (the paper's runs write a median of 9 events and at most
+	// 714), so it is kept to 312 bytes: 13 chunks hold 131,056 events,
+	// about six simulated days of the busiest collector and heap under
+	// Simulate's default workload (about 900 events an hour). A longer
+	// log grows its last chunk by append.
+	logChunks = 13
+)
 
 // New returns an empty log.
 func New() *Log { return &Log{} }
@@ -159,28 +189,53 @@ func New() *Log { return &Log{} }
 // Append adds an event. Events must be appended in non-decreasing start
 // order; out-of-order appends panic because they indicate a simulator bug.
 func (l *Log) Append(e Event) {
-	if l.events == nil {
-		// Skip the smallest append growth steps; long logs double from here
-		// in a handful of regrows.
-		l.events = make([]Event, 0, 16)
+	c := l.chunks[l.last]
+	if n := len(c); n > 0 && e.Start < c[n-1].Start {
+		panic(fmt.Sprintf("gclog: out-of-order append: %v after %v", e.Start, c[n-1].Start))
 	}
-	if n := len(l.events); n > 0 && e.Start < l.events[n-1].Start {
-		panic(fmt.Sprintf("gclog: out-of-order append: %v after %v",
-			e.Start, l.events[n-1].Start))
+	if len(c) == cap(c) {
+		if len(c) > 0 && l.last+1 < logChunks {
+			l.last++
+		}
+		if c = l.chunks[l.last]; c == nil {
+			c = make([]Event, 0, firstChunk<<l.last)
+		}
 	}
-	l.events = append(l.events, e)
+	l.chunks[l.last] = append(c, e)
 }
 
-// Events returns all events in order. The returned slice is owned by the
-// log; callers must not modify it.
-func (l *Log) Events() []Event { return l.events }
+// Len returns the number of events in the log.
+func (l *Log) Len() int {
+	return firstChunk<<l.last - firstChunk + len(l.chunks[l.last])
+}
+
+// Chunks returns the log's events as consecutive runs: every event of
+// the first run, in order, then every event of the second, and so on.
+// The runs are owned by the log; callers must not modify them.
+func (l *Log) Chunks() [][]Event { return l.chunks[:l.last+1] }
+
+// Events returns a copy of all events in order, or nil for an empty log.
+// It allocates the whole log at once, so it serves tests and tools; the
+// simulator's own paths range over Chunks.
+func (l *Log) Events() []Event {
+	if l.Len() == 0 {
+		return nil
+	}
+	out := make([]Event, 0, l.Len())
+	for _, c := range l.Chunks() {
+		out = append(out, c...)
+	}
+	return out
+}
 
 // Pauses returns only the stop-the-world events.
 func (l *Log) Pauses() []Event {
 	var out []Event
-	for _, e := range l.events {
-		if e.Kind.IsPause() {
-			out = append(out, e)
+	for _, c := range l.Chunks() {
+		for i := range c {
+			if c[i].Kind.IsPause() {
+				out = append(out, c[i])
+			}
 		}
 	}
 	return out
@@ -189,9 +244,11 @@ func (l *Log) Pauses() []Event {
 // PausesBetween returns stop-the-world events with Start in [t0, t1).
 func (l *Log) PausesBetween(t0, t1 simtime.Time) []Event {
 	var out []Event
-	for _, e := range l.events {
-		if e.Kind.IsPause() && e.Start >= t0 && e.Start < t1 {
-			out = append(out, e)
+	for _, c := range l.Chunks() {
+		for i := range c {
+			if e := &c[i]; e.Kind.IsPause() && e.Start >= t0 && e.Start < t1 {
+				out = append(out, *e)
+			}
 		}
 	}
 	return out
@@ -200,9 +257,11 @@ func (l *Log) PausesBetween(t0, t1 simtime.Time) []Event {
 // TotalPause returns the summed duration of all stop-the-world events.
 func (l *Log) TotalPause() simtime.Duration {
 	var sum simtime.Duration
-	for _, e := range l.events {
-		if e.Kind.IsPause() {
-			sum += e.Duration
+	for _, c := range l.Chunks() {
+		for i := range c {
+			if e := &c[i]; e.Kind.IsPause() {
+				sum += e.Duration
+			}
 		}
 	}
 	return sum
@@ -212,9 +271,11 @@ func (l *Log) TotalPause() simtime.Duration {
 // an empty log.
 func (l *Log) MaxPause() simtime.Duration {
 	var max simtime.Duration
-	for _, e := range l.events {
-		if e.Kind.IsPause() && e.Duration > max {
-			max = e.Duration
+	for _, c := range l.Chunks() {
+		for i := range c {
+			if e := &c[i]; e.Kind.IsPause() && e.Duration > max {
+				max = e.Duration
+			}
 		}
 	}
 	return max
@@ -223,13 +284,14 @@ func (l *Log) MaxPause() simtime.Duration {
 // CountPauses returns the number of stop-the-world events, and how many of
 // them were full collections.
 func (l *Log) CountPauses() (pauses, full int) {
-	for _, e := range l.events {
-		if !e.Kind.IsPause() {
-			continue
-		}
-		pauses++
-		if e.Kind == PauseFull {
-			full++
+	for _, c := range l.Chunks() {
+		for i := range c {
+			if k := c[i].Kind; k.IsPause() {
+				pauses++
+				if k == PauseFull {
+					full++
+				}
+			}
 		}
 	}
 	return pauses, full
@@ -248,15 +310,18 @@ func (l *Log) AvgPause() simtime.Duration {
 // PauseAt reports whether a stop-the-world event covers instant t, and if
 // so returns it.
 func (l *Log) PauseAt(t simtime.Time) (Event, bool) {
-	for _, e := range l.events {
-		if !e.Kind.IsPause() {
-			continue
-		}
-		if t >= e.Start && t < e.End() {
-			return e, true
-		}
-		if e.Start > t {
-			break
+	for _, c := range l.Chunks() {
+		for i := range c {
+			e := &c[i]
+			if !e.Kind.IsPause() {
+				continue
+			}
+			if t >= e.Start && t < e.End() {
+				return *e, true
+			}
+			if e.Start > t {
+				return Event{}, false
+			}
 		}
 	}
 	return Event{}, false
@@ -270,10 +335,12 @@ const lineBytes = 80
 // String renders the whole log in HotSpot-like lines.
 func (l *Log) String() string {
 	var b strings.Builder
-	b.Grow(len(l.events) * lineBytes)
+	b.Grow(l.Len() * lineBytes)
 	var line [maxLine]byte
-	for _, e := range l.events {
-		b.Write(append(e.AppendFormat(line[:0]), '\n'))
+	for _, c := range l.Chunks() {
+		for i := range c {
+			b.Write(append(appendEvent(line[:0], &c[i]), '\n'))
+		}
 	}
 	return b.String()
 }

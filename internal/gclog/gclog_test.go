@@ -161,7 +161,9 @@ func TestStringRendersAllEvents(t *testing.T) {
 // against the float rendering it replaces: a seeded spread of magnitudes
 // up to 2^52 ns, and the exact ties of each precision with their
 // neighbours 1 ns either side, where a misrounding would first show.
+// Precisions other than 3 and 4 take the float path and are checked too.
 func TestAppendSecondsMatchesFloat(t *testing.T) {
+	units := map[int]int64{2: 1e7, 3: 1e6, 4: 1e5, 5: 1e4}
 	rng := rand.New(rand.NewPCG(13, 0))
 	var got, want []byte
 	check := func(ns int64, prec int) {
@@ -173,8 +175,7 @@ func TestAppendSecondsMatchesFloat(t *testing.T) {
 	}
 	for i := 0; i < 50000; i++ {
 		ns := rng.Int64N(1 << (1 + rng.IntN(52)))
-		for _, prec := range []int{3, 4} {
-			unit := pow10[9-prec]
+		for prec, unit := range units {
 			tie := ns/unit*unit + unit/2
 			for _, v := range []int64{ns, tie - 1, tie, tie + 1} {
 				if v >= 0 && v < 1<<52 {

@@ -24,6 +24,7 @@ func Parse(r io.Reader) (*Log, error) {
 	log := New()
 	sc := bufio.NewScanner(r)
 	lineNo := 0
+	var prev simtime.Time // the last appended event's start
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -34,10 +35,11 @@ func Parse(r io.Reader) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gclog: line %d: %w", lineNo, err)
 		}
-		if evs := log.Events(); len(evs) > 0 && e.Start < evs[len(evs)-1].Start {
+		if log.Len() > 0 && e.Start < prev {
 			return nil, fmt.Errorf("gclog: line %d: events out of order", lineNo)
 		}
 		log.Append(e)
+		prev = e.Start
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

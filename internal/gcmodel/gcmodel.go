@@ -116,7 +116,7 @@ type Snapshot struct {
 
 // PressureMultiplier returns the promotion cost multiplier implied by the
 // old-generation occupancy in the snapshot.
-func (c Costs) PressureMultiplier(oldOccupancy float64) float64 {
+func (c *Costs) PressureMultiplier(oldOccupancy float64) float64 {
 	if oldOccupancy <= c.OldPressureKnee {
 		return 1
 	}
@@ -141,7 +141,7 @@ func RootScanWork(mutators int) float64 {
 }
 
 // Jitter applies the configured pause noise and clamps to non-negative.
-func (c Costs) Jitter(d simtime.Duration, rng *xrand.Rand) simtime.Duration {
+func (c *Costs) Jitter(d simtime.Duration, rng *xrand.Rand) simtime.Duration {
 	if rng == nil {
 		return d
 	}
@@ -155,21 +155,21 @@ func (c Costs) Jitter(d simtime.Duration, rng *xrand.Rand) simtime.Duration {
 // ParallelPause prices `work` traversal bytes executed by the snapshot's
 // GC thread gang, plus root scanning, as a stop-the-world pause (without
 // TTSP, which the safepoint model adds).
-func (c Costs) ParallelPause(s Snapshot, work float64) simtime.Duration {
+func (c *Costs) ParallelPause(s Snapshot, work float64) simtime.Duration {
 	secs := s.Machine.ParallelSeconds(work+RootScanWork(s.MutatorThreads), s.GCThreads)
 	return c.Jitter(simtime.Seconds(secs), s.Rng)
 }
 
 // SerialPause prices `work` traversal bytes on a single thread, spanning
 // `span` bytes of address space (for the NUMA interleaving penalty).
-func (c Costs) SerialPause(s Snapshot, work float64, span machine.Bytes) simtime.Duration {
+func (c *Costs) SerialPause(s Snapshot, work float64, span machine.Bytes) simtime.Duration {
 	secs := s.Machine.SerialSeconds(work+RootScanWork(s.MutatorThreads), span)
 	return c.Jitter(simtime.Seconds(secs), s.Rng)
 }
 
 // MixedParallelPause prices a phase of which only parallelFrac
 // parallelizes; the remainder runs on one thread spanning `span`.
-func (c Costs) MixedParallelPause(s Snapshot, work float64, parallelFrac float64, span machine.Bytes) simtime.Duration {
+func (c *Costs) MixedParallelPause(s Snapshot, work float64, parallelFrac float64, span machine.Bytes) simtime.Duration {
 	if parallelFrac < 0 {
 		parallelFrac = 0
 	}
@@ -184,7 +184,7 @@ func (c Costs) MixedParallelPause(s Snapshot, work float64, parallelFrac float64
 // MinorWork converts minor-collection volumes into traversal bytes, using
 // the given promotion factor and the old-pressure multiplier, and adds
 // dirty-card scanning over the old generation.
-func (c Costs) MinorWork(s Snapshot, promoteFactor float64) float64 {
+func (c *Costs) MinorWork(s Snapshot, promoteFactor float64) float64 {
 	pressure := c.PressureMultiplier(s.OldOccupancy)
 	work := float64(s.Survived)*c.Copy +
 		float64(s.Promoted)*promoteFactor*pressure +
@@ -194,7 +194,7 @@ func (c Costs) MinorWork(s Snapshot, promoteFactor float64) float64 {
 
 // FullWork converts full-collection volumes into traversal bytes for a
 // mark-compact collection.
-func (c Costs) FullWork(s Snapshot) float64 {
+func (c *Costs) FullWork(s Snapshot) float64 {
 	live := float64(s.LiveYoung + s.LiveOld)
 	return live*c.Mark + live*c.Compact
 }

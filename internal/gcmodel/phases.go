@@ -46,7 +46,7 @@ type PhaseDecomposer interface {
 // MinorPhaseWeights decomposes MinorWork plus root scanning into the
 // standard young-collection phases, using the same cost factors as the
 // pricers.
-func (c Costs) MinorPhaseWeights(s Snapshot, promoteFactor float64) []PhaseWeight {
+func (c *Costs) MinorPhaseWeights(s Snapshot, promoteFactor float64) []PhaseWeight {
 	pressure := c.PressureMultiplier(s.OldOccupancy)
 	return []PhaseWeight{
 		{Name: "root-scan", Weight: RootScanWork(s.MutatorThreads)},
@@ -58,7 +58,7 @@ func (c Costs) MinorPhaseWeights(s Snapshot, promoteFactor float64) []PhaseWeigh
 
 // FullPhaseWeights decomposes FullWork plus root scanning into
 // mark-compact phases.
-func (c Costs) FullPhaseWeights(s Snapshot) []PhaseWeight {
+func (c *Costs) FullPhaseWeights(s Snapshot) []PhaseWeight {
 	live := float64(s.LiveYoung + s.LiveOld)
 	return []PhaseWeight{
 		{Name: "root-scan", Weight: RootScanWork(s.MutatorThreads)},

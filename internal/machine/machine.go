@@ -42,21 +42,67 @@ func (b Bytes) String() string {
 
 // Append appends the String form of b to dst and returns the extended
 // buffer. The digits are those of fmt's %.4g, which is
-// strconv.AppendFloat with format 'g' and precision 4.
+// strconv.AppendFloat with format 'g' and precision 4. Below 1000 units
+// a positive quantity takes an integer path: b/2^shift is a dyadic
+// fraction, so its four significant digits are an integer division,
+// rounded half to even on the exact remainder. Negative quantities and
+// those of 1000 units or more, whose rendering turns to the exponent
+// form at 10^4 units, take strconv.
 func (b Bytes) Append(dst []byte) []byte {
-	unit, name := Bytes(0), ""
+	shift, name := uint(0), ""
 	switch {
 	case b >= GB || b <= -GB:
-		unit, name = GB, "GB"
+		shift, name = 30, "GB"
 	case b >= MB || b <= -MB:
-		unit, name = MB, "MB"
+		shift, name = 20, "MB"
 	case b >= KB || b <= -KB:
-		unit, name = KB, "KB"
+		shift, name = 10, "KB"
 	default:
 		return append(strconv.AppendInt(dst, int64(b), 10), 'B')
 	}
-	dst = strconv.AppendFloat(dst, float64(b)/float64(unit), 'g', 4, 64)
+	if b > 0 && b < 1000<<shift {
+		dst = appendSig4(dst, uint64(b), shift)
+	} else {
+		dst = strconv.AppendFloat(dst, float64(b)/float64(Bytes(1)<<shift), 'g', 4, 64)
+	}
 	return append(dst, name...)
+}
+
+// appendSig4 appends b/2^shift, a value in [1, 1000), to four
+// significant digits with trailing fraction zeros dropped, as %.4g
+// prints it. b < 1000·2^30, so b·1000 fits in 64 bits.
+func appendSig4(dst []byte, b uint64, shift uint) []byte {
+	// fd fraction digits leave four significant ones; q counts units of
+	// the last of them.
+	fd, scale := 3, uint64(1000)
+	switch whole := b >> shift; {
+	case whole >= 100:
+		fd, scale = 1, 10
+	case whole >= 10:
+		fd, scale = 2, 100
+	}
+	q, r := b*scale>>shift, b*scale&(1<<shift-1)
+	if half := uint64(1) << (shift - 1); r > half || r == half && q&1 == 1 {
+		q++
+	}
+	// A carry (9.9996 to 10.00) leaves q = 10^4: whole part 10^(4-fd),
+	// fraction zero, the same digits %.4g prints.
+	dst = strconv.AppendUint(dst, q/scale, 10)
+	f := q % scale
+	if f == 0 {
+		return dst
+	}
+	for f%10 == 0 {
+		f /= 10
+		fd--
+	}
+	var digits [3]byte
+	for i := fd - 1; i >= 0; i-- {
+		digits[i] = byte('0' + f%10)
+		f /= 10
+	}
+	dst = append(dst, '.')
+	return append(dst, digits[:fd]...)
 }
 
 // ParseSize parses a size the way the JVM's -Xmx takes one: "512m",

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +24,51 @@ func TestBytesString(t *testing.T) {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.b), got, c.want)
 		}
 	}
+}
+
+// TestBytesAppendMatchesStrconv holds Append's integer path to the
+// strconv rendering it replaces: every quantity below 1 MiB, which is
+// every KB digit string, and a seeded spread of MB and GB quantities,
+// each with its neighbours 1 B either side. The shift by 10 of each unit
+// makes the three paths the same arithmetic at different scales.
+func TestBytesAppendMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(b Bytes) {
+		got = b.Append(got[:0])
+		want = want[:0]
+		switch unit, name := unitOf(b); unit {
+		case 1:
+			want = append(strconv.AppendInt(want, int64(b), 10), 'B')
+		default:
+			want = append(strconv.AppendFloat(want, float64(b)/float64(unit), 'g', 4, 64), name...)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("Bytes(%d).Append = %s, strconv gives %s", int64(b), got, want)
+		}
+	}
+	for b := Bytes(0); b < MB; b++ {
+		check(b)
+	}
+	rng := rand.New(rand.NewPCG(29, 0))
+	for i := 0; i < 100000; i++ {
+		b := Bytes(rng.Int64N(1 << (20 + rng.IntN(25))))
+		for _, v := range []Bytes{b - 1, b, b + 1, -b} {
+			check(v)
+		}
+	}
+}
+
+// unitOf returns the binary unit Append renders b in, and its name.
+func unitOf(b Bytes) (Bytes, string) {
+	switch {
+	case b >= GB || b <= -GB:
+		return GB, "GB"
+	case b >= MB || b <= -MB:
+		return MB, "MB"
+	case b >= KB || b <= -KB:
+		return KB, "KB"
+	}
+	return 1, "B"
 }
 
 func TestParseSize(t *testing.T) {

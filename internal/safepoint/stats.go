@@ -51,8 +51,8 @@ func (s *Stats) Mean() simtime.Duration {
 	return s.total / simtime.Duration(s.count)
 }
 
-// Percentiles returns one TTSP per requested percentile. The retained
-// samples are sorted once for the whole batch — the summary paths ask
+// Percentiles returns one TTSP per requested percentile, from one copy
+// of the retained samples (stats.Percentiles) — the summary paths ask
 // for p50/p95/p99 together. Zeros with no samples.
 func (s *Stats) Percentiles(ps ...float64) []simtime.Duration {
 	out := make([]simtime.Duration, len(ps))

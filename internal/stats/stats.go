@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -79,9 +80,13 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return out[0], nil
 }
 
-// Percentiles returns one value per requested percentile, copying and
-// sorting xs once: where a report takes p50/p95/p99 from the same
-// slice, this is one O(n log n) sort instead of one per percentile.
+// Percentiles returns one value per requested percentile, from one copy
+// of xs. Each percentile interpolates between the two order statistics
+// at its rank, which it finds by selection rather than by sorting the
+// copy, so the values equal those read from the sorted slice. The order
+// is sort.Float64s's, NaNs first; −0 and +0 compare equal, so where both
+// occur either may be read. Percentiles asked for in ascending order, as
+// p50/p95/p99 are, each search only above the previous one's rank.
 // Errors mirror Percentile's.
 func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 	if len(xs) == 0 {
@@ -92,27 +97,99 @@ func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 			return nil, errors.New("stats: percentile out of [0,100]")
 		}
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	a := append([]float64(nil), xs...)
 	out := make([]float64, len(ps))
+	below := 0 // a[:below] holds the below smallest values
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		// p = 100 gives rank len(a)-1 exactly: the maximum.
+		rank := p / 100 * float64(len(a)-1)
+		lo := int(rank)
+		frac := rank - float64(lo)
+		if lo < below {
+			below = 0
+		}
+		selectRank(a[below:], lo-below)
+		below = lo
+		if lo+1 >= len(a) {
+			out[i] = a[lo]
+			continue
+		}
+		// Selection leaves no smaller value after lo, so the next order
+		// statistic is the least of them.
+		next := a[lo+1]
+		for _, x := range a[lo+2:] {
+			if less(x, next) {
+				next = x
+			}
+		}
+		out[i] = a[lo]*(1-frac) + next*frac
 	}
 	return out, nil
 }
 
-// percentileSorted evaluates one percentile over already-sorted data.
-func percentileSorted(sorted []float64, p float64) float64 {
-	if p == 100 {
-		return sorted[len(sorted)-1]
+// less is sort.Float64s's order: NaNs before every number.
+func less(x, y float64) bool { return x < y || (x != x && y == y) }
+
+// selectRank reorders a so that a[k] holds the value sorting would put
+// there, with no greater value before it and no smaller one after it.
+// It is quickselect with median-of-three pivots and insertion sort for
+// ranges of 12 values or fewer; a search still open after
+// 2·log2(len(a)) partitions sorts what is left, which bounds the worst
+// case at O(n log n).
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo:hi])
+			return
+		}
+		p := lo + partition(a[lo:hi])
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return
+		}
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && less(a[j], a[j-1]); j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
+// partition moves the median of s's first, middle and last values to
+// the index it returns, with no greater value before it and no smaller
+// one after it. Both scans stop on values equal to the pivot, so runs of
+// duplicates split evenly. s must hold at least three values.
+func partition(s []float64) int {
+	m, h := len(s)/2, len(s)-1
+	if less(s[m], s[0]) {
+		s[m], s[0] = s[0], s[m]
+	}
+	if less(s[h], s[m]) {
+		s[h], s[m] = s[m], s[h]
+		if less(s[m], s[0]) {
+			s[m], s[0] = s[0], s[m]
+		}
+	}
+	s[0], s[m] = s[m], s[0]
+	v := s[0]
+	i, j := 0, len(s)
+	for {
+		for i++; i < h && less(s[i], v); i++ {
+		}
+		for j--; less(v, s[j]); j-- {
+		}
+		if i >= j {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+	}
+	s[0], s[j] = s[j], s[0]
+	return j
 }
 
 // Welford is a streaming mean/variance/min/max accumulator, used where

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,7 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// TestPercentilesMatchPercentile checks the sort-once batch API gives
+// TestPercentilesMatchPercentile checks the batch API gives
 // bit-identical answers to the one-at-a-time calls it replaces.
 func TestPercentilesMatchPercentile(t *testing.T) {
 	xs := []float64{9, 1, 7, 3, 5, 2, 8, 4, 6, 0}
@@ -98,6 +99,121 @@ func TestPercentilesMatchPercentile(t *testing.T) {
 	}
 	if _, err := Percentiles(xs); err != nil {
 		t.Errorf("zero percentiles rejected: %v", err)
+	}
+}
+
+// percentilesSorted is the differential oracle for Percentiles: the
+// sort-based implementation that selection replaced, kept here as
+// bands_test.go keeps the band analysis's.
+func percentilesSorted(xs []float64, ps ...float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		if p == 100 {
+			out[i] = sorted[len(sorted)-1]
+			continue
+		}
+		rank := p / 100 * float64(len(sorted)-1)
+		lo := int(rank)
+		frac := rank - float64(lo)
+		if lo+1 >= len(sorted) {
+			out[i] = sorted[lo]
+			continue
+		}
+		out[i] = sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	}
+	return out
+}
+
+// percentileGrid spans both ends, the summary quantiles and ranks that
+// fall between order statistics.
+var percentileGrid = []float64{0, 0.1, 1, 5, 10, 25, 33.3, 50, 66.7, 75, 90, 95, 99, 99.9, 99.99, 100}
+
+// randomSample draws n values of one of several shapes: spread-out
+// values, few distinct values, and each of those with NaN and ±Inf mixed
+// in, in random, ascending, descending or organ-pipe order. It never
+// draws −0.
+func randomSample(r *xrand.Rand, n int) []float64 {
+	distinct := 1 + r.Intn(8)
+	special := r.Bool(0.5)
+	xs := make([]float64, n)
+	for i := range xs {
+		switch {
+		case special && r.Bool(0.05):
+			xs[i] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+		case distinct < 4:
+			xs[i] = float64(r.Intn(distinct)) - 1 // -1, 0 (never -0), 1, ...
+		default:
+			xs[i] = r.LogNormal(0, 2) - 1
+		}
+	}
+	switch r.Intn(4) {
+	case 1:
+		sort.Float64s(xs)
+	case 2:
+		sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+	case 3:
+		sort.Float64s(xs)
+		for i, j := 0, len(xs)-1; i < j; i, j = i+2, j-1 {
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+	}
+	return xs
+}
+
+// TestPercentilesMatchSortedOracle holds Percentiles bit-equal to the
+// sort-based oracle on randomized inputs of 1–5,000 values, duplicates,
+// NaN and ±Inf included, at every percentile of the grid, asked for in
+// ascending order and in a random one.
+func TestPercentilesMatchSortedOracle(t *testing.T) {
+	r := xrand.New(2112)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(5000)
+		if trial < 40 {
+			n = 1 + trial // every short length, insertion sort alone
+		}
+		xs := randomSample(r, n)
+		in := append([]float64(nil), xs...)
+		ps := percentileGrid
+		if trial%2 == 1 {
+			ps = append([]float64(nil), percentileGrid...)
+			for i := len(ps) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				ps[i], ps[j] = ps[j], ps[i]
+			}
+		}
+		got, err := Percentiles(xs, ps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := percentilesSorted(xs, ps...)
+		for i, p := range ps {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d, n=%d, p%v: got %v, oracle %v", trial, n, p, got[i], want[i])
+			}
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("trial %d: Percentiles reordered its input", trial)
+			}
+		}
+	}
+}
+
+// TestPercentilesSignedZeros documents the one place selection and the
+// sort may differ: −0 and +0 compare equal, so where both occur either
+// may be read, and the result equals the oracle's as a number.
+func TestPercentilesSignedZeros(t *testing.T) {
+	xs := []float64{math.Copysign(0, -1), 1, 0, -1, math.Copysign(0, -1), 0, 2}
+	got, err := Percentiles(xs, percentileGrid...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range percentilesSorted(xs, percentileGrid...) {
+		if got[i] != want {
+			t.Errorf("p%v: got %v, oracle %v", percentileGrid[i], got[i], want)
+		}
 	}
 }
 

@@ -252,17 +252,20 @@ func pauses(log *gclog.Log) ([]Pause, int) {
 		return nil, 0
 	}
 	out := make([]Pause, 0, n)
-	for _, e := range log.Events() {
-		if !e.Kind.IsPause() {
-			continue
+	for _, c := range log.Chunks() {
+		for i := range c {
+			e := &c[i]
+			if !e.Kind.IsPause() {
+				continue
+			}
+			out = append(out, Pause{
+				At:       time.Duration(e.Start),
+				Duration: e.Duration.Std(),
+				Kind:     e.Kind.String(),
+				Cause:    e.Cause,
+				Full:     e.Kind == gclog.PauseFull,
+			})
 		}
-		out = append(out, Pause{
-			At:       time.Duration(e.Start),
-			Duration: e.Duration.Std(),
-			Kind:     e.Kind.String(),
-			Cause:    e.Cause,
-			Full:     e.Kind == gclog.PauseFull,
-		})
 	}
 	return out, full
 }

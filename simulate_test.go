@@ -17,7 +17,11 @@ import (
 // seven event kinds and the B, MB and GB units, so any change to how a
 // GC-log line is rendered shows here as a different digest. A second
 // digest pins each run's SafepointSummary, whose mean and percentiles
-// the time-to-safepoint distribution computes.
+// the time-to-safepoint distribution computes. A third pins whole
+// results of two-hour runs with a demography in which everything dies
+// (90% at 200 ms, 10% at 30 s), which reach what ten minutes do not:
+// logs across several storage chunks, survivor cohorts that share a
+// birth instant, and percentiles over about 900 safepoints each.
 func TestSimulateLogTextPinned(t *testing.T) {
 	const (
 		wantLines      = 905
@@ -49,6 +53,37 @@ func TestSimulateLogTextPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(sp.Sum(nil)); got != wantSafepoints {
 		t.Errorf("Safepoints: SHA-256 %s; want %s", got, wantSafepoints)
+	}
+
+	const (
+		wantLongPauses = 10880
+		wantLongSHA256 = "bbf81e5c2181c785983e288c3fb00965f39d591ee4371010a53a72ba6e3e1859"
+	)
+	long := sha256.New()
+	pauses := 0
+	for _, col := range jvmgc.Collectors() {
+		for _, heap := range []int64{4 << 30, 16 << 30} {
+			res, err := jvmgc.Simulate(jvmgc.SimulationConfig{
+				Collector:           col,
+				HeapBytes:           heap,
+				Threads:             48,
+				AllocBytesPerSec:    200e6,
+				ShortLivedFraction:  0.9,
+				ShortLifetime:       200 * time.Millisecond,
+				MediumLivedFraction: 0.1,
+				MediumLifetime:      30 * time.Second,
+				Seed:                42,
+			}, 2*time.Hour)
+			if err != nil {
+				t.Fatalf("%s/%d, 2 h: %v", col, heap>>30, err)
+			}
+			pauses += len(res.Pauses)
+			fmt.Fprintf(long, "%#v", *res)
+		}
+	}
+	if got := hex.EncodeToString(long.Sum(nil)); pauses != wantLongPauses || got != wantLongSHA256 {
+		t.Errorf("2 h results: %d pauses, SHA-256 %s; want %d pauses, %s",
+			pauses, got, wantLongPauses, wantLongSHA256)
 	}
 }
 
