@@ -2,7 +2,9 @@
 # CI gate: formatting, build, vet, race-enabled tests (including the
 # labd daemon's scheduler/cache/e2e suite and the fault-injection
 # package), a chaos smoke (the fixed-seed campaign: injected panic,
-# cache corruption and flaky HTTP must all converge byte-identically),
+# cache corruption and flaky HTTP must all converge byte-identically,
+# and an always-flaky daemon still answers /v1/state, /healthz and
+# /metrics),
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — the metric set's zero-allocation counter
@@ -25,7 +27,7 @@ go build ./...
 go vet ./...
 go vet ./internal/labd/... ./internal/faultinject/...
 go test -race ./...
-go test -race -count=1 -run 'TestChaosCampaignConvergence|TestWarmRestartAndCorruptionRecovery' ./internal/labd/
+go test -race -count=1 -run 'TestChaosCampaignConvergence|TestWarmRestartAndCorruptionRecovery|TestHTTPFlakySparesObservability' ./internal/labd/
 # The work-stealing runner and pool are the one place the laboratory
 # shares mutable state across goroutines; exercise them under the race
 # detector explicitly (and not in -short mode, which skips the
@@ -51,8 +53,12 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # length (a cut body is an error, not a 200), and the one failure
 # detector: only a refused connection on a fetch, forward or batch shard
 # makes a node a gossip suspect, a client that hangs up suspects no one,
-# and a suspect returns to routing once gossip confirms it.
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover' ./internal/fleet/
+# and a suspect returns to routing once gossip confirms it; and
+# /fleet/nodes, gossip's membership beside each node's /v1/state reading
+# from the rollup's one fan-out (one /v1/state request per peer per
+# call, no /healthz probe; a draining node reads draining, a killed one
+# has no reading).
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetNodesOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover' ./internal/fleet/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and

@@ -12,7 +12,8 @@
 //	curl -s localhost:8372/v1/jobs -d '{"job":{"kind":"advise","heap_bytes":17179869184,"alloc_bytes_per_sec":6e8,"max_pause_ms":250},"async":true}'
 //	curl -s localhost:8372/v1/jobs/j1
 //	curl -s localhost:8372/metrics
-//	curl -s localhost:8372/healthz
+//	curl -s localhost:8372/healthz    # liveness only: {"status":"ok"}
+//	curl -s localhost:8372/v1/state   # the node's reading: metrics, drain flag, SLO
 //
 // Fleet mode shards the daemon across nodes (internal/fleet): every
 // node runs the same command with the same -peers membership and its
@@ -41,8 +42,9 @@
 // arc is handed to its successors, in-flight jobs drain, then the
 // process exits — zero client-visible failures.
 //
-// SIGTERM/SIGINT drain gracefully: intake stops (healthz flips to
-// draining), queued and running jobs finish, then the process exits.
+// SIGTERM/SIGINT drain gracefully: intake stops (/healthz answers 503
+// {"status":"draining"}), queued and running jobs finish, then the
+// process exits.
 package main
 
 import (

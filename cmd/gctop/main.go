@@ -12,7 +12,8 @@
 // /fleet/slo, /fleet/traces, /fleet/nodes via any fleet node): the
 // counters and histograms are exact cross-node aggregates, the slowest
 // traces are the fleet-wide union labeled by node, and a membership
-// panel shows each node's health and queue.
+// panel shows each node's gossip state, drain status, queue and cache
+// tiers, read from the node's /v1/state snapshot.
 //
 // gctop is read-only: it only issues GETs, so pointing it at a
 // production daemon perturbs nothing but the /metrics scrape counters.
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"jvmgc/internal/obs"
+	"jvmgc/internal/telemetry"
 	"jvmgc/internal/textplot"
 )
 
@@ -61,23 +63,17 @@ type sample struct {
 
 // nodeRow is one fleet member in the -fleet membership panel. State and
 // Incarnation come from gossip (alive/suspect/dead/left); a router
-// without a gossiper reports its fixed view alive.
+// without a gossiper reports its fixed view alive. Reading is the node's
+// /v1/state snapshot (nil when it did not answer), whose metrics the
+// panel reads by name.
 type nodeRow struct {
 	ID          string `json:"id"`
-	Alive       bool   `json:"alive"`
 	State       string `json:"state"`
 	Incarnation uint64 `json:"incarnation"`
-	Health      *struct {
-		Status     string `json:"status"`
-		QueueDepth int    `json:"queue_depth"`
-		Running    int    `json:"running"`
-		Cache      struct {
-			Entries    int   `json:"entries"`
-			MemoryHits int64 `json:"memory_hits"`
-			DiskHits   int64 `json:"disk_hits"`
-			PeerHits   int64 `json:"peer_hits"`
-		} `json:"cache"`
-	} `json:"health"`
+	Reading     *struct {
+		Draining bool `json:"draining"`
+		telemetry.MetricsState
+	} `json:"reading"`
 }
 
 // poller fetches daemon state and keeps a bounded history for plots.
@@ -223,14 +219,19 @@ func (p *poller) render(s sample) string {
 			if n.Incarnation > 0 {
 				member = fmt.Sprintf("%s@%d", member, n.Incarnation)
 			}
-			if n.Health == nil {
+			st := n.Reading
+			if st == nil {
 				fmt.Fprintf(&b, "  %-12s %-10s UNREACHABLE\n", n.ID, member)
 				continue
 			}
-			h := n.Health
-			fmt.Fprintf(&b, "  %-12s %-10s %-8s queue %3d  running %3d  cache %4d (mem %d / disk %d / peer %d hits)\n",
-				n.ID, member, h.Status, h.QueueDepth, h.Running, h.Cache.Entries,
-				h.Cache.MemoryHits, h.Cache.DiskHits, h.Cache.PeerHits)
+			status := "ok"
+			if st.Draining {
+				status = "draining"
+			}
+			fmt.Fprintf(&b, "  %-12s %-10s %-8s queue %3.0f  running %3.0f  cache %4.0f (mem %d / disk %d / peer %d hits)\n",
+				n.ID, member, status, st.Gauges["labd.queue.depth"], st.Gauges["labd.jobs.running"],
+				st.Gauges["labd.cache.entries"], st.Counters["labd.cache.hits.memory"],
+				st.Counters["labd.cache.hits.disk"], st.Counters["labd.cache.hits.peer"])
 		}
 	}
 

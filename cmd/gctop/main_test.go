@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"jvmgc/internal/fleet"
+	"jvmgc/internal/labd"
+	"jvmgc/internal/telemetry"
 )
 
 const cannedMetrics = `# HELP jvmgc_labd_queue_depth Jobs waiting for a worker.
@@ -141,6 +146,70 @@ func TestMetricsOnlyDaemon(t *testing.T) {
 	for _, absent := range []string{"SLO [", "slowest traces:"} {
 		if strings.Contains(frame, absent) {
 			t.Errorf("untraced daemon rendered %q:\n%s", absent, frame)
+		}
+	}
+}
+
+// cannedFleetNodes is a /fleet/nodes body built from the types the
+// fleet serves it with: a serving node, a draining one, and a suspect
+// that did not answer its state probe.
+func cannedFleetNodes(t *testing.T) []byte {
+	t.Helper()
+	reading := func(id string, draining bool, queue, running, entries float64, mem, disk, peer int64) *labd.NodeState {
+		return &labd.NodeState{Node: id, UptimeSeconds: 61, Draining: draining,
+			MetricsState: telemetry.MetricsState{
+				Counters: map[string]int64{
+					"labd.cache.hits.memory": mem, "labd.cache.hits.disk": disk, "labd.cache.hits.peer": peer,
+				},
+				Gauges: map[string]float64{
+					"labd.queue.depth": queue, "labd.jobs.running": running, "labd.cache.entries": entries,
+				},
+			}}
+	}
+	body, err := json.Marshal(struct {
+		Self  string           `json:"self"`
+		Epoch uint64           `json:"epoch"`
+		Nodes []fleet.NodeInfo `json:"nodes"`
+	}{"a", 7, []fleet.NodeInfo{
+		{ID: "a", URL: "http://a", Self: true, State: "alive", Reading: reading("a", false, 3, 2, 20, 50, 4, 6)},
+		{ID: "b", URL: "http://b", State: "alive", Incarnation: 1, Reading: reading("b", true, 0, 1, 8, 5, 0, 0)},
+		{ID: "c", URL: "http://c", State: "suspect", Incarnation: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestRenderFleetPanel: with -fleet, gctop polls the /fleet/* rollup
+// and draws one membership row per node from its /v1/state reading —
+// gossip state, ok or draining, queue, running, cache entries and the
+// per-tier hits — and UNREACHABLE for a node with no reading.
+func TestRenderFleetPanel(t *testing.T) {
+	nodes := cannedFleetNodes(t)
+	mux := http.NewServeMux()
+	for path, body := range map[string][]byte{
+		"GET /fleet/metrics": []byte(cannedMetrics),
+		"GET /fleet/slo":     []byte(cannedSLO),
+		"GET /fleet/traces":  []byte(cannedTraces),
+		"GET /fleet/nodes":   nodes,
+	} {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { w.Write(body) })
+	}
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	p := newPoller(ts.URL, 4, true)
+	frame := p.render(p.poll(time.Unix(1700000000, 0)))
+	for _, want := range []string{
+		"workers 4", "SLO [WARN]", "slowest traces:",
+		"\nfleet nodes (epoch 7):\n",
+		"\n  a            alive      ok       queue   3  running   2  cache   20 (mem 50 / disk 4 / peer 6 hits)\n",
+		"\n  b            alive@1    draining queue   0  running   1  cache    8 (mem 5 / disk 0 / peer 0 hits)\n",
+		"\n  c            suspect@3  UNREACHABLE\n",
+	} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
 	}
 }

@@ -199,21 +199,3 @@ func Advise(req Request) (Recommendation, error) {
 	})
 	return out, nil
 }
-
-// Render prints the ranked candidates.
-func (r Recommendation) Render() string {
-	out := fmt.Sprintf("%-12s %-8s %-12s %-10s %-8s %s\n",
-		"collector", "young", "worstPause", "paused%", "fullGCs", "verdict")
-	for _, c := range r.Candidates {
-		verdict := "violates SLO"
-		if c.MeetsSLO {
-			verdict = "meets SLO"
-		}
-		if c.OutOfMemory {
-			verdict = "OUT OF MEMORY"
-		}
-		out += fmt.Sprintf("%-12s %-8s %-12s %-10.2f %-8d %s\n",
-			c.Collector, c.Young, c.WorstPause, 100*c.PauseFraction, c.FullGCs, verdict)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package advisor
 
 import (
-	"strings"
 	"testing"
 
 	"jvmgc/internal/demography"
@@ -55,9 +54,6 @@ func TestAdviseRanksCandidates(t *testing.T) {
 	}
 	if best.WorstPause > 300*simtime.Millisecond {
 		t.Errorf("best violates pause bound: %v", best.WorstPause)
-	}
-	if out := rec.Render(); !strings.Contains(out, "meets SLO") {
-		t.Error("render missing verdicts")
 	}
 }
 

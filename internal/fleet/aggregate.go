@@ -211,26 +211,30 @@ func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	labd.WriteMetrics(w, r, &snap)
 }
 
-// NodeInfo is one row of /fleet/nodes: membership plus a live probe.
+// NodeInfo is one row of /fleet/nodes: a member and its reading.
 // State/Incarnation come from the gossip memberlist when one is
 // attached ("alive"/"suspect"/"dead"/"left"); a router without one
-// reports every node of its fixed view "alive" and leaves the probe
-// (Alive, Health) to tell.
+// reports every node of its fixed view "alive". Reading is the node's
+// /v1/state snapshot from the fan-out /fleet/state folds; nil when the
+// node did not answer or is not placed.
 type NodeInfo struct {
-	ID          string             `json:"id"`
-	URL         string             `json:"url"`
-	Self        bool               `json:"self,omitempty"`
-	Alive       bool               `json:"alive"`
-	State       string             `json:"state"`
-	Incarnation uint64             `json:"incarnation,omitempty"`
-	Health      *labd.HealthStatus `json:"health,omitempty"`
+	ID          string          `json:"id"`
+	URL         string          `json:"url"`
+	Self        bool            `json:"self,omitempty"`
+	State       string          `json:"state"`
+	Incarnation uint64          `json:"incarnation,omitempty"`
+	Reading     *labd.NodeState `json:"reading,omitempty"`
 }
 
-// handleFleetNodes probes every placed node and serves membership
-// (with gossip states when a gossiper is attached), health and the
-// router's own placement counters.
+// handleFleetNodes serves membership (with gossip states when a
+// gossiper is attached), each placed node's reading and the router's
+// own placement counters.
 func (rt *Router) handleFleetNodes(w http.ResponseWriter, r *http.Request) {
-	health := rt.Health(r.Context())
+	states, _ := rt.gatherStates(r.Context())
+	readings := make(map[string]*labd.NodeState, len(states))
+	for i := range states {
+		readings[states[i].Node] = &states[i]
+	}
 	v := rt.view.Load()
 	type memberState struct {
 		state string
@@ -255,16 +259,14 @@ func (rt *Router) handleFleetNodes(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(ids)
 	nodes := make([]NodeInfo, 0, len(ids))
 	for _, id := range ids {
-		h := health[id]
 		ms := members[id]
 		nodes = append(nodes, NodeInfo{
 			ID:          id,
 			URL:         ms.url,
 			Self:        id == rt.cfg.Self,
-			Alive:       h != nil && h.Status == "ok",
 			State:       ms.state,
 			Incarnation: ms.inc,
-			Health:      h,
+			Reading:     readings[id],
 		})
 	}
 	writeJSON(w, http.StatusOK, struct {

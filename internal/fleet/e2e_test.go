@@ -392,7 +392,8 @@ func TestFleetPeerCacheHit(t *testing.T) {
 // TestFleetExactAggregation: the fleet rollup is exact — /fleet/state's
 // merged latency histogram is byte-identical to merging the per-node
 // histograms by hand, counters are sums (the routers' fleet.router.*
-// counters included), and /fleet/nodes sees every member alive.
+// counters included), and /fleet/nodes lists every member alive in
+// gossip with a reading.
 func TestFleetExactAggregation(t *testing.T) {
 	ctx := context.Background()
 	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{})
@@ -486,22 +487,13 @@ func TestFleetExactAggregation(t *testing.T) {
 		}
 	}
 
-	var membership struct {
-		Self  string `json:"self"`
-		Nodes []struct {
-			ID    string `json:"id"`
-			Alive bool   `json:"alive"`
-		} `json:"nodes"`
-	}
-	if err := json.Unmarshal([]byte(fetchText(t, nodes["a"].ts.URL+"/fleet/nodes")), &membership); err != nil {
-		t.Fatal(err)
-	}
+	membership := fleetNodes(t, nodes["a"].ts.URL)
 	if membership.Self != "a" || len(membership.Nodes) != 3 {
 		t.Fatalf("membership: self=%q nodes=%d", membership.Self, len(membership.Nodes))
 	}
 	for _, n := range membership.Nodes {
-		if !n.Alive {
-			t.Errorf("node %s reported dead in a healthy fleet", n.ID)
+		if n.Reading == nil || n.State != "alive" {
+			t.Errorf("node %s in a healthy fleet: state %q, reading %v", n.ID, n.State, n.Reading != nil)
 		}
 	}
 }

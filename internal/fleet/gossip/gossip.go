@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -211,8 +212,8 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// nextRand steps a splitmix64 stream — probe-order shuffling and
-// backoff jitter, not cryptography.
+// nextRand steps a splitmix64 stream — probe-order shuffling and seed
+// choice, not cryptography.
 func (g *Gossiper) nextRand() uint64 {
 	g.rngMu.Lock()
 	g.rngState += 0x9e3779b97f4a7c15
@@ -614,12 +615,16 @@ func (g *Gossiper) handleJoin(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(message{T: msgAck, From: g.cfg.Self, Deltas: g.ml.Snapshot()})
 }
 
-// retry runs f with full-jitter exponential backoff until it succeeds,
-// attempts run out, or ctx expires. Jitter is uniform in (0, base·2ⁱ],
-// the "full jitter" scheme — under churn many nodes retry at once, and
-// synchronized retries are how thundering herds happen.
-func (g *Gossiper) retry(ctx context.Context, attempts int, base, max time.Duration, f func() error) error {
+// Retry runs f with capped, full-jitter exponential backoff until it
+// succeeds, attempts run out, or ctx expires: the wait before retry i+1
+// is uniform in [0, min(base·2ⁱ, max)) plus a millisecond. Full jitter
+// because under churn many nodes retry at once, and synchronized retries
+// are how thundering herds happen. It is the fleet's one retry loop —
+// gossip joins and broadcasts, and the router's warm-up and handoff
+// transfers — and needs no Gossiper, since a router may run without one.
+func Retry(ctx context.Context, attempts int, base, max time.Duration, f func() error) error {
 	var err error
+	backoff := min(base, max)
 	for i := 0; i < attempts; i++ {
 		if err = ctx.Err(); err != nil {
 			return err
@@ -630,16 +635,18 @@ func (g *Gossiper) retry(ctx context.Context, attempts int, base, max time.Durat
 		if i == attempts-1 {
 			break
 		}
-		backoff := base << uint(i)
-		if backoff > max {
-			backoff = max
+		var sleep time.Duration
+		if backoff > 0 {
+			sleep = rand.N(backoff)
 		}
-		sleep := time.Duration(g.nextRand() % uint64(backoff))
 		select {
 		case <-time.After(sleep + time.Millisecond):
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+		// Doubling the envelope, not shifting base by the attempt, keeps
+		// it at max however many attempts there are.
+		backoff = min(2*backoff, max)
 	}
 	return err
 }
@@ -656,7 +663,7 @@ func (g *Gossiper) Join(ctx context.Context, seeds []string) error {
 		return err
 	}
 	i := int(g.nextRand() % uint64(len(seeds)))
-	return g.retry(ctx, 4*len(seeds), 50*time.Millisecond, 2*time.Second, func() error {
+	return Retry(ctx, 4*len(seeds), 50*time.Millisecond, 2*time.Second, func() error {
 		seed := seeds[i%len(seeds)]
 		i++
 		sctx, cancel := context.WithTimeout(ctx, 2*g.cfg.ProbeTimeout)
@@ -716,7 +723,7 @@ func (g *Gossiper) broadcast(ctx context.Context, n int) {
 		wg.Add(1)
 		go func(u string) {
 			defer wg.Done()
-			g.retry(ctx, 3, 25*time.Millisecond, 500*time.Millisecond, func() error {
+			Retry(ctx, 3, 25*time.Millisecond, 500*time.Millisecond, func() error {
 				sctx, cancel := context.WithTimeout(ctx, 2*g.cfg.ProbeTimeout)
 				defer cancel()
 				ack, err := g.send(sctx, u, "/v1/gossip/ping", body)

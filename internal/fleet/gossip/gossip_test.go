@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -460,5 +461,44 @@ func BenchmarkGossipTick(b *testing.B) {
 		if target := g.prepareTick(uint64(i + 1)); target == "" {
 			b.Fatal("no probe target")
 		}
+	}
+}
+
+// TestRetry: the fleet's one retry loop stops at the first success,
+// returns the last error once attempts run out, and gives up as soon as
+// its context is done. Its backoff envelope stays at max however many
+// attempts there are: 70 attempts double a 1 ns base well past the
+// 63 shifts an int64 holds, and each wait must still be under 1 µs
+// plus the loop's millisecond.
+func TestRetry(t *testing.T) {
+	ctx := context.Background()
+	fail := errors.New("transient")
+	calls := 0
+	if err := Retry(ctx, 5, time.Millisecond, time.Millisecond, func() error {
+		if calls++; calls < 3 {
+			return fail
+		}
+		return nil
+	}); err != nil || calls != 3 {
+		t.Errorf("success on the third attempt: err %v after %d calls", err, calls)
+	}
+
+	bounded, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	calls = 0
+	start := time.Now()
+	err := Retry(bounded, 70, time.Nanosecond, time.Microsecond, func() error { calls++; return fail })
+	if err != fail || calls != 70 {
+		t.Errorf("exhausted retries: err %v after %d calls, want %v after 70", err, calls, fail)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("69 capped waits took %v", d)
+	}
+
+	canceled, stop := context.WithCancel(ctx)
+	calls = 0
+	err = Retry(canceled, 5, time.Hour, time.Hour, func() error { calls++; stop(); return fail })
+	if !errors.Is(err, context.Canceled) || calls != 1 {
+		t.Errorf("canceled context: err %v after %d calls, want context.Canceled after 1", err, calls)
 	}
 }

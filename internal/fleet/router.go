@@ -165,8 +165,6 @@ type Router struct {
 	leaveOnce sync.Once
 	leaveErr  error
 
-	rngState atomic.Uint64 // jitter for warm-up and handoff retries
-
 	// metrics is the router's own set until SetLocal adopts the daemon's;
 	// the handles are its fleet.router.<RouterStats JSON name> counters.
 	metrics    *telemetry.Metrics
@@ -200,7 +198,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{cfg: cfg, pending: make(map[string]int)}
-	rt.rngState.Store(hashString(cfg.Self) | 1)
 	rt.view.Store(v)
 	rt.useMetrics(telemetry.NewMetrics())
 	return rt, nil
@@ -243,21 +240,6 @@ func buildView(epoch uint64, urls map[string]string, suspects []string, vnodes i
 		v.suspect |= v.bit(id)
 	}
 	return v, nil
-}
-
-// jitter returns a uniform duration in [0, d) — full jitter, so a herd
-// of routers backing off together spreads out instead of thundering.
-func (rt *Router) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	z := rt.rngState.Add(0x9e3779b97f4a7c15)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return time.Duration(z % uint64(d))
 }
 
 // SetLocal attaches the co-resident daemon and adopts its metric set.
@@ -536,7 +518,7 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 // Handler serves the fleet surface: job submission (routed), gossip
 // endpoints (when a gossiper is attached), membership operations, the
 // /fleet/* observability rollup, and — when a local daemon is attached —
-// everything else (job status, results, metrics, health) from the local
+// everything else (job status, results, metrics, liveness) from the local
 // daemon unchanged. A standalone router serves its own metric set at
 // /metrics. Call after SetLocal and AttachGossip.
 func (rt *Router) Handler() http.Handler {
@@ -621,34 +603,6 @@ func (rt *Router) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	}{keys})
 }
 
-// withRetry runs f with full-jitter backoff — the warm-up and handoff
-// I/O policy: a membership change is exactly when the network is busy,
-// so failed pushes spread their retries.
-func (rt *Router) withRetry(ctx context.Context, attempts int, base, max time.Duration, f func() error) error {
-	var err error
-	for i := 0; i < attempts; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if err = f(); err == nil {
-			return nil
-		}
-		if i == attempts-1 {
-			break
-		}
-		backoff := base << uint(i)
-		if backoff > max {
-			backoff = max
-		}
-		select {
-		case <-time.After(rt.jitter(backoff) + time.Millisecond):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return err
-}
-
 // JoinAndWarm joins a running fleet through the seed URLs and warms this
 // node's future arc before taking placement: fetch the membership
 // snapshot, learn the ring, pull the arc's cached keys from their
@@ -699,7 +653,7 @@ func (rt *Router) JoinAndWarm(ctx context.Context, seeds []string) error {
 // fetchArcKeys asks one member for the keys this node's arc would own.
 func (rt *Router) fetchArcKeys(ctx context.Context, url, arc string) ([]string, error) {
 	var keys []string
-	err := rt.withRetry(ctx, 3, 50*time.Millisecond, time.Second, func() error {
+	err := gossip.Retry(ctx, 3, 50*time.Millisecond, time.Second, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 			url+"/v1/cache/keys?arc="+arc, nil)
 		if err != nil {
@@ -780,7 +734,7 @@ func (rt *Router) pushKey(ctx context.Context, url, key string) error {
 		return errors.New("fleet: key evicted mid-handoff")
 	}
 	digest := labd.Digest(body)
-	return rt.withRetry(ctx, 3, 50*time.Millisecond, time.Second, func() error {
+	return gossip.Retry(ctx, 3, 50*time.Millisecond, time.Second, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 			url+"/v1/cache/"+key, bytes.NewReader(body))
 		if err != nil {
@@ -1066,54 +1020,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, url, node stri
 		rt.replicasKept.Add(1)
 	}
 	return true
-}
-
-// Health probes every placed node's /healthz (the local daemon
-// directly) and returns the readings keyed by node ID (nil entry =
-// unreachable). It only reads: liveness is gossip's to decide.
-func (rt *Router) Health(ctx context.Context) map[string]*labd.HealthStatus {
-	v := rt.view.Load()
-	out := make(map[string]*labd.HealthStatus, len(v.urls))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for id, url := range v.urls {
-		if id == rt.cfg.Self && rt.local != nil {
-			h := rt.local.Health()
-			mu.Lock()
-			out[id] = &h
-			mu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func(id, url string) {
-			defer wg.Done()
-			h := rt.probeHealth(ctx, url)
-			mu.Lock()
-			out[id] = h
-			mu.Unlock()
-		}(id, url)
-	}
-	wg.Wait()
-	return out
-}
-
-func (rt *Router) probeHealth(ctx context.Context, url string) *labd.HealthStatus {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := rt.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var h labd.HealthStatus
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h) != nil {
-		return nil
-	}
-	return &h
 }
 
 // RouterStats snapshots the router's own counters for /fleet/nodes. Each

@@ -151,6 +151,50 @@ func TestChaosCampaignConvergence(t *testing.T) {
 	}
 }
 
+// TestHTTPFlakySparesObservability: a daemon whose every /v1/ request
+// is flaky still answers /v1/state — the fleet's scrape — as it answers
+// /healthz and /metrics, so a fleet rollup counts the node instead of
+// listing it unreachable; job submissions still fail.
+func TestHTTPFlakySparesObservability(t *testing.T) {
+	chaos, err := faultinject.Parse(1, "labd/http.flaky:p=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, url := startDaemonURL(t, labd.Config{Workers: 1, NodeID: "flaky", Chaos: chaos})
+	for _, probe := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/state", http.StatusOK},
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodGet, "/metrics", http.StatusOK},
+		{http.MethodPost, "/v1/jobs", http.StatusServiceUnavailable},
+		{http.MethodGet, "/v1/jobs", http.StatusServiceUnavailable},
+	} {
+		req, err := http.NewRequest(probe.method, url+probe.path,
+			strings.NewReader(`{"kind":"simulate","collector":"G1","duration_seconds":5,"seed":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st labd.NodeState
+		decodeErr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != probe.want {
+			t.Errorf("%s %s = %d, want %d", probe.method, probe.path, resp.StatusCode, probe.want)
+		}
+		if probe.path == "/v1/state" && (decodeErr != nil || st.Node != "flaky") {
+			t.Errorf("/v1/state under chaos: node %q, %v", st.Node, decodeErr)
+		}
+	}
+	if got := chaos.Fired(labd.FaultHTTPFlaky); got != 2 {
+		t.Errorf("flaky responses = %d, want 2 (the two job requests)", got)
+	}
+}
+
 // TestWarmRestartAndCorruptionRecovery: a daemon restart over a
 // populated -cache-dir serves prior results as cache hits; a
 // deliberately corrupted entry is detected, recomputed and rewritten so

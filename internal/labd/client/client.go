@@ -679,35 +679,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(body), err
 }
 
-// Health fetches the daemon's structured health reading — node identity,
-// queue pressure, per-tier cache hit counts. Unlike Healthz it reports a
-// draining daemon as data rather than an error.
-func (c *Client) Health(ctx context.Context) (*labd.HealthStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	body, _, err := c.do(req, http.StatusOK)
-	if err != nil {
-		// A draining daemon answers 503 with the same JSON body; surface
-		// the reading instead of the rejection when it parses.
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusServiceUnavailable {
-			var h labd.HealthStatus
-			if json.Unmarshal([]byte(apiErr.Message), &h) == nil && h.Status != "" {
-				return &h, nil
-			}
-		}
-		return nil, err
-	}
-	var h labd.HealthStatus
-	if err := json.Unmarshal(body, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
 // NodeState fetches the daemon's mergeable observability snapshot
 // (GET /v1/state) — what fleet aggregation folds across nodes.
 func (c *Client) NodeState(ctx context.Context) (*labd.NodeState, error) {

@@ -36,55 +36,36 @@ func startDaemonURL(t *testing.T, cfg labd.Config) (*client.Client, *labd.Server
 	return client.New(ts.URL), srv, ts.URL
 }
 
-// TestHealthzJSON: /healthz is structured — node identity, uptime,
-// queue pressure and per-tier cache traffic, not just an "ok" string.
+// TestHealthzJSON: /healthz answers liveness only — {"status":"ok"},
+// then {"status":"draining"} with 503 once the daemon drains. The
+// daemon's reading is /v1/state (TestNodeStateSnapshot).
 func TestHealthzJSON(t *testing.T) {
-	c, _, _ := startDaemonURL(t, labd.Config{Workers: 2, QueueDepth: 8, NodeID: "solo-1"})
-	ctx := context.Background()
-
-	spec := labd.JobSpec{
-		Kind:            labd.KindSimulate,
-		Collector:       "CMS",
-		HeapBytes:       2 << 30,
-		DurationSeconds: 5,
-		Seed:            11,
+	_, srv, url := startDaemonURL(t, labd.Config{Workers: 2, QueueDepth: 8, NodeID: "solo-1"})
+	healthz := func(wantStatus int, wantBody string) {
+		t.Helper()
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantStatus || string(body) != wantBody {
+			t.Errorf("/healthz = %d %q, want %d %q", resp.StatusCode, body, wantStatus, wantBody)
+		}
+		if got := resp.Header.Get("X-Labd-Node"); got != "solo-1" {
+			t.Errorf("X-Labd-Node = %q, want solo-1", got)
+		}
 	}
-	if _, err := c.Submit(ctx, spec); err != nil {
+	healthz(http.StatusOK, "{\"status\":\"ok\"}\n")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Cache != "hit" {
-		t.Fatalf("resubmission disposition = %q, want hit", second.Cache)
-	}
-	if second.Node != "solo-1" {
-		t.Errorf("X-Labd-Node = %q, want solo-1", second.Node)
-	}
-
-	h, err := c.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" {
-		t.Errorf("status = %q, want ok", h.Status)
-	}
-	if h.Node != "solo-1" {
-		t.Errorf("node = %q, want solo-1", h.Node)
-	}
-	if h.UptimeSeconds <= 0 {
-		t.Errorf("uptime = %g, want > 0", h.UptimeSeconds)
-	}
-	if h.QueueDepth != 0 || h.Running != 0 {
-		t.Errorf("queue=%d running=%d after completion, want 0/0", h.QueueDepth, h.Running)
-	}
-	if h.Cache.Entries != 1 {
-		t.Errorf("cache entries = %d, want 1", h.Cache.Entries)
-	}
-	if h.Cache.MemoryHits != 1 {
-		t.Errorf("memory hits = %d, want 1 (the resubmission)", h.Cache.MemoryHits)
-	}
+	healthz(http.StatusServiceUnavailable, "{\"status\":\"draining\"}\n")
 }
 
 // TestBatchEndpoint: one POST, many jobs, per-job completion events —
@@ -198,10 +179,12 @@ func TestCachePeek(t *testing.T) {
 	}
 }
 
-// TestNodeStateSnapshot: /v1/state is the mergeable fleet snapshot —
-// counters, histogram bytes that decode, and the node's identity.
+// TestNodeStateSnapshot: /v1/state is the daemon's one reading and the
+// mergeable fleet snapshot — identity, uptime, drain status, the queue,
+// running and cache gauges, per-tier hit counters, and histogram bytes
+// that decode.
 func TestNodeStateSnapshot(t *testing.T) {
-	c, _, _ := startDaemonURL(t, labd.Config{Workers: 2, QueueDepth: 8, NodeID: "solo-2"})
+	c, srv, _ := startDaemonURL(t, labd.Config{Workers: 2, QueueDepth: 8, NodeID: "solo-2"})
 	ctx := context.Background()
 
 	spec := labd.JobSpec{
@@ -214,8 +197,12 @@ func TestNodeStateSnapshot(t *testing.T) {
 	if _, err := c.Submit(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(ctx, spec); err != nil {
+	second, err := c.Submit(ctx, spec)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if second.Cache != "hit" || second.Node != "solo-2" {
+		t.Fatalf("resubmission: disposition %q from node %q, want a hit from solo-2", second.Cache, second.Node)
 	}
 
 	st, err := c.NodeState(ctx)
@@ -225,11 +212,26 @@ func TestNodeStateSnapshot(t *testing.T) {
 	if st.Node != "solo-2" {
 		t.Errorf("node = %q, want solo-2", st.Node)
 	}
+	if st.UptimeSeconds <= 0 {
+		t.Errorf("uptime = %g, want > 0", st.UptimeSeconds)
+	}
+	if st.Draining {
+		t.Error("a serving daemon reports draining")
+	}
 	if got := st.Counters["labd.jobs.submitted"]; got != 2 {
 		t.Errorf("submitted counter = %d, want 2", got)
 	}
 	if got := st.Gauges["labd.workers"]; got != 2 {
 		t.Errorf("workers gauge = %g, want 2", got)
+	}
+	if q, r := st.Gauges["labd.queue.depth"], st.Gauges["labd.jobs.running"]; q != 0 || r != 0 {
+		t.Errorf("queue=%g running=%g after completion, want 0/0", q, r)
+	}
+	if got := st.Gauges["labd.cache.entries"]; got != 1 {
+		t.Errorf("cache entries = %g, want 1", got)
+	}
+	if got := st.Counters["labd.cache.hits.memory"]; got != 1 {
+		t.Errorf("memory hits = %d, want 1 (the resubmission)", got)
 	}
 	h, err := hdrhist.Decode(st.Hists["labd_job_latency_hist_seconds"])
 	if err != nil {
@@ -240,6 +242,18 @@ func TestNodeStateSnapshot(t *testing.T) {
 	}
 	if _, err := hdrhist.Decode(st.Hists["labd_queue_wait_seconds"]); err != nil {
 		t.Fatalf("queue histogram does not decode: %v", err)
+	}
+
+	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(dctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.NodeState(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Draining {
+		t.Error("a drained daemon's reading does not say draining")
 	}
 }
 

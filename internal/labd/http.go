@@ -71,7 +71,7 @@ func releaseBody(bp *[]byte) {
 //	PUT    /v1/cache/{key}   accept handed-off bytes (verified digest)
 //	GET    /v1/state         mergeable observability snapshot (fleet)
 //	GET    /metrics          Prometheus text format
-//	GET    /healthz          liveness + drain state + cache-tier counts
+//	GET    /healthz          liveness: {"status":"ok"}, or 503 "draining"
 //
 // With Config.NodeID set, every response carries X-Labd-Node so a
 // client (or an operator's curl) can tell which fleet node answered.
@@ -79,8 +79,9 @@ func releaseBody(bp *[]byte) {
 // With fault injection armed (Config.Chaos), /v1/* requests pass the
 // FaultHTTPFlaky point first: a firing hit is answered 503 with
 // Retry-After before reaching a handler, modelling a flaky network or
-// an overloaded front end. /healthz and /metrics stay exempt so
-// orchestrators and scrapes observe the daemon truthfully during chaos.
+// an overloaded front end. /healthz, /metrics and /v1/state (the
+// fleet's scrape) stay exempt so orchestrators and scrapes observe the
+// daemon truthfully during chaos.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -102,7 +103,8 @@ func (s *Server) Handler() http.Handler {
 	var handler http.Handler = mux
 	if s.chaos.Enabled() {
 		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/") && s.chaos.Fire(FaultHTTPFlaky) {
+			if strings.HasPrefix(r.URL.Path, "/v1/") && r.URL.Path != "/v1/state" &&
+				s.chaos.Fire(FaultHTTPFlaky) {
 				s.metrics.Add("labd.http.injected.faults", 1)
 				w.Header().Set("Retry-After", "0")
 				writeError(w, http.StatusServiceUnavailable,
@@ -485,15 +487,17 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.slo.Status())
 }
 
+// handleHealthz answers liveness only; the daemon's reading is
+// /v1/state.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.Health()
-	status := http.StatusOK
-	if h.Status == "draining" {
-		// Readiness flips during drain so load balancers (and fleet
-		// routers probing membership) stop routing.
-		status = http.StatusServiceUnavailable
+	status, body := http.StatusOK, "ok"
+	if s.drainFast.Load() {
+		// Readiness flips during drain so load balancers stop routing.
+		status, body = http.StatusServiceUnavailable, "draining"
 	}
-	writeJSON(w, status, h)
+	writeJSON(w, status, struct {
+		Status string `json:"status"`
+	}{body})
 }
 
 // handleCachePeek serves a cached result verbatim — the read side of the

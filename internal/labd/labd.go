@@ -82,8 +82,8 @@ type Config struct {
 	// errors, served at /debug/slo and as /metrics gauges. Nil disables.
 	SLO *obs.SLO
 	// NodeID names this daemon instance in a fleet. When set, every
-	// response carries it in X-Labd-Node, /healthz and /v1/state report
-	// it, and traces exported for fleet aggregation are stamped with it.
+	// response carries it in X-Labd-Node, /v1/state reports it, and
+	// traces exported for fleet aggregation are stamped with it.
 	// Empty (the default) means a standalone daemon.
 	NodeID string
 	// Peers, when set, adds a peer cache tier: a flight leader that
@@ -149,8 +149,8 @@ const (
 	// FaultCacheCorrupt flips a byte of an on-disk cache entry's payload
 	// as it is read, before checksum verification.
 	FaultCacheCorrupt = "labd/cache.corrupt"
-	// FaultHTTPFlaky fails /v1/* requests with 503 before they reach a
-	// handler, exercising client retry behaviour.
+	// FaultHTTPFlaky fails /v1/* requests other than /v1/state with 503
+	// before they reach a handler, exercising client retry behaviour.
 	FaultHTTPFlaky = "labd/http.flaky"
 )
 
@@ -254,10 +254,10 @@ type Server struct {
 	started time.Time
 	running atomic.Int64
 
-	// drainFast mirrors draining for the lock-free fast path: TryCacheHit
+	// drainFast mirrors draining for the lock-free readers: TryCacheHit
 	// must not serve hits from a daemon that told its fleet it is leaving
 	// (the router re-routes on ErrDraining; a hit here would race the arc
-	// handoff).
+	// handoff), and /healthz and NodeState report it.
 	drainFast atomic.Bool
 
 	// Counter handles for the zero-allocation fast path (fastpath.go):
@@ -317,7 +317,7 @@ func New(cfg Config) (*Server, error) {
 	m.Add("labd.jobs.panicked", 0)
 	m.Add("labd.cache.corruptions.detected", 0)
 	m.Add("labd.http.injected.faults", 0)
-	// Per-tier cache traffic, so /healthz and fleet views can tell a
+	// Per-tier cache traffic, so /v1/state and fleet views can tell a
 	// memory hit from a disk promotion from a peer fetch.
 	m.Add("labd.cache.hits.memory", 0)
 	if disk != nil {
@@ -759,9 +759,6 @@ func peerTier(hit bool) string {
 
 // QueueDepth returns the number of jobs waiting for a worker.
 func (s *Server) QueueDepth() int { return s.pool.Pending() }
-
-// NodeID returns the daemon's fleet identity ("" when standalone).
-func (s *Server) NodeID() string { return s.cfg.NodeID }
 
 // Running returns the number of jobs executing right now.
 func (s *Server) Running() int { return int(s.running.Load()) }

@@ -11,11 +11,15 @@ import (
 // form: its metric set and per-window SLO counts rather than rendered
 // text. The fleet aggregator (internal/fleet) pulls one per node from GET
 // /v1/state and folds them — metric sets by name, SLO windows summed and
-// re-derived, slowest traces unioned — never re-scraping.
+// re-derived, slowest traces unioned — never re-scraping; /fleet/nodes
+// serves each one unfolded as that node's reading.
 type NodeState struct {
 	// Node is the daemon's fleet identity (Config.NodeID).
 	Node          string  `json:"node,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
+	// Draining reports a daemon that stopped intake (Drain); its
+	// /healthz answers 503 meanwhile.
+	Draining bool `json:"draining,omitempty"`
 
 	// The metric set ("counters", "gauges", "hists" in JSON), with a
 	// fleet node's router and gossip counters.
@@ -35,6 +39,7 @@ func (s *Server) NodeState() NodeState {
 	st := NodeState{
 		Node:          s.cfg.NodeID,
 		UptimeSeconds: time.Since(s.started).Seconds(),
+		Draining:      s.drainFast.Load(),
 		MetricsState:  s.metrics.State(),
 	}
 	if s.slo.Enabled() {
@@ -48,55 +53,4 @@ func (s *Server) NodeState() NodeState {
 		}
 	}
 	return st
-}
-
-// CacheHealth is the per-tier cache reading inside HealthStatus.
-type CacheHealth struct {
-	Entries     int   `json:"entries"`
-	DiskEntries int   `json:"disk_entries,omitempty"`
-	MemoryHits  int64 `json:"memory_hits"`
-	DiskHits    int64 `json:"disk_hits,omitempty"`
-	PeerHits    int64 `json:"peer_hits,omitempty"`
-	PeerMisses  int64 `json:"peer_misses,omitempty"`
-}
-
-// HealthStatus is the GET /healthz body: liveness plus enough shape —
-// node identity, queue pressure, per-tier cache traffic — for a fleet
-// router to judge membership and for an operator's curl to tell which
-// node answered and how loaded it is.
-type HealthStatus struct {
-	// Status is "ok" or "draining" (the latter served as 503 so load
-	// balancers and fleet routers stop sending work).
-	Status        string      `json:"status"`
-	Node          string      `json:"node,omitempty"`
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	QueueDepth    int         `json:"queue_depth"`
-	Running       int         `json:"running"`
-	Cache         CacheHealth `json:"cache"`
-}
-
-// Health snapshots the daemon's health reading.
-func (s *Server) Health() HealthStatus {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	state := "ok"
-	if draining {
-		state = "draining"
-	}
-	return HealthStatus{
-		Status:        state,
-		Node:          s.cfg.NodeID,
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		QueueDepth:    s.QueueDepth(),
-		Running:       s.Running(),
-		Cache: CacheHealth{
-			Entries:     s.CacheLen(),
-			DiskEntries: s.DiskCacheEntries(),
-			MemoryHits:  s.metrics.Counter("labd.cache.hits.memory"),
-			DiskHits:    s.metrics.Counter("labd.cache.hits.disk"),
-			PeerHits:    s.metrics.Counter("labd.cache.hits.peer"),
-			PeerMisses:  s.metrics.Counter("labd.cache.peer.misses"),
-		},
-	}
 }
