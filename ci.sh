@@ -57,8 +57,13 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # /fleet/nodes, gossip's membership beside each node's /v1/state reading
 # from the rollup's one fan-out (one /v1/state request per peer per
 # call, no /healthz probe; a draining node reads draining, a killed one
-# has no reading).
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetNodesOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover' ./internal/fleet/
+# has no reading); the peer probe's keep-alive (40 misses, each probing
+# its peer, cost each node at most 4 accepted connections, not one per
+# miss); and the edge of a submission served in process or forwarded
+# (the flaky-HTTP fault fires once per submission on the node that
+# serves it, X-Labd-Node names that node, an invalid spec gets the
+# daemon's own 400 body, an async one 202 with its Location).
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetNodesOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestFleetSubmitEdge' ./internal/fleet/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and

@@ -273,11 +273,14 @@ func (rt *Router) forwardShard(r *http.Request, url, node string, indices []int,
 		rt.suspect(node, err)
 		return false
 	}
+	if resp.StatusCode >= http.StatusInternalServerError {
+		// A draining owner answers 503: the shard re-routes, and the
+		// connection, its short error body read, goes back to the pool.
+		drainClose(resp.Body)
+		return false
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= http.StatusInternalServerError {
-			return false
-		}
 		// Deliberate rejection (4xx): retrying elsewhere cannot help.
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		return fail(strings.TrimSpace(string(body)))

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -65,6 +66,8 @@ type testNode struct {
 	rt   *fleet.Router
 	srv  *labd.Server
 	g    *gossip.Gossiper
+	// accepted counts the connections the node's listener has accepted.
+	accepted atomic.Int64
 	// suspects counts the suspects in the last view gossip handed the
 	// router, stored after the swap: the memberlist changes first, so a
 	// test waiting on routing must wait on this.
@@ -129,8 +132,15 @@ func startFleet(t *testing.T, ids []string, o fleetOpts) (map[string]*testNode, 
 	urls := make(map[string]string, len(ids))
 	for _, id := range ids {
 		swap := &handlerSwap{}
-		ts := httptest.NewServer(swap)
-		nodes[id] = &testNode{id: id, ts: ts, swap: swap}
+		ts := httptest.NewUnstartedServer(swap)
+		n := &testNode{id: id, ts: ts, swap: swap}
+		ts.Config.ConnState = func(_ net.Conn, cs http.ConnState) {
+			if cs == http.StateNew {
+				n.accepted.Add(1)
+			}
+		}
+		ts.Start()
+		nodes[id] = n
 		urls[id] = ts.URL
 	}
 	kill := func(victim string) {

@@ -478,6 +478,21 @@ func (rt *Router) suspect(node string, err error) {
 	}
 }
 
+// maxDrain bounds how much of an unwanted response body drainClose
+// reads. The bodies it meets are short JSON errors; a longer one is
+// closed with its connection.
+const maxDrain = 64 << 10
+
+// drainClose reads what is left of a response body, up to maxDrain
+// bytes, and closes it. net/http returns a connection to its keep-alive
+// pool only once the body on it has been read to EOF: a body closed
+// unread closes its connection, and the next request to that peer dials
+// a new one.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	_ = body.Close()
+}
+
 // fetchFrom asks one peer for one key (GET /v1/cache/{key}). Only a
 // connection-level failure suspects the peer: an HTTP error, a slow or
 // broken body, or a digest mismatch is a failed *fetch*, not a dead
@@ -496,13 +511,15 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 		rt.suspect(node, err)
 		return nil, false
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// A clean miss (404) — or any HTTP-level rejection — proves the
-		// node alive; routing keeps it.
+		// node alive; routing keeps it, and the next probe reuses the
+		// connection.
+		drainClose(resp.Body)
 		return nil, false
 	}
 	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		// Mid-body failure: the connection answered, so the node stays
 		// routable; this fetch just loses.
@@ -663,7 +680,7 @@ func (rt *Router) fetchArcKeys(ctx context.Context, url, arc string) ([]string, 
 		if err != nil {
 			return err
 		}
-		defer resp.Body.Close()
+		defer drainClose(resp.Body)
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("fleet: cache keys: status %d", resp.StatusCode)
 		}
@@ -746,8 +763,7 @@ func (rt *Router) pushKey(ctx context.Context, url, key string) error {
 		if err != nil {
 			return err
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("fleet: handoff put: status %d", resp.StatusCode)
 		}
@@ -774,8 +790,8 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveLocal hands a request to the co-resident daemon, restoring the
-// already-consumed body.
+// serveLocal hands a routed batch to the co-resident daemon, restoring
+// the already-consumed body.
 func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 	rt.localJobs.Add(1)
 	r.Body = io.NopCloser(bytes.NewReader(body))
@@ -840,12 +856,20 @@ func (rt *Router) routeSpec(spec labd.JobSpec, keyBuf *[64]byte) (string, error)
 // node's memory when it holds a replica; forwarded owner hits become
 // replicas once their digest checks out (see forward).
 //
-// The spec key is computed exactly once per request — here, into a
-// stack buffer — and carried to the owner on labd.HeaderSpecKey: the
-// local daemon's zero-allocation fast path answers cache hits from it
-// without re-deriving the key, and a forwarded request's owner does the
-// same on its side of the wire.
+// Each node decodes a submission at most once. A request routed here
+// by a peer goes to the local daemon's handler unread. Otherwise this
+// node decodes it (labd.DecodeSubmit) and computes the spec key once,
+// into a stack buffer. A job it owns goes to the local daemon decoded,
+// with the key (labd.Server.ServeSubmit), so the daemon's
+// zero-allocation fast path answers a cache hit without re-deriving
+// it. A forward carries the key to the owner on labd.HeaderSpecKey, and
+// the owner does the same on its side of the wire.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get(routedHeader) != "" && rt.localH != nil {
+		rt.localJobs.Add(1)
+		rt.localH.ServeHTTP(w, r)
+		return
+	}
 	bp, err := readSubmitBody(w, r, 1<<20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -853,27 +877,18 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer releaseSubmitBody(bp)
 	body := *bp
-	if r.Header.Get(routedHeader) != "" && rt.localH != nil {
-		rt.serveLocal(w, r, body)
-		return
-	}
-	var req labd.SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := labd.DecodeSubmit(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if req.Job.Kind == "" {
-		var spec labd.JobSpec
-		if err := json.Unmarshal(body, &spec); err == nil && spec.Kind != "" {
-			req.Job = spec
-		}
 	}
 	var keyBuf [64]byte
 	if err := labd.SpecKeyInto(req.Job, &keyBuf); err != nil {
 		// Invalid spec: the local daemon produces the canonical 400; a
 		// standalone router answers directly.
-		if rt.localH != nil {
-			rt.serveLocal(w, r, body)
+		if rt.local != nil {
+			rt.localJobs.Add(1)
+			rt.local.ServeSubmit(w, r, req, "")
 			return
 		}
 		writeError(w, http.StatusBadRequest, err)
@@ -905,11 +920,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.reroutes.Add(1)
 		}
 		if owner == rt.cfg.Self {
-			// Placement decided: mark the request routed and attach the
-			// key so the daemon's fast path trusts and reuses it.
-			r.Header.Set(routedHeader, "1")
-			r.Header.Set(labd.HeaderSpecKey, key)
-			rt.serveLocal(w, r, body)
+			rt.localJobs.Add(1)
+			rt.local.ServeSubmit(w, r, req, key)
 			return
 		}
 		if replica {

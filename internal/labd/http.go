@@ -103,12 +103,7 @@ func (s *Server) Handler() http.Handler {
 	var handler http.Handler = mux
 	if s.chaos.Enabled() {
 		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/") && r.URL.Path != "/v1/state" &&
-				s.chaos.Fire(FaultHTTPFlaky) {
-				s.metrics.Add("labd.http.injected.faults", 1)
-				w.Header().Set("Retry-After", "0")
-				writeError(w, http.StatusServiceUnavailable,
-					errors.New("faultinject: injected flaky response"))
+			if strings.HasPrefix(r.URL.Path, "/v1/") && r.URL.Path != "/v1/state" && s.flaky(w) {
 				return
 			}
 			mux.ServeHTTP(w, r)
@@ -136,36 +131,78 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// handleSubmit accepts either the SubmitRequest envelope or a bare
-// JobSpec body.
+// flaky runs the FaultHTTPFlaky point for one /v1/* request. A firing
+// answers it 503 with Retry-After and reports true.
+func (s *Server) flaky(w http.ResponseWriter) bool {
+	if !s.chaos.Fire(FaultHTTPFlaky) {
+		return false
+	}
+	s.metrics.Add("labd.http.injected.faults", 1)
+	w.Header().Set("Retry-After", "0")
+	writeError(w, http.StatusServiceUnavailable, errors.New("faultinject: injected flaky response"))
+	return true
+}
+
+// DecodeSubmit parses a POST /v1/jobs body: the SubmitRequest envelope,
+// or a bare JobSpec ({"kind": "simulate", ...}). The daemon's handler
+// and a fleet router both decode with it, so a submission is decoded
+// once on the node that serves it.
+func DecodeSubmit(body []byte) (SubmitRequest, error) {
+	var req SubmitRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, err
+	}
+	if req.Job.Kind == "" {
+		var spec JobSpec
+		if err := json.Unmarshal(body, &spec); err == nil && spec.Kind != "" {
+			req.Job = spec
+		}
+	}
+	return req, nil
+}
+
+// handleSubmit serves POST /v1/jobs behind Handler's edge.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	bp, err := readPooledBody(w, r, 1<<20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	defer releaseBody(bp)
-	body := *bp
-	var req SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := DecodeSubmit(*bp)
+	releaseBody(bp)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Job.Kind == "" {
-		// Bare-spec convenience: {"kind": "simulate", ...}.
-		var spec JobSpec
-		if err := json.Unmarshal(body, &spec); err == nil && spec.Kind != "" {
-			req.Job = spec
-		}
-	}
-
 	// A routed fleet request carries the spec key its router computed
-	// for placement, so this daemon never re-derives it. The hint is
+	// for placement, so this daemon never re-derives it. The key is
 	// honored only together with the routed marker (see HeaderSpecKey).
-	hint := ""
+	key := ""
 	if r.Header.Get(HeaderRouted) != "" {
-		hint = r.Header.Get(HeaderSpecKey)
+		key = r.Header.Get(HeaderSpecKey)
 	}
+	s.serveSubmit(w, r, req, key)
+}
+
+// ServeSubmit answers one submission that the caller read and decoded
+// (DecodeSubmit) itself: a fleet router serving a job its node owns. It
+// passes the edge that Handler puts before POST /v1/jobs, X-Labd-Node
+// and the FaultHTTPFlaky point, so the answer is the one the daemon's
+// own handler would write. key is the spec's content address when the
+// caller already derived it, or "".
+func (s *Server) ServeSubmit(w http.ResponseWriter, r *http.Request, req SubmitRequest, key string) {
+	if s.cfg.NodeID != "" {
+		w.Header().Set("X-Labd-Node", s.cfg.NodeID)
+	}
+	if s.flaky(w) {
+		return
+	}
+	s.serveSubmit(w, r, req, key)
+}
+
+// serveSubmit answers one decoded submission; key is its content
+// address, or "" to derive it.
+func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, req SubmitRequest, key string) {
 	// The forwarding node keeps a replica of a hit: give it the digest.
 	replica := r.Header.Get(HeaderReplica) != ""
 
@@ -175,9 +212,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// traced, draining, invalid, or simply not cached — falls through to
 	// the scheduler below, which owns all error reporting.
 	if !req.Async {
-		if hint != "" {
-			if bytes, ok := s.TryCacheHitKey(hint); ok {
-				s.writeCachedResult(w, hint, bytes, replica)
+		if key != "" {
+			if bytes, ok := s.TryCacheHitKey(key); ok {
+				s.writeCachedResult(w, key, bytes, replica)
 				return
 			}
 		} else if bytes, hexKey, ok := s.TryCacheHit(req.Job); ok {
@@ -204,8 +241,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The request context's deadline (if the client set one) caps the
 	// job's timeout — deadline propagation from HTTP edge to simulation.
 	var j *Job
-	if hint != "" {
-		j, err = s.SubmitPreKeyed(ctx, req, hint)
+	var err error
+	if key != "" {
+		j, err = s.SubmitPreKeyed(ctx, req, key)
 	} else {
 		j, err = s.SubmitContext(ctx, req)
 	}
