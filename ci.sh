@@ -62,8 +62,13 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # miss); and the edge of a submission served in process or forwarded
 # (the flaky-HTTP fault fires once per submission on the node that
 # serves it, X-Labd-Node names that node, an invalid spec gets the
-# daemon's own 400 body, an async one 202 with its Location).
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetNodesOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestFleetSubmitEdge' ./internal/fleet/
+# daemon's own 400 body, an async one 202 with its Location); and a
+# batch sent to a fleet node is answered as a single daemon answers it
+# (a batch over 1024 jobs or with none gets the daemon's 400 body and
+# simulates nothing, and each index of a batch that runs has the
+# daemon's status, key, error and result bytes, in the encoder's
+# framing).
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetNodesOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestFleetSubmitEdge|TestFleetBatchParity' ./internal/fleet/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and
@@ -117,7 +122,8 @@ go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/hdrhist/
 go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
 # FuzzAppendBatchEvent holds the batch NDJSON framing to json.Encoder
 # (SetEscapeHTML(false)): equal bytes whenever it frames an event, and no
-# framing of an event the encoder rejects.
+# framing of an event the encoder rejects. The one framing serves the
+# daemon's batch stream and a fleet node's (labd.StreamBatch).
 go test -run=NONE -fuzz='^FuzzAppendBatchEvent$' -fuzztime=10s ./internal/labd/
 # FuzzAppendMessage holds the hand-encoded gossip ping to encoding/json:
 # every message decodes to the value json.Marshal's encoding does.

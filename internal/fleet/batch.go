@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -14,15 +14,13 @@ import (
 	"jvmgc/internal/labd"
 )
 
-// maxShardLine bounds one NDJSON line of a forwarded shard's stream (a
-// line embeds a whole result document).
-const maxShardLine = 16 << 20
-
 // handleBatch fans a batch out across the fleet: jobs are grouped by
 // ring owner, each group is forwarded as a sub-batch (the local group
 // runs on the co-resident daemon directly), and completion events are
 // merged into one stream as they arrive — the client sees one batch,
-// whatever the topology behind it.
+// whatever the topology behind it. The batch is decoded, bounded and
+// streamed by the daemon's own code (labd.DecodeBatch, labd.StreamBatch),
+// so a fleet node answers a batch as a single daemon does.
 //
 // Failover is per shard and windowed by completion: when a node dies
 // mid-stream, only the jobs whose events had not yet arrived re-route
@@ -31,57 +29,46 @@ const maxShardLine = 16 << 20
 // Determinism makes this safe: a job that ran twice (once on the dead
 // node, once on its successor) produced identical bytes both times.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	if rt.serveRouted(w, r) {
+		return
+	}
+	bp, err := labd.ReadPooledBody(w, r, labd.MaxBatchBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.Header.Get(routedHeader) != "" && rt.localH != nil {
-		rt.serveLocal(w, r, body)
-		return
-	}
-	var req labd.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := labd.DecodeBatch(*bp)
+	labd.ReleaseBody(bp)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("fleet: batch: no jobs"))
-		return
-	}
+	events := make(chan labd.BatchEvent, len(req.Jobs))
+	placed := make(chan struct{})
+	go func() {
+		defer close(placed)
+		rt.placeBatch(r.Context(), req, events)
+	}()
+	labd.StreamBatch(w, r, len(req.Jobs), rt.cfg.Self, events)
+	<-placed // shard workers finish, even for a client that left
+}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	flusher, _ := w.(http.Flusher)
-	emit := func(ev labd.BatchEvent) error {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	_ = enc.Encode(labd.BatchHeader{Batch: len(req.Jobs), Node: rt.cfg.Self})
-	if flusher != nil {
-		flusher.Flush()
-	}
-
+// placeBatch runs a batch's placement rounds and sends each job's final
+// event to events, which has room for all of them. It stops placing
+// once ctx is done: the client is gone, and no one reads the stream.
+func (rt *Router) placeBatch(ctx context.Context, req labd.BatchRequest, events chan<- labd.BatchEvent) {
 	// Content-address every job up front; specs that cannot be keyed
 	// cannot be routed and fail immediately.
-	keys := make([]string, len(req.Jobs))
+	keys := make([][64]byte, len(req.Jobs))
+	hashes := make([]uint64, len(req.Jobs))
 	pending := make(map[int]bool, len(req.Jobs))
 	for i, spec := range req.Jobs {
-		key, err := labd.SpecKey(spec)
+		h, err := specHash(spec, &keys[i])
 		if err != nil {
-			if emit(labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: err.Error()}) != nil {
-				return
-			}
+			events <- labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: err.Error()}
 			continue
 		}
-		keys[i] = key
+		hashes[i] = h
 		pending[i] = true
 	}
 
@@ -92,8 +79,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	failed := make(map[string]bool)
 	owners := make([]string, len(req.Jobs))
 	for round := 0; len(pending) > 0 && round <= rt.Ring().Len(); round++ {
-		if r.Context().Err() != nil {
-			return // the client is gone; no one is reading the stream
+		if ctx.Err() != nil {
+			return
 		}
 		if round > 0 {
 			rt.reroutes.Add(int64(len(pending)))
@@ -105,7 +92,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		groups := make(map[string][]int)
 		for _, i := range sortedIndices(pending) {
-			owner := rt.pickHash(v, finalize(hashString(keys[i])), exclude)
+			owner := rt.pickHash(v, hashes[i], exclude)
 			if owner == "" {
 				continue // no node routable; fails after the loop
 			}
@@ -115,8 +102,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if len(groups) == 0 {
 			break
 		}
-		// Buffered for every possible event, so shard workers never block
-		// on a client that stopped reading mid-stream.
+		// Buffered for every possible event, so shard workers never block.
 		msgs := make(chan labd.BatchEvent, len(pending))
 		lost := make(chan string, len(groups)) // nodes a shard failed on
 		var wg sync.WaitGroup
@@ -127,14 +113,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			wg.Add(1)
 			if owner == rt.cfg.Self && rt.local != nil {
-				go func(indices []int, jobs []labd.JobSpec) {
+				shardKeys := make([]string, len(indices))
+				for k, i := range indices {
+					shardKeys[k] = string(keys[i][:])
+				}
+				go func(indices []int, jobs []labd.JobSpec, keys []string) {
 					defer wg.Done()
-					rt.localShard(r, indices, jobs, keys, req.TimeoutSeconds, msgs)
-				}(indices, jobs)
+					rt.localShard(ctx, indices, jobs, keys, req.TimeoutSeconds, msgs)
+				}(indices, jobs, shardKeys)
 			} else {
 				go func(owner string, indices []int, jobs []labd.JobSpec) {
 					defer wg.Done()
-					if !rt.forwardShard(r, v.urls[owner], owner, indices, jobs, req.TimeoutSeconds, msgs) {
+					if !rt.forwardShard(ctx, v.urls[owner], owner, indices, jobs, req.TimeoutSeconds, msgs) {
 						lost <- owner
 					}
 				}(owner, indices, jobs)
@@ -145,7 +135,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			close(msgs)
 			close(lost)
 		}()
-		clientGone := false
 		for ev := range msgs {
 			if !pending[ev.Index] {
 				continue
@@ -158,24 +147,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			delete(pending, ev.Index)
-			if !clientGone && emit(ev) != nil {
-				// Keep draining so shard workers finish; jobs keep
-				// running and land in their owners' caches.
-				clientGone = true
-			}
-		}
-		if clientGone {
-			return
+			events <- ev
 		}
 		for id := range lost {
 			failed[id] = true
 		}
 	}
 	for _, i := range sortedIndices(pending) {
-		if emit(labd.BatchEvent{Index: i, Status: labd.StatusFailed,
-			Error: "fleet: no nodes available"}) != nil {
-			return
-		}
+		events <- labd.BatchEvent{Index: i, Status: labd.StatusFailed, Error: "fleet: no nodes available"}
 	}
 }
 
@@ -188,55 +167,19 @@ func sortedIndices(set map[int]bool) []int {
 	return out
 }
 
-// disposition renders a finished job's cache disposition from its info.
-func disposition(info labd.JobInfo) string {
-	switch {
-	case info.CacheHit:
-		return "hit"
-	case info.Coalesced:
-		return "coalesced"
-	case info.PeerHit:
-		return "peer"
-	default:
-		return "miss"
-	}
-}
-
 // localShard runs one shard on the co-resident daemon directly — no
-// socket, no serialization round-trip. Submitting everything before
-// waiting preserves intra-shard coalescing, then each job's completion
-// becomes an event as it happens. The content keys were already derived
-// once for routing, so submissions reuse them instead of re-hashing.
-func (rt *Router) localShard(r *http.Request, indices []int, jobs []labd.JobSpec, keys []string, timeout float64, msgs chan<- labd.BatchEvent) {
+// socket, no serialization round-trip — with the content keys already
+// derived for placement, and maps each event's index back into the
+// batch's.
+func (rt *Router) localShard(ctx context.Context, indices []int, jobs []labd.JobSpec, keys []string, timeout float64, msgs chan<- labd.BatchEvent) {
 	rt.localJobs.Add(int64(len(indices)))
-	var wg sync.WaitGroup
-	for k, spec := range jobs {
-		idx := indices[k]
-		j, err := rt.local.SubmitPreKeyed(r.Context(), labd.SubmitRequest{
-			Job:            spec,
-			TimeoutSeconds: timeout,
-		}, keys[idx])
-		if err != nil {
-			msgs <- labd.BatchEvent{Index: idx, Status: labd.StatusFailed, Error: err.Error()}
-			continue
-		}
-		wg.Add(1)
-		go func(idx int, j *labd.Job) {
-			defer wg.Done()
-			<-j.Done()
-			info := j.Info()
-			ev := labd.BatchEvent{Index: idx, ID: j.ID, Key: j.Key, Cache: disposition(info)}
-			if bytes, err := j.Result(); err != nil {
-				ev.Status = labd.StatusFailed
-				ev.Error = err.Error()
-			} else {
-				ev.Status = labd.StatusDone
-				ev.Result = bytes
-			}
-			msgs <- ev
-		}(idx, j)
+	events := make(chan labd.BatchEvent, len(jobs))
+	rt.local.RunBatch(ctx, jobs, keys, timeout, events)
+	for range jobs {
+		ev := <-events
+		ev.Index = indices[ev.Index]
+		msgs <- ev
 	}
-	wg.Wait()
 }
 
 // forwardShard streams one shard through a peer node's batch endpoint
@@ -244,7 +187,7 @@ func (rt *Router) localShard(r *http.Request, indices []int, jobs []labd.JobSpec
 // reports that the shard failed on the node — connect, 5xx, a stream
 // cut mid-batch: the indices whose events never arrived stay pending
 // and re-route next round. Connection-level failures also go to gossip.
-func (rt *Router) forwardShard(r *http.Request, url, node string, indices []int, jobs []labd.JobSpec, timeout float64, msgs chan<- labd.BatchEvent) bool {
+func (rt *Router) forwardShard(ctx context.Context, url, node string, indices []int, jobs []labd.JobSpec, timeout float64, msgs chan<- labd.BatchEvent) bool {
 	rt.acquire(node, len(indices))
 	defer rt.release(node, len(indices))
 	fail := func(msg string) bool {
@@ -261,7 +204,7 @@ func (rt *Router) forwardShard(r *http.Request, url, node string, indices []int,
 	if err != nil {
 		return fail(err.Error())
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		url+"/v1/jobs/batch", bytes.NewReader(payload))
 	if err != nil {
 		return fail(err.Error())
@@ -286,30 +229,19 @@ func (rt *Router) forwardShard(r *http.Request, url, node string, indices []int,
 		return fail(strings.TrimSpace(string(body)))
 	}
 	rt.forwards.Add(int64(len(indices)))
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxShardLine)
-	var header labd.BatchHeader
-	if !sc.Scan() || json.Unmarshal(sc.Bytes(), &header) != nil {
-		rt.suspect(node, sc.Err())
-		return false
-	}
-	got := 0
-	for got < header.Batch && sc.Scan() {
-		var ev labd.BatchEvent
-		if json.Unmarshal(sc.Bytes(), &ev) != nil {
-			break
+	header, got, err := labd.ReadBatchStream(resp.Body, func(ev labd.BatchEvent) {
+		if ev.Index >= 0 && ev.Index < len(indices) {
+			ev.Index = indices[ev.Index]
+			msgs <- ev
 		}
-		if ev.Index < 0 || ev.Index >= len(indices) {
-			continue
-		}
-		ev.Index = indices[ev.Index]
-		msgs <- ev
-		got++
-	}
-	if got < header.Batch {
+	})
+	if err != nil || got < header.Batch {
 		// The stream broke mid-batch (this is how a node kill manifests):
-		// the unacked remainder re-routes.
-		rt.suspect(node, sc.Err())
+		// the unacked remainder re-routes. A stream that was read but is
+		// malformed proves the node alive, as an HTTP error does.
+		if !errors.Is(err, labd.ErrMalformedBatch) {
+			rt.suspect(node, err)
+		}
 		return false
 	}
 	return true

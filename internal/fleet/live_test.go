@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -19,9 +20,10 @@ import (
 
 // TestDataPathSuspicion pins which data-path failures feed gossip: a
 // refused connection suspects the node, and routing skips it. An HTTP
-// 500, a timeout and a caller that gave up prove nothing about the
-// node, which stays alive and routable. The rules hold alike for a peer
-// fetch, a forwarded submission and a batch shard.
+// 500, a 200 whose body is not the protocol, a timeout and a caller
+// that gave up prove nothing about the node, which stays alive and
+// routable. The rules hold alike for a peer fetch, a forwarded
+// submission and a batch shard.
 func TestDataPathSuspicion(t *testing.T) {
 	spec := labd.JobSpec{Kind: labd.KindSimulate, Collector: "CMS", DurationSeconds: 5, Seed: 1}
 	key, err := labd.SpecKey(spec)
@@ -43,6 +45,9 @@ func TestDataPathSuspicion(t *testing.T) {
 	failing := serve(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "internal", http.StatusInternalServerError)
 	})
+	malformed := serve(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, "not the protocol\n")
+	})
 	stalled := serve(func(w http.ResponseWriter, r *http.Request) {
 		// Reading the body lets the server notice the caller leave.
 		_, _ = io.Copy(io.Discard, r.Body)
@@ -57,6 +62,7 @@ func TestDataPathSuspicion(t *testing.T) {
 	}{
 		{"connection refused suspects node", refused, time.Second, 0, true},
 		{"http 500 keeps node routable", failing, time.Second, 0, false},
+		{"malformed 200 keeps node routable", malformed, time.Second, 0, false},
 		{"timeout keeps node routable", stalled, 30 * time.Millisecond, 0, false},
 		{"done context keeps node routable", stalled, time.Second, 30 * time.Millisecond, false},
 	}
@@ -252,5 +258,57 @@ func BenchmarkHandoffPlan(b *testing.B) {
 		if moved == 0 {
 			b.Fatal("no keys to hand off")
 		}
+	}
+}
+
+// TestFetchBoundsBody pins a peer fetch to labd.MaxResultBytes, the
+// bound a handoff PUT and a kept replica have: a peer's 200 one byte
+// over it, with the body's own digest, is a miss whether its length is
+// declared or only read, and the peer is not suspected; a body exactly
+// at the bound is a hit.
+func TestFetchBoundsBody(t *testing.T) {
+	big := bytes.Repeat([]byte{'x'}, labd.MaxResultBytes+1)
+	cases := []struct {
+		name     string
+		size     int
+		declared bool
+		hit      bool
+	}{
+		{"at the bound", labd.MaxResultBytes, true, true},
+		{"declared over the bound", labd.MaxResultBytes + 1, true, false},
+		{"read over the bound", labd.MaxResultBytes + 1, false, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			body := big[:c.size]
+			digest := labd.Digest(body)
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("X-Labd-Sha256", digest)
+				if c.declared {
+					w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				}
+				_, _ = w.Write(body)
+			}))
+			t.Cleanup(peer.Close)
+			rt, err := New(Config{Nodes: map[string]string{"b": peer.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := gossip.New(gossip.Config{Self: "r", URL: "http://r", Joining: true,
+				Peers: rt.view.Load().urls, OnUpdate: rt.SetMembership})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.AttachGossip(g)
+			t.Cleanup(rt.Close)
+
+			got, ok := rt.Fetch(context.Background(), "k")
+			if ok != c.hit || (ok && !bytes.Equal(got, body)) {
+				t.Errorf("Fetch of a %d-byte body: %d bytes, hit=%v; want hit=%v", c.size, len(got), ok, c.hit)
+			}
+			if st, _, _ := g.Memberlist().State("b"); st == gossip.StateSuspect {
+				t.Error("an oversized answer made the peer a suspect")
+			}
+		})
 	}
 }

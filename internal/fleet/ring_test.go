@@ -274,10 +274,11 @@ func BenchmarkRouterPick(b *testing.B) {
 }
 
 // BenchmarkRouterForward measures the per-request routing core of the
-// submit path — content-address the spec (fast JSON encode + SHA-256
-// into a stack buffer) and place it on the ring. Bench-gated at 0
-// allocs/op: this runs once per submission, and under saturation load
-// any allocation here multiplies into GC pressure fleet-wide.
+// submit path — the calls handleSubmit makes: content-address the spec
+// (fast JSON encode + SHA-256 into a stack buffer) and hash the key
+// (specHash), then place the hash on the ring (pickHash). Bench-gated
+// at 0 allocs/op: this runs once per submission, and under saturation
+// load any allocation here multiplies into GC pressure fleet-wide.
 func BenchmarkRouterForward(b *testing.B) {
 	rt, err := New(Config{Nodes: map[string]string{
 		"a": "http://a", "b": "http://b", "c": "http://c",
@@ -302,15 +303,18 @@ func BenchmarkRouterForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node, err := rt.routeSpec(specs[i%len(specs)], &keyBuf)
+		h, err := specHash(specs[i%len(specs)], &keyBuf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sinkNode = node
+		sinkNode = rt.pickHash(rt.view.Load(), h, 0)
 	}
 }
 
-func TestRouteSpecZeroAlloc(t *testing.T) {
+// TestSpecHashZeroAlloc gates the submit path's keying and placement
+// (specHash, then pickHash) at 0 allocs/op, and pins both to the
+// canonical forms: the key is labd.SpecKey's, the placement pick's.
+func TestSpecHashZeroAlloc(t *testing.T) {
 	rt, err := New(Config{Nodes: map[string]string{
 		"a": "http://a", "b": "http://b", "c": "http://c",
 	}})
@@ -321,11 +325,13 @@ func TestRouteSpecZeroAlloc(t *testing.T) {
 		HeapBytes: 4 << 30, DurationSeconds: 10, Seed: 42}
 	var keyBuf [64]byte
 	if avg := testing.AllocsPerRun(1000, func() {
-		if _, err := rt.routeSpec(spec, &keyBuf); err != nil {
+		h, err := specHash(spec, &keyBuf)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sinkNode = rt.pickHash(rt.view.Load(), h, 0)
 	}); avg != 0 {
-		t.Errorf("routeSpec allocates %.1f/op, want 0", avg)
+		t.Errorf("specHash + pickHash allocates %.1f/op, want 0", avg)
 	}
 	// The derived key must match the canonical one, and placement must
 	// agree with a string-keyed pick.
@@ -333,10 +339,14 @@ func TestRouteSpecZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(keyBuf[:]) != want {
-		t.Errorf("routeSpec key %q != SpecKey %q", keyBuf[:], want)
+	h, err := specHash(spec, &keyBuf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, _ := rt.routeSpec(spec, &keyBuf); got != rt.pick(want) {
-		t.Errorf("routeSpec placement %q != pick %q", got, rt.pick(want))
+	if string(keyBuf[:]) != want {
+		t.Errorf("specHash key %q != SpecKey %q", keyBuf[:], want)
+	}
+	if got := rt.pickHash(rt.view.Load(), h, 0); got != rt.pick(want) {
+		t.Errorf("specHash placement %q != pick %q", got, rt.pick(want))
 	}
 }

@@ -511,18 +511,19 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 		rt.suspect(node, err)
 		return nil, false
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK || resp.ContentLength > labd.MaxResultBytes {
 		// A clean miss (404) — or any HTTP-level rejection — proves the
 		// node alive; routing keeps it, and the next probe reuses the
-		// connection.
+		// connection. A result over the bound every node keeps loses
+		// the same way, its connection closed unread.
 		drainClose(resp.Body)
 		return nil, false
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, labd.MaxResultBytes+1))
 	resp.Body.Close()
-	if err != nil {
-		// Mid-body failure: the connection answered, so the node stays
-		// routable; this fetch just loses.
+	if err != nil || len(body) > labd.MaxResultBytes {
+		// Mid-body failure or an oversized body: the connection answered,
+		// so the node stays routable; this fetch just loses.
 		return nil, false
 	}
 	if labd.Digest(body) != resp.Header.Get("X-Labd-Sha256") {
@@ -790,63 +791,27 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveLocal hands a routed batch to the co-resident daemon, restoring
-// the already-consumed body.
-func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
-	rt.localJobs.Add(1)
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	rt.localH.ServeHTTP(w, r)
-}
-
-// submitBodyPool recycles submit-request body buffers, mirroring the
-// daemon's own pooled reader: under saturation load the router reads
-// thousands of bodies per second and each io.ReadAll used to pay a
-// doubling growth sequence.
-var submitBodyPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// readSubmitBody reads a bounded request body into a pooled buffer;
-// callers release with releaseSubmitBody once nothing references it.
-func readSubmitBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, error) {
-	bp := submitBodyPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	src := http.MaxBytesReader(w, r.Body, limit)
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := src.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*bp = b[:0]
-			submitBodyPool.Put(bp)
-			return nil, err
-		}
-	}
-	*bp = b
-	return bp, nil
-}
-
-func releaseSubmitBody(bp *[]byte) {
-	*bp = (*bp)[:0]
-	submitBodyPool.Put(bp)
-}
-
-// routeSpec derives a spec's content address into keyBuf and places it
-// on the current ring, allocation-free — the per-request core of the
-// submit path, bench-gated by BenchmarkRouterForward. The key stays a
-// stack buffer until a header actually needs a string.
-func (rt *Router) routeSpec(spec labd.JobSpec, keyBuf *[64]byte) (string, error) {
+// specHash derives a spec's content address into keyBuf and returns the
+// key's ring hash, allocation-free: the key stays a stack buffer until
+// a header or a local submission needs it as a string. The submit path
+// and batch placement both key through it, and BenchmarkRouterForward
+// gates it, with pickHash, at 0 allocs/op.
+func specHash(spec labd.JobSpec, keyBuf *[64]byte) (uint64, error) {
 	if err := labd.SpecKeyInto(spec, keyBuf); err != nil {
-		return "", err
+		return 0, err
 	}
-	return rt.pickHash(rt.view.Load(), finalize(hashBytes(keyBuf[:])), 0), nil
+	return finalize(hashBytes(keyBuf[:])), nil
+}
+
+// serveRouted hands a request a peer routed here to the local daemon's
+// handler unread, and reports whether it did (see routedHeader).
+func (rt *Router) serveRouted(w http.ResponseWriter, r *http.Request) bool {
+	if r.Header.Get(routedHeader) == "" || rt.localH == nil {
+		return false
+	}
+	rt.localJobs.Add(1)
+	rt.localH.ServeHTTP(w, r)
+	return true
 }
 
 // handleSubmit routes one job to its owner: local fast path when the
@@ -865,17 +830,15 @@ func (rt *Router) routeSpec(spec labd.JobSpec, keyBuf *[64]byte) (string, error)
 // it. A forward carries the key to the owner on labd.HeaderSpecKey, and
 // the owner does the same on its side of the wire.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get(routedHeader) != "" && rt.localH != nil {
-		rt.localJobs.Add(1)
-		rt.localH.ServeHTTP(w, r)
+	if rt.serveRouted(w, r) {
 		return
 	}
-	bp, err := readSubmitBody(w, r, 1<<20)
+	bp, err := labd.ReadPooledBody(w, r, labd.MaxSubmitBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	defer releaseSubmitBody(bp)
+	defer labd.ReleaseBody(bp)
 	body := *bp
 	req, err := labd.DecodeSubmit(body)
 	if err != nil {
@@ -883,7 +846,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var keyBuf [64]byte
-	if err := labd.SpecKeyInto(req.Job, &keyBuf); err != nil {
+	keyHash, err := specHash(req.Job, &keyBuf)
+	if err != nil {
 		// Invalid spec: the local daemon produces the canonical 400; a
 		// standalone router answers directly.
 		if rt.local != nil {
@@ -894,7 +858,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	keyHash := finalize(hashBytes(keyBuf[:]))
 	// Results are content-addressed, so any node's copy of a key's bytes
 	// is the owner's answer: a synchronous submission this node would
 	// forward is first looked up in its own memory. Replicas are served
@@ -954,18 +917,15 @@ var relayBufs = sync.Pool{New: func() any {
 // through the buffer it is given.
 type writerOnly struct{ io.Writer }
 
-// maxReplicaBytes bounds the relayed hit an entry node buffers to
-// verify and keep — the same bound a daemon puts on a handoff PUT.
-// Larger bodies are relayed but not kept.
-const maxReplicaBytes = 32 << 20
-
 // forward proxies one submission to a peer node at url, carrying the
 // already-computed spec key so the owner's daemon skips re-deriving it.
 // False reports a transport-level failure (the job should re-route);
 // true means a response — any response — was relayed to the client.
 // With replica set, an owner's cache hit is relayed in full and then
 // kept as a replica by the local daemon once its bytes match the
-// SHA-256 the owner attached.
+// SHA-256 the owner attached. A hit is kept only within
+// labd.MaxResultBytes, the bound a daemon puts on a handoff PUT; larger
+// bodies are relayed but not kept.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, url, node string, body []byte, key string, replica bool) bool {
 	rt.acquire(node, 1)
 	defer rt.release(node, 1)
@@ -1009,7 +969,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, url, node stri
 	w.WriteHeader(resp.StatusCode)
 	digest := ""
 	if replica && resp.StatusCode == http.StatusOK && resp.Header.Get("X-Labd-Cache") == "hit" &&
-		resp.ContentLength >= 0 && resp.ContentLength <= maxReplicaBytes {
+		resp.ContentLength >= 0 && resp.ContentLength <= labd.MaxResultBytes {
 		digest = resp.Header.Get("X-Labd-Sha256")
 	}
 	if digest == "" {

@@ -26,7 +26,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -713,10 +712,6 @@ type BatchResult struct {
 	Err error
 }
 
-// maxBatchLine bounds one NDJSON line of a batch response (a line embeds
-// a whole result document).
-const maxBatchLine = 16 << 20
-
 // Batch submits many jobs in one POST /v1/jobs/batch call and streams
 // their completions: onEvent (optional) fires per event line in arrival
 // order, and the returned slice holds every outcome indexed by the job's
@@ -767,38 +762,24 @@ func (c *Client) Batch(ctx context.Context, jobs []labd.JobSpec, timeoutSeconds 
 	for i := range results {
 		results[i] = BatchResult{Index: i, Err: errors.New("labd client: batch stream ended before this job's event")}
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxBatchLine)
-	if !sc.Scan() {
-		return results, fmt.Errorf("labd client: batch: empty response: %w", sc.Err())
-	}
-	var header labd.BatchHeader
-	if err := json.Unmarshal(sc.Bytes(), &header); err != nil {
-		return results, fmt.Errorf("labd client: batch header: %w", err)
-	}
-	for got := 0; got < header.Batch && sc.Scan(); got++ {
-		var ev labd.BatchEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return results, fmt.Errorf("labd client: batch event: %w", err)
-		}
+	_, _, err = labd.ReadBatchStream(resp.Body, func(ev labd.BatchEvent) {
 		if onEvent != nil {
 			onEvent(ev)
 		}
 		if ev.Index < 0 || ev.Index >= len(results) {
-			continue
+			return
 		}
 		r := BatchResult{Index: ev.Index, JobID: ev.ID, Key: ev.Key, Cache: ev.Cache}
 		if ev.Status == labd.StatusDone {
 			// NDJSON framing stripped the canonical trailing newline;
 			// restore it so batch bytes match sync-submission bytes.
 			r.Bytes = append(append([]byte(nil), ev.Result...), '\n')
-			r.Err = nil
 		} else {
 			r.Err = &APIError{StatusCode: http.StatusInternalServerError, Message: ev.Error}
 		}
 		results[ev.Index] = r
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return results, fmt.Errorf("labd client: batch stream: %w", err)
 	}
 	return results, nil

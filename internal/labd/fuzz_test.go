@@ -54,9 +54,11 @@ func FuzzAppendSpecJSON(f *testing.F) {
 // with SetEscapeHTML(false), the encoder it stands in for: whenever
 // appendBatchEvent accepts an event, its line equals the encoder's byte
 // for byte, and it never accepts an event the encoder rejects (an
-// embedded result that is not JSON). The seed corpus under
-// testdata/fuzz/FuzzAppendBatchEvent holds HTML characters, non-ASCII
-// text, a negative index, whitespace-padded results and invalid ones.
+// embedded result that is not JSON). The one framing serves every
+// batch stream: StreamBatch writes the daemon's and a fleet node's
+// alike. The seed corpus under testdata/fuzz/FuzzAppendBatchEvent holds
+// HTML characters, non-ASCII text, a negative index, whitespace-padded
+// results and invalid ones.
 func FuzzAppendBatchEvent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, index int, id, key, status, cache, errMsg string, result []byte) {
 		ev := BatchEvent{Index: index, ID: id, Key: key, Status: status, Cache: cache,

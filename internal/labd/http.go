@@ -26,11 +26,23 @@ var bodyPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// readPooledBody reads a bounded request body into a pooled buffer and
-// returns the pool token; the body is (*token)[:...]. Callers release
-// with releaseBody once nothing references the bytes (json.Unmarshal
-// copies what it keeps, so releasing after decode is safe).
-func readPooledBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, error) {
+// Size bounds of what crosses the HTTP API: a POST /v1/jobs body, a
+// POST /v1/jobs/batch body, and one result document moving between
+// fleet nodes (a peer fetch, a handoff PUT, a relayed hit kept as a
+// replica).
+const (
+	MaxSubmitBody  = 1 << 20
+	MaxBatchBody   = 8 << 20
+	MaxResultBytes = 32 << 20
+)
+
+// ReadPooledBody reads a request body of at most limit bytes into a
+// pooled buffer and returns the pool token; the body is (*token)[:...].
+// Callers release with ReleaseBody once nothing references the bytes
+// (json.Unmarshal copies what it keeps, so releasing after decode is
+// safe). A fleet router reads the submissions and batches it routes
+// with it too.
+func ReadPooledBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, error) {
 	bp := bodyPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	src := http.MaxBytesReader(w, r.Body, limit)
@@ -53,7 +65,8 @@ func readPooledBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byt
 	return bp, nil
 }
 
-func releaseBody(bp *[]byte) {
+// ReleaseBody returns a ReadPooledBody buffer to the pool.
+func ReleaseBody(bp *[]byte) {
 	*bp = (*bp)[:0]
 	bodyPool.Put(bp)
 }
@@ -163,13 +176,13 @@ func DecodeSubmit(body []byte) (SubmitRequest, error) {
 
 // handleSubmit serves POST /v1/jobs behind Handler's edge.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	bp, err := readPooledBody(w, r, 1<<20)
+	bp, err := ReadPooledBody(w, r, MaxSubmitBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	req, err := DecodeSubmit(*bp)
-	releaseBody(bp)
+	ReleaseBody(bp)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -578,7 +591,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 			errors.New("labd: cache put requires an X-Labd-Sha256 digest"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 32<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxResultBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
