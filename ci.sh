@@ -5,6 +5,8 @@
 # cache corruption and flaky HTTP must all converge byte-identically,
 # and an always-flaky daemon still answers /v1/state, /healthz and
 # /metrics),
+# the client study's pipelined and inline trace schedules and the
+# RunClientServer pin under the race detector,
 # the benchmark smoke (compile + single iteration): the telemetry
 # disabled path, the labd cache-hit vs cold-run pair, and the no-op
 # fault-point overhead guard — the metric set's zero-allocation counter
@@ -104,6 +106,20 @@ go test -race -count=1 -run 'TestShardsDeterministicAtAnyWorkerCount|TestPostBan
 go test -race -count=1 -run 'TestEnsembleByteIdentity' ./internal/jvm/
 go test -race -count=1 -run 'TestClusterDigestMatrix' ./internal/cluster/
 go test -count=1 -run 'TestSeed42EvaluationDigest' ./internal/core/
+# The client study's two trace schedules under the race detector. The
+# pipelined generator draws on a second goroutine a chunk or two ahead
+# of the latency math: over the YCSB core workloads, the 50/50 mix and
+# an update-only mix, at horizons of no operation, part of a chunk and
+# whole chunks, it must give the inline schedule's operations bit for
+# bit, leave no goroutine behind, and the one-pass band reports of both
+# types must equal AnalyzeBands over each type's samples
+# (TestTraceSchedules). The seed-42 client study holds its committed
+# operation and band pins at Parallelism 1 (inline) and 2 (pipelined)
+# (TestClientStudyBytesPinned), and labd's clientserver jobs, run
+# inline, hold theirs: every bit of RunClientServer's result for three
+# collectors, normal and stress, the 50/50 mix and workload B
+# (TestRunClientServerPinned).
+go test -race -count=1 -run 'TestTraceSchedules|TestClientStudyBytesPinned|TestRunClientServerPinned' ./internal/ycsb/ ./internal/core/ .
 # Differential fuzz smoke: a short fixed budget per gclog target on top of
 # the committed corpora that plain `go test` replays. FuzzEventFormat holds
 # the append formatters byte-identical to the fmt rendering they replace;

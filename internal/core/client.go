@@ -56,13 +56,15 @@ func (l *Lab) ClientLatencyStudy(gc string) (ClientExperiment, error) {
 		OpsPerSec:    150,
 		StartAfter:   srv.ReplayDuration.Seconds(),
 		Seed:         l.Seed + 99,
+		Pipelined:    l.workers() > 1,
 	})
+	bands := trace.BandsByType(0.01)
 	return ClientExperiment{
 		Collector: gc,
 		Server:    srv,
 		Trace:     trace,
-		Read:      trace.Bands(ycsb.Read, 0.01),
-		Update:    trace.Bands(ycsb.Update, 0.01),
+		Read:      bands[ycsb.Read],
+		Update:    bands[ycsb.Update],
 	}, nil
 }
 

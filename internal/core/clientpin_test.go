@@ -6,7 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+
+	"jvmgc/internal/machine"
 )
 
 // clientStudyPins holds, per main collector at seed 42, the SHA-256 over
@@ -48,25 +51,54 @@ func opsDigest(exp ClientExperiment) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestClientStudyBytesPinned holds both of the trace generator's
+// schedules to the pins: Parallelism 1 draws and replays on one
+// goroutine, Parallelism 2 draws on a second one.
 func TestClientStudyBytesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full client study in -short mode")
 	}
-	exps, err := NewLab(42).ClientLatencyStudyAll()
-	if err != nil {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			lab := NewLab(42)
+			lab.Parallelism = par
+			exps, err := lab.ClientLatencyStudyAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, exp := range exps {
+				want, ok := clientStudyPins[exp.Collector]
+				if !ok {
+					t.Fatalf("no pin for %s", exp.Collector)
+				}
+				if got := opsDigest(exp); got != want.ops {
+					t.Errorf("%s: operation digest = %s, want %s (%d ops)", exp.Collector, got, want.ops, len(exp.Trace.Ops))
+				}
+				sum := sha256.Sum256([]byte(fmt.Sprintf("%#v\n%#v\n", exp.Read, exp.Update)))
+				if got := hex.EncodeToString(sum[:]); got != want.bands {
+					t.Errorf("%s: band report digest = %s, want %s", exp.Collector, got, want.bands)
+				}
+			}
+		})
+	}
+}
+
+// TestNewLabSharesUnmodifiedTestbed holds NewLab's shared Machine to
+// its contract: every Lab gets the same value, and a whole evaluation
+// on two workers leaves it equal to a freshly built paper testbed.
+func TestNewLabSharesUnmodifiedTestbed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation in -short mode")
+	}
+	lab := QuickLab(7)
+	if lab.Machine != NewLab(8).Machine {
+		t.Fatal("NewLab built a testbed of its own")
+	}
+	lab.Parallelism = 2
+	if _, err := lab.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, exp := range exps {
-		want, ok := clientStudyPins[exp.Collector]
-		if !ok {
-			t.Fatalf("no pin for %s", exp.Collector)
-		}
-		if got := opsDigest(exp); got != want.ops {
-			t.Errorf("%s: operation digest = %s, want %s (%d ops)", exp.Collector, got, want.ops, len(exp.Trace.Ops))
-		}
-		sum := sha256.Sum256([]byte(fmt.Sprintf("%#v\n%#v\n", exp.Read, exp.Update)))
-		if got := hex.EncodeToString(sum[:]); got != want.bands {
-			t.Errorf("%s: band report digest = %s, want %s", exp.Collector, got, want.bands)
-		}
+	if fresh := machine.New(machine.PaperTestbed()); !reflect.DeepEqual(paperTestbed, fresh) {
+		t.Errorf("the shared testbed changed during RunAll:\n got %+v\nwant %+v", *paperTestbed, *fresh)
 	}
 }

@@ -23,8 +23,9 @@ import (
 
 // Lab is the experiment context.
 type Lab struct {
-	// Machine is the simulated testbed (defaults to the paper's 48-core
-	// server).
+	// Machine is the simulated testbed. NewLab sets the paper's 48-core
+	// server, one value shared by every Lab it returns: read it, or
+	// replace it with a machine of your own, but never modify it.
 	Machine *machine.Machine
 	// Seed drives all randomness; a Lab replays bit-identically.
 	Seed uint64
@@ -35,8 +36,10 @@ type Lab struct {
 	// (paper: 2 h).
 	ClientDuration float64 // seconds
 	// Parallelism bounds the work-stealing runner fanning independent
-	// experiment runs across cores; 0 selects GOMAXPROCS. Results are
-	// byte-identical at any setting.
+	// experiment runs across cores; 0 selects GOMAXPROCS. Above 1 it
+	// also gives each YCSB trace a second goroutine for its draws
+	// (ycsb.TransactionConfig.Pipelined). Results are byte-identical at
+	// any setting.
 	Parallelism int
 	// Recorder, when non-nil, receives core-track progress spans for the
 	// experiment runners (one span per sweep case or stability benchmark,
@@ -48,10 +51,15 @@ type Lab struct {
 	Recorder *telemetry.Recorder
 }
 
+// paperTestbed is the Machine of every NewLab. A Machine holds no
+// mutable state, so one value serves every Lab and every goroutine;
+// building it per Lab made each set-up allocate.
+var paperTestbed = machine.New(machine.PaperTestbed())
+
 // NewLab returns a laboratory with the paper's dimensions.
 func NewLab(seed uint64) *Lab {
 	return &Lab{
-		Machine:        machine.New(machine.PaperTestbed()),
+		Machine:        paperTestbed,
 		Seed:           seed,
 		Runs:           10,
 		ClientDuration: 7200,

@@ -1,6 +1,10 @@
 package core
 
-import "jvmgc/internal/sweep"
+import (
+	"runtime"
+
+	"jvmgc/internal/sweep"
+)
 
 // forEach runs fn(i) for i in [0, n) on the deterministic work-stealing
 // runner (internal/sweep) and returns the first error in index order.
@@ -38,4 +42,13 @@ func collectorCost(gc string) float64 {
 	default:
 		return 1.0
 	}
+}
+
+// workers returns the Lab's effective parallelism: Parallelism, or
+// GOMAXPROCS when it is 0.
+func (l *Lab) workers() int {
+	if l.Parallelism > 0 {
+		return l.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }

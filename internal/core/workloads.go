@@ -44,6 +44,7 @@ func (l *Lab) WorkloadComparisonStudy() (WorkloadComparison, error) {
 				OpsPerSec:  150,
 				StartAfter: srv.ReplayDuration.Seconds(),
 				Seed:       l.Seed + 123,
+				Pipelined:  l.workers() > 1,
 			})
 			if err != nil {
 				return out, err

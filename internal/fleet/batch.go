@@ -200,12 +200,17 @@ func (rt *Router) forwardShard(ctx context.Context, url, node string, indices []
 		rt.suspect(node, err)
 		return false
 	}
-	payload, err := json.Marshal(labd.BatchRequest{Jobs: jobs, TimeoutSeconds: timeout})
-	if err != nil {
+	// Encode as the client may have: json.Marshal would write each <, >
+	// and & as six bytes, and a batch inside labd.MaxBatchBody could
+	// then exceed it at the owner.
+	var payload bytes.Buffer
+	enc := json.NewEncoder(&payload)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(labd.BatchRequest{Jobs: jobs, TimeoutSeconds: timeout}); err != nil {
 		return fail(err.Error())
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		url+"/v1/jobs/batch", bytes.NewReader(payload))
+		url+"/v1/jobs/batch", &payload)
 	if err != nil {
 		return fail(err.Error())
 	}
@@ -225,8 +230,15 @@ func (rt *Router) forwardShard(ctx context.Context, url, node string, indices []
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// Deliberate rejection (4xx): retrying elsewhere cannot help.
+		// Each event carries the bare message, as a daemon's does.
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return fail(strings.TrimSpace(string(body)))
+		var rejection struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(body, &rejection) != nil || rejection.Error == "" {
+			rejection.Error = strings.TrimSpace(string(body))
+		}
+		return fail(rejection.Error)
 	}
 	rt.forwards.Add(int64(len(indices)))
 	header, got, err := labd.ReadBatchStream(resp.Body, func(ev labd.BatchEvent) {

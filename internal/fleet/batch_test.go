@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,9 @@ import (
 // that runs (a duplicate pair, a job of an unknown kind whose error
 // needs JSON escaping, jobs owned by the entry node and by a peer) gets,
 // index by index, the daemon's status, key, error and result bytes,
-// every event line framed as json.Encoder frames it.
+// every event line framed as json.Encoder frames it. A job a peer owns
+// travels in the shard at the size the client sent it, '<' included,
+// and a peer's 400 reaches each of its events as the bare message.
 func TestFleetBatchParity(t *testing.T) {
 	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{})
 	a := nodes["a"]
@@ -34,12 +37,20 @@ func TestFleetBatchParity(t *testing.T) {
 		defer cancel()
 		_ = solo.Drain(ctx)
 	})
-	post := func(url string, jobs []labd.JobSpec) (int, []byte) {
+	// encode writes a batch body as a client may: no HTML escaping, and
+	// U+2028 as its three UTF-8 bytes, which JSON allows in a string.
+	encode := func(jobs []labd.JobSpec) []byte {
 		t.Helper()
-		payload, err := json.Marshal(labd.BatchRequest{Jobs: jobs})
-		if err != nil {
+		var payload bytes.Buffer
+		enc := json.NewEncoder(&payload)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(labd.BatchRequest{Jobs: jobs}); err != nil {
 			t.Fatal(err)
 		}
+		return bytes.ReplaceAll(payload.Bytes(), []byte(`\u2028`), []byte("\u2028"))
+	}
+	postBody := func(url string, payload []byte) (int, []byte) {
+		t.Helper()
 		resp, err := http.Post(url+"/v1/jobs/batch", "application/json", bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
@@ -50,6 +61,10 @@ func TestFleetBatchParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		return resp.StatusCode, body
+	}
+	post := func(url string, jobs []labd.JobSpec) (int, []byte) {
+		t.Helper()
+		return postBody(url, encode(jobs))
 	}
 	simulations := func() int64 {
 		n := solo.Metrics().Counter("labd.simulations")
@@ -86,7 +101,7 @@ func TestFleetBatchParity(t *testing.T) {
 	forwarded := ownedSpecs(a.rt, "b", 1)[0]
 	local := ownedSpecs(a.rt, "a", 1)[0]
 	jobs := []labd.JobSpec{forwarded, forwarded, {Kind: "gc<log>"}, local}
-	events := func(name, url string) map[int]labd.BatchEvent {
+	events := func(name, url string, jobs []labd.JobSpec) map[int]labd.BatchEvent {
 		t.Helper()
 		status, body := post(url, jobs)
 		if status != http.StatusOK {
@@ -122,17 +137,65 @@ func TestFleetBatchParity(t *testing.T) {
 		}
 		return out
 	}
-	want := events("daemon", tsSolo.URL)
-	got := events("fleet node", a.ts.URL)
-	for i := range jobs {
-		w, g := want[i], got[i]
-		if g.Status != w.Status || g.Key != w.Key || g.Error != w.Error || !bytes.Equal(g.Result, w.Result) {
-			t.Errorf("job %d: fleet node answered status %q key %q error %q result %d B; daemon %q %q %q %d B",
-				i, g.Status, g.Key, g.Error, len(g.Result), w.Status, w.Key, w.Error, len(w.Result))
+	same := func(what string, want, got map[int]labd.BatchEvent) {
+		t.Helper()
+		for i := range want {
+			w, g := want[i], got[i]
+			if g.Status != w.Status || g.Key != w.Key || g.Error != w.Error || !bytes.Equal(g.Result, w.Result) {
+				t.Errorf("%s, job %d: fleet node answered status %q key %q error %.80q result %d B; daemon %q %q %.80q %d B",
+					what, i, g.Status, g.Key, g.Error, len(g.Result), w.Status, w.Key, w.Error, len(w.Result))
+			}
 		}
 	}
+	want := events("daemon", tsSolo.URL, jobs)
+	got := events("fleet node", a.ts.URL, jobs)
+	same("mixed batch", want, got)
 	if got[2].Status != labd.StatusFailed || got[0].Status != labd.StatusDone {
 		t.Errorf("statuses %q and %q, want the unknown kind failed and the rest done",
 			got[2].Status, got[0].Status)
+	}
+
+	// A job b owns whose unused string field holds text s.
+	ownedByB := func(s string) labd.JobSpec {
+		t.Helper()
+		for seed := uint64(1); seed < 200; seed++ {
+			spec := cheap
+			spec.Benchmark, spec.Seed = s, seed
+			if key, err := labd.SpecKey(spec); err == nil && a.rt.Ring().Lookup(key) == "b" {
+				return spec
+			}
+		}
+		t.Fatal("no seed places the spec on b")
+		return cheap
+	}
+
+	// 2 MiB of '<' fit the body limit as the client sent them, and must
+	// still fit it in the shard a forwards to b.
+	angled := []labd.JobSpec{ownedByB(strings.Repeat("<", 2<<20))}
+	want = events("daemon", tsSolo.URL, angled)
+	got = events("fleet node", a.ts.URL, angled)
+	same("2 MiB of '<'", want, got)
+	if got[0].Status != labd.StatusDone {
+		t.Errorf("2 MiB of '<': status %q (%.80q), want done", got[0].Status, got[0].Error)
+	}
+
+	// The JSON encoder writes U+2028 as six bytes, HTML escaping or not,
+	// so 1.5 Mi of them outgrow the limit in the shard, and b rejects it
+	// with 400. Each event's error is then the bare message a daemon
+	// gives an oversized body, not b's {"error":...} document.
+	status, body := postBody(tsSolo.URL, bytes.Repeat([]byte(" "), labd.MaxBatchBody+1))
+	var rejection struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &rejection); status != http.StatusBadRequest || err != nil || rejection.Error == "" {
+		t.Fatalf("daemon answered an oversized batch HTTP %d %q, want 400 with an error", status, body)
+	}
+	separated := []labd.JobSpec{ownedByB(strings.Repeat("\u2028", 3<<19)), local}
+	got = events("fleet node", a.ts.URL, separated)
+	if got[0].Status != labd.StatusFailed || got[0].Error != rejection.Error {
+		t.Errorf("owner 4xx: status %q error %.120q, want failed with %q", got[0].Status, got[0].Error, rejection.Error)
+	}
+	if got[1].Status != labd.StatusDone {
+		t.Errorf("owner 4xx: the entry node's own job ended %q (%s)", got[1].Status, got[1].Error)
 	}
 }

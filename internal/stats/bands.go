@@ -61,86 +61,136 @@ type BandReport struct {
 // paper's tables arrive at 0.0% there while every exceedance band shows
 // ~100%.
 //
-// The analysis is linear in the samples, which it neither copies nor
-// sorts and which may come in any order. One pass counts band
-// membership: each sample tallies how many of the thresholds 2·avg,
-// 4·avg, … it exceeds, so the count above band k is a suffix sum of the
-// tally. The same pass finds each sample's overlapping pauses among
-// those sorted by start: a cursor holds the prefix that starts before
-// the sample completes, and walking that prefix backwards stops at the
-// first pause whose running maximum end does not reach the sample's
-// start. On the generators' nearly completion-ordered samples the
-// cursor moves O(1) per sample.
+// The analysis is two linear passes over the samples, which it neither
+// copies nor sorts and which may come in any order: a Welford fold for
+// the average, then a BandCounter fed every sample.
 //
 // Latencies must be non-negative: a negative mean sends every doubled
 // threshold to −∞, so the exceedance bands would never end. A zero mean
 // ends once the threshold 0·∞ turns NaN.
 func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64) BandReport {
-	var rep BandReport
-	if len(samples) == 0 {
-		return rep
-	}
 	var w Welford
 	for _, s := range samples {
 		w.Add(s.LatencyMS)
 	}
-	rep.N = w.N()
-	rep.AvgMS = w.Mean()
-	rep.MinMS = w.Min()
-	rep.MaxMS = w.Max()
-	avg := rep.AvgMS
-
-	sorted := append([]Interval(nil), pauses...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Start < sorted[b].Start })
-	reach := make([]float64, len(sorted))
-	for i, p := range sorted {
-		reach[i] = p.End
-		if i > 0 && reach[i-1] > p.End {
-			reach[i] = reach[i-1]
-		}
-	}
-	worst := make([]float64, len(sorted))
-	hasReq := make([]bool, len(sorted))
-
-	var over []int // over[k]: samples above exactly k+1 thresholds
-	bandLo, bandHi := 0.5*avg, 1.5*avg
-	geLo, gtHi := 0, 0
-	c := 0
+	c := NewBandCounter(w, pauses)
 	for _, s := range samples {
-		l := s.LatencyMS
-		if l >= bandLo {
-			geLo++
-		}
-		if l > bandHi {
-			gtHi++
-		}
-		k := 0
-		for mult := 2.0; l > mult*avg; mult *= 2 {
-			k++
-		}
-		if k > 0 {
-			for len(over) < k {
-				over = append(over, 0)
-			}
-			over[k-1]++
-		}
+		c.Add(s)
+	}
+	return c.Report(minReqPct)
+}
 
-		for c < len(sorted) && sorted[c].Start < s.Completed {
-			c++
+// BandCounter is AnalyzeBands' second pass as a stream: built from the
+// first pass's Welford over the same samples, it takes every sample
+// once through Add, in any order, and Report returns the band report.
+// A caller holding several sample streams in one log can so feed one
+// counter per stream in a single walk, with no copy of any stream.
+//
+// Each sample tallies how many of the thresholds 2·avg, 4·avg, … it
+// exceeds, so the count above band k is a suffix sum of the tally. Each
+// sample also finds its overlapping pauses among those sorted by start:
+// a cursor holds the prefix that starts before the sample completes,
+// and walking that prefix backwards stops at the first pause whose
+// running maximum end does not reach the sample's start. On the
+// generators' nearly completion-ordered samples the cursor moves O(1)
+// per sample.
+type BandCounter struct {
+	w              Welford
+	avg            float64
+	bandLo, bandHi float64
+	// sorted holds the pauses by start, reach[i] the largest end among
+	// sorted[:i+1]; worst[i] is the highest latency of a sample
+	// overlapping sorted[i], and hasReq[i] whether there was one.
+	sorted []Interval
+	reach  []float64
+	worst  []float64
+	hasReq []bool
+	// over[k] counts the samples above exactly k+1 thresholds.
+	over       []int
+	geLo, gtHi int
+	// cursor counts the sorted pauses that start before the latest
+	// sample completes.
+	cursor int
+}
+
+// NewBandCounter returns the counter for the samples folded into w,
+// against pauses, which it does not modify. With no samples it allocates
+// nothing, and Report returns the zero BandReport.
+func NewBandCounter(w Welford, pauses []Interval) BandCounter {
+	b := BandCounter{w: w}
+	if w.N() == 0 {
+		return b
+	}
+	b.avg = w.Mean()
+	b.bandLo, b.bandHi = 0.5*b.avg, 1.5*b.avg
+	b.sorted = append([]Interval(nil), pauses...)
+	sorted := b.sorted
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Start < sorted[b].Start })
+	b.reach = make([]float64, len(sorted))
+	for i, p := range sorted {
+		b.reach[i] = p.End
+		if i > 0 && b.reach[i-1] > p.End {
+			b.reach[i] = b.reach[i-1]
 		}
-		for c > 0 && !(sorted[c-1].Start < s.Completed) {
-			c--
+	}
+	b.worst = make([]float64, len(sorted))
+	b.hasReq = make([]bool, len(sorted))
+	return b
+}
+
+// Add counts one sample. Every sample folded into the Welford goes
+// through Add exactly once.
+func (b *BandCounter) Add(s LatencySample) {
+	l := s.LatencyMS
+	if l >= b.bandLo {
+		b.geLo++
+	}
+	if l > b.bandHi {
+		b.gtHi++
+	}
+	k := 0
+	for mult := 2.0; l > mult*b.avg; mult *= 2 {
+		k++
+	}
+	if k > 0 {
+		for len(b.over) < k {
+			b.over = append(b.over, 0)
 		}
-		iv := s.interval()
-		for i := c - 1; i >= 0 && reach[i] > iv.Start; i-- {
-			if iv.Overlaps(sorted[i]) {
-				hasReq[i] = true
-				if l > worst[i] {
-					worst[i] = l
-				}
+		b.over[k-1]++
+	}
+
+	sorted, c := b.sorted, b.cursor
+	for c < len(sorted) && sorted[c].Start < s.Completed {
+		c++
+	}
+	for c > 0 && !(sorted[c-1].Start < s.Completed) {
+		c--
+	}
+	b.cursor = c
+	iv := s.interval()
+	for i := c - 1; i >= 0 && b.reach[i] > iv.Start; i-- {
+		if iv.Overlaps(sorted[i]) {
+			b.hasReq[i] = true
+			if l > b.worst[i] {
+				b.worst[i] = l
 			}
 		}
 	}
+}
+
+// Report returns the band report of the samples added, extending the
+// exceedance bands while their request share is at least minReqPct.
+// It consumes the counter: call it once, after the last Add.
+func (b *BandCounter) Report(minReqPct float64) BandReport {
+	var rep BandReport
+	if b.w.N() == 0 {
+		return rep
+	}
+	rep.N = b.w.N()
+	rep.AvgMS = b.w.Mean()
+	rep.MinMS = b.w.Min()
+	rep.MaxMS = b.w.Max()
+	avg, over := b.avg, b.over
 
 	// Suffix sums: over[k] becomes the count above band k.
 	for k := len(over) - 2; k >= 0; k-- {
@@ -148,14 +198,14 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 	}
 
 	n := float64(rep.N)
-	gcTotal := float64(len(sorted))
+	gcTotal := float64(len(b.sorted))
 	quiet := 0
-	for pi := range worst {
-		if hasReq[pi] && worst[pi] <= bandHi {
+	for pi := range b.worst {
+		if b.hasReq[pi] && b.worst[pi] <= b.bandHi {
 			quiet++
 		}
 	}
-	rep.Normal = BandRow{Label: "0.5x-1.5x AVG", Reqs: 100 * float64(geLo-gtHi) / n}
+	rep.Normal = BandRow{Label: "0.5x-1.5x AVG", Reqs: 100 * float64(b.geLo-b.gtHi) / n}
 	if gcTotal > 0 {
 		rep.Normal.GCs = 100 * float64(quiet) / gcTotal
 	}
@@ -174,7 +224,7 @@ func AnalyzeBands(samples []LatencySample, pauses []Interval, minReqPct float64)
 		row := BandRow{Label: bandLabel(mult), Reqs: pct}
 		if gcTotal > 0 {
 			hit := 0
-			for _, wl := range worst {
+			for _, wl := range b.worst {
 				if wl > thresh {
 					hit++
 				}

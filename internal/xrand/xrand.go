@@ -128,28 +128,52 @@ func (r *Rand) Bool(p float64) bool {
 }
 
 // NormFloat64 returns a standard-normally distributed float64, using the
-// polar (Marsaglia) method.
+// polar (Marsaglia) method: PolarPair's draw through Polar's transform.
 func (r *Rand) NormFloat64() float64 {
+	return Polar(r.PolarPair())
+}
+
+// PolarPair draws the polar method's accepted pair: a point (u, v)
+// uniform in the unit disc, returned as u and s = u²+v² in (0, 1).
+// Together with Polar it is NormFloat64, split so that a caller can draw
+// now and transform later, or elsewhere.
+func (r *Rand) PolarPair() (u, s float64) {
 	for {
-		u := 2*r.Float64() - 1
+		u = 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s = u*u + v*v
 		if s >= 1 || s == 0 {
 			continue
 		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
+		return u, s
 	}
 }
 
+// Polar transforms a PolarPair draw into a standard normal value.
+func Polar(u, s float64) float64 {
+	return u * math.Sqrt(-2*math.Log(s)/s)
+}
+
 // ExpFloat64 returns an exponentially distributed float64 with rate 1
-// (mean 1).
+// (mean 1): PositiveFloat64's draw through ExpOf's transform.
 func (r *Rand) ExpFloat64() float64 {
+	return ExpOf(r.PositiveFloat64())
+}
+
+// PositiveFloat64 returns a uniformly distributed float64 in (0, 1): a
+// Float64 draw, redrawn while it is 0.
+func (r *Rand) PositiveFloat64() float64 {
 	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
+		if u := r.Float64(); u > 0 {
+			return u
 		}
 	}
+}
+
+// ExpOf transforms a PositiveFloat64 draw into a rate-1 exponential
+// value.
+func ExpOf(u float64) float64 {
+	return -math.Log(u)
 }
 
 // Exp returns an exponentially distributed float64 with the given mean.
@@ -160,7 +184,14 @@ func (r *Rand) Exp(mean float64) float64 {
 // LogNormal returns a log-normally distributed float64 with the given
 // location mu and scale sigma of the underlying normal.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	u, s := r.PolarPair()
+	return LogNormalOf(mu, sigma, u, s)
+}
+
+// LogNormalOf transforms a PolarPair draw into the log-normal value
+// LogNormal(mu, sigma) returns for it.
+func LogNormalOf(mu, sigma, u, s float64) float64 {
+	return math.Exp(mu + sigma*Polar(u, s))
 }
 
 // Pareto returns a bounded-Pareto distributed float64 on [lo, hi] with

@@ -46,7 +46,7 @@ func TestCoreWorkloadMixesInTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := TransactionTrace(srv, cfg)
-		return len(tr.Samples(Read)), len(tr.Samples(Update))
+		return countTypes(tr)
 	}
 	// C: read only.
 	if r, u := count(WorkloadC); u != 0 || r == 0 {

@@ -23,7 +23,7 @@ import (
 )
 
 // OpType distinguishes the workload's operations.
-type OpType int
+type OpType uint8
 
 // Operation types of the paper's custom workload (50% read, 50% update).
 const (
@@ -39,14 +39,15 @@ func (t OpType) String() string {
 	return "UPDATE"
 }
 
-// Op is one completed client operation.
+// Op is one completed client operation. Its fields are ordered so that
+// the two flags share one word: a trace holds about a million of them.
 type Op struct {
-	Type OpType
 	// Completed is the completion instant in seconds since experiment
 	// start.
 	Completed float64
 	// LatencyMS is the observed latency in milliseconds.
 	LatencyMS float64
+	Type      OpType
 	// Shadowed marks operations that overlapped a GC pause.
 	Shadowed bool
 }
@@ -69,6 +70,10 @@ type TransactionConfig struct {
 	// StartAfter delays the first arrival (seconds): clients cannot
 	// connect while the server replays its commitlog.
 	StartAfter float64
+	// Pipelined makes the operations' random draws on a second
+	// goroutine, a chunk or two ahead of the latency math, for a caller
+	// with a core to spare. The trace is the same bits either way.
+	Pipelined bool
 	// Recorder, when non-nil, receives client-side telemetry: operation
 	// counters and one client-track span per pause-shadowed operation
 	// (the latency spikes of Figure 5, visible next to the GC spans that
@@ -138,91 +143,120 @@ func clientPauses(server cassandra.Result, startAfter float64) []stats.Interval 
 	return pauses
 }
 
-// TransactionTrace replays a transactions phase against a finished server
-// run and returns the per-operation latency trace.
-//
-// Per operation it does only the draws: the service-time means are
-// logged once, and the read means again only when the database has
-// grown, which a cursor over the server's record curve detects because
-// arrivals only move forward in time.
-func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
-	cfg = cfg.withDefaults()
-	pauses := clientPauses(server, cfg.StartAfter)
-	horizon := server.TotalDuration.Seconds()
-	tr := Trace{Pauses: pauses}
-	if horizon > cfg.StartAfter && cfg.OpsPerSec > 0 {
-		// Size the op log for the expected arrival count up front; the
-		// Poisson spread around the mean is a few percent at these volumes.
-		expect := int((horizon - cfg.StartAfter) * cfg.OpsPerSec)
-		tr.Ops = make([]Op, 0, expect+expect/16+16)
+// chunkOps is how many operations the generator draws at a time.
+const chunkOps = 4096
+
+// draw is what one operation takes from the random streams: the
+// uniform of the arrival gap's exponential, the read/update choice, for
+// a read whether its zipfian key is hot, and the accepted polar pair of
+// the latency's normal draw.
+type draw struct {
+	gapU      float64
+	u, s      float64
+	read, hot bool
+}
+
+// drawer is the generator's first stage: it makes, in stream order,
+// every draw an operation consumes, and the key's zipfian transform.
+// It never looks at the clock, so it can run ahead of the horizon; its
+// streams are local to the trace, so the draws it makes past the
+// horizon perturb nothing.
+type drawer struct {
+	rng      *xrand.Rand
+	zipf     *xrand.Zipf
+	readFrac float64
+	hotBelow uint64
+}
+
+// fill makes the draws of len(c) operations.
+func (d *drawer) fill(c []draw) {
+	for i := range c {
+		x := &c[i]
+		x.gapU = d.rng.PositiveFloat64()
+		x.read = d.rng.Bool(d.readFrac)
+		// The zipfian key comes from its own stream, so drawing it
+		// before the latency's pair keeps both streams' order.
+		x.hot = x.read && d.zipf.ScrambledAt(d.zipf.Uniform()) < d.hotBelow
+		x.u, x.s = d.rng.PolarPair()
 	}
-	rng := xrand.New(cfg.Seed).SplitLabeled("ycsb/txn/" + server.Config.CollectorName)
-	zipf := xrand.NewZipf(rng.Split(), cfg.KeySpace, cfg.ZipfTheta)
-	ctrRead := cfg.Recorder.Metrics().CounterHandle("ycsb.ops.read")
-	ctrUpdate := cfg.Recorder.Metrics().CounterHandle("ycsb.ops.update")
-	ctrShadowed := cfg.Recorder.Metrics().CounterHandle("ycsb.ops.shadowed")
-	readFrac := cfg.ReadFraction
-	if readFrac < 0 {
-		readFrac = 0
-	}
-	updateMu := math.Log(cfg.UpdateBaseMS)
+}
+
+// replayer is the generator's second stage: it turns draws into
+// operations in order against the server's timeline, doing the
+// transforms of the arrival gap and of the latency.
+type replayer struct {
+	tr       Trace
+	cfg      TransactionConfig
+	horizon  float64
+	mean     float64 // mean arrival gap, seconds
+	updateMu float64
 	// records is the database size at the latest arrival, as
 	// server.RecordsAt gives it: the last curve point at or before it.
-	var records int64
-	var coldMu, hotMu float64
-	setRecords := func(n int64) {
-		records = n
-		base := readStepMS(cfg.ReadBaseMS, n)
-		// Hot keys are served from the row cache faster.
-		coldMu, hotMu = math.Log(base), math.Log(base*0.85)
-	}
-	setRecords(0)
-	curve := server.Records
-	ri := 0
-	pi := 0
-	t := cfg.StartAfter
-	for {
-		t += rng.Exp(1 / cfg.OpsPerSec)
-		if t >= horizon {
-			break
+	records       int64
+	coldMu, hotMu float64
+	curve         []cassandra.RecordPoint
+	ri, pi        int
+	t             float64
+	ctrRead       *telemetry.CounterHandle
+	ctrUpdate     *telemetry.CounterHandle
+	ctrShadowed   *telemetry.CounterHandle
+}
+
+func (p *replayer) setRecords(n int64) {
+	p.records = n
+	base := readStepMS(p.cfg.ReadBaseMS, n)
+	// Hot keys are served from the row cache faster.
+	p.coldMu, p.hotMu = math.Log(base), math.Log(base*0.85)
+}
+
+// replay appends the operations of c's draws to the trace and reports
+// whether the next arrival may still fall before the horizon.
+func (p *replayer) replay(c []draw) bool {
+	pauses := p.tr.Pauses
+	for i := range c {
+		x := &c[i]
+		p.t += p.mean * xrand.ExpOf(x.gapU)
+		t := p.t
+		if t >= p.horizon {
+			return false
 		}
 		var op Op
-		if rng.Bool(readFrac) {
+		if x.read {
 			op.Type = Read
 			at := simtime.Time(simtime.Seconds(t))
-			for ri < len(curve) && curve[ri].Time <= at {
-				ri++
+			for p.ri < len(p.curve) && p.curve[p.ri].Time <= at {
+				p.ri++
 			}
-			if ri > 0 && curve[ri-1].Records != records {
-				setRecords(curve[ri-1].Records)
+			if p.ri > 0 && p.curve[p.ri-1].Records != p.records {
+				p.setRecords(p.curve[p.ri-1].Records)
 			}
-			mu := coldMu
-			if zipf.Scrambled() < cfg.KeySpace/10 {
-				mu = hotMu
+			mu := p.coldMu
+			if x.hot {
+				mu = p.hotMu
 			}
-			op.LatencyMS = rng.LogNormal(mu, 0.18)
+			op.LatencyMS = xrand.LogNormalOf(mu, 0.18, x.u, x.s)
 		} else {
 			op.Type = Update
-			op.LatencyMS = rng.LogNormal(updateMu, 0.12)
+			op.LatencyMS = xrand.LogNormalOf(p.updateMu, 0.12, x.u, x.s)
 		}
-		for pi < len(pauses) && pauses[pi].End <= t {
-			pi++
+		for p.pi < len(pauses) && pauses[p.pi].End <= t {
+			p.pi++
 		}
-		if pi < len(pauses) && t >= pauses[pi].Start && t < pauses[pi].End {
-			op.LatencyMS += (pauses[pi].End - t) * 1e3
+		if p.pi < len(pauses) && t >= pauses[p.pi].Start && t < pauses[p.pi].End {
+			op.LatencyMS += (pauses[p.pi].End - t) * 1e3
 			op.Shadowed = true
 		}
 		op.Completed = t + op.LatencyMS/1e3
-		tr.Ops = append(tr.Ops, op)
-		if cfg.Recorder != nil {
+		p.tr.Ops = append(p.tr.Ops, op)
+		if rec := p.cfg.Recorder; rec != nil {
 			if op.Type == Read {
-				ctrRead.Add(1)
+				p.ctrRead.Add(1)
 			} else {
-				ctrUpdate.Add(1)
+				p.ctrUpdate.Add(1)
 			}
 			if op.Shadowed {
-				ctrShadowed.Add(1)
-				cfg.Recorder.Span(telemetry.TrackClient, op.Type.String(),
+				p.ctrShadowed.Add(1)
+				rec.Span(telemetry.TrackClient, op.Type.String(),
 					simtime.Time(simtime.Seconds(t)),
 					simtime.Seconds(op.LatencyMS/1e3), 0,
 					telemetry.Num("latency_ms", op.LatencyMS),
@@ -230,35 +264,129 @@ func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
 			}
 		}
 	}
-	return tr
+	return true
 }
 
-// Samples extracts the latency samples of one operation type.
-func (tr Trace) Samples(t OpType) []stats.LatencySample {
-	n := 0
-	for _, op := range tr.Ops {
-		if op.Type == t {
-			n++
+// TransactionTrace replays a transactions phase against a finished server
+// run and returns the per-operation latency trace.
+//
+// It works in chunks of chunkOps operations, in two stages: a drawer
+// makes every random draw of a chunk and the keys' zipfian math, and a
+// replayer turns the chunk's draws into operations, doing the clock,
+// the exponential and log-normal math and the pause shadow. The
+// service-time means are logged once, and the read means again only
+// when the database has grown, which a cursor over the server's record
+// curve detects because arrivals only move forward in time. With
+// cfg.Pipelined the drawer runs on its own goroutine, which has exited
+// by the time TransactionTrace returns; otherwise the stages alternate
+// on the caller's. The two stages split the work about evenly, and
+// either schedule gives the same operations.
+func TransactionTrace(server cassandra.Result, cfg TransactionConfig) Trace {
+	cfg = cfg.withDefaults()
+	horizon := server.TotalDuration.Seconds()
+	p := replayer{
+		tr:          Trace{Pauses: clientPauses(server, cfg.StartAfter)},
+		cfg:         cfg,
+		horizon:     horizon,
+		mean:        1 / cfg.OpsPerSec,
+		updateMu:    math.Log(cfg.UpdateBaseMS),
+		curve:       server.Records,
+		t:           cfg.StartAfter,
+		ctrRead:     cfg.Recorder.Metrics().CounterHandle("ycsb.ops.read"),
+		ctrUpdate:   cfg.Recorder.Metrics().CounterHandle("ycsb.ops.update"),
+		ctrShadowed: cfg.Recorder.Metrics().CounterHandle("ycsb.ops.shadowed"),
+	}
+	if horizon > cfg.StartAfter && cfg.OpsPerSec > 0 {
+		// Size the op log for the expected arrival count up front; the
+		// Poisson spread around the mean is a few percent at these volumes.
+		expect := int((horizon - cfg.StartAfter) * cfg.OpsPerSec)
+		p.tr.Ops = make([]Op, 0, expect+expect/16+16)
+	}
+	p.setRecords(0)
+	rng := xrand.New(cfg.Seed).SplitLabeled("ycsb/txn/" + server.Config.CollectorName)
+	d := drawer{
+		rng:      rng,
+		zipf:     xrand.NewZipf(rng.Split(), cfg.KeySpace, cfg.ZipfTheta),
+		readFrac: max(cfg.ReadFraction, 0),
+		hotBelow: cfg.KeySpace / 10,
+	}
+	if cfg.Pipelined {
+		pipeline(d, &p)
+	} else {
+		c := make([]draw, chunkOps)
+		for {
+			d.fill(c)
+			if !p.replay(c) {
+				break
+			}
 		}
 	}
-	if n == 0 {
-		return nil
+	return p.tr
+}
+
+// pipelineChunks is how many chunk buffers the pipelined schedule
+// cycles: one being replayed and up to two drawn ahead of it.
+const pipelineChunks = 3
+
+// pipeline runs d on a second goroutine, pipelineChunks buffers ahead at
+// most, and p on the caller's until p reaches the horizon. Buffers
+// travel drawer → replayer on full and back on free; both channels have
+// room for every buffer, so no send blocks. Closing free stops the
+// drawer after at most the chunk it is drawing, and pipeline returns
+// once the drawer has closed full.
+func pipeline(d drawer, p *replayer) {
+	free := make(chan []draw, pipelineChunks)
+	full := make(chan []draw, pipelineChunks)
+	for range pipelineChunks {
+		free <- make([]draw, chunkOps)
 	}
-	out := make([]stats.LatencySample, 0, n)
-	for _, op := range tr.Ops {
-		if op.Type == t {
-			out = append(out, stats.LatencySample{Completed: op.Completed, LatencyMS: op.LatencyMS})
+	go func() {
+		defer close(full)
+		for c := range free {
+			d.fill(c)
+			full <- c
 		}
+	}()
+	for c := range full {
+		if !p.replay(c) {
+			break
+		}
+		free <- c
 	}
-	return out
+	close(free)
+	for range full {
+	}
 }
 
 // Bands computes the paper's Tables 5–7 statistics block for one
 // operation type. Bands extend until the request share drops below
 // minReqPct (the paper extends n "until the percentage of points became
-// too close to 0").
+// too close to 0"). It is one entry of BandsByType: the walks that
+// serve one type serve both at about the same cost.
 func (tr Trace) Bands(t OpType, minReqPct float64) stats.BandReport {
-	return stats.AnalyzeBands(tr.Samples(t), tr.Pauses, minReqPct)
+	return tr.BandsByType(minReqPct)[t]
+}
+
+// BandsByType computes the Bands block of both operation types, indexed
+// by OpType, in two walks over the trace: one folds each type's
+// Welford, the other feeds each type's band counter. Both index by the
+// operation's type instead of branching on it (op.Type&1 is op.Type,
+// with no bounds check), which a trace of mixed types would mispredict.
+func (tr Trace) BandsByType(minReqPct float64) [2]stats.BandReport {
+	var w [2]stats.Welford
+	for i := range tr.Ops {
+		op := &tr.Ops[i]
+		w[op.Type&1].Add(op.LatencyMS)
+	}
+	c := [2]stats.BandCounter{
+		stats.NewBandCounter(w[Read], tr.Pauses),
+		stats.NewBandCounter(w[Update], tr.Pauses),
+	}
+	for i := range tr.Ops {
+		op := &tr.Ops[i]
+		c[op.Type&1].Add(stats.LatencySample{Completed: op.Completed, LatencyMS: op.LatencyMS})
+	}
+	return [2]stats.BandReport{c[Read].Report(minReqPct), c[Update].Report(minReqPct)}
 }
 
 // TopPoints returns the n highest-latency operations (the paper plots

@@ -33,6 +33,18 @@ func testServer(t *testing.T, collector string) cassandra.Result {
 	return res
 }
 
+// countTypes returns the trace's read and update counts.
+func countTypes(tr Trace) (reads, updates int) {
+	for _, op := range tr.Ops {
+		if op.Type == Read {
+			reads++
+		} else {
+			updates++
+		}
+	}
+	return reads, updates
+}
+
 func txnCfg() TransactionConfig {
 	return TransactionConfig{OpsPerSec: 200, Seed: 4}
 }
@@ -51,8 +63,7 @@ func TestTraceShape(t *testing.T) {
 	if n := float64(len(tr.Ops)); math.Abs(n-want)/want > 0.05 {
 		t.Errorf("ops = %v, want ~%v", n, want)
 	}
-	reads := len(tr.Samples(Read))
-	updates := len(tr.Samples(Update))
+	reads, updates := countTypes(tr)
 	frac := float64(reads) / float64(reads+updates)
 	if math.Abs(frac-0.5) > 0.02 {
 		t.Errorf("read fraction = %v", frac)

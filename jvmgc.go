@@ -450,22 +450,28 @@ func RunClientServer(opts ClientServerOptions) (*ClientServerResult, error) {
 			return nil, err
 		}
 	}
+	// The trace runs inline: labd's worker pool already bounds how many
+	// of these run at once.
 	trace := ycsb.TransactionTrace(srv, txn)
+	bands := trace.BandsByType(0.01)
 	out := &ClientServerResult{
 		MaxPause:      srv.Log.MaxPause().Std(),
 		ReplaySeconds: srv.ReplayDuration.Seconds(),
 		TotalSeconds:  srv.TotalDuration.Seconds(),
-		Read:          toBands(trace.Bands(ycsb.Read, 0.01)),
-		Update:        toBands(trace.Bands(ycsb.Update, 0.01)),
+		Read:          toBands(bands[ycsb.Read]),
+		Update:        toBands(bands[ycsb.Update]),
 	}
 	out.ServerPauses, out.FullGCs = pauses(srv.Log)
-	for _, op := range trace.Ops {
-		out.Ops = append(out.Ops, OpLatency{
+	if len(trace.Ops) > 0 {
+		out.Ops = make([]OpLatency, len(trace.Ops))
+	}
+	for i, op := range trace.Ops {
+		out.Ops[i] = OpLatency{
 			Read:         op.Type == ycsb.Read,
 			AtSeconds:    op.Completed,
 			LatencyMS:    op.LatencyMS,
 			ShadowedByGC: op.Shadowed,
-		})
+		}
 	}
 	return out, nil
 }
