@@ -15,8 +15,9 @@
 # (TestMergeStatesMatchesOneNode) under the race detector, a short fuzz
 # budget for each gclog target, the band analysis, the hdrhist decoder,
 # the spec-key encoder, the batch NDJSON framing, the gossip wire
-# encoder, the Prometheus-text reader and the traceparent parser, and
-# the bench-gate step, which measures
+# encoder and the traceparent parser, gctop's frames under the race
+# detector (one GET each, of canned readings and of a live two-node
+# fleet), and the bench-gate step, which measures
 # the kernel-bound benchmarks, one whole Simulate call and the whole
 # three-collector client study, and fails on regression against the
 # committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
@@ -56,10 +57,10 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # detector: only a refused connection on a fetch, forward or batch shard
 # makes a node a gossip suspect, a client that hangs up suspects no one,
 # and a suspect returns to routing once gossip confirms it; and
-# /fleet/nodes, gossip's membership beside each node's /v1/state reading
-# from the rollup's one fan-out (one /v1/state request per peer per
-# call, no /healthz probe; a draining node reads draining, a killed one
-# has no reading); the peer probe's keep-alive (40 misses, each probing
+# /fleet/state's member rows, gossip's membership beside each node's
+# /v1/state reading from the rollup's one fan-out (one /v1/state request
+# per peer per call, no /healthz probe; a draining node reads draining,
+# a killed one has no reading); the peer probe's keep-alive (40 misses, each probing
 # its peer, cost each node at most 4 accepted connections, not one per
 # miss); and the edge of a submission served in process or forwarded
 # (the flaky-HTTP fault fires once per submission on the node that
@@ -70,7 +71,12 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # simulates nothing, and each index of a batch that runs has the
 # daemon's status, key, error and result bytes, in the encoder's
 # framing).
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetNodesOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestFleetSubmitEdge|TestFleetBatchParity' ./internal/fleet/
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetStateOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestFleetSubmitEdge|TestFleetBatchParity' ./internal/fleet/
+# gctop under the race detector: each frame is one GET, of /v1/state
+# for a node or /fleet/state for a fleet, and against a live two-node
+# fleet a -fleet frame costs the peer one /v1/state request and shows
+# the polled node's own Go vitals.
+go test -race -count=1 ./cmd/gctop/
 # Churn smoke: a 3-node gossip fleet reconfigures while a fixed-seed
 # batch streams through it — a fourth node joins and warms its arc, a
 # node is hard-killed, a node leaves gracefully with arc handoff — and
@@ -144,11 +150,8 @@ go test -run=NONE -fuzz='^FuzzAppendBatchEvent$' -fuzztime=10s ./internal/labd/
 # FuzzAppendMessage holds the hand-encoded gossip ping to encoding/json:
 # every message decodes to the value json.Marshal's encoding does.
 go test -run=NONE -fuzz='^FuzzAppendMessage$' -fuzztime=10s ./internal/fleet/gossip/
-# FuzzParsePromText holds the Prometheus-text reader that gctop scrapes
-# with to PromSnapshot.Write: every sample, exemplars included, parses
-# back to its name, labels and value bits. FuzzParseTraceparent holds the
-# traceparent parser to the W3C version-00 grammar (lowercase hex only).
-go test -run=NONE -fuzz='^FuzzParsePromText$' -fuzztime=10s ./internal/obs/
+# FuzzParseTraceparent holds the traceparent parser to the W3C
+# version-00 grammar (lowercase hex only).
 go test -run=NONE -fuzz='^FuzzParseTraceparent$' -fuzztime=10s ./internal/obs/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without

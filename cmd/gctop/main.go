@@ -1,22 +1,24 @@
 // Command gctop is a live terminal dashboard for a running gclabd
-// daemon: it polls /metrics, /debug/slo and /debug/traces and redraws a
-// fleet view — queue and worker occupancy over time, cache traffic, SLO
-// burn rates with alert severity, the daemon's own Go GC vitals, and the
-// slowest retained request traces.
+// daemon. Each frame is one GET of the daemon's reading, /v1/state,
+// drawn as queue and worker occupancy over time, cache traffic, SLO
+// burn rates with alert severity, the daemon's own Go GC vitals, and
+// the slowest and most recent retained request traces.
 //
 //	gctop -addr http://localhost:8372
 //	gctop -addr http://localhost:8372 -once   # one frame, no screen clear
 //	gctop -addr http://localhost:8372 -fleet  # watch the whole fleet
 //
-// With -fleet, gctop polls the fleet rollup instead (/fleet/metrics,
-// /fleet/slo, /fleet/traces, /fleet/nodes via any fleet node): the
-// counters and histograms are exact cross-node aggregates, the slowest
-// traces are the fleet-wide union labeled by node, and a membership
-// panel shows each node's gossip state, drain status, queue and cache
-// tiers, read from the node's /v1/state snapshot.
+// With -fleet, each frame is one GET of the fleet's reading,
+// /fleet/state, from any fleet node or standalone router: the counters
+// and histograms are exact cross-node aggregates, the slowest traces
+// are the fleet-wide union labeled by node, and a membership panel
+// shows each member's gossip state, drain status, queue and cache tiers
+// from its row's reading. Uptime and the Go vitals are the polled
+// node's own; a standalone router runs no daemon, so its frame leaves
+// them out.
 //
 // gctop is read-only: it only issues GETs, so pointing it at a
-// production daemon perturbs nothing but the /metrics scrape counters.
+// production daemon perturbs nothing.
 package main
 
 import (
@@ -29,59 +31,48 @@ import (
 	"strings"
 	"time"
 
+	"jvmgc/internal/fleet"
+	"jvmgc/internal/labd"
 	"jvmgc/internal/obs"
 	"jvmgc/internal/telemetry"
 	"jvmgc/internal/textplot"
 )
 
-// sample is one poll of the daemon, flattened to what the view needs.
+// sample is one poll: the reading a frame is drawn from, in the types
+// the server writes it with.
 type sample struct {
 	when time.Time
 	ok   bool
 	err  string
 
-	queueDepth float64
-	running    float64
-	workers    float64
-	submitted  float64
-	hits       float64
-	misses     float64
-	cacheLen   float64
-	uptime     float64
-
-	goHeap, goGoal       float64
-	goGC, goPauseP99     float64
-	goroutines           float64
-	tracesSeen, retained float64
-
-	slo    obs.Status
-	recent []obs.TraceSummary
+	// The node's metric set, or the fleet's merged one.
+	telemetry.MetricsState
+	// self is the polled node's own reading (uptime, Go vitals); nil
+	// on a standalone router.
+	self   *labd.NodeState
+	slo    *obs.Status
 	slow   []obs.TraceSummary
-	nodes  []nodeRow
-	epoch  uint64
+	recent []obs.TraceSummary
+	// nodes and epoch are the fleet's membership (-fleet only).
+	nodes []fleet.NodeInfo
+	epoch uint64
 }
 
-// nodeRow is one fleet member in the -fleet membership panel. State and
-// Incarnation come from gossip (alive/suspect/dead/left); a router
-// without a gossiper reports its fixed view alive. Reading is the node's
-// /v1/state snapshot (nil when it did not answer), whose metrics the
-// panel reads by name.
-type nodeRow struct {
-	ID          string `json:"id"`
-	State       string `json:"state"`
-	Incarnation uint64 `json:"incarnation"`
-	Reading     *struct {
-		Draining bool `json:"draining"`
-		telemetry.MetricsState
-	} `json:"reading"`
+// occupancy is what the poll history keeps of a sample: the plot's two
+// series.
+type occupancy struct {
+	when            time.Time
+	ok              bool
+	queued, running float64
 }
 
-// poller fetches daemon state and keeps a bounded history for plots.
+// poller reads one document per frame and keeps a bounded occupancy
+// history for the plot.
 type poller struct {
 	base    string
 	fleet   bool
 	client  *http.Client
-	history []sample
+	history []occupancy
 	keep    int
 }
 
@@ -94,96 +85,62 @@ func newPoller(base string, keep int, fleet bool) *poller {
 	}
 }
 
-func (p *poller) get(path string) ([]byte, error) {
-	resp, err := p.client.Get(p.base + path)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-	}
-	return body, nil
-}
-
-// paths returns the poll endpoints for the current mode: a single
-// daemon's debug surfaces, or the fleet rollup (same metric names, so
-// everything downstream of the parse is mode-blind).
-func (p *poller) paths() (metrics, slo, traces string) {
-	if p.fleet {
-		return "/fleet/metrics", "/fleet/slo", "/fleet/traces"
-	}
-	return "/metrics", "/debug/slo", "/debug/traces"
-}
-
-// poll reads the three debug surfaces into one sample. A daemon with
-// tracing disabled (404 on /debug/slo) still yields a metrics-only view.
+// poll GETs the frame's one document, /v1/state or with -fleet
+// /fleet/state, into a sample.
 func (p *poller) poll(now time.Time) sample {
-	metricsPath, sloPath, tracesPath := p.paths()
 	s := sample{when: now}
-	body, err := p.get(metricsPath)
-	if err != nil {
+	if err := p.read(&s); err != nil {
 		s.err = err.Error()
-		p.push(s)
-		return s
-	}
-	s.ok = true
-	pts := obs.ParsePromText(string(body))
-	read := func(name string) float64 {
-		v, _ := obs.Metric(pts, name)
-		return v
-	}
-	s.queueDepth = read("jvmgc_labd_queue_depth")
-	s.running = read("jvmgc_labd_jobs_running")
-	s.workers = read("jvmgc_labd_workers")
-	s.submitted = read("jvmgc_labd_jobs_submitted_total")
-	s.hits = read("jvmgc_labd_cache_hits_total")
-	s.misses = read("jvmgc_labd_cache_misses_total")
-	s.cacheLen = read("jvmgc_labd_cache_entries")
-	s.uptime = read("jvmgc_labd_uptime_seconds")
-	s.goHeap = read("jvmgc_labd_go_heap_objects_bytes")
-	s.goGoal = read("jvmgc_labd_go_heap_goal_bytes")
-	s.goGC = read("jvmgc_labd_go_gc_cycles")
-	s.goPauseP99 = read("jvmgc_labd_go_gc_pause_p99_seconds")
-	s.goroutines = read("jvmgc_labd_go_goroutines")
-	s.tracesSeen = read("jvmgc_labd_traces_seen")
-	s.retained = read("jvmgc_labd_traces_retained")
-
-	if body, err := p.get(sloPath); err == nil {
-		_ = json.Unmarshal(body, &s.slo)
-	}
-	if body, err := p.get(tracesPath); err == nil {
-		var listing struct {
-			Recent  []obs.TraceSummary `json:"recent"`
-			Slowest []obs.TraceSummary `json:"slowest"`
-		}
-		if json.Unmarshal(body, &listing) == nil {
-			s.recent = listing.Recent
-			s.slow = listing.Slowest
-		}
-	}
-	if p.fleet {
-		if body, err := p.get("/fleet/nodes"); err == nil {
-			var listing struct {
-				Epoch uint64    `json:"epoch"`
-				Nodes []nodeRow `json:"nodes"`
-			}
-			if json.Unmarshal(body, &listing) == nil {
-				s.nodes = listing.Nodes
-				s.epoch = listing.Epoch
-			}
-		}
+	} else {
+		s.ok = true
 	}
 	p.push(s)
 	return s
 }
 
+func (p *poller) read(s *sample) error {
+	path := "/v1/state"
+	if p.fleet {
+		path = "/fleet/state"
+	}
+	resp, err := p.client.Get(p.base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
+	}
+	if !p.fleet {
+		var st labd.NodeState
+		if err := json.Unmarshal(body, &st); err != nil {
+			return fmt.Errorf("GET %s: %w", path, err)
+		}
+		s.MetricsState, s.self, s.slo, s.slow, s.recent = st.MetricsState, &st, st.SLO, st.Slowest, st.Recent
+		return nil
+	}
+	var fs fleet.FleetState
+	if err := json.Unmarshal(body, &fs); err != nil {
+		return fmt.Errorf("GET %s: %w", path, err)
+	}
+	s.MetricsState, s.slo, s.slow, s.nodes, s.epoch = fs.MetricsState, fs.SLO, fs.Slowest, fs.Nodes, fs.Epoch
+	for _, n := range fs.Nodes {
+		if n.Self {
+			s.self = n.Reading
+		}
+	}
+	return nil
+}
+
 func (p *poller) push(s sample) {
-	p.history = append(p.history, s)
+	p.history = append(p.history, occupancy{
+		when: s.when, ok: s.ok,
+		queued: s.Gauges["labd.queue.depth"], running: s.Gauges["labd.jobs.running"],
+	})
 	if len(p.history) > p.keep {
 		p.history = p.history[len(p.history)-p.keep:]
 	}
@@ -199,15 +156,20 @@ func (p *poller) render(s sample) string {
 		return b.String()
 	}
 
-	lookups := s.hits + s.misses
+	g, c := s.Gauges, s.Counters
+	hits, lookups := c["labd.cache.hits"], c["labd.cache.hits"]+c["labd.cache.misses"]
 	hitRate := 0.0
 	if lookups > 0 {
-		hitRate = s.hits / lookups
+		hitRate = float64(hits) / float64(lookups)
 	}
-	fmt.Fprintf(&b, "up %s   workers %.0f   queue %.0f   running %.0f\n",
-		(time.Duration(s.uptime) * time.Second).String(), s.workers, s.queueDepth, s.running)
-	fmt.Fprintf(&b, "jobs %.0f submitted   cache %.0f entries, %.0f%% hit rate   traces %.0f seen / %.0f retained\n",
-		s.submitted, s.cacheLen, 100*hitRate, s.tracesSeen, s.retained)
+	if s.self != nil {
+		fmt.Fprintf(&b, "up %s   ", (time.Duration(s.self.UptimeSeconds) * time.Second).String())
+	}
+	fmt.Fprintf(&b, "workers %.0f   queue %.0f   running %.0f\n",
+		g["labd.workers"], g["labd.queue.depth"], g["labd.jobs.running"])
+	fmt.Fprintf(&b, "jobs %d submitted   cache %.0f entries, %.0f%% hit rate   traces %.0f seen / %.0f retained\n",
+		c["labd.jobs.submitted"], g["labd.cache.entries"], 100*hitRate,
+		g["labd.traces.seen"], g["labd.traces.retained"])
 
 	if len(s.nodes) > 0 {
 		fmt.Fprintf(&b, "\nfleet nodes (epoch %d):\n", s.epoch)
@@ -236,7 +198,7 @@ func (p *poller) render(s sample) string {
 	}
 
 	// SLO block: severity plus per-window burn multipliers.
-	if s.slo.Severity != "" {
+	if s.slo != nil {
 		fmt.Fprintf(&b, "\nSLO [%s]  %d requests, %d slow, %d failed (latency < %.3gs, target %.4g)\n",
 			strings.ToUpper(s.slo.Severity), s.slo.Total, s.slo.Slow, s.slo.Errors,
 			s.slo.LatencyThresholdSeconds, s.slo.LatencyTarget)
@@ -247,8 +209,11 @@ func (p *poller) render(s sample) string {
 	}
 
 	// The observer's own runtime, beside the simulated JVMs it measures.
-	fmt.Fprintf(&b, "\nself: heap %s / goal %s   %.0f goroutines   %.0f GC cycles   pause p99 %.3gms\n",
-		bytesHuman(s.goHeap), bytesHuman(s.goGoal), s.goroutines, s.goGC, s.goPauseP99*1e3)
+	if s.self != nil {
+		rs := s.self.Runtime
+		fmt.Fprintf(&b, "\nself: heap %s / goal %s   %.0f goroutines   %.0f GC cycles   pause p99 %.3gms\n",
+			bytesHuman(rs.HeapObjectsBytes), bytesHuman(rs.HeapGoalBytes), rs.Goroutines, rs.GCCycles, rs.PauseP99*1e3)
+	}
 
 	// Occupancy over the poll history.
 	if len(p.history) >= 2 {
@@ -259,7 +224,7 @@ func (p *poller) render(s sample) string {
 				continue
 			}
 			xs = append(xs, h.when.Sub(t0).Seconds())
-			queue = append(queue, h.queueDepth)
+			queue = append(queue, h.queued)
 			running = append(running, h.running)
 		}
 		if len(xs) >= 2 {
@@ -283,12 +248,8 @@ func (p *poller) render(s sample) string {
 		}
 	}
 	if len(s.recent) > 0 {
-		n := len(s.recent)
-		if n > 5 {
-			n = 5
-		}
 		b.WriteString("\nrecent traces:\n")
-		for _, tr := range s.recent[:n] {
+		for _, tr := range s.recent {
 			b.WriteString(traceLine(tr))
 		}
 	}
@@ -325,15 +286,15 @@ func main() {
 		interval = flag.Duration("interval", 2*time.Second, "poll period")
 		once     = flag.Bool("once", false, "render a single frame and exit (no screen clearing)")
 		history  = flag.Int("history", 120, "poll samples kept for the occupancy plot")
-		fleetTop = flag.Bool("fleet", false, "watch the whole fleet via /fleet/* on any fleet node")
+		fleetTop = flag.Bool("fleet", false, "watch the whole fleet via /fleet/state on any fleet node")
 	)
 	flag.Parse()
 
 	p := newPoller(*addr, *history, *fleetTop)
 	if *once {
-		frame := p.render(p.poll(time.Now()))
-		fmt.Print(frame)
-		if !p.history[len(p.history)-1].ok {
+		s := p.poll(time.Now())
+		fmt.Print(p.render(s))
+		if !s.ok {
 			os.Exit(1)
 		}
 		return

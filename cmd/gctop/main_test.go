@@ -1,72 +1,87 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"jvmgc/internal/fleet"
 	"jvmgc/internal/labd"
+	"jvmgc/internal/obs"
 	"jvmgc/internal/telemetry"
 )
 
-const cannedMetrics = `# HELP jvmgc_labd_queue_depth Jobs waiting for a worker.
-jvmgc_labd_queue_depth 3
-jvmgc_labd_jobs_running 2
-jvmgc_labd_workers 4
-jvmgc_labd_jobs_submitted_total 120
-jvmgc_labd_cache_hits_total 80
-jvmgc_labd_cache_misses_total 20
-jvmgc_labd_cache_entries 20
-jvmgc_labd_uptime_seconds 61
-jvmgc_labd_go_heap_objects_bytes 5242880
-jvmgc_labd_go_heap_goal_bytes 10485760
-jvmgc_labd_go_gc_cycles 9
-jvmgc_labd_go_gc_pause_p99_seconds 0.0021
-jvmgc_labd_go_goroutines 14
-jvmgc_labd_traces_seen 100
-jvmgc_labd_traces_retained 32
-`
+// cannedMetrics is a daemon's metric set as /v1/state carries it.
+func cannedMetrics() telemetry.MetricsState {
+	return telemetry.MetricsState{
+		Counters: map[string]int64{
+			"labd.jobs.submitted": 120, "labd.cache.hits": 80, "labd.cache.misses": 20,
+		},
+		Gauges: map[string]float64{
+			"labd.queue.depth": 3, "labd.jobs.running": 2, "labd.workers": 4, "labd.cache.entries": 20,
+			"labd.traces.seen": 100, "labd.traces.retained": 32,
+		},
+	}
+}
 
-const cannedSLO = `{
-  "latency_threshold_seconds": 0.5, "latency_target": 0.99, "error_target": 0.999,
-  "severity": "warn", "total": 100, "slow": 7, "errors": 1,
-  "windows": [
-    {"window": "5m0s", "latency_burn_rate": 7.0, "error_burn_rate": 10.0},
-    {"window": "1h0m0s", "latency_burn_rate": 6.5, "error_burn_rate": 8.0}
-  ]
-}`
+var cannedSLO = &obs.Status{
+	LatencyThresholdSeconds: 0.5, LatencyTarget: 0.99, ErrorTarget: 0.999,
+	Severity: "warn", Total: 100, Slow: 7, Errors: 1,
+	Windows: []obs.WindowStatus{
+		{Window: "5m0s", LatencyBurnRate: 7.0, ErrorBurnRate: 10.0},
+		{Window: "1h0m0s", LatencyBurnRate: 6.5, ErrorBurnRate: 8.0},
+	},
+}
 
-const cannedTraces = `{
-  "seen": 100, "retained": 32,
-  "recent": [
-    {"id": "aaaabbbbccccddddaaaabbbbccccdddd", "name": "labd.request",
-     "duration_seconds": 0.012, "status": "ok", "spans": 6}
-  ],
-  "slowest": [
-    {"id": "ffffeeeeddddccccffffeeeeddddcccc", "name": "labd.request",
-     "duration_seconds": 1.934, "status": "ok", "spans": 9, "slowest": true}
-  ]
-}`
+var (
+	cannedRecent = []obs.TraceSummary{{ID: "aaaabbbbccccddddaaaabbbbccccdddd", Name: "labd.request",
+		DurationSeconds: 0.012, Status: "ok", Spans: 6}}
+	cannedSlowest = []obs.TraceSummary{{ID: "ffffeeeeddddccccffffeeeeddddcccc", Name: "labd.request",
+		DurationSeconds: 1.934, Status: "ok", Spans: 9, Slowest: true}}
+)
+
+// cannedState is a traced daemon's /v1/state reading.
+func cannedState() labd.NodeState {
+	return labd.NodeState{
+		UptimeSeconds: 61,
+		MetricsState:  cannedMetrics(),
+		Runtime: obs.RuntimeSample{HeapObjectsBytes: 5242880, HeapGoalBytes: 10485760,
+			GCCycles: 9, PauseP99: 0.0021, Goroutines: 14},
+		SLO:     cannedSLO,
+		Slowest: cannedSlowest,
+		Recent:  cannedRecent,
+	}
+}
+
+// serveJSON answers GET path with v's JSON encoding and counts every
+// request the server receives.
+func serveJSON(t *testing.T, path string, v any) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+path, func(w http.ResponseWriter, r *http.Request) { w.Write(body) })
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &requests
+}
 
 func cannedDaemon(t *testing.T) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write([]byte(cannedMetrics))
-	})
-	mux.HandleFunc("GET /debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(cannedSLO))
-	})
-	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(cannedTraces))
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	ts, _ := serveJSON(t, "/v1/state", cannedState())
 	return ts
 }
 
@@ -127,34 +142,27 @@ func TestHistoryBound(t *testing.T) {
 	}
 }
 
-// TestMetricsOnlyDaemon: a daemon without tracing (404 on the debug
-// endpoints) still renders the metrics header, with no SLO or trace
-// blocks.
+// TestMetricsOnlyDaemon: a daemon without tracing or SLO monitoring
+// (its reading has no slo, slowest or recent) still renders the metrics
+// header, with no SLO or trace blocks.
 func TestMetricsOnlyDaemon(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(cannedMetrics))
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
+	ts, _ := serveJSON(t, "/v1/state", labd.NodeState{UptimeSeconds: 61, MetricsState: cannedMetrics()})
 	p := newPoller(ts.URL, 4, false)
 	frame := p.render(p.poll(time.Unix(1700000000, 0)))
 	if !strings.Contains(frame, "workers 4") {
 		t.Errorf("metrics header missing:\n%s", frame)
 	}
-	for _, absent := range []string{"SLO [", "slowest traces:"} {
+	for _, absent := range []string{"SLO [", "slowest traces:", "recent traces:"} {
 		if strings.Contains(frame, absent) {
 			t.Errorf("untraced daemon rendered %q:\n%s", absent, frame)
 		}
 	}
 }
 
-// cannedFleetNodes is a /fleet/nodes body built from the types the
-// fleet serves it with: a serving node, a draining one, and a suspect
-// that did not answer its state probe.
-func cannedFleetNodes(t *testing.T) []byte {
-	t.Helper()
+// cannedFleetState is a /fleet/state reading: the rollup, and member
+// rows for a serving node, a draining one, and a suspect that did not
+// answer its state probe.
+func cannedFleetState() fleet.FleetState {
 	reading := func(id string, draining bool, queue, running, entries float64, mem, disk, peer int64) *labd.NodeState {
 		return &labd.NodeState{Node: id, UptimeSeconds: 61, Draining: draining,
 			MetricsState: telemetry.MetricsState{
@@ -166,38 +174,25 @@ func cannedFleetNodes(t *testing.T) []byte {
 				},
 			}}
 	}
-	body, err := json.Marshal(struct {
-		Self  string           `json:"self"`
-		Epoch uint64           `json:"epoch"`
-		Nodes []fleet.NodeInfo `json:"nodes"`
-	}{"a", 7, []fleet.NodeInfo{
-		{ID: "a", URL: "http://a", Self: true, State: "alive", Reading: reading("a", false, 3, 2, 20, 50, 4, 6)},
-		{ID: "b", URL: "http://b", State: "alive", Incarnation: 1, Reading: reading("b", true, 0, 1, 8, 5, 0, 0)},
-		{ID: "c", URL: "http://c", State: "suspect", Incarnation: 3},
-	}})
-	if err != nil {
-		t.Fatal(err)
+	return fleet.FleetState{
+		Self: "a", Epoch: 7,
+		Nodes: []fleet.NodeInfo{
+			{ID: "a", URL: "http://a", Self: true, State: "alive", Reading: reading("a", false, 3, 2, 20, 50, 4, 6)},
+			{ID: "b", URL: "http://b", State: "alive", Incarnation: 1, Reading: reading("b", true, 0, 1, 8, 5, 0, 0)},
+			{ID: "c", URL: "http://c", State: "suspect", Incarnation: 3},
+		},
+		MetricsState: cannedMetrics(),
+		SLO:          cannedSLO,
+		Slowest:      cannedSlowest,
 	}
-	return body
 }
 
-// TestRenderFleetPanel: with -fleet, gctop polls the /fleet/* rollup
-// and draws one membership row per node from its /v1/state reading —
-// gossip state, ok or draining, queue, running, cache entries and the
-// per-tier hits — and UNREACHABLE for a node with no reading.
+// TestRenderFleetPanel: with -fleet, gctop reads /fleet/state and draws
+// one membership row per node from its reading — gossip state, ok or
+// draining, queue, running, cache entries and the per-tier hits — and
+// UNREACHABLE for a node with no reading.
 func TestRenderFleetPanel(t *testing.T) {
-	nodes := cannedFleetNodes(t)
-	mux := http.NewServeMux()
-	for path, body := range map[string][]byte{
-		"GET /fleet/metrics": []byte(cannedMetrics),
-		"GET /fleet/slo":     []byte(cannedSLO),
-		"GET /fleet/traces":  []byte(cannedTraces),
-		"GET /fleet/nodes":   nodes,
-	} {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { w.Write(body) })
-	}
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	ts, _ := serveJSON(t, "/fleet/state", cannedFleetState())
 
 	p := newPoller(ts.URL, 4, true)
 	frame := p.render(p.poll(time.Unix(1700000000, 0)))
@@ -211,5 +206,113 @@ func TestRenderFleetPanel(t *testing.T) {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
+	}
+}
+
+// TestOneRequestPerFrame: a frame is one GET, of /v1/state for a node
+// and of /fleet/state with -fleet. A fleet rollup without a self row
+// (a standalone router's) leaves out uptime and the self: line rather
+// than printing zeros.
+func TestOneRequestPerFrame(t *testing.T) {
+	for _, tc := range []struct {
+		fleet bool
+		path  string
+		doc   any
+	}{
+		{false, "/v1/state", cannedState()},
+		{true, "/fleet/state", cannedFleetState()},
+	} {
+		ts, requests := serveJSON(t, tc.path, tc.doc)
+		p := newPoller(ts.URL, 4, tc.fleet)
+		t0 := time.Unix(1700000000, 0)
+		for i := 0; i < 3; i++ {
+			if s := p.poll(t0.Add(time.Duration(i) * time.Second)); !s.ok {
+				t.Fatalf("fleet=%v: poll %d: %s", tc.fleet, i, s.err)
+			}
+		}
+		if got := requests.Load(); got != 3 {
+			t.Errorf("fleet=%v: three polls made %d requests, want 3", tc.fleet, got)
+		}
+	}
+
+	router := cannedFleetState()
+	router.Self = ""
+	router.Nodes[0].Self = false
+	ts, _ := serveJSON(t, "/fleet/state", router)
+	p := newPoller(ts.URL, 4, true)
+	frame := p.render(p.poll(time.Unix(1700000000, 0)))
+	if !strings.Contains(frame, "workers 4") || strings.Contains(frame, "up ") || strings.Contains(frame, "self:") {
+		t.Errorf("a router's frame should have no uptime or self: line:\n%s", frame)
+	}
+}
+
+// stateCounter counts the /v1/state requests a node serves.
+type stateCounter struct {
+	h     http.Handler
+	state atomic.Int64
+}
+
+func (c *stateCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/state" {
+		c.state.Add(1)
+	}
+	c.h.ServeHTTP(w, r)
+}
+
+// TestLiveFleetFrame: against a real two-node fleet, built as a node
+// process builds one without gossip (fleet.New, labd.New, SetLocal), a
+// -fleet frame costs the peer one /v1/state request, and its self: line
+// shows the polled node's own non-zero heap and goroutines.
+func TestLiveFleetFrame(t *testing.T) {
+	ids := []string{"a", "b"}
+	lns := make(map[string]net.Listener, len(ids))
+	members := make(map[string]string, len(ids))
+	for _, id := range ids {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[id], members[id] = l, "http://"+l.Addr().String()
+	}
+	counters := make(map[string]*stateCounter, len(ids))
+	for _, id := range ids {
+		rt, err := fleet.New(fleet.Config{Self: id, Nodes: members})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := labd.New(labd.Config{NodeID: id, Peers: rt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_ = srv.Drain(ctx)
+		})
+		rt.SetLocal(srv)
+		counters[id] = &stateCounter{h: rt.Handler()}
+		ts := &httptest.Server{Listener: lns[id], Config: &http.Server{Handler: counters[id]}}
+		ts.Start()
+		t.Cleanup(ts.Close)
+	}
+
+	runtime.GC() // runtime/metrics publishes heap accounting at a GC
+	p := newPoller(members["a"], 4, true)
+	s := p.poll(time.Now())
+	if !s.ok {
+		t.Fatalf("fleet poll: %s", s.err)
+	}
+	if got := counters["b"].state.Load(); got != 1 {
+		t.Errorf("one -fleet frame cost the peer %d /v1/state requests, want 1", got)
+	}
+	if got := counters["a"].state.Load(); got != 0 {
+		t.Errorf("the polled node served %d /v1/state requests, want 0 (its reading is in process)", got)
+	}
+	frame := p.render(s)
+	if !regexp.MustCompile(`\nself: heap [1-9][^ ]* / goal [^ ]+ +[1-9][0-9]* goroutines`).MatchString(frame) {
+		t.Errorf("self: line shows no heap or goroutines:\n%s", frame)
+	}
+	if !strings.Contains(frame, "\nup ") || !strings.Contains(frame, "fleet nodes (epoch ") {
+		t.Errorf("fleet frame lacks uptime or the membership panel:\n%s", frame)
 	}
 }

@@ -16,19 +16,22 @@ import (
 	"jvmgc/internal/telemetry"
 )
 
-// FleetState is the fleet-wide rollup of per-node observability
-// snapshots (GET /fleet/state). Every aggregate is exact, not
-// approximate: the nodes' metric sets fold by name (counters and gauges
-// sum; histograms merge bucket-exactly, nodes folded in sorted-ID order
-// so two aggregators always produce identical bytes), SLO burn rates are
-// recomputed from summed window counts, and the slowest-trace list is
-// the union of per-node slowest sets with node labels intact.
+// FleetState is the fleet's one reading (GET /fleet/state): one row per
+// member with the node's own reading, and the rollup folded from those
+// readings. Every aggregate is exact, not approximate: the nodes'
+// metric sets fold by name (counters and gauges sum; histograms merge
+// bucket-exactly, nodes folded in sorted-ID order so two aggregators
+// always produce identical bytes), SLO burn rates are recomputed from
+// summed window counts, and the slowest-trace list is the union of
+// per-node slowest sets with node labels intact.
 type FleetState struct {
-	// Nodes holds the per-node snapshots the aggregate was folded from,
-	// sorted by node ID.
-	Nodes []labd.NodeState `json:"nodes"`
-	// Unreachable lists configured nodes that did not answer.
-	Unreachable []string `json:"unreachable,omitempty"`
+	// Self is the serving node's ID; empty on a standalone router.
+	Self string `json:"self,omitempty"`
+	// Epoch is the serving node's membership epoch.
+	Epoch uint64 `json:"epoch"`
+	// Nodes holds one row per member, sorted by ID. A placed member
+	// whose row has no reading did not answer.
+	Nodes []NodeInfo `json:"nodes"`
 
 	telemetry.MetricsState
 
@@ -37,15 +40,31 @@ type FleetState struct {
 	Slowest []obs.TraceSummary `json:"slowest,omitempty"`
 }
 
-// MergeStates folds per-node snapshots into the fleet rollup. States
-// are re-sorted by node ID first, so the result is independent of
-// arrival order.
+// NodeInfo is one member row of /fleet/state. State and Incarnation
+// come from the gossip memberlist when one is attached
+// ("alive"/"suspect"/"dead"/"left"); a router without one reports every
+// node of its fixed view "alive". Reading is the node's /v1/state
+// snapshot from the fan-out the rollup folds; nil when the node did not
+// answer or is not placed.
+type NodeInfo struct {
+	ID          string          `json:"id"`
+	URL         string          `json:"url"`
+	Self        bool            `json:"self,omitempty"`
+	State       string          `json:"state"`
+	Incarnation uint64          `json:"incarnation,omitempty"`
+	Reading     *labd.NodeState `json:"reading,omitempty"`
+}
+
+// MergeStates folds per-node snapshots into the fleet rollup: the merged
+// metric set, SLO and slowest traces, with no member rows. States are
+// folded in node-ID order, so the result is independent of arrival
+// order.
 func MergeStates(states []labd.NodeState) FleetState {
 	sorted := make([]labd.NodeState, len(states))
 	copy(sorted, states)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Node < sorted[b].Node })
 
-	out := FleetState{Nodes: sorted}
+	var out FleetState
 	metrics := make([]telemetry.MetricsState, len(sorted))
 	var slos []obs.Status
 	maxSlowest := 0
@@ -76,15 +95,16 @@ func MergeStates(states []labd.NodeState) FleetState {
 	return out
 }
 
-// gatherStates pulls /v1/state from every placed node (the local
-// daemon directly), listing the ones that do not answer. It only reads:
-// liveness is gossip's to decide.
-func (rt *Router) gatherStates(ctx context.Context) (states []labd.NodeState, unreachable []string) {
+// gatherStates pulls /v1/state from every node placed in v (the local
+// daemon directly) and returns the readings of those that answered. It
+// only reads: liveness is gossip's to decide.
+func (rt *Router) gatherStates(ctx context.Context, v *view) []labd.NodeState {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for id, url := range rt.view.Load().urls {
+	var states []labd.NodeState
+	for id, url := range v.urls {
 		if id == rt.cfg.Self && rt.local != nil {
 			st := rt.local.NodeState()
 			mu.Lock()
@@ -96,21 +116,19 @@ func (rt *Router) gatherStates(ctx context.Context) (states []labd.NodeState, un
 		go func(id, url string) {
 			defer wg.Done()
 			st, err := rt.fetchState(ctx, url)
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
-				unreachable = append(unreachable, id)
 				return
 			}
 			if st.Node == "" {
 				st.Node = id
 			}
+			mu.Lock()
 			states = append(states, *st)
+			mu.Unlock()
 		}(id, url)
 	}
 	wg.Wait()
-	sort.Strings(unreachable)
-	return states, unreachable
+	return states
 }
 
 func (rt *Router) fetchState(ctx context.Context, url string) (*labd.NodeState, error) {
@@ -133,146 +151,85 @@ func (rt *Router) fetchState(ctx context.Context, url string) (*labd.NodeState, 
 	return &st, nil
 }
 
-// handleFleetState serves the merged rollup plus the per-node snapshots
-// it was folded from.
-func (rt *Router) handleFleetState(w http.ResponseWriter, r *http.Request) {
-	states, unreachable := rt.gatherStates(r.Context())
-	merged := MergeStates(states)
-	merged.Unreachable = unreachable
-	writeJSON(w, http.StatusOK, merged)
+// fleetState reads every placed node once and returns the fleet's
+// reading: the rollup of those readings and one row per member.
+func (rt *Router) fleetState(ctx context.Context) FleetState {
+	v := rt.view.Load()
+	states := rt.gatherStates(ctx, v)
+	fs := MergeStates(states)
+	fs.Self, fs.Epoch = rt.cfg.Self, v.epoch
+	fs.Nodes = rt.members(v, states)
+	return fs
 }
 
-// handleFleetSLO serves the fleet-wide burn-rate reading: per-window
-// counts summed across nodes, burn rates and severity re-derived with
-// the same multiwindow rule a single node uses.
-func (rt *Router) handleFleetSLO(w http.ResponseWriter, r *http.Request) {
-	states, _ := rt.gatherStates(r.Context())
-	var slos []obs.Status
-	for _, st := range states {
-		if st.SLO != nil {
-			slos = append(slos, *st.SLO)
+// members lists one row per member, sorted by ID: every node placed in
+// v and, when a gossiper is attached, every member it knows, with its
+// gossip state (a dead or left node showing up with its state is the
+// dashboard's whole point). Each row carries the node's reading from
+// states, if it answered.
+func (rt *Router) members(v *view, states []labd.NodeState) []NodeInfo {
+	rows := make(map[string]NodeInfo, len(v.urls))
+	for id, url := range v.urls {
+		rows[id] = NodeInfo{ID: id, URL: url, State: "alive"}
+	}
+	if rt.g != nil {
+		for _, m := range rt.g.Memberlist().Members() {
+			rows[m.ID] = NodeInfo{ID: m.ID, URL: m.URL, State: m.StateName, Incarnation: m.Incarnation}
 		}
 	}
-	if len(slos) == 0 {
-		writeError(w, http.StatusNotFound, errors.New("fleet: SLO monitoring disabled on all nodes"))
-		return
+	for i := range states {
+		if n, ok := rows[states[i].Node]; ok {
+			n.Reading = &states[i]
+			rows[n.ID] = n
+		}
 	}
-	writeJSON(w, http.StatusOK, obs.MergeStatus(slos...))
+	out := make([]NodeInfo, 0, len(rows))
+	for id, n := range rows {
+		n.Self = id == rt.cfg.Self
+		out = append(out, n)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
 }
 
-// handleFleetTraces serves the fleet's slowest-trace union, each entry
-// labeled with the node that retains it (resolve the full trace at that
-// node's /debug/traces/{id}).
-func (rt *Router) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
-	states, unreachable := rt.gatherStates(r.Context())
-	merged := MergeStates(states)
-	writeJSON(w, http.StatusOK, struct {
-		Seen        int64              `json:"seen"`
-		Retained    int                `json:"retained"`
-		Slowest     []obs.TraceSummary `json:"slowest"`
-		Unreachable []string           `json:"unreachable,omitempty"`
-	}{int64(merged.Gauges["labd.traces.seen"]), int(merged.Gauges["labd.traces.retained"]),
-		merged.Slowest, unreachable})
+// handleFleetState serves the fleet's reading.
+func (rt *Router) handleFleetState(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, rt.fleetState(r.Context()))
 }
 
-// handleFleetMetrics renders the merged metric set under the names a
-// single daemon serves, so anything that reads a daemon's /metrics
-// (cmd/gctop, a scrape config) reads the fleet at /fleet/metrics, plus
-// the gauges only a fleet has.
+// handleFleetMetrics renders the fleet's reading for scrapers: the
+// merged metric set under the names a single daemon serves, so a scrape
+// config reads the fleet at /fleet/metrics as it reads a daemon's
+// /metrics, plus the gauges only a fleet has.
 func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	states, _ := rt.gatherStates(r.Context())
-	merged := MergeStates(states)
+	fs := rt.fleetState(r.Context())
 
 	var snap telemetry.PromSnapshot
-	for name, v := range merged.Counters {
+	for name, v := range fs.Counters {
 		snap.Counter(name, "Fleet-wide sum of the per-node counter.", v)
 	}
-	for name, v := range merged.Gauges {
+	for name, v := range fs.Gauges {
 		snap.Gauge(name, "Fleet-wide sum of the per-node gauge.", v)
 	}
-	for name, b := range merged.Hists {
+	for name, b := range fs.Hists {
 		if h, err := hdrhist.Decode(b); err == nil {
 			snap.Histogram(name, "Fleet-wide merge of the per-node histogram.", h)
 		}
 	}
-	snap.Gauge("fleet.nodes", "Placed fleet nodes in the current view.",
-		float64(rt.Ring().Len()))
-	snap.Gauge("fleet.epoch", "Current membership epoch.", float64(rt.Epoch()))
-	snap.Gauge("fleet.nodes.reachable", "Nodes that answered the state probe.",
-		float64(len(merged.Nodes)))
-	per := make([]telemetry.LabeledValue, 0, len(merged.Nodes))
-	for _, st := range merged.Nodes {
-		per = append(per, telemetry.LabeledValue{
-			Labels: []telemetry.Label{{Name: "node", Value: st.Node}},
-			Value:  st.Gauges["labd.queue.depth"],
-		})
-	}
-	snap.LabeledGauge("fleet.node.queue.depth", "Per-node queue depth.", per)
-	labd.WriteMetrics(w, r, &snap)
-}
-
-// NodeInfo is one row of /fleet/nodes: a member and its reading.
-// State/Incarnation come from the gossip memberlist when one is
-// attached ("alive"/"suspect"/"dead"/"left"); a router without one
-// reports every node of its fixed view "alive". Reading is the node's
-// /v1/state snapshot from the fan-out /fleet/state folds; nil when the
-// node did not answer or is not placed.
-type NodeInfo struct {
-	ID          string          `json:"id"`
-	URL         string          `json:"url"`
-	Self        bool            `json:"self,omitempty"`
-	State       string          `json:"state"`
-	Incarnation uint64          `json:"incarnation,omitempty"`
-	Reading     *labd.NodeState `json:"reading,omitempty"`
-}
-
-// handleFleetNodes serves membership (with gossip states when a
-// gossiper is attached), each placed node's reading and the router's
-// own placement counters.
-func (rt *Router) handleFleetNodes(w http.ResponseWriter, r *http.Request) {
-	states, _ := rt.gatherStates(r.Context())
-	readings := make(map[string]*labd.NodeState, len(states))
-	for i := range states {
-		readings[states[i].Node] = &states[i]
-	}
-	v := rt.view.Load()
-	type memberState struct {
-		state string
-		inc   uint64
-		url   string
-	}
-	members := make(map[string]memberState)
-	for id, url := range v.urls {
-		members[id] = memberState{state: "alive", url: url}
-	}
-	if rt.g != nil {
-		// Include non-placed registers too: a dead or left node showing
-		// up with its state is the dashboard's whole point.
-		for _, m := range rt.g.Memberlist().Members() {
-			members[m.ID] = memberState{state: m.StateName, inc: m.Incarnation, url: m.URL}
+	var per []telemetry.LabeledValue
+	for _, n := range fs.Nodes {
+		if n.Reading != nil {
+			per = append(per, telemetry.LabeledValue{
+				Labels: []telemetry.Label{{Name: "node", Value: n.ID}},
+				Value:  n.Reading.Gauges["labd.queue.depth"],
+			})
 		}
 	}
-	ids := make([]string, 0, len(members))
-	for id := range members {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	nodes := make([]NodeInfo, 0, len(ids))
-	for _, id := range ids {
-		ms := members[id]
-		nodes = append(nodes, NodeInfo{
-			ID:          id,
-			URL:         ms.url,
-			Self:        id == rt.cfg.Self,
-			State:       ms.state,
-			Incarnation: ms.inc,
-			Reading:     readings[id],
-		})
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Self   string      `json:"self,omitempty"`
-		Epoch  uint64      `json:"epoch"`
-		Nodes  []NodeInfo  `json:"nodes"`
-		Router RouterStats `json:"router"`
-	}{rt.cfg.Self, v.epoch, nodes, rt.Stats()})
+	snap.Gauge("fleet.nodes", "Placed fleet nodes in the current view.",
+		float64(rt.Ring().Len()))
+	snap.Gauge("fleet.epoch", "Current membership epoch.", float64(fs.Epoch))
+	snap.Gauge("fleet.nodes.reachable", "Nodes that answered the state probe.",
+		float64(len(per)))
+	snap.LabeledGauge("fleet.node.queue.depth", "Per-node queue depth.", per)
+	labd.WriteMetrics(w, r, &snap)
 }

@@ -227,7 +227,7 @@ func (g *Gossiper) nextRand() uint64 {
 }
 
 // Memberlist exposes the membership state machine (read-mostly: the
-// router renders /fleet/nodes from it).
+// router renders /fleet/state's member rows from it).
 func (g *Gossiper) Memberlist() *Memberlist { return g.ml }
 
 // Epoch returns the current placement epoch.

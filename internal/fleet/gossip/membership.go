@@ -55,7 +55,7 @@ const (
 	StateLeft
 )
 
-// String renders the state for /fleet/nodes and the gctop panel.
+// String renders the state for /fleet/state's rows and the gctop panel.
 func (s State) String() string {
 	switch s {
 	case StateAlive:
@@ -503,7 +503,8 @@ func (ml *Memberlist) Epoch() uint64 {
 }
 
 // Members snapshots every known member — self included once announced
-// — sorted by ID, for /fleet/nodes and the gctop membership panel.
+// — sorted by ID, for /fleet/state's rows and the gctop membership
+// panel.
 func (ml *Memberlist) Members() []Member {
 	ml.mu.Lock()
 	defer ml.mu.Unlock()

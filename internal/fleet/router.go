@@ -535,10 +535,11 @@ func (rt *Router) fetchFrom(ctx context.Context, url, node, key string) ([]byte,
 
 // Handler serves the fleet surface: job submission (routed), gossip
 // endpoints (when a gossiper is attached), membership operations, the
-// /fleet/* observability rollup, and — when a local daemon is attached —
-// everything else (job status, results, metrics, liveness) from the local
-// daemon unchanged. A standalone router serves its own metric set at
-// /metrics. Call after SetLocal and AttachGossip.
+// fleet's reading (/fleet/state, and /fleet/metrics for scrapers), and
+// — when a local daemon is attached — everything else (job status,
+// results, metrics, liveness) from the local daemon unchanged. A
+// standalone router serves its own metric set at /metrics. Call after
+// SetLocal and AttachGossip.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
@@ -547,9 +548,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/leave", rt.handleLeave)
 	mux.HandleFunc("GET /fleet/state", rt.handleFleetState)
 	mux.HandleFunc("GET /fleet/metrics", rt.handleFleetMetrics)
-	mux.HandleFunc("GET /fleet/slo", rt.handleFleetSLO)
-	mux.HandleFunc("GET /fleet/traces", rt.handleFleetTraces)
-	mux.HandleFunc("GET /fleet/nodes", rt.handleFleetNodes)
 	if rt.g != nil {
 		mux.Handle("POST /v1/gossip/", rt.g.Handler())
 	}
@@ -994,19 +992,18 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, url, node stri
 	return true
 }
 
-// RouterStats snapshots the router's own counters for /fleet/nodes. Each
-// counter is fleet.router.<JSON name> in the router's metric set.
+// RouterStats snapshots the router's own counters. Each counter is
+// fleet.router.<JSON name> in the router's metric set.
 type RouterStats struct {
-	Forwards      int64  `json:"forwards"`
-	LocalJobs     int64  `json:"local_jobs"`
-	Reroutes      int64  `json:"reroutes"`
-	Epoch         uint64 `json:"epoch"`
-	EpochSwaps    int64  `json:"epoch_swaps"`
-	Kills         int64  `json:"injected_kills"`
-	Partitions    int64  `json:"injected_partitions"`
-	PeerProbes    int64  `json:"peer_probes"`
-	PeerHits      int64  `json:"peer_hits"`
-	PendingRouted int    `json:"pending_routed"`
+	Forwards   int64  `json:"forwards"`
+	LocalJobs  int64  `json:"local_jobs"`
+	Reroutes   int64  `json:"reroutes"`
+	Epoch      uint64 `json:"epoch"`
+	EpochSwaps int64  `json:"epoch_swaps"`
+	Kills      int64  `json:"injected_kills"`
+	Partitions int64  `json:"injected_partitions"`
+	PeerProbes int64  `json:"peer_probes"`
+	PeerHits   int64  `json:"peer_hits"`
 	// ReplicaHits counts hits on keys another node owns, answered from
 	// this node's memory; ReplicasKept the owner hits it relayed and
 	// kept once their digest matched (a verified hit finds no room when
@@ -1019,23 +1016,16 @@ type RouterStats struct {
 
 // Stats snapshots the router counters.
 func (rt *Router) Stats() RouterStats {
-	rt.mu.Lock()
-	pending := 0
-	for _, n := range rt.pending {
-		pending += n
-	}
-	rt.mu.Unlock()
 	return RouterStats{
-		Forwards:      rt.forwards.Value(),
-		LocalJobs:     rt.localJobs.Value(),
-		Reroutes:      rt.reroutes.Value(),
-		Epoch:         rt.Epoch(),
-		EpochSwaps:    rt.epochSwaps.Value(),
-		Kills:         rt.kills.Value(),
-		Partitions:    rt.partitions.Value(),
-		PeerProbes:    rt.peerProbes.Value(),
-		PeerHits:      rt.peerHits.Value(),
-		PendingRouted: pending,
+		Forwards:   rt.forwards.Value(),
+		LocalJobs:  rt.localJobs.Value(),
+		Reroutes:   rt.reroutes.Value(),
+		Epoch:      rt.Epoch(),
+		EpochSwaps: rt.epochSwaps.Value(),
+		Kills:      rt.kills.Value(),
+		Partitions: rt.partitions.Value(),
+		PeerProbes: rt.peerProbes.Value(),
+		PeerHits:   rt.peerHits.Value(),
 
 		ReplicaHits:    rt.replicaHits.Value(),
 		ReplicasKept:   rt.replicasKept.Value(),

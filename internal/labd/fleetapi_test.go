@@ -181,10 +181,12 @@ func TestCachePeek(t *testing.T) {
 
 // TestNodeStateSnapshot: /v1/state is the daemon's one reading and the
 // mergeable fleet snapshot — identity, uptime, drain status, the queue,
-// running and cache gauges, per-tier hit counters, and histogram bytes
-// that decode.
+// running and cache gauges, per-tier hit counters, histogram bytes that
+// decode, the Go runtime's vitals, and only the newest RecentTraces
+// traces, newest first.
 func TestNodeStateSnapshot(t *testing.T) {
-	c, srv, _ := startDaemonURL(t, labd.Config{Workers: 2, QueueDepth: 8, NodeID: "solo-2"})
+	c, srv, _ := startDaemonURL(t, labd.Config{Workers: 2, QueueDepth: 8, NodeID: "solo-2",
+		Tracer: obs.NewTracer(obs.Config{Seed: 7})})
 	ctx := context.Background()
 
 	spec := labd.JobSpec{
@@ -194,15 +196,19 @@ func TestNodeStateSnapshot(t *testing.T) {
 		DurationSeconds: 5,
 		Seed:            41,
 	}
-	if _, err := c.Submit(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Cache != "hit" || second.Node != "solo-2" {
-		t.Fatalf("resubmission: disposition %q from node %q, want a hit from solo-2", second.Cache, second.Node)
+	// One miss, then hits: more submissions, each its own trace, than
+	// the reading carries.
+	const submissions = labd.RecentTraces + 2
+	traceIDs := make([]string, submissions)
+	for i := range traceIDs {
+		sub, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && (sub.Cache != "hit" || sub.Node != "solo-2") {
+			t.Fatalf("resubmission: disposition %q from node %q, want a hit from solo-2", sub.Cache, sub.Node)
+		}
+		traceIDs[i] = sub.TraceID
 	}
 
 	st, err := c.NodeState(ctx)
@@ -218,8 +224,8 @@ func TestNodeStateSnapshot(t *testing.T) {
 	if st.Draining {
 		t.Error("a serving daemon reports draining")
 	}
-	if got := st.Counters["labd.jobs.submitted"]; got != 2 {
-		t.Errorf("submitted counter = %d, want 2", got)
+	if got := st.Counters["labd.jobs.submitted"]; got != submissions {
+		t.Errorf("submitted counter = %d, want %d", got, submissions)
 	}
 	if got := st.Gauges["labd.workers"]; got != 2 {
 		t.Errorf("workers gauge = %g, want 2", got)
@@ -230,18 +236,29 @@ func TestNodeStateSnapshot(t *testing.T) {
 	if got := st.Gauges["labd.cache.entries"]; got != 1 {
 		t.Errorf("cache entries = %g, want 1", got)
 	}
-	if got := st.Counters["labd.cache.hits.memory"]; got != 1 {
-		t.Errorf("memory hits = %d, want 1 (the resubmission)", got)
+	if got := st.Counters["labd.cache.hits.memory"]; got != submissions-1 {
+		t.Errorf("memory hits = %d, want %d (the resubmissions)", got, submissions-1)
 	}
 	h, err := hdrhist.Decode(st.Hists["labd_job_latency_hist_seconds"])
 	if err != nil {
 		t.Fatalf("latency histogram does not decode: %v", err)
 	}
-	if h.Count() != 2 {
-		t.Errorf("latency histogram count = %d, want 2", h.Count())
+	if h.Count() != submissions {
+		t.Errorf("latency histogram count = %d, want %d", h.Count(), submissions)
 	}
 	if _, err := hdrhist.Decode(st.Hists["labd_queue_wait_seconds"]); err != nil {
 		t.Fatalf("queue histogram does not decode: %v", err)
+	}
+	if st.Runtime.HeapObjectsBytes <= 0 || st.Runtime.Goroutines < 1 {
+		t.Errorf("runtime vitals = %+v, want a non-zero heap and goroutines", st.Runtime)
+	}
+	if len(st.Recent) != labd.RecentTraces {
+		t.Fatalf("reading carries %d recent traces, want the cap %d", len(st.Recent), labd.RecentTraces)
+	}
+	for i, tr := range st.Recent {
+		if want := traceIDs[submissions-1-i]; tr.ID != want {
+			t.Errorf("recent[%d] = %s, want %s (newest first)", i, tr.ID, want)
+		}
 	}
 
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)

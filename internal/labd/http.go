@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -487,7 +488,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Retained int                `json:"retained"`
 		Recent   []obs.TraceSummary `json:"recent"`
 		Slowest  []obs.TraceSummary `json:"slowest"`
-	}{store.Seen(), store.Len(), store.Recent(), store.Slowest()})
+	}{store.Seen(), store.Len(), store.Recent(math.MaxInt), store.Slowest()})
 }
 
 // traceFromPath resolves {id} against the trace store.

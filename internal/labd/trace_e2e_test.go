@@ -198,18 +198,33 @@ func TestEndToEndTracing(t *testing.T) {
 	if regexp.MustCompile(` # \{`).MatchString(classic) {
 		t.Error("classic text format carries exemplars")
 	}
-	pts := obs.ParsePromText(classic)
-	if v, ok := obs.Metric(pts, "jvmgc_labd_queue_wait_seconds_count"); !ok || v != 1 {
-		t.Errorf("queue wait count = %v ok=%v, want 1", v, ok)
+	for _, line := range []string{
+		`^jvmgc_labd_queue_wait_seconds_count 1$`,
+		`^jvmgc_labd_traces_seen 1$`,
+		`^jvmgc_labd_go_gc_cycles \S+$`, // the runtime's self-observability
+		`^jvmgc_labd_slo_latency_burn_rate\{window="5m0s"\} \S+$`,
+	} {
+		if !regexp.MustCompile("(?m)" + line).MatchString(classic) {
+			t.Errorf("classic exposition has no line matching %s", line)
+		}
 	}
-	if v, ok := obs.Metric(pts, "jvmgc_labd_traces_seen"); !ok || v != 1 {
-		t.Errorf("traces seen = %v ok=%v, want 1", v, ok)
+
+	// The daemon's reading carries the same facts: the trace as its one
+	// recent entry, the SLO's request, the traces-seen gauge and the
+	// runtime's vitals.
+	var st labd.NodeState
+	getJSON(t, c.BaseURL+"/v1/state", &st)
+	if len(st.Recent) != 1 || st.Recent[0].ID != sub.TraceID {
+		t.Errorf("reading's recent traces = %+v, want the one trace %s", st.Recent, sub.TraceID)
 	}
-	if _, ok := obs.Metric(pts, "jvmgc_labd_go_gc_cycles"); !ok {
-		t.Error("runtime self-observability gauges missing")
+	if st.SLO == nil || st.SLO.Total != 1 {
+		t.Errorf("reading's SLO = %+v, want total 1", st.SLO)
 	}
-	if _, ok := obs.Metric(pts, "jvmgc_labd_slo_latency_burn_rate", "window", "5m0s"); !ok {
-		t.Error("SLO burn-rate gauge missing")
+	if got := st.Gauges["labd.traces.seen"]; got != 1 {
+		t.Errorf("reading's labd.traces.seen = %g, want 1", got)
+	}
+	if rs := st.Runtime; rs.HeapObjectsBytes <= 0 || rs.Goroutines < 1 {
+		t.Errorf("reading's runtime vitals = %+v, want a non-zero heap and goroutines", rs)
 	}
 
 	// /debug/traces lists the trace; /debug/slo reports the traffic.
@@ -345,7 +360,7 @@ func TestEndToEndTraceChaos(t *testing.T) {
 	}
 	// Error traces are filed too, with error status.
 	errTraces := 0
-	for _, s := range store.Recent() {
+	for _, s := range store.Recent(n) {
 		if s.Status == "error" {
 			errTraces++
 		}

@@ -10,24 +10,28 @@ import (
 // JVM's garbage collector, while running on a garbage-collected runtime
 // itself. RuntimeSample closes that loop — the Go process's own GC
 // pauses, heap and scheduler state, read from runtime/metrics and served
-// on the same /metrics page as the simulation's counters, so the
-// observer's pauses are visible next to the subject's.
+// in the daemon's reading and on the same /metrics page as the
+// simulation's counters, so the observer's pauses are visible next to
+// the subject's.
 
-// RuntimeSample is one reading of the Go runtime's own vitals.
+// RuntimeSample is one reading of the Go runtime's own vitals. A
+// daemon's /v1/state carries one as "runtime".
 type RuntimeSample struct {
 	// HeapObjectsBytes is live heap memory occupied by objects.
-	HeapObjectsBytes float64
+	HeapObjectsBytes float64 `json:"heap_objects_bytes"`
 	// HeapGoalBytes is the GC's current heap-size goal.
-	HeapGoalBytes float64
+	HeapGoalBytes float64 `json:"heap_goal_bytes"`
 	// Goroutines is the live goroutine count.
-	Goroutines float64
+	Goroutines float64 `json:"goroutines"`
 	// GCCycles counts completed GC cycles.
-	GCCycles float64
+	GCCycles float64 `json:"gc_cycles"`
 	// PauseP50/P99/Max summarize the runtime's stop-the-world pause
 	// distribution (seconds) since process start.
-	PauseP50, PauseP99, PauseMax float64
+	PauseP50 float64 `json:"pause_p50_seconds"`
+	PauseP99 float64 `json:"pause_p99_seconds"`
+	PauseMax float64 `json:"pause_max_seconds"`
 	// PauseCount is the number of recorded stop-the-world pauses.
-	PauseCount float64
+	PauseCount float64 `json:"pause_count"`
 }
 
 // runtimeMetricNames are the runtime/metrics keys the sampler reads.

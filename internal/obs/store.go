@@ -143,15 +143,17 @@ func summarize(td *TraceData) TraceSummary {
 	}
 }
 
-// Recent returns summaries of the ring's traces, newest first.
-func (s *Store) Recent() []TraceSummary {
+// Recent returns summaries of the ring's n newest traces (all of them
+// when the ring holds fewer), newest first.
+func (s *Store) Recent(n int) []TraceSummary {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TraceSummary, 0, len(s.ring))
-	for i := 1; i <= len(s.ring); i++ {
+	n = min(n, len(s.ring))
+	out := make([]TraceSummary, 0, n)
+	for i := 1; i <= n; i++ {
 		// Walk backwards from the most recently written slot.
 		td := s.ring[(s.next-i+len(s.ring))%len(s.ring)]
 		if td == nil {

@@ -219,7 +219,7 @@ func TestStoreRingAndSlowestRetention(t *testing.T) {
 
 	// Ring holds the last 4; slowest-2 are the 90ms and 100ms traces
 	// (which are also in the ring here).
-	recent := st.Recent()
+	recent := st.Recent(len(ids))
 	if len(recent) != 4 || recent[0].ID != ids[9].String() || recent[3].ID != ids[6].String() {
 		t.Fatalf("recent = %+v", recent)
 	}

@@ -2,9 +2,12 @@ package telemetry_test
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"jvmgc/internal/hdrhist"
 	"jvmgc/internal/telemetry"
 )
 
@@ -46,6 +49,92 @@ func TestPromSnapshotRendering(t *testing.T) {
 	qi := strings.Index(a, "jvmgc_labd_queue_depth")
 	if !(ji < si && si < qi) {
 		t.Errorf("families not sorted: latency@%d submitted@%d queue@%d", ji, si, qi)
+	}
+
+	// Sample values read back bit for bit: the value field of each line
+	// parses to the value written, ±Inf, NaN and −0 included.
+	var vals telemetry.PromSnapshot
+	for _, c := range []struct {
+		name string
+		v    float64
+		line string
+	}{
+		{"v.pinf", math.Inf(1), "jvmgc_v_pinf +Inf"},
+		{"v.ninf", math.Inf(-1), "jvmgc_v_ninf -Inf"},
+		{"v.nan", math.NaN(), "jvmgc_v_nan NaN"},
+		{"v.negzero", math.Copysign(0, -1), "jvmgc_v_negzero -0"},
+		{"v.tenth", 0.1, "jvmgc_v_tenth 0.1"},
+		{"v.third", 1.0 / 3, "jvmgc_v_third 0.3333333333333333"},
+		{"v.tiny", 5e-324, "jvmgc_v_tiny 5e-324"},
+		{"v.max", math.MaxFloat64, "jvmgc_v_max 1.7976931348623157e+308"},
+	} {
+		vals.Gauge(c.name, "Value.", c.v)
+		vals.LabeledGauge(c.name+".labeled", "Labeled value.", []telemetry.LabeledValue{
+			{Labels: []telemetry.Label{{Name: "node", Value: "a"}}, Value: c.v},
+		})
+		var buf bytes.Buffer
+		if err := vals.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		name, field, _ := strings.Cut(c.line, " ")
+		for _, line := range []string{c.line, name + `_labeled{node="a"} ` + field} {
+			if !strings.Contains(buf.String(), "\n"+line+"\n") {
+				t.Errorf("%s: no line %q in:\n%s", c.name, line, buf.String())
+			}
+		}
+		got, err := strconv.ParseFloat(field, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(c.v) && !(math.IsNaN(got) && math.IsNaN(c.v)) {
+			t.Errorf("%s: value field %q reads back as %v (%v), want the bits of %v", c.name, field, got, err, c.v)
+		}
+	}
+
+	// Histogram buckets are cumulative, and the le="+Inf" bucket equals
+	// _count.
+	h := hdrhist.New(hdrhist.Config{SubBucketBits: 1, Min: 1e-3, Max: 1e3})
+	for _, v := range []float64{0.002, 0.25, 0.25, 3, 700} {
+		h.Record(v)
+	}
+	var hist telemetry.PromSnapshot
+	hist.Histogram("d", "Histogram.", h)
+	var buf bytes.Buffer
+	if err := hist.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP jvmgc_d Histogram.
+# TYPE jvmgc_d histogram
+jvmgc_d_bucket{le="0.0029296875"} 1
+jvmgc_d_bucket{le="0.375"} 3
+jvmgc_d_bucket{le="4"} 4
+jvmgc_d_bucket{le="768"} 5
+jvmgc_d_bucket{le="+Inf"} 5
+jvmgc_d_sum 703.502
+jvmgc_d_count 5
+`
+	if buf.String() != want {
+		t.Errorf("histogram exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	prev, inf := 0.0, math.NaN()
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, field, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		switch {
+		case name == `jvmgc_d_bucket{le="+Inf"}`:
+			inf = v
+			fallthrough
+		case strings.HasPrefix(name, "jvmgc_d_bucket"):
+			if v < prev {
+				t.Errorf("bucket %s = %v falls below the one before it (%v)", name, v, prev)
+			}
+			prev = v
+		case name == "jvmgc_d_count" && v != inf:
+			t.Errorf(`_count %v != le="+Inf" bucket %v`, v, inf)
+		}
 	}
 }
 
