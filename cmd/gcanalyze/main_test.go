@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,25 @@ func TestRunBadFlag(t *testing.T) {
 	var out, errw strings.Builder
 	if code := run([]string{"-definitely-not-a-flag"}, strings.NewReader(""), &out, &errw); code != 2 {
 		t.Fatalf("run = %d, want 2 for bad flag", code)
+	}
+}
+
+// TestRunPercentileLine pins the pause percentiles printed for a fixed
+// log: ten 100 ms young pauses and a 2 s full GC. They follow
+// stats.Percentiles' interpolating rule, so p99 (rank 0.99·10 = 9.9)
+// lands nine tenths of the way from 100ms to 2s.
+func TestRunPercentileLine(t *testing.T) {
+	var log strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&log, "%d.000: [GC (young) (Allocation Failure) 4GB->1GB, 0.1000 secs]\n", i)
+	}
+	log.WriteString("10.000: [Full GC (Ergonomics) 10GB->3GB, 2.0000 secs]\n")
+	var out, errw strings.Builder
+	if code := run(nil, strings.NewReader(log.String()), &out, &errw); code != 0 {
+		t.Fatalf("run = %d, stderr %q", code, errw.String())
+	}
+	const want = "\np50/p90/p99:   100ms / 100ms / 1.81s\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want[1:], out.String())
 	}
 }

@@ -104,15 +104,6 @@ type Recommendation struct {
 	Candidates []Candidate
 }
 
-// Best returns the top candidate and whether it meets the SLO.
-func (r Recommendation) Best() (Candidate, bool) {
-	if len(r.Candidates) == 0 {
-		return Candidate{}, false
-	}
-	c := r.Candidates[0]
-	return c, c.MeetsSLO
-}
-
 // Advise evaluates every (collector, young size) candidate in simulation
 // and ranks them against the SLO. Candidates are independent simulations
 // and run on a worker pool bounded by Request.Parallelism; results land

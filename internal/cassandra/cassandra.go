@@ -14,9 +14,6 @@
 package cassandra
 
 import (
-	"fmt"
-	"math"
-
 	"jvmgc/internal/event"
 	"jvmgc/internal/gclog"
 	"jvmgc/internal/gcmodel"
@@ -236,37 +233,4 @@ func Run(cfg Config) (Result, error) {
 	n.Start()
 	n.clock.RunAll()
 	return n.Result(), nil
-}
-
-// RecordsAt returns the database size at instant t by stepping the sample
-// curve.
-func (r Result) RecordsAt(t simtime.Time) int64 {
-	n := int64(0)
-	for _, p := range r.Records {
-		if p.Time > t {
-			break
-		}
-		n = p.Records
-	}
-	return n
-}
-
-// Describe summarizes the run for logs and CLI output.
-func (r Result) Describe() string {
-	p, full := r.Log.CountPauses()
-	return fmt.Sprintf("%s: %v total (%v replay), %d pauses (%d full), max pause %v, old live %v, %d flushes",
-		r.Config.CollectorName, r.TotalDuration, r.ReplayDuration, p, full,
-		r.Log.MaxPause(), r.FinalOldLive, len(r.Flushes))
-}
-
-// SaturationTime estimates when the old generation would fill at the
-// configured write rate (diagnostic; MaxTime when writes never fill it).
-func (cfg Config) SaturationTime() simtime.Duration {
-	c := cfg.withDefaults()
-	longRate := c.OpsPerSec * c.WriteFraction * float64(c.HeapPerRecord)
-	if longRate <= 0 || c.MemtableBudget < c.Heap {
-		return simtime.Duration(math.MaxInt64)
-	}
-	old := float64(c.Heap - c.Young)
-	return simtime.Seconds(old / longRate)
 }

@@ -135,10 +135,6 @@ func NewNode(cfg Config, clock *event.Sim) (*Node, error) {
 	return n, nil
 }
 
-// JVM exposes the server JVM (diagnostics; read it only while the wheel
-// is parked).
-func (n *Node) JVM() *jvm.JVM { return n.j }
-
 // Done reports whether the driver has reached its deadline and halted
 // the wheel.
 func (n *Node) Done() bool { return n.done }

@@ -26,7 +26,6 @@ package collector
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"jvmgc/internal/gcmodel"
@@ -39,13 +38,6 @@ type base struct {
 	mach      *machine.Machine
 	costs     gcmodel.Costs
 	gcThreads int
-}
-
-func (b base) threads(s gcmodel.Snapshot) int {
-	if s.GCThreads > 0 {
-		return s.GCThreads
-	}
-	return b.gcThreads
 }
 
 // Config parameterizes collector construction.
@@ -139,35 +131,4 @@ func New(name string, cfg Config) (gcmodel.Collector, error) {
 	default:
 		return nil, fmt.Errorf("collector: unknown collector %q (known: %v)", name, Names())
 	}
-}
-
-// MustNew is New, panicking on error. Experiment tables use it with the
-// fixed name list.
-func MustNew(name string, cfg Config) gcmodel.Collector {
-	c, err := New(name, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// All constructs all six collectors in canonical order.
-func All(cfg Config) []gcmodel.Collector {
-	names := Names()
-	out := make([]gcmodel.Collector, len(names))
-	for i, n := range names {
-		out[i] = MustNew(n, cfg)
-	}
-	return out
-}
-
-// SortedAliases returns every name New accepts, sorted (for help text).
-func SortedAliases() []string {
-	a := []string{
-		"Serial", "SerialGC", "ParNew", "ParNewGC", "Parallel", "ParallelGC",
-		"ParallelOld", "ParallelOldGC", "CMS", "ConcMarkSweepGC",
-		"ConcurrentMarkSweep", "G1", "G1GC",
-	}
-	sort.Strings(a)
-	return a
 }

@@ -31,9 +31,23 @@ func snap(cfg Config) gcmodel.Snapshot {
 	}
 }
 
+// All constructs all six collectors in canonical order.
+func All(cfg Config) []gcmodel.Collector {
+	names := Names()
+	out := make([]gcmodel.Collector, len(names))
+	for i, n := range names {
+		out[i] = MustNew(n, cfg)
+	}
+	return out
+}
+
 func TestNewByNameAndAliases(t *testing.T) {
 	cfg := testConfig()
-	for _, alias := range SortedAliases() {
+	for _, alias := range []string{
+		"Serial", "SerialGC", "ParNew", "ParNewGC", "Parallel", "ParallelGC",
+		"ParallelOld", "ParallelOldGC", "CMS", "ConcMarkSweepGC",
+		"ConcurrentMarkSweep", "G1", "G1GC",
+	} {
 		c, err := New(alias, cfg)
 		if err != nil {
 			t.Errorf("New(%q): %v", alias, err)
@@ -299,4 +313,13 @@ func TestRemarkGrowsWithOldGen(t *testing.T) {
 	if cms.RemarkPause(big) <= cms.RemarkPause(small) {
 		t.Error("CMS remark did not grow with old generation")
 	}
+}
+
+// MustNew is New, panicking on error.
+func MustNew(name string, cfg Config) gcmodel.Collector {
+	c, err := New(name, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

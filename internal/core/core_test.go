@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -676,4 +677,14 @@ func TestSeedSensitivity(t *testing.T) {
 	if out := s.Render(); !strings.Contains(out, "Seed sensitivity") {
 		t.Error("render missing title")
 	}
+}
+
+// Find returns the verdict for one collector and experiment.
+func (t VerdictTable) Find(gc, experiment string) (Verdict, error) {
+	for _, r := range t.Rows {
+		if r.GC == gc && r.Experiment == experiment {
+			return r, nil
+		}
+	}
+	return Verdict{}, fmt.Errorf("core: no verdict for %s/%s", gc, experiment)
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Verdict is one cell of Table 8.
 type Verdict struct {
 	GC         string
@@ -114,14 +112,4 @@ func (t VerdictTable) Render() string {
 	}
 	return "Table 8: advantages and disadvantages of the three main GCs\n" +
 		renderTable(header, rows)
-}
-
-// Find returns the verdict for one collector and experiment.
-func (t VerdictTable) Find(gc, experiment string) (Verdict, error) {
-	for _, r := range t.Rows {
-		if r.GC == gc && r.Experiment == experiment {
-			return r, nil
-		}
-	}
-	return Verdict{}, fmt.Errorf("core: no verdict for %s/%s", gc, experiment)
 }

@@ -94,9 +94,6 @@ func (b Benchmark) Profile() demography.Profile {
 	}
 }
 
-// LongFrac returns the per-iteration long-lived fraction.
-func (b Benchmark) LongFrac() float64 { return 1 - b.ShortFrac - b.MediumFrac }
-
 // Validate reports whether the profile is well-formed.
 func (b Benchmark) Validate() error {
 	if b.Name == "" {

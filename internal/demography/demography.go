@@ -147,9 +147,6 @@ func NewTracker(p Profile) *Tracker {
 	}
 }
 
-// Profile returns the tracker's lifetime profile.
-func (tk *Tracker) Profile() Profile { return tk.p }
-
 // Allocate records bytes allocated at instant t into the young generation.
 func (tk *Tracker) Allocate(t simtime.Time, n machine.Bytes) {
 	if n < 0 {
@@ -240,9 +237,6 @@ func (tk *Tracker) OldLive(t simtime.Time) machine.Bytes {
 	return machine.Bytes(sum) + tk.pinned
 }
 
-// Pinned returns the externally pinned live bytes.
-func (tk *Tracker) Pinned() machine.Bytes { return tk.pinned }
-
 // AddPinned registers n bytes of externally managed long-lived data
 // (e.g. a database memtable) as old-generation live data.
 func (tk *Tracker) AddPinned(n machine.Bytes) {
@@ -250,19 +244,6 @@ func (tk *Tracker) AddPinned(n machine.Bytes) {
 		panic("demography: negative pinned bytes")
 	}
 	tk.pinned += n
-}
-
-// ReleasePinned releases up to n pinned bytes (e.g. a memtable flush).
-// It returns the bytes actually released.
-func (tk *Tracker) ReleasePinned(n machine.Bytes) machine.Bytes {
-	if n < 0 {
-		panic("demography: negative pinned release")
-	}
-	if n > tk.pinned {
-		n = tk.pinned
-	}
-	tk.pinned -= n
-	return n
 }
 
 // ReleaseLong kills the given fraction of the long-lived component in all
@@ -438,11 +419,3 @@ func (tk *Tracker) FullGC(t simtime.Time) machine.Bytes {
 	tk.young = tk.young[:0]
 	return tk.CollectOld(t)
 }
-
-// YoungCohorts returns the number of live young cohorts (for tests and
-// diagnostics).
-func (tk *Tracker) YoungCohorts() int { return len(tk.young) }
-
-// OldCohorts returns the number of old cohorts (for tests and
-// diagnostics).
-func (tk *Tracker) OldCohorts() int { return len(tk.old) }

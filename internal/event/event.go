@@ -39,7 +39,7 @@ import (
 // Handler is an interface rather than a func type so hot components can
 // pre-bind their actions without a closure allocation per binding: a
 // method on a pointer embedded in the component converts to a Handler
-// for free. One-off actions use Func (or ScheduleFunc/AfterFunc).
+// for free. One-off actions wrap a function in Func.
 type Handler interface {
 	Fire()
 }
@@ -68,9 +68,6 @@ type Event struct {
 // preserving scheduling order within the band. The plain counter would
 // need 2^63 schedules to collide with it.
 const postBand = uint64(1) << 63
-
-// Time returns the instant the event is (or was) scheduled for.
-func (e *Event) Time() simtime.Time { return e.at }
 
 // Cancelled reports whether the event has been cancelled or has already
 // fired.
@@ -102,17 +99,6 @@ func New() *Sim {
 // Now returns the current simulated instant.
 func (s *Sim) Now() simtime.Time { return s.now }
 
-// Fired returns the number of events executed so far. It is useful for
-// tests and for guarding against runaway simulations.
-func (s *Sim) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events currently scheduled.
-func (s *Sim) Pending() int { return len(s.queue) }
-
-// PoolSize returns the number of recycled Event objects currently waiting
-// for reuse (tests and diagnostics).
-func (s *Sim) PoolSize() int { return len(s.free) }
-
 // Schedule registers h to run at instant at. Scheduling in the past
 // (before Now) panics: that is always a simulation bug, and silently
 // reordering time would corrupt results. The returned handle is valid
@@ -129,14 +115,6 @@ func (s *Sim) Schedule(at simtime.Time, h Handler) *Event {
 // Run(deadline)-then-inspect loop outside the wheel would.
 func (s *Sim) SchedulePost(at simtime.Time, h Handler) *Event {
 	return s.schedule(at, h, postBand)
-}
-
-// SchedulePostFunc is SchedulePost for a plain function.
-func (s *Sim) SchedulePostFunc(at simtime.Time, f func()) *Event {
-	if f == nil {
-		panic("event: schedule with nil handler")
-	}
-	return s.schedule(at, Func(f), postBand)
 }
 
 // schedule is the common Schedule/SchedulePost path.
@@ -170,31 +148,6 @@ func (s *Sim) schedule(at simtime.Time, h Handler, band uint64) *Event {
 	return e
 }
 
-// ScheduleFunc is Schedule for a plain function.
-func (s *Sim) ScheduleFunc(at simtime.Time, f func()) *Event {
-	if f == nil {
-		panic("event: schedule with nil handler")
-	}
-	return s.Schedule(at, Func(f))
-}
-
-// After schedules h to run d after the current instant. Negative d is
-// treated as zero.
-func (s *Sim) After(d simtime.Duration, h Handler) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.Schedule(s.now.Add(d), h)
-}
-
-// AfterFunc is After for a plain function.
-func (s *Sim) AfterFunc(d simtime.Duration, f func()) *Event {
-	if f == nil {
-		panic("event: schedule with nil handler")
-	}
-	return s.After(d, Func(f))
-}
-
 // Cancel removes a scheduled event and recycles it. Cancelling an event
 // that already fired or was already cancelled is a no-op.
 func (s *Sim) Cancel(e *Event) {
@@ -215,15 +168,6 @@ func (s *Sim) Halt() { s.halted = true }
 // clears the flag on entry). A sharded ensemble uses it to retire a
 // wheel whose driver declared the simulation complete.
 func (s *Sim) Halted() bool { return s.halted }
-
-// NextAt returns the instant of the earliest pending event, and whether
-// one exists.
-func (s *Sim) NextAt() (simtime.Time, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
 
 // Step executes the single earliest pending event, advancing the clock.
 // It reports whether an event was executed. The fired event is recycled

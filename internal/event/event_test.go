@@ -410,3 +410,46 @@ func TestQuickRandomScheduleFiresSorted(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// AfterFunc is After for a plain function.
+func (s *Sim) AfterFunc(d simtime.Duration, f func()) *Event {
+	if f == nil {
+		panic("event: schedule with nil handler")
+	}
+	return s.After(d, Func(f))
+}
+
+// SchedulePostFunc is SchedulePost for a plain function.
+func (s *Sim) SchedulePostFunc(at simtime.Time, f func()) *Event {
+	if f == nil {
+		panic("event: schedule with nil handler")
+	}
+	return s.schedule(at, Func(f), postBand)
+}
+
+// Fired returns the number of events executed so far.
+func (s *Sim) Fired() uint64 { return s.fired }
+
+// Pending returns the number of events currently scheduled.
+func (s *Sim) Pending() int { return len(s.queue) }
+
+// PoolSize returns the number of recycled Event objects currently waiting
+// for reuse.
+func (s *Sim) PoolSize() int { return len(s.free) }
+
+// ScheduleFunc is Schedule for a plain function.
+func (s *Sim) ScheduleFunc(at simtime.Time, f func()) *Event {
+	if f == nil {
+		panic("event: schedule with nil handler")
+	}
+	return s.Schedule(at, Func(f))
+}
+
+// After schedules h to run d after the current instant. Negative d is
+// treated as zero.
+func (s *Sim) After(d simtime.Duration, h Handler) *Event {
+	if d < 0 {
+		d = 0
+	}
+	return s.Schedule(s.now.Add(d), h)
+}

@@ -1,28 +1,24 @@
 // Sharded stepping: one logical simulation, many wheels, many workers.
 //
-// A Shards ensemble owns N event wheels (one per shard: a simulated JVM,
-// a NUMA node's mutator group — any component cluster whose handlers
-// touch only shard-local state) plus one barrier wheel for global
-// safepoints. Between safepoints the shards are advanced independently,
-// by a pool of worker goroutines; at a safepoint every shard has reached
-// exactly the barrier instant and the barrier events are drained in
-// (at, seq) order on the coordinating goroutine, single-threaded, so
-// cross-shard interactions see a deterministic, sequential world.
+// A Shards ensemble owns N event wheels, one per shard: a simulated JVM,
+// a cluster node — any component whose handlers touch only shard-local
+// state. Run advances every shard independently to the deadline, fanned
+// across a pool of worker goroutines. There is no global safepoint: the
+// shards share nothing while they step, and the caller reads them all
+// once Run has joined its workers.
 //
-// Determinism contract: the merged outcome is byte-identical at any
-// worker count, including the workers=1 sequential path, because
+// Determinism contract: the outcome is byte-identical at any worker
+// count, including the workers=1 sequential path, because
 //
 //   - each shard's wheel executes its own events in (at, seq) order
 //     regardless of which worker steps it or when,
-//   - handlers on different shards share no state between barriers, so
-//     the wall-clock interleaving of two shards cannot influence either,
-//   - barrier events run with all shards parked at the barrier instant,
-//     drained in (at, seq) order by one goroutine.
+//   - handlers on different shards share no state, so the wall-clock
+//     interleaving of two shards cannot influence either.
 //
 // This is the same contract internal/sweep proves for independent
 // experiment fan-out, pushed down into the kernel so that one simulation
 // (a replicated cluster, a multi-JVM study) can be stepped by multiple
-// cores between its synchronization points.
+// cores.
 package event
 
 import (
@@ -37,15 +33,13 @@ import (
 	"jvmgc/internal/simtime"
 )
 
-// Shards steps N event wheels in parallel epochs separated by
-// deterministic safepoint barriers. Construct with NewShards.
+// Shards steps N independent event wheels in parallel. Construct with
+// NewShards.
 type Shards struct {
 	shards   []*Sim
 	labels   []pprof.LabelSet
 	finished []bool
 	workers  int
-	barrier  *Sim
-	now      simtime.Time // high-water mark of completed epochs
 }
 
 // ResolveWorkers maps a configured worker count to an effective one:
@@ -81,7 +75,6 @@ func NewShards(n, workers int) *Shards {
 		labels:   make([]pprof.LabelSet, n),
 		finished: make([]bool, n),
 		workers:  ResolveWorkers(workers, n),
-		barrier:  New(),
 	}
 	for i := range g.shards {
 		g.shards[i] = New()
@@ -93,12 +86,8 @@ func NewShards(n, workers int) *Shards {
 // Len returns the shard count.
 func (g *Shards) Len() int { return len(g.shards) }
 
-// Workers returns the resolved worker count.
-func (g *Shards) Workers() int { return g.workers }
-
 // Shard returns shard i's wheel. Components mounted on it may only touch
-// shard-local state from their handlers; cross-shard work belongs in
-// barrier events.
+// shard-local state from their handlers.
 func (g *Shards) Shard(i int) *Sim { return g.shards[i] }
 
 // SetShardLabel attaches a pprof label to shard i's stepping goroutine
@@ -108,72 +97,17 @@ func (g *Shards) SetShardLabel(i int, jvm string) {
 	g.labels[i] = pprof.Labels("shard", strconv.Itoa(i), "jvm", jvm)
 }
 
-// Now returns the ensemble clock: the furthest instant every live shard
-// has been advanced to (zero before the first Run).
-func (g *Shards) Now() simtime.Time { return g.now }
-
-// ScheduleBarrier registers h as a global safepoint at instant at. When
-// it fires, every live shard has been advanced to exactly at (all shard
-// events at or before it executed, clocks parked on it) and no worker is
-// running: the handler may read or mutate any shard, schedule shard
-// events, or schedule further barriers. Barrier events at the same
-// instant fire in scheduling order.
-func (g *Shards) ScheduleBarrier(at simtime.Time, h Handler) *Event {
-	if at < g.now {
-		panic(fmt.Sprintf("event: barrier at %v before ensemble clock %v", at, g.now))
-	}
-	return g.barrier.Schedule(at, h)
-}
-
-// ScheduleBarrierFunc is ScheduleBarrier for a plain function.
-func (g *Shards) ScheduleBarrierFunc(at simtime.Time, f func()) *Event {
-	if at < g.now {
-		panic(fmt.Sprintf("event: barrier at %v before ensemble clock %v", at, g.now))
-	}
-	return g.barrier.ScheduleFunc(at, f)
-}
-
-// Run advances the ensemble to the deadline: epochs of independent
-// parallel shard stepping separated by barrier drains. A shard whose
-// driver calls Halt on its wheel is retired for the remainder of this
-// Run (its clock stays where the halting event left it); Run returns
-// when the deadline is reached, or — under an unbounded deadline — when
-// every shard has halted or drained and no barrier events remain.
+// Run advances every live shard to the deadline, fanning the shards
+// across the worker pool. A shard whose driver calls Halt on its wheel
+// is retired for the remainder of this Run (its clock stays where the
+// halting event left it); under an unbounded deadline Run returns when
+// every shard has halted or drained. Shards are independent, so the
+// assignment of shards to workers is free to be first-come-first-served
+// without affecting any result.
 func (g *Shards) Run(deadline simtime.Time) {
-	for {
-		epochEnd := deadline
-		barrierDue := false
-		if at, ok := g.barrier.NextAt(); ok && at <= deadline {
-			epochEnd = at
-			barrierDue = true
-		}
-		g.advanceShards(epochEnd)
-		if epochEnd != simtime.MaxTime && epochEnd > g.now {
-			g.now = epochEnd
-		}
-		if !barrierDue {
-			return
-		}
-		// Safepoint: every live shard is parked at epochEnd; drain the
-		// barrier events at this instant in (at, seq) order,
-		// single-threaded. Handlers may schedule more barriers, including
-		// at this same instant.
-		g.barrier.Run(epochEnd)
-	}
-}
-
-// RunAll is Run with no deadline: the ensemble steps until every shard
-// has halted or drained its queue and no barrier events remain.
-func (g *Shards) RunAll() { g.Run(simtime.MaxTime) }
-
-// advanceShards steps every live shard to the epoch end, fanning the
-// shards across the worker pool. Shards are independent between
-// barriers, so the assignment of shards to workers is free to be
-// first-come-first-served without affecting any result.
-func (g *Shards) advanceShards(epochEnd simtime.Time) {
 	if g.workers == 1 {
 		for i := range g.shards {
-			g.stepShard(i, epochEnd)
+			g.stepShard(i, deadline)
 		}
 		return
 	}
@@ -189,7 +123,7 @@ func (g *Shards) advanceShards(epochEnd simtime.Time) {
 					return
 				}
 				pprof.Do(context.Background(), g.labels[i], func(context.Context) {
-					g.stepShard(i, epochEnd)
+					g.stepShard(i, deadline)
 				})
 			}
 		}()
@@ -197,13 +131,17 @@ func (g *Shards) advanceShards(epochEnd simtime.Time) {
 	wg.Wait()
 }
 
-// stepShard advances one shard to the epoch end, retiring it if its
+// RunAll is Run with no deadline: the ensemble steps until every shard
+// has halted or drained its queue.
+func (g *Shards) RunAll() { g.Run(simtime.MaxTime) }
+
+// stepShard advances one shard to the deadline, retiring it if its
 // driver halted the wheel.
-func (g *Shards) stepShard(i int, epochEnd simtime.Time) {
+func (g *Shards) stepShard(i int, deadline simtime.Time) {
 	if g.finished[i] {
 		return
 	}
-	g.shards[i].Run(epochEnd)
+	g.shards[i].Run(deadline)
 	if g.shards[i].Halted() {
 		g.finished[i] = true
 	}

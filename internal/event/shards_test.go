@@ -1,7 +1,6 @@
 package event
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"testing"
@@ -11,7 +10,7 @@ import (
 )
 
 // TestPostBandFiresAfterTies mirrors TestTiesFireInSchedulingOrder for
-// the shard-barrier band: at one instant, every normally scheduled event
+// the post band: at one instant, every normally scheduled event
 // fires before every post-band event regardless of scheduling
 // interleaving, and each band keeps scheduling order internally.
 func TestPostBandFiresAfterTies(t *testing.T) {
@@ -104,9 +103,8 @@ func (w *shardWorkload) Fire() {
 }
 
 // runEnsemble steps nShards workloads for a simulated minute at the
-// given worker count, with a periodic barrier folding all shards into a
-// global digest, and returns that digest plus the per-shard sums.
-func runEnsemble(nShards, workers int) ([32]byte, []uint64) {
+// given worker count and returns the per-shard sums.
+func runEnsemble(nShards, workers int) []uint64 {
 	g := NewShards(nShards, workers)
 	loads := make([]*shardWorkload, nShards)
 	for i := range loads {
@@ -114,106 +112,22 @@ func runEnsemble(nShards, workers int) ([32]byte, []uint64) {
 		g.Shard(i).Schedule(0, loads[i])
 		g.SetShardLabel(i, fmt.Sprintf("load%d", i))
 	}
-	// A global safepoint every 10 simulated seconds reads every shard —
-	// legal only because the barrier parks all workers.
-	var global []uint64
-	var barrier func()
-	barrier = func() {
-		for _, l := range loads {
-			global = append(global, l.sum)
-		}
-		if g.Now() < 50*simtime.Time(simtime.Second) {
-			g.ScheduleBarrierFunc(g.Now().Add(10*simtime.Second), barrier)
-		}
-	}
-	g.ScheduleBarrierFunc(10*simtime.Time(simtime.Second), barrier)
 	g.Run(simtime.Time(simtime.Minute))
-
-	h := sha256.New()
-	for _, v := range global {
-		fmt.Fprintln(h, v)
-	}
 	sums := make([]uint64, nShards)
 	for i, l := range loads {
 		sums[i] = l.sum
 	}
-	var dig [32]byte
-	copy(dig[:], h.Sum(nil))
-	return dig, sums
+	return sums
 }
 
 // TestShardsDeterministicAtAnyWorkerCount is the kernel's half of the
 // determinism contract: the same ensemble stepped by 1, 2, 4 and 8
-// workers produces identical shard states and identical barrier
-// observations.
+// workers produces identical shard states.
 func TestShardsDeterministicAtAnyWorkerCount(t *testing.T) {
-	baseDig, baseSums := runEnsemble(5, 1)
+	baseSums := runEnsemble(5, 1)
 	for _, workers := range []int{2, 4, 8} {
-		dig, sums := runEnsemble(5, workers)
-		if dig != baseDig {
-			t.Errorf("workers=%d barrier digest diverged from sequential", workers)
-		}
-		if fmt.Sprint(sums) != fmt.Sprint(baseSums) {
+		if sums := runEnsemble(5, workers); fmt.Sprint(sums) != fmt.Sprint(baseSums) {
 			t.Errorf("workers=%d shard sums = %v, want %v", workers, sums, baseSums)
-		}
-	}
-}
-
-// TestShardsBarrierParksShardsExactly pins the safepoint contract: when
-// a barrier fires, every shard clock reads exactly the barrier instant
-// and all earlier shard events have executed.
-func TestShardsBarrierParksShardsExactly(t *testing.T) {
-	g := NewShards(3, 2)
-	fired := make([]int, 3)
-	for i := range fired {
-		i := i
-		w := g.Shard(i)
-		var tick func()
-		tick = func() {
-			fired[i]++
-			w.AfterFunc(3*simtime.Second, tick)
-		}
-		w.AfterFunc(3*simtime.Second, tick)
-	}
-	at := 9 * simtime.Time(simtime.Second)
-	checked := false
-	g.ScheduleBarrierFunc(at, func() {
-		checked = true
-		for i := range fired {
-			if got := g.Shard(i).Now(); got != at {
-				t.Errorf("shard %d clock = %v at barrier, want %v", i, got, at)
-			}
-			if fired[i] != 3 {
-				t.Errorf("shard %d fired %d events before barrier, want 3", i, fired[i])
-			}
-		}
-	})
-	g.Run(10 * simtime.Time(simtime.Second))
-	if !checked {
-		t.Fatal("barrier never fired")
-	}
-}
-
-// TestShardsBarrierTieOrder mirrors the wheel's tie tests at the
-// ensemble level: barrier events at one instant drain in scheduling
-// order, single-threaded, at any worker count.
-func TestShardsBarrierTieOrder(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		g := NewShards(3, workers)
-		var order []int
-		at := simtime.Time(simtime.Second)
-		for i := 0; i < 8; i++ {
-			i := i
-			g.ScheduleBarrierFunc(at, func() { order = append(order, i) })
-		}
-		// A same-instant barrier scheduled from a barrier handler still
-		// drains within the same safepoint.
-		g.ScheduleBarrierFunc(at, func() {
-			g.ScheduleBarrierFunc(at, func() { order = append(order, 99) })
-		})
-		g.Run(2 * simtime.Time(simtime.Second))
-		if !sort.IntsAreSorted(order) || len(order) != 9 {
-			t.Errorf("workers=%d barrier tie order = %v", workers, order)
 		}
 	}
 }
@@ -251,8 +165,8 @@ func TestShardsHaltRetiresShard(t *testing.T) {
 	if ticks1 != 10 {
 		t.Errorf("live shard ticked %d times, want 10", ticks1)
 	}
-	if g.Now() != 10*simtime.Time(simtime.Second) {
-		t.Errorf("ensemble clock = %v", g.Now())
+	if w1.Now() != 10*simtime.Time(simtime.Second) {
+		t.Errorf("live shard clock = %v", w1.Now())
 	}
 }
 

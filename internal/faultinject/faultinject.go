@@ -237,19 +237,6 @@ func (in *Injector) Corrupt(site string, b []byte) bool {
 	return true
 }
 
-// Hits returns how many times a site was evaluated.
-func (in *Injector) Hits(site string) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st, ok := in.sites[site]; ok {
-		return st.hits
-	}
-	return 0
-}
-
 // Fired returns how many faults a site has injected.
 func (in *Injector) Fired(site string) int64 {
 	if in == nil {

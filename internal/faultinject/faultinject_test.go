@@ -226,3 +226,16 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
+
+// Hits returns how many times a site was evaluated.
+func (in *Injector) Hits(site string) int64 {
+	if in == nil {
+		return 0
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if st, ok := in.sites[site]; ok {
+		return st.hits
+	}
+	return 0
+}

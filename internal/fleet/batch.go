@@ -37,7 +37,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := labd.DecodeBatch(*bp)
+	req, raw, err := labd.DecodeBatch(*bp)
 	labd.ReleaseBody(bp)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -47,16 +47,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	placed := make(chan struct{})
 	go func() {
 		defer close(placed)
-		rt.placeBatch(r.Context(), req, events)
+		rt.placeBatch(r.Context(), req, raw, events)
 	}()
 	labd.StreamBatch(w, r, len(req.Jobs), rt.cfg.Self, events)
 	<-placed // shard workers finish, even for a client that left
 }
 
 // placeBatch runs a batch's placement rounds and sends each job's final
-// event to events, which has room for all of them. It stops placing
-// once ctx is done: the client is gone, and no one reads the stream.
-func (rt *Router) placeBatch(ctx context.Context, req labd.BatchRequest, events chan<- labd.BatchEvent) {
+// event to events, which has room for all of them. raw holds each job's
+// bytes as the client sent them, which a shard forwards unchanged. It
+// stops placing once ctx is done: the client is gone, and no one reads
+// the stream.
+func (rt *Router) placeBatch(ctx context.Context, req labd.BatchRequest, raw []json.RawMessage, events chan<- labd.BatchEvent) {
 	// Content-address every job up front; specs that cannot be keyed
 	// cannot be routed and fail immediately.
 	keys := make([][64]byte, len(req.Jobs))
@@ -107,14 +109,12 @@ func (rt *Router) placeBatch(ctx context.Context, req labd.BatchRequest, events 
 		lost := make(chan string, len(groups)) // nodes a shard failed on
 		var wg sync.WaitGroup
 		for owner, indices := range groups {
-			jobs := make([]labd.JobSpec, len(indices))
-			for k, i := range indices {
-				jobs[k] = req.Jobs[i]
-			}
 			wg.Add(1)
 			if owner == rt.cfg.Self && rt.local != nil {
+				jobs := make([]labd.JobSpec, len(indices))
 				shardKeys := make([]string, len(indices))
 				for k, i := range indices {
+					jobs[k] = req.Jobs[i]
 					shardKeys[k] = string(keys[i][:])
 				}
 				go func(indices []int, jobs []labd.JobSpec, keys []string) {
@@ -122,7 +122,11 @@ func (rt *Router) placeBatch(ctx context.Context, req labd.BatchRequest, events 
 					rt.localShard(ctx, indices, jobs, keys, req.TimeoutSeconds, msgs)
 				}(indices, jobs, shardKeys)
 			} else {
-				go func(owner string, indices []int, jobs []labd.JobSpec) {
+				jobs := make([]json.RawMessage, len(indices))
+				for k, i := range indices {
+					jobs[k] = raw[i]
+				}
+				go func(owner string, indices []int, jobs []json.RawMessage) {
 					defer wg.Done()
 					if !rt.forwardShard(ctx, v.urls[owner], owner, indices, jobs, req.TimeoutSeconds, msgs) {
 						lost <- owner
@@ -183,11 +187,12 @@ func (rt *Router) localShard(ctx context.Context, indices []int, jobs []labd.Job
 }
 
 // forwardShard streams one shard through a peer node's batch endpoint
-// at url, remapping event indices back into the caller's space. False
-// reports that the shard failed on the node — connect, 5xx, a stream
-// cut mid-batch: the indices whose events never arrived stay pending
-// and re-route next round. Connection-level failures also go to gossip.
-func (rt *Router) forwardShard(ctx context.Context, url, node string, indices []int, jobs []labd.JobSpec, timeout float64, msgs chan<- labd.BatchEvent) bool {
+// at url, remapping event indices back into the caller's space. jobs
+// are the shard's jobs as the client sent them. False reports that the
+// shard failed on the node — connect, 5xx, a stream cut mid-batch: the
+// indices whose events never arrived stay pending and re-route next
+// round. Connection-level failures also go to gossip.
+func (rt *Router) forwardShard(ctx context.Context, url, node string, indices []int, jobs []json.RawMessage, timeout float64, msgs chan<- labd.BatchEvent) bool {
 	rt.acquire(node, len(indices))
 	defer rt.release(node, len(indices))
 	fail := func(msg string) bool {
@@ -200,13 +205,18 @@ func (rt *Router) forwardShard(ctx context.Context, url, node string, indices []
 		rt.suspect(node, err)
 		return false
 	}
-	// Encode as the client may have: json.Marshal would write each <, >
-	// and & as six bytes, and a batch inside labd.MaxBatchBody could
-	// then exceed it at the owner.
+	// The encoder copies each raw job compacted. Without HTML escaping it
+	// rewrites no character, so a shard is never larger than its batch:
+	// json.Marshal would write each <, > and & as six bytes, and a
+	// re-encoded spec each U+2028 and U+2029.
 	var payload bytes.Buffer
 	enc := json.NewEncoder(&payload)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(labd.BatchRequest{Jobs: jobs, TimeoutSeconds: timeout}); err != nil {
+	shard := struct {
+		Jobs           []json.RawMessage `json:"jobs"`
+		TimeoutSeconds float64           `json:"timeout_seconds,omitempty"`
+	}{jobs, timeout}
+	if err := enc.Encode(shard); err != nil {
 		return fail(err.Error())
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,

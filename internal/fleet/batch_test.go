@@ -21,8 +21,8 @@ import (
 // needs JSON escaping, jobs owned by the entry node and by a peer) gets,
 // index by index, the daemon's status, key, error and result bytes,
 // every event line framed as json.Encoder frames it. A job a peer owns
-// travels in the shard at the size the client sent it, '<' included,
-// and a peer's 400 reaches each of its events as the bare message.
+// travels in the shard as the client sent it, so '<' and U+2028 cost no
+// more bytes there than in the batch.
 func TestFleetBatchParity(t *testing.T) {
 	nodes, _ := startFleet(t, []string{"a", "b", "c"}, fleetOpts{})
 	a := nodes["a"]
@@ -179,23 +179,49 @@ func TestFleetBatchParity(t *testing.T) {
 		t.Errorf("2 MiB of '<': status %q (%.80q), want done", got[0].Status, got[0].Error)
 	}
 
-	// The JSON encoder writes U+2028 as six bytes, HTML escaping or not,
-	// so 1.5 Mi of them outgrow the limit in the shard, and b rejects it
-	// with 400. Each event's error is then the bare message a daemon
-	// gives an oversized body, not b's {"error":...} document.
-	status, body := postBody(tsSolo.URL, bytes.Repeat([]byte(" "), labd.MaxBatchBody+1))
-	var rejection struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &rejection); status != http.StatusBadRequest || err != nil || rejection.Error == "" {
-		t.Fatalf("daemon answered an oversized batch HTTP %d %q, want 400 with an error", status, body)
-	}
+	// 1.5 Mi of U+2028, three bytes each as the client sent them, fit
+	// the body limit; encoding/json would write each as six bytes and
+	// outgrow it. The shard a forwards to b carries the job's own bytes,
+	// so both jobs run as they do on a daemon.
 	separated := []labd.JobSpec{ownedByB(strings.Repeat("\u2028", 3<<19)), local}
+	want = events("daemon", tsSolo.URL, separated)
 	got = events("fleet node", a.ts.URL, separated)
-	if got[0].Status != labd.StatusFailed || got[0].Error != rejection.Error {
-		t.Errorf("owner 4xx: status %q error %.120q, want failed with %q", got[0].Status, got[0].Error, rejection.Error)
+	same("1.5 Mi of U+2028", want, got)
+	if got[0].Status != labd.StatusDone || got[1].Status != labd.StatusDone {
+		t.Errorf("1.5 Mi of U+2028: statuses %q (%.80q) and %q, want both done",
+			got[0].Status, got[0].Error, got[1].Status)
 	}
-	if got[1].Status != labd.StatusDone {
-		t.Errorf("owner 4xx: the entry node's own job ended %q (%s)", got[1].Status, got[1].Error)
+}
+
+// TestFleetBatchOwnerRejection: a peer that rejects a forwarded shard
+// with a 4xx fails each of the shard's jobs with the bare message of its
+// error document, as a daemon's event carries it. A real owner accepts
+// every shard its batch fit, so a stub owner stands in.
+func TestFleetBatchOwnerRejection(t *testing.T) {
+	f := newFakeOwner(t)
+	f.set(func(w http.ResponseWriter) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		_, _ = w.Write([]byte(`{"error":"owner says no"}` + "\n"))
+	})
+	rt, _, url := startEntry(t, f)
+	spec, _ := ownedSpec(t, rt, "owner")
+	payload, err := json.Marshal(labd.BatchRequest{Jobs: []labd.JobSpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/jobs/batch", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var events []labd.BatchEvent
+	if _, _, err := labd.ReadBatchStream(resp.Body, func(ev labd.BatchEvent) {
+		events = append(events, ev)
+	}); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d, stream %v", resp.StatusCode, err)
+	}
+	if len(events) != 1 || events[0].Status != labd.StatusFailed || events[0].Error != "owner says no" {
+		t.Errorf("events %+v, want one failed with error %q", events, "owner says no")
 	}
 }

@@ -357,8 +357,7 @@ func TestFleetPeerCacheHit(t *testing.T) {
 
 	// Submit through a third node: routed to the owner, which has never
 	// seen the key — the peer tier must find the donor's copy.
-	c := client.New(nodes[entry].ts.URL)
-	sub, err := c.Submit(ctx, spec)
+	sub, err := client.New(nodes[entry].ts.URL).Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +370,6 @@ func TestFleetPeerCacheHit(t *testing.T) {
 	if !bytes.Equal(sub.Bytes, primed) {
 		t.Errorf("peer-served bytes (%d) differ from the donor's original (%d)",
 			len(sub.Bytes), len(primed))
-	}
-	if got := c.Stats().NodeAttempts[owner]; got != 1 {
-		t.Errorf("client attributed %d answers to %s, want 1", got, owner)
 	}
 
 	// The owner computed nothing and the peer tier shows in its metrics.

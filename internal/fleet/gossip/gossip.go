@@ -230,9 +230,6 @@ func (g *Gossiper) nextRand() uint64 {
 // router renders /fleet/state's member rows from it).
 func (g *Gossiper) Memberlist() *Memberlist { return g.ml }
 
-// Epoch returns the current placement epoch.
-func (g *Gossiper) Epoch() uint64 { return g.ml.Epoch() }
-
 // SuspectTimeout returns the effective suspect timeout — the configured
 // value, raised to the GC-pause floor.
 func (g *Gossiper) SuspectTimeout() time.Duration {

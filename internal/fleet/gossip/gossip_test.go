@@ -502,3 +502,6 @@ func TestRetry(t *testing.T) {
 		t.Errorf("canceled context: err %v after %d calls, want context.Canceled after 1", err, calls)
 	}
 }
+
+// Epoch returns the current placement epoch.
+func (g *Gossiper) Epoch() uint64 { return g.ml.Epoch() }

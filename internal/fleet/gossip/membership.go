@@ -162,24 +162,6 @@ func NewMemberlist(self, selfURL string, announced bool) *Memberlist {
 	}
 }
 
-// Self returns this node's ID.
-func (ml *Memberlist) Self() string { return ml.self }
-
-// Incarnation returns this node's current incarnation number.
-func (ml *Memberlist) Incarnation() uint64 {
-	ml.mu.Lock()
-	defer ml.mu.Unlock()
-	return ml.selfInc
-}
-
-// Refutations counts how many times this node refuted a suspicion or
-// death claim about itself.
-func (ml *Memberlist) Refutations() uint64 {
-	ml.mu.Lock()
-	defer ml.mu.Unlock()
-	return ml.refutations
-}
-
 // appendSelf appends this node's own current claim to dst — piggybacked
 // on every outgoing message, which is both the steady-state heartbeat
 // and the refutation carrier. A node that has not announced makes no
@@ -490,16 +472,6 @@ func (ml *Memberlist) routing() (epoch uint64, urls map[string]string, suspects 
 		}
 	}
 	return ml.epoch, urls, suspects
-}
-
-// Epoch returns the current placement epoch.
-func (ml *Memberlist) Epoch() uint64 {
-	ml.mu.Lock()
-	defer ml.mu.Unlock()
-	if !ml.placementOK {
-		ml.rebuildPlacementLocked()
-	}
-	return ml.epoch
 }
 
 // Members snapshots every known member — self included once announced

@@ -294,3 +294,28 @@ func TestEpochIsContentDerived(t *testing.T) {
 		t.Fatal("epochs diverged after applying the same death")
 	}
 }
+
+// Incarnation returns this node's current incarnation number.
+func (ml *Memberlist) Incarnation() uint64 {
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	return ml.selfInc
+}
+
+// Refutations counts how many times this node refuted a suspicion or
+// death claim about itself.
+func (ml *Memberlist) Refutations() uint64 {
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	return ml.refutations
+}
+
+// Epoch returns the current placement epoch.
+func (ml *Memberlist) Epoch() uint64 {
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	if !ml.placementOK {
+		ml.rebuildPlacementLocked()
+	}
+	return ml.epoch
+}

@@ -83,9 +83,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's node IDs, sorted.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Len returns the number of physical nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
 
@@ -124,33 +121,6 @@ func (r *Ring) Lookup(key string) string {
 		return ""
 	}
 	return r.nodes[r.points[r.start(key)].node]
-}
-
-// Walk visits the key's candidate owners in ring order — the owner
-// first, then each distinct successor node — until fn returns true
-// (accepted) or every node was offered. This is the failover and
-// bounded-load order: a router that cannot place a job on its owner
-// (dead, partitioned, over the load bound) slides to the next arc,
-// and every router sliding the same way keeps placement deterministic.
-func (r *Ring) Walk(key string, fn func(node string) bool) {
-	if len(r.points) == 0 {
-		return
-	}
-	start := r.start(key)
-	var visited uint64 // bitmask over node indices; rings are ≤64 nodes
-	offered := 0
-	for i := 0; i < len(r.points) && offered < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		bit := uint64(1) << uint(p.node)
-		if visited&bit != 0 {
-			continue
-		}
-		visited |= bit
-		offered++
-		if fn(r.nodes[p.node]) {
-			return
-		}
-	}
 }
 
 // maxRingNodes bounds the fleet size: Walk tracks visited nodes in one

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"jvmgc/internal/simtime"
+	"jvmgc/internal/stats"
 )
 
 // Summary is a statistical digest of a log's stop-the-world behaviour —
@@ -36,9 +37,9 @@ func Summarize(l *Log) Summary {
 		s.Throughput = 1
 		return s
 	}
-	durations := make([]simtime.Duration, len(pauses))
+	durations := make([]float64, len(pauses))
 	for i, e := range pauses {
-		durations[i] = e.Duration
+		durations[i] = float64(e.Duration)
 		s.TotalPause += e.Duration
 		if e.Duration > s.MaxPause {
 			s.MaxPause = e.Duration
@@ -50,10 +51,14 @@ func Summarize(l *Log) Summary {
 	s.Pauses = len(pauses)
 	s.AvgPause = s.TotalPause / simtime.Duration(s.Pauses)
 	s.Span = pauses[len(pauses)-1].End().Sub(pauses[0].Start)
-	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-	s.P50 = quantile(durations, 0.50)
-	s.P90 = quantile(durations, 0.90)
-	s.P99 = quantile(durations, 0.99)
+	// Percentiles interpolate between order statistics, by the rule
+	// stats.Percentiles applies everywhere else, rounded to the nearest
+	// nanosecond. It cannot fail: durations is not empty and every
+	// percentile is in range.
+	ps, _ := stats.Percentiles(durations, 50, 90, 99)
+	s.P50 = simtime.Duration(math.Round(ps[0]))
+	s.P90 = simtime.Duration(math.Round(ps[1]))
+	s.P99 = simtime.Duration(math.Round(ps[2]))
 	if s.Span > 0 {
 		s.PauseFraction = float64(s.TotalPause) / float64(s.Span)
 		if s.PauseFraction > 1 {
@@ -62,23 +67,6 @@ func Summarize(l *Log) Summary {
 	}
 	s.Throughput = 1 - s.PauseFraction
 	return s
-}
-
-// quantile returns the q-quantile of sorted durations by the nearest-rank
-// (ceiling) definition, so the p99 of a small sample reaches the tail.
-func quantile(sorted []simtime.Duration, q float64) simtime.Duration {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return sorted[rank]
 }
 
 // Render prints the summary as a compact report block.

@@ -37,8 +37,10 @@ func TestSummarizeBasics(t *testing.T) {
 	if s.P50 != 100*simtime.Millisecond {
 		t.Errorf("p50 %v", s.P50)
 	}
-	if s.P99 != 2*simtime.Second {
-		t.Errorf("p99 %v", s.P99)
+	// Rank 0.99·10 = 9.9 interpolates nine tenths of the way from the
+	// last 100ms pause to the 2s one.
+	if s.P99 != 1810*simtime.Millisecond {
+		t.Errorf("p99 %v, want 1.81s", s.P99)
 	}
 	// Span: first start 0s to last end 12s.
 	if s.Span != 12*simtime.Second {
@@ -88,15 +90,5 @@ func TestHistogram(t *testing.T) {
 	}
 	if Histogram(New()) != "no stop-the-world pauses\n" {
 		t.Error("empty histogram wrong")
-	}
-}
-
-func TestQuantileEdge(t *testing.T) {
-	if quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile nonzero")
-	}
-	one := []simtime.Duration{7}
-	if quantile(one, 0.99) != 7 {
-		t.Error("single-element quantile wrong")
 	}
 }

@@ -24,21 +24,6 @@ func (f flatLog) pauses(t0, t1 simtime.Time) []Event {
 	return out
 }
 
-func (f flatLog) pauseAt(t simtime.Time) (Event, bool) {
-	for _, e := range f {
-		if !e.Kind.IsPause() {
-			continue
-		}
-		if t >= e.Start && t < e.End() {
-			return e, true
-		}
-		if e.Start > t {
-			break
-		}
-	}
-	return Event{}, false
-}
-
 func (f flatLog) countPauses() (pauses, full int) {
 	for _, e := range f {
 		if e.Kind.IsPause() {
@@ -138,26 +123,6 @@ func TestChunkedLogMatchesFlat(t *testing.T) {
 		}
 		if got, want := l.String(), flat.String(); got != want {
 			t.Fatalf("n=%d: String differs from the flat log's rendering", n)
-		}
-		var last simtime.Time
-		if n > 0 {
-			last = evs[n-1].End()
-		}
-		for i := 0; i < 200; i++ {
-			t0 := simtime.Time(rng.Int64N(int64(last) + 1))
-			t1 := t0 + simtime.Time(rng.Int64N(int64(last)/4+1))
-			if got, want := l.PausesBetween(t0, t1), flat.pauses(t0, t1); !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d: PausesBetween(%v, %v) differs from the flat log's", n, t0, t1)
-			}
-			at := t0
-			if n > 0 && i%2 == 0 {
-				at = evs[rng.IntN(n)].Start // a pause's first instant, or a concurrent event's
-			}
-			ge, gok := l.PauseAt(at)
-			we, wok := flat.pauseAt(at)
-			if ge != we || gok != wok {
-				t.Fatalf("n=%d: PauseAt(%v) = %v, %v; flat log %v, %v", n, at, ge, gok, we, wok)
-			}
 		}
 	}
 }

@@ -65,7 +65,6 @@ const (
 	CauseConcurrentModeFailure = "Concurrent Mode Failure"
 	CauseEvacuationFailure     = "Evacuation Failure"
 	CauseOccupancyThreshold    = "Occupancy Threshold"
-	CauseErgonomics            = "Ergonomics"
 )
 
 // Event is one GC activity record.
@@ -241,19 +240,6 @@ func (l *Log) Pauses() []Event {
 	return out
 }
 
-// PausesBetween returns stop-the-world events with Start in [t0, t1).
-func (l *Log) PausesBetween(t0, t1 simtime.Time) []Event {
-	var out []Event
-	for _, c := range l.Chunks() {
-		for i := range c {
-			if e := &c[i]; e.Kind.IsPause() && e.Start >= t0 && e.Start < t1 {
-				out = append(out, *e)
-			}
-		}
-	}
-	return out
-}
-
 // TotalPause returns the summed duration of all stop-the-world events.
 func (l *Log) TotalPause() simtime.Duration {
 	var sum simtime.Duration
@@ -305,26 +291,6 @@ func (l *Log) AvgPause() simtime.Duration {
 		return 0
 	}
 	return l.TotalPause() / simtime.Duration(n)
-}
-
-// PauseAt reports whether a stop-the-world event covers instant t, and if
-// so returns it.
-func (l *Log) PauseAt(t simtime.Time) (Event, bool) {
-	for _, c := range l.Chunks() {
-		for i := range c {
-			e := &c[i]
-			if !e.Kind.IsPause() {
-				continue
-			}
-			if t >= e.Start && t < e.End() {
-				return *e, true
-			}
-			if e.Start > t {
-				return Event{}, false
-			}
-		}
-	}
-	return Event{}, false
 }
 
 // lineBytes sizes Log.String's output per event. It slightly

@@ -74,23 +74,6 @@ func TestPausesFiltersConcurrent(t *testing.T) {
 	}
 }
 
-func TestPausesBetween(t *testing.T) {
-	l := sample()
-	got := l.PausesBetween(sec(2), sec(9))
-	if len(got) != 1 || got[0].Kind != PauseFull {
-		t.Errorf("PausesBetween = %v", got)
-	}
-	// Boundary: start inclusive, end exclusive.
-	got = l.PausesBetween(sec(1), sec(1))
-	if len(got) != 0 {
-		t.Error("empty interval returned events")
-	}
-	got = l.PausesBetween(sec(9), sec(10))
-	if len(got) != 1 || got[0].Kind != PauseRemark {
-		t.Errorf("inclusive start missed: %v", got)
-	}
-}
-
 func TestAggregates(t *testing.T) {
 	l := sample()
 	wantTotal := 100*simtime.Millisecond + 2*simtime.Second + 50*simtime.Millisecond
@@ -116,22 +99,6 @@ func TestEmptyLogAggregates(t *testing.T) {
 	}
 	if p, f := l.CountPauses(); p != 0 || f != 0 {
 		t.Error("empty log counts nonzero")
-	}
-}
-
-func TestPauseAt(t *testing.T) {
-	l := sample()
-	if _, ok := l.PauseAt(sec(7)); !ok {
-		t.Error("instant inside full GC not covered")
-	}
-	if e, ok := l.PauseAt(sec(6)); !ok || e.Kind != PauseFull {
-		t.Error("pause start instant not covered")
-	}
-	if _, ok := l.PauseAt(sec(8)); ok {
-		t.Error("pause end instant should be exclusive")
-	}
-	if _, ok := l.PauseAt(sec(3)); ok {
-		t.Error("concurrent phase reported as pause")
 	}
 }
 

@@ -24,7 +24,7 @@ func simulateAndExport(t *testing.T, collectorName string) (direct, reparsed *gc
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := telemetry.New(telemetry.DefaultConfig())
+	rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
 	j := jvm.New(jvm.Config{
 		Machine:   m,
 		Collector: col,

@@ -41,9 +41,6 @@ func NewExemplars(h *Hist) *Exemplars {
 	}
 }
 
-// Hist returns the underlying histogram.
-func (e *Exemplars) Hist() *Hist { return e.h }
-
 // Observe folds v into the histogram and retains {v, label, ts} as the
 // exemplar for v's bucket. An empty label records the value without
 // touching the exemplar slot; NaN is ignored entirely.

@@ -27,3 +27,7 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// NumBuckets returns the number of buckets (the memory bound; actual
+// footprint is proportional to the touched segments).
+func (h *Hist) NumBuckets() int { return h.numBuckets }

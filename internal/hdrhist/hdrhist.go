@@ -147,13 +147,6 @@ func New(cfg Config) *Hist {
 	}
 }
 
-// Config returns the histogram's resolved configuration.
-func (h *Hist) Config() Config { return h.cfg }
-
-// NumBuckets returns the number of buckets (the memory bound; actual
-// footprint is proportional to the touched segments).
-func (h *Hist) NumBuckets() int { return h.numBuckets }
-
 // incr adds n to bucket i, allocating its segment on first touch.
 func (h *Hist) incr(i int, n uint64) {
 	s := h.segs[i>>segBits]
@@ -162,14 +155,6 @@ func (h *Hist) incr(i int, n uint64) {
 		h.segs[i>>segBits] = s
 	}
 	s[i&segMask] += n
-}
-
-// at returns bucket i's count.
-func (h *Hist) at(i int) uint64 {
-	if s := h.segs[i>>segBits]; s != nil {
-		return s[i&segMask]
-	}
-	return 0
 }
 
 // bucketIndex maps a value to its bucket. The caller has already
@@ -277,14 +262,6 @@ func (h *Hist) Count() uint64 { return h.count }
 
 // Sum returns the exact sum of recorded values.
 func (h *Hist) Sum() float64 { return h.sum }
-
-// Mean returns the exact arithmetic mean, or 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
 
 // Min returns the exact smallest recorded value, or 0 when empty.
 func (h *Hist) Min() float64 {
@@ -416,18 +393,6 @@ func (h *Hist) Merge(o *Hist) error {
 		}
 	}
 	return nil
-}
-
-// Reset empties the histogram, keeping its configuration and buckets.
-func (h *Hist) Reset() {
-	h.count = 0
-	h.sum = 0
-	h.min, h.max = 0, 0
-	for _, s := range h.segs {
-		for i := range s {
-			s[i] = 0
-		}
-	}
 }
 
 // Bucket is one non-empty bucket surfaced by ForEachBucket.

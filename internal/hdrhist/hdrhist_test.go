@@ -368,21 +368,6 @@ func TestRecordAllocationFree(t *testing.T) {
 	}
 }
 
-// TestReset verifies Reset returns the histogram to its empty state
-// without changing its configuration.
-func TestReset(t *testing.T) {
-	h := New(Config{})
-	h.Record(1)
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Errorf("Reset left state behind: %+v", h)
-	}
-	h.Record(2)
-	if h.Count() != 1 || h.Min() != 2 || h.Max() != 2 {
-		t.Error("histogram unusable after Reset")
-	}
-}
-
 // TestRecordIntended verifies the coordinated-omission form: latency is
 // measured from the intended start, and skewed (negative) intervals
 // clamp to zero instead of recording garbage.
@@ -402,4 +387,12 @@ func TestRecordIntended(t *testing.T) {
 	if h.Min() != 0 {
 		t.Errorf("min=%g, want 0 (clamped)", h.Min())
 	}
+}
+
+// Mean returns the exact arithmetic mean, or 0 when empty.
+func (h *Hist) Mean() float64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.sum / float64(h.count)
 }

@@ -103,10 +103,6 @@ type Heap struct {
 	// promotion due to free-list fragmentation. Only CMS (non-compacting)
 	// accrues it; compacting collectors reset it to zero.
 	oldFreeFragmented machine.Bytes
-
-	// allocatedTotal counts every byte ever allocated in eden, for
-	// statistics.
-	allocatedTotal machine.Bytes
 }
 
 // NewHeap returns an empty heap with the given geometry. It panics if the
@@ -169,13 +165,6 @@ func (h *Heap) OldOccupancy() float64 {
 // HeapUsed returns total occupancy across generations.
 func (h *Heap) HeapUsed() machine.Bytes { return h.edenUsed + h.survivorUsed + h.oldUsed }
 
-// AllocatedTotal returns the cumulative bytes ever allocated in eden.
-func (h *Heap) AllocatedTotal() machine.Bytes { return h.allocatedTotal }
-
-// Fragmented returns the old-generation free space currently lost to
-// fragmentation.
-func (h *Heap) Fragmented() machine.Bytes { return h.oldFreeFragmented }
-
 // AllocateEden consumes n bytes of eden. It returns the number of bytes
 // actually accepted, which is less than n when eden fills. n must be
 // non-negative.
@@ -188,7 +177,6 @@ func (h *Heap) AllocateEden(n machine.Bytes) machine.Bytes {
 		n = free
 	}
 	h.edenUsed += n
-	h.allocatedTotal += n
 	return n
 }
 
@@ -326,10 +314,6 @@ func (h *Heap) FreeOld(n machine.Bytes, fragmentFrac float64) {
 	}
 }
 
-// Defragment clears accumulated old-generation fragmentation (a compacting
-// collection ran).
-func (h *Heap) Defragment() { h.oldFreeFragmented = 0 }
-
 // AddOld places n bytes directly into the old generation (humongous
 // allocations, or replayed long-lived state). It returns the bytes
 // accepted.
@@ -342,11 +326,4 @@ func (h *Heap) AddOld(n machine.Bytes) machine.Bytes {
 	}
 	h.oldUsed += n
 	return n
-}
-
-// RemoveOld removes n bytes of live data from the old generation without
-// a collection (application released it; it becomes garbage immediately
-// reclaimable by the next collection in this occupancy-level model).
-func (h *Heap) RemoveOld(n machine.Bytes) {
-	h.FreeOld(n, 0)
 }

@@ -331,19 +331,8 @@ func (j *JVM) Progress() float64 { return j.progress }
 // Heap returns the heap model (read-only use by drivers).
 func (j *JVM) Heap() *heapmodel.Heap { return j.heap }
 
-// Collector returns the configured collector.
-func (j *JVM) Collector() gcmodel.Collector { return j.col }
-
 // OldLive returns the current live bytes in the old generation.
 func (j *JVM) OldLive() machine.Bytes { return j.tracker.OldLive(j.clock.Now()) }
-
-// SafepointStats reports the safepoint count and the total and maximum
-// time-to-safepoint paid across them — HotSpot's
-// -XX:+PrintSafepointStatistics view of the run. TTSP is part of every
-// logged pause duration; this isolates it.
-func (j *JVM) SafepointStats() (count int, total, max simtime.Duration) {
-	return j.sp.Count(), j.sp.Total(), j.sp.Max()
-}
 
 // SafepointDistribution exposes the full TTSP distribution (percentiles,
 // mean) accumulated over the run.
@@ -532,16 +521,6 @@ func (j *JVM) AddPinned(n machine.Bytes) machine.Bytes {
 	j.maybeStartCycle()
 	return got
 }
-
-// ReleasePinned releases pinned bytes (memtable flush). The space becomes
-// garbage, reclaimed by the next old collection.
-func (j *JVM) ReleasePinned(n machine.Bytes) machine.Bytes {
-	j.advance(j.clock.Now())
-	return j.tracker.ReleasePinned(n)
-}
-
-// Pinned returns the currently pinned bytes.
-func (j *JVM) Pinned() machine.Bytes { return j.tracker.Pinned() }
 
 // ReleaseLongLived kills the given fraction of the workload's long-lived
 // bytes (DaCapo iteration teardown).

@@ -69,19 +69,27 @@ type BatchEvent struct {
 // DecodeBatch parses a POST /v1/jobs/batch body and bounds its job
 // count to 1..maxBatchJobs. The daemon's handler and a fleet router
 // both decode with it, so a fleet node rejects exactly what a daemon
-// rejects, with the same error.
-func DecodeBatch(body []byte) (BatchRequest, error) {
-	var req BatchRequest
+// rejects, with the same error. It also returns each job's bytes as the
+// client sent them, index for index with req.Jobs: a fleet router
+// forwards those to the job's owner, so a shard is never larger than
+// its batch.
+func DecodeBatch(body []byte) (req BatchRequest, raw []json.RawMessage, err error) {
 	if err := json.Unmarshal(body, &req); err != nil {
-		return req, err
+		return req, nil, err
 	}
 	if len(req.Jobs) == 0 {
-		return req, errors.New("labd: batch: no jobs")
+		return req, nil, errors.New("labd: batch: no jobs")
 	}
 	if len(req.Jobs) > maxBatchJobs {
-		return req, fmt.Errorf("labd: batch: %d jobs exceeds limit %d", len(req.Jobs), maxBatchJobs)
+		return req, nil, fmt.Errorf("labd: batch: %d jobs exceeds limit %d", len(req.Jobs), maxBatchJobs)
 	}
-	return req, nil
+	var jobs struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &jobs); err != nil {
+		return req, nil, err
+	}
+	return req, jobs.Jobs, nil
 }
 
 // handleBatch streams a batch of jobs: one header line, then one event
@@ -95,7 +103,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := DecodeBatch(*bp)
+	req, _, err := DecodeBatch(*bp)
 	ReleaseBody(bp)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

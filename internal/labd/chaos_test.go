@@ -13,21 +13,10 @@ import (
 	"time"
 
 	"jvmgc/internal/faultinject"
+	"jvmgc/internal/fleet/gossip"
 	"jvmgc/internal/labd"
 	"jvmgc/internal/labd/client"
 )
-
-// chaosClient tightens the client's resilience knobs so a chaos campaign
-// converges in test time instead of wall-clock seconds.
-func chaosClient(c *client.Client) *client.Client {
-	c.Retry = client.RetryPolicy{
-		MaxAttempts: 6,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-	}
-	c.Breaker = client.BreakerPolicy{Threshold: 50, Cooldown: 10 * time.Millisecond}
-	return c
-}
 
 func campaignSpecs() []labd.JobSpec {
 	return []labd.JobSpec{
@@ -38,10 +27,10 @@ func campaignSpecs() []labd.JobSpec {
 	}
 }
 
-// TestChaosCampaignConvergence is the PR's acceptance test: with a fixed
-// seed injecting one job panic, one cache corruption and three flaky
-// HTTP responses, a multi-job campaign driven by the self-healing client
-// converges to results byte-identical to a fault-free daemon, the
+// TestChaosCampaignConvergence: with a fixed seed injecting one job
+// panic, one cache corruption and three flaky HTTP responses, a
+// multi-job campaign that resubmits each failed request converges to
+// results byte-identical to a fault-free daemon, the
 // daemon never exits (the injected panic is isolated in-process), and
 // /metrics accounts for every injected fault.
 func TestChaosCampaignConvergence(t *testing.T) {
@@ -87,17 +76,27 @@ func TestChaosCampaignConvergence(t *testing.T) {
 		Workers: 2, QueueDepth: 16, Parallelism: 1,
 		CacheEntries: 1, CacheDir: t.TempDir(), Chaos: chaos,
 	})
-	chaosClient(c)
 	ctx := context.Background()
 
 	// Two passes: the first populates (through panics and 503s), the
 	// second re-reads entries the 1-slot memory tier already evicted,
-	// exercising disk verification and the corruption path.
+	// exercising disk verification and the corruption path. Resubmitting
+	// a spec is safe (its key is its content address), so each submit
+	// retries through the module's one retry loop, counting its failed
+	// attempts.
+	failed := 0
 	for pass := 0; pass < 2; pass++ {
 		for i, spec := range specs {
-			sub, err := c.Submit(ctx, spec)
+			var sub *client.Submission
+			err := gossip.Retry(ctx, 6, 2*time.Millisecond, 20*time.Millisecond, func() error {
+				var err error
+				if sub, err = c.Submit(ctx, spec); err != nil {
+					failed++
+				}
+				return err
+			})
 			if err != nil {
-				t.Fatalf("pass %d submit %d: %v (stats %+v)", pass, i, err, c.Stats())
+				t.Fatalf("pass %d submit %d: %v (%d failed attempts)", pass, i, err, failed)
 			}
 			if !bytes.Equal(sub.Bytes, want[i]) {
 				t.Errorf("pass %d spec %d: bytes diverge from fault-free run (%d vs %d bytes)",
@@ -106,10 +105,10 @@ func TestChaosCampaignConvergence(t *testing.T) {
 		}
 	}
 
-	// The client had to heal: at least the three flaky 503s and the
+	// The campaign had to heal: at least the three flaky 503s and the
 	// panicked job's 500 forced retries.
-	if st := c.Stats(); st.Retries < 4 {
-		t.Errorf("client stats %+v: want >= 4 retries", st)
+	if failed < 4 {
+		t.Errorf("%d failed attempts, want >= 4", failed)
 	}
 
 	// Every fault the spec promises was injected exactly on budget...

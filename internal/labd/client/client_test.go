@@ -3,35 +3,24 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"jvmgc/internal/labd"
 )
 
-// fastClient returns a client with millisecond-scale backoff so the
-// retry ladder runs in test time.
-func fastClient(url string) *Client {
-	c := New(url)
-	c.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	c.Breaker = BreakerPolicy{Threshold: 10, Cooldown: 20 * time.Millisecond}
-	return c
-}
-
 // scriptServer serves each request through fn(n) where n counts requests
 // from 1.
-func scriptServer(t *testing.T, fn func(n int64, w http.ResponseWriter, r *http.Request)) (*httptest.Server, *atomic.Int64) {
+func scriptServer(t *testing.T, fn func(n int64, w http.ResponseWriter, r *http.Request)) *httptest.Server {
 	t.Helper()
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fn(calls.Add(1), w, r)
 	}))
 	t.Cleanup(ts.Close)
-	return ts, &calls
+	return ts
 }
 
 func okJobResponse(w http.ResponseWriter) {
@@ -44,253 +33,17 @@ func okJobResponse(w http.ResponseWriter) {
 
 var testSpec = labd.JobSpec{Kind: labd.KindSimulate, DurationSeconds: 1, Seed: 1}
 
-// TestRetriesSequenced500s: two 500s then success — the submit heals
-// transparently and the stats account for both retries.
-func TestRetriesSequenced500s(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		if n <= 2 {
-			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
-			return
-		}
-		okJobResponse(w)
-	})
-	c := fastClient(ts.URL)
-	sub, err := c.Submit(context.Background(), testSpec)
-	if err != nil {
-		t.Fatalf("submit through sequenced 500s: %v", err)
-	}
-	if sub.JobID != "j1" || len(sub.Bytes) == 0 {
-		t.Errorf("submission incomplete: %+v", sub)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("server saw %d requests, want 3", got)
-	}
-	st := c.Stats()
-	if st.Retries != 2 || st.Attempts != 3 {
-		t.Errorf("stats = %+v, want 2 retries over 3 attempts", st)
-	}
-}
-
-// TestRetryBudgetExhausted: a permanently failing endpoint gives up
-// after MaxAttempts with the last API error still inspectable.
-func TestRetryBudgetExhausted(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"still broken"}`, http.StatusInternalServerError)
-	})
-	c := fastClient(ts.URL)
-	_, err := c.Submit(context.Background(), testSpec)
-	if err == nil {
-		t.Fatal("submit against all-500 server succeeded")
-	}
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != 500 {
-		t.Errorf("error %v does not unwrap to the 500 APIError", err)
-	}
-	if got := calls.Load(); got != 4 {
-		t.Errorf("server saw %d requests, want MaxAttempts=4", got)
-	}
-}
-
-// TestHonorsRetryAfter: a 429 with Retry-After uses the server's delay
-// and counts it.
-func TestHonorsRetryAfter(t *testing.T) {
-	ts, _ := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		if n == 1 {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, `{"error":"backlog full"}`, http.StatusTooManyRequests)
-			return
-		}
-		okJobResponse(w)
-	})
-	c := fastClient(ts.URL)
-	if _, err := c.Submit(context.Background(), testSpec); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if st := c.Stats(); st.RetryAfterHonored != 1 {
-		t.Errorf("stats = %+v, want RetryAfterHonored=1", st)
-	}
-}
-
-// TestRetriesClientTimeout: a hung first response (client-side timeout)
-// is retried; the second, prompt response succeeds.
-func TestRetriesClientTimeout(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		if n == 1 {
-			time.Sleep(300 * time.Millisecond)
-		}
-		okJobResponse(w)
-	})
-	c := fastClient(ts.URL)
-	c.HTTPClient = &http.Client{Timeout: 75 * time.Millisecond}
-	if _, err := c.Submit(context.Background(), testSpec); err != nil {
-		t.Fatalf("submit through timeout: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("server saw %d requests, want 2", got)
-	}
-}
-
-// TestRetriesConnectionReset: an aborted response (connection reset
-// mid-reply) is a transport failure and is retried.
-func TestRetriesConnectionReset(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		if n == 1 {
-			panic(http.ErrAbortHandler) // slam the connection shut
-		}
-		okJobResponse(w)
-	})
-	c := fastClient(ts.URL)
-	if _, err := c.Submit(context.Background(), testSpec); err != nil {
-		t.Fatalf("submit through reset: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("server saw %d requests, want 2", got)
-	}
-}
-
-// TestCallerDeadlineStopsRetries: the caller's context bounds the whole
-// retry ladder — no retries after it expires.
-func TestCallerDeadlineStopsRetries(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
-	})
-	c := fastClient(ts.URL)
-	c.Retry.BaseDelay = 250 * time.Millisecond
-	c.Retry.MaxDelay = 250 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Submit(ctx, testSpec)
-	if err == nil {
-		t.Fatal("submit succeeded against all-500 server")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("retry ladder ran %v past the caller deadline", elapsed)
-	}
-	if got := calls.Load(); got > 2 {
-		t.Errorf("server saw %d requests after caller deadline", got)
-	}
-}
-
-// TestMalformedJSONNotBlindlyRetried: a 202 whose body fails to decode
-// is a protocol error, not a transient fault — exactly one request, and
-// the decode error surfaces.
-func TestMalformedJSONNotBlindlyRetried(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write([]byte(`{"id": not-json`))
-	})
-	c := fastClient(ts.URL)
-	if _, err := c.SubmitAsync(context.Background(), labd.SubmitRequest{Job: testSpec}); err == nil {
-		t.Fatal("malformed JSON decoded successfully")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("server saw %d requests, want 1 (decode failures must not retry)", got)
-	}
-}
-
-// TestNonRetryableStatusNotRetried: a 400 rejection returns immediately
-// as a bare *APIError (no wrapping, no second request).
-func TestNonRetryableStatusNotRetried(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"bad spec"}`, http.StatusBadRequest)
-	})
-	c := fastClient(ts.URL)
-	_, err := c.Submit(context.Background(), testSpec)
-	apiErr, ok := err.(*APIError)
-	if !ok || apiErr.StatusCode != 400 {
-		t.Fatalf("err = %v, want bare *APIError with 400", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("server saw %d requests, want 1", got)
-	}
-}
-
-// TestCancelNeverRetried: DELETE is not idempotent in effect (a retried
-// cancel could kill a job a fresh submitter coalesced onto), so a flaky
-// response is surfaced, not retried.
-func TestCancelNeverRetried(t *testing.T) {
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"flaky"}`, http.StatusInternalServerError)
-	})
-	c := fastClient(ts.URL)
-	if err := c.Cancel(context.Background(), "j1"); err == nil {
-		t.Fatal("cancel against 500 succeeded")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("server saw %d DELETEs, want exactly 1 (never retried)", got)
-	}
-}
-
-// TestBreakerOpensFastFailsAndRecovers: consecutive failures open the
-// breaker (calls fail fast without touching the server); after the
-// cooldown a half-open probe heals it.
-func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
-	healthy := atomic.Bool{}
-	ts, calls := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
-			return
-		}
-		okJobResponse(w)
-	})
-	c := fastClient(ts.URL)
-	c.Retry.MaxAttempts = 1 // isolate the breaker from the retry loop
-	c.Breaker = BreakerPolicy{Threshold: 2, Cooldown: 50 * time.Millisecond}
-	ctx := context.Background()
-
-	for i := 0; i < 2; i++ {
-		if _, err := c.Submit(ctx, testSpec); err == nil {
-			t.Fatal("submit succeeded against down server")
-		}
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d requests before breaker opened, want 2", got)
-	}
-
-	// Breaker open: fail fast, server untouched.
-	if _, err := c.Submit(ctx, testSpec); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("open breaker leaked a request (server saw %d)", got)
-	}
-	st := c.Stats()
-	if st.BreakerOpens != 1 || st.BreakerFastFails != 1 {
-		t.Errorf("stats = %+v, want BreakerOpens=1 BreakerFastFails=1", st)
-	}
-
-	// A failing half-open probe re-opens immediately.
-	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Submit(ctx, testSpec); errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("cooldown elapsed but probe was not admitted")
-	}
-	if _, err := c.Submit(ctx, testSpec); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("failed probe must re-open the breaker")
-	}
-
-	// A healthy probe closes it for good.
-	healthy.Store(true)
-	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Submit(ctx, testSpec); err != nil {
-		t.Fatalf("probe against healed server: %v", err)
-	}
-	if _, err := c.Submit(ctx, testSpec); err != nil {
-		t.Fatalf("closed breaker: %v", err)
-	}
-}
-
-// TestSubmissionDecodes: the happy path still decodes wire types
-// end-to-end through the resilient transport.
+// TestSubmissionDecodes: a submission decodes the daemon's wire types
+// end to end.
 func TestSubmissionDecodes(t *testing.T) {
-	ts, _ := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
+	ts := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
 		var req labd.SubmitRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("daemon-side decode: %v", err)
 		}
 		okJobResponse(w)
 	})
-	c := fastClient(ts.URL)
+	c := New(ts.URL)
 	sub, err := c.Submit(context.Background(), testSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -301,5 +54,41 @@ func TestSubmissionDecodes(t *testing.T) {
 	}
 	if res.Kind != labd.KindSimulate || res.Text != "ok" {
 		t.Errorf("decoded result %+v", res)
+	}
+}
+
+// TestErrorsSurfaceAfterOneRequest: the client sends each request once.
+// A 5xx or 4xx answer comes back as a bare *APIError carrying the
+// envelope's message, and a 202 whose body does not decode returns the
+// decode error; the server sees one request each time.
+func TestErrorsSurfaceAfterOneRequest(t *testing.T) {
+	var calls atomic.Int64
+	ts := scriptServer(t, func(n int64, w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		switch n {
+		case 1:
+			http.Error(w, `{"error":"transient"}`, http.StatusServiceUnavailable)
+		case 2:
+			http.Error(w, `{"error":"bad spec"}`, http.StatusBadRequest)
+		default:
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = w.Write([]byte(`{"id": not-json`))
+		}
+	})
+	c := New(ts.URL)
+	for i, want := range []APIError{
+		{StatusCode: http.StatusServiceUnavailable, Message: "transient"},
+		{StatusCode: http.StatusBadRequest, Message: "bad spec"},
+	} {
+		_, err := c.Submit(context.Background(), testSpec)
+		if apiErr, ok := err.(*APIError); !ok || *apiErr != want {
+			t.Errorf("answer %d: err = %v, want bare *APIError %+v", i+1, err, want)
+		}
+	}
+	if _, err := c.SubmitAsync(context.Background(), labd.SubmitRequest{Job: testSpec}); err == nil {
+		t.Error("a 202 with a malformed body decoded")
+	}
+	if got := calls.Load(); got != 3 {
+		t.Errorf("server saw %d requests, want 3", got)
 	}
 }

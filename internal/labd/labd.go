@@ -807,9 +807,6 @@ func (s *Server) KeepReplica(key string, bytes []byte) bool {
 // and gossiper count into too.
 func (s *Server) Metrics() *telemetry.Metrics { return s.metrics }
 
-// Tracer exposes the daemon's request tracer; nil when tracing is off.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // Drain stops intake and waits for queued and running jobs to finish.
 // When ctx expires first, outstanding jobs are canceled and Drain waits
 // for the workers to observe that before returning ctx's error.

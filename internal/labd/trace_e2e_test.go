@@ -18,14 +18,16 @@ import (
 	"jvmgc/internal/telemetry"
 )
 
-// tracedDaemon starts a daemon with tracing and SLO monitoring on.
+// tracedDaemon starts a daemon with tracing and SLO monitoring on; a
+// config without a Tracer gets a fixed-seed one.
 func tracedDaemon(t *testing.T, cfg labd.Config) (*client.Client, *labd.Server) {
 	t.Helper()
-	cfg.Tracer = obs.NewTracer(obs.Config{Seed: 7})
+	if cfg.Tracer == nil {
+		cfg.Tracer = obs.NewTracer(obs.Config{Seed: 7})
+	}
 	cfg.SLO = obs.NewSLO(obs.SLOConfig{LatencyThreshold: 200 * time.Millisecond})
 	c, srv := startDaemon(t, cfg)
 	c.Trace = true
-	c.TraceSeed = 99
 	return c, srv
 }
 
@@ -307,10 +309,8 @@ func TestEndToEndTraceChaos(t *testing.T) {
 	chaos := faultinject.New(11)
 	chaos.Set(labd.FaultJobError, faultinject.Rule{Every: 3})
 	chaos.Set(labd.FaultJobLatency, faultinject.Rule{Every: 2, Delay: 5 * time.Millisecond})
-	c, srv := tracedDaemon(t, labd.Config{Workers: 4, QueueDepth: 32, Chaos: chaos})
-	// One attempt per submission so every client call maps to exactly one
-	// server-side trace (retries would mint extra error traces).
-	c.Retry = client.RetryPolicy{MaxAttempts: 1}
+	tracer := obs.NewTracer(obs.Config{Seed: 7})
+	c, _ := tracedDaemon(t, labd.Config{Workers: 4, QueueDepth: 32, Chaos: chaos, Tracer: tracer})
 	ctx := context.Background()
 
 	const n = 12
@@ -354,7 +354,7 @@ func TestEndToEndTraceChaos(t *testing.T) {
 	if okCount == 0 || failCount == 0 {
 		t.Fatalf("chaos run not mixed: %d ok, %d failed (Every:3 error rule)", okCount, failCount)
 	}
-	store := srv.Tracer().Store()
+	store := tracer.Store()
 	if store.Seen() != n {
 		t.Errorf("store saw %d traces, want %d", store.Seen(), n)
 	}

@@ -23,7 +23,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"time"
 
 	"jvmgc/internal/xrand"
@@ -45,14 +44,6 @@ type Schedule struct {
 // Len returns the number of planned arrivals.
 func (s Schedule) Len() int { return len(s.Offsets) }
 
-// Duration returns the schedule's span: the last intended start.
-func (s Schedule) Duration() time.Duration {
-	if len(s.Offsets) == 0 {
-		return 0
-	}
-	return s.Offsets[len(s.Offsets)-1]
-}
-
 // Poisson builds an open-loop Poisson arrival schedule: exponential
 // inter-arrival gaps with mean 1/rate, seeded, covering d. This is the
 // canonical open-loop workload — memoryless arrivals do not slow down
@@ -71,49 +62,6 @@ func Poisson(rate float64, d time.Duration, seed uint64) Schedule {
 			break
 		}
 		s.Offsets = append(s.Offsets, t)
-	}
-	return s
-}
-
-// Uniform builds a fixed-interval schedule: one arrival every 1/rate
-// seconds for d. Deterministic without a seed; useful when the test
-// wants exact arrival counts.
-func Uniform(rate float64, d time.Duration) Schedule {
-	if rate <= 0 || d <= 0 {
-		return Schedule{Rate: rate}
-	}
-	gap := time.Duration(float64(time.Second) / rate)
-	if gap <= 0 {
-		gap = 1
-	}
-	s := Schedule{Rate: rate, Offsets: make([]time.Duration, 0, int(d/gap)+1)}
-	for t := gap; t < d; t += gap {
-		s.Offsets = append(s.Offsets, t)
-	}
-	return s
-}
-
-// Stage is one segment of a ramp profile.
-type Stage struct {
-	Rate     float64       // offered rate during the stage (req/s)
-	Duration time.Duration // stage length
-}
-
-// Ramp concatenates Poisson stages into one schedule — e.g. warm-up at
-// low rate, then step to the probe rate. Each stage draws from its own
-// labeled sub-stream so editing one stage does not shift the arrivals
-// of another. The reported Rate is the final stage's.
-func Ramp(stages []Stage, seed uint64) Schedule {
-	base := xrand.New(seed)
-	var s Schedule
-	var origin time.Duration
-	for i, st := range stages {
-		sub := Poisson(st.Rate, st.Duration, base.SplitLabeled(fmt.Sprintf("loadgen.ramp.%d", i)).Uint64())
-		for _, off := range sub.Offsets {
-			s.Offsets = append(s.Offsets, origin+off)
-		}
-		origin += st.Duration
-		s.Rate = st.Rate
 	}
 	return s
 }

@@ -46,24 +46,6 @@ func TestPoissonScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestRampConcatenatesStages(t *testing.T) {
-	s := Ramp([]Stage{{Rate: 100, Duration: time.Second}, {Rate: 1000, Duration: time.Second}}, 7)
-	if s.Rate != 1000 {
-		t.Errorf("ramp rate = %g, want final stage 1000", s.Rate)
-	}
-	var first, second int
-	for _, off := range s.Offsets {
-		if off < time.Second {
-			first++
-		} else {
-			second++
-		}
-	}
-	if first < 60 || first > 140 || second < 800 || second > 1200 {
-		t.Errorf("stage arrival counts %d/%d implausible for 100/1000 rps", first, second)
-	}
-}
-
 // TestSimulateDeterministic is the satellite's headline: same seed,
 // byte-identical latency histogram.
 func TestSimulateDeterministic(t *testing.T) {
@@ -209,5 +191,41 @@ func TestFindKneeTerminatesAndLocates(t *testing.T) {
 	}
 	if sw.Table() == "" {
 		t.Error("empty table")
+	}
+}
+
+// Uniform builds a fixed-interval schedule: one arrival every 1/rate
+// seconds for d. Deterministic without a seed; useful when the test
+// wants exact arrival counts.
+func Uniform(rate float64, d time.Duration) Schedule {
+	if rate <= 0 || d <= 0 {
+		return Schedule{Rate: rate}
+	}
+	gap := time.Duration(float64(time.Second) / rate)
+	if gap <= 0 {
+		gap = 1
+	}
+	s := Schedule{Rate: rate, Offsets: make([]time.Duration, 0, int(d/gap)+1)}
+	for t := gap; t < d; t += gap {
+		s.Offsets = append(s.Offsets, t)
+	}
+	return s
+}
+
+// FixedService models a constant service time.
+func FixedService(d time.Duration) ServiceModel {
+	return func(int) time.Duration { return d }
+}
+
+// WithStall wraps a model so requests in [from, to) take extra time —
+// the injected stall the coordinated-omission tests are built around
+// (think: a GC pause on the server).
+func WithStall(m ServiceModel, from, to int, extra time.Duration) ServiceModel {
+	return func(i int) time.Duration {
+		d := m(i)
+		if i >= from && i < to {
+			d += extra
+		}
+		return d
 	}
 }

@@ -11,36 +11,6 @@ import (
 	"jvmgc/internal/labd"
 )
 
-// ServerTarget drives an in-process labd.Server directly — no sockets,
-// no HTTP — cycling through a fixed spec set. Request i submits spec
-// i mod len(specs): a spec set smaller than the schedule exercises the
-// steady-state cache-hit path, which is the regime the zero-allocation
-// fast path targets.
-type ServerTarget struct {
-	Server *labd.Server
-	Specs  []labd.JobSpec
-}
-
-// Do resolves request i: the allocation-free fast path when the result
-// is already cached, the full scheduler otherwise.
-func (t *ServerTarget) Do(ctx context.Context, i int) error {
-	spec := t.Specs[i%len(t.Specs)]
-	if _, _, ok := t.Server.TryCacheHit(spec); ok {
-		return nil
-	}
-	j, err := t.Server.SubmitContext(ctx, labd.SubmitRequest{Job: spec})
-	if err != nil {
-		return err
-	}
-	select {
-	case <-j.Done():
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	_, err = j.Result()
-	return err
-}
-
 // HTTPTarget drives a daemon or fleet router over real HTTP. Request
 // payloads are marshaled once at construction and reused; response
 // bodies are drained into pooled scratch so connections return to the

@@ -14,11 +14,6 @@ import (
 // own seeded generator is deterministic.
 type ServiceModel func(i int) time.Duration
 
-// FixedService models a constant service time.
-func FixedService(d time.Duration) ServiceModel {
-	return func(int) time.Duration { return d }
-}
-
 // LogNormalService models a right-skewed service time (median, shape
 // sigma), the classic fit for request latency. Seeded: same seed, same
 // per-request draws.
@@ -26,19 +21,6 @@ func LogNormalService(median time.Duration, sigma float64, seed uint64) ServiceM
 	r := xrand.New(seed).SplitLabeled("loadgen.service")
 	return func(int) time.Duration {
 		return time.Duration(r.LogNormal(0, sigma) * float64(median))
-	}
-}
-
-// WithStall wraps a model so requests in [from, to) take extra time —
-// the injected stall the coordinated-omission tests are built around
-// (think: a GC pause on the server).
-func WithStall(m ServiceModel, from, to int, extra time.Duration) ServiceModel {
-	return func(i int) time.Duration {
-		d := m(i)
-		if i >= from && i < to {
-			d += extra
-		}
-		return d
 	}
 }
 

@@ -213,20 +213,6 @@ func Laptop() Topology {
 	}
 }
 
-// ClientTestbed returns the topology of the paper's YCSB client machine:
-// 16 cores, 8 GB RAM (§4).
-func ClientTestbed() Topology {
-	return Topology{
-		Sockets:        2,
-		NodesPerSocket: 1,
-		CoresPerNode:   8,
-		RAM:            8 * GB,
-		L1PerCore:      64 * KB,
-		L2PerCore:      512 * KB,
-		L3PerNode:      8 * MB,
-	}
-}
-
 // CostParams are the tunable constants of the pricing model. The defaults
 // are calibrated so that absolute pause magnitudes land in the ranges the
 // paper reports (hundreds of milliseconds on DaCapo-size live sets,
@@ -320,10 +306,6 @@ func (m *Machine) Speedup(n int) float64 {
 	sync := 1 + m.Cost.SyncTax*float64(n-1)
 	return float64(n) * perThread / sync
 }
-
-// Efficiency returns Speedup(n)/n, the per-thread efficiency of a
-// parallel phase.
-func (m *Machine) Efficiency(n int) float64 { return m.Speedup(n) / float64(n) }
 
 // NUMARemoteShare returns the fraction of memory accesses a compactly
 // placed gang of n threads services from remote NUMA nodes — the share of

@@ -113,16 +113,6 @@ func TestPaperTestbedShape(t *testing.T) {
 	}
 }
 
-func TestClientTestbedShape(t *testing.T) {
-	topo := ClientTestbed()
-	if topo.Cores() != 16 {
-		t.Errorf("Cores = %d, want 16", topo.Cores())
-	}
-	if err := topo.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
 func TestValidateRejectsBadTopologies(t *testing.T) {
 	bad := []Topology{
 		{Sockets: 0, NodesPerSocket: 1, CoresPerNode: 1, RAM: GB},
@@ -199,7 +189,7 @@ func TestSpeedupDoesNotScaleAcrossNodes(t *testing.T) {
 
 func TestEfficiencyDecreases(t *testing.T) {
 	m := New(PaperTestbed())
-	if e1, e48 := m.Efficiency(1), m.Efficiency(48); e48 >= e1 {
+	if e1, e48 := m.Speedup(1), m.Speedup(48)/48; e48 >= e1 {
 		t.Errorf("Efficiency(48)=%v >= Efficiency(1)=%v", e48, e1)
 	}
 }
@@ -327,9 +317,8 @@ func TestSingleNodeMachinesScaleBetterPerThread(t *testing.T) {
 	// efficiency beats the 8-node server's 48-thread efficiency.
 	laptop := New(Laptop())
 	server := New(PaperTestbed())
-	if laptop.Efficiency(8) <= server.Efficiency(48) {
-		t.Errorf("laptop eff(8)=%.2f <= server eff(48)=%.2f",
-			laptop.Efficiency(8), server.Efficiency(48))
+	if eLaptop, eServer := laptop.Speedup(8)/8, server.Speedup(48)/48; eLaptop <= eServer {
+		t.Errorf("laptop eff(8)=%.2f <= server eff(48)=%.2f", eLaptop, eServer)
 	}
 	// And the laptop's speedup at its core count is near-linear.
 	if s := laptop.Speedup(8); s < 6 {

@@ -99,14 +99,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 // Enabled reports whether the monitor records anything (false on nil).
 func (s *SLO) Enabled() bool { return s != nil }
 
-// Config returns the resolved objectives (zero on nil).
-func (s *SLO) Config() SLOConfig {
-	if s == nil {
-		return SLOConfig{}
-	}
-	return s.cfg
-}
-
 // Observe records one finished request.
 func (s *SLO) Observe(latency time.Duration, failed bool) {
 	if s == nil {

@@ -28,9 +28,6 @@ func TestSLONilIsNoOp(t *testing.T) {
 	if st.Total != 0 || st.Severity != "" {
 		t.Fatalf("nil status = %+v", st)
 	}
-	if s.Config().LatencyTarget != 0 {
-		t.Fatal("nil config not zero")
-	}
 }
 
 func TestSLOIdleThenOK(t *testing.T) {
@@ -138,8 +135,7 @@ func TestSLOWindowExpiry(t *testing.T) {
 }
 
 func TestSLODefaults(t *testing.T) {
-	s := NewSLO(SLOConfig{})
-	cfg := s.Config()
+	cfg := NewSLO(SLOConfig{}).cfg
 	if cfg.LatencyThreshold != 500*time.Millisecond || cfg.LatencyTarget != 0.99 ||
 		cfg.ErrorTarget != 0.999 || len(cfg.Windows) != 2 || cfg.Buckets != 30 {
 		t.Fatalf("defaults = %+v", cfg)

@@ -42,12 +42,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Seconds returns the instant as a floating-point number of seconds since
 // the simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
@@ -80,14 +74,6 @@ func Seconds(s float64) Duration {
 	return Duration(s * float64(Second))
 }
 
-// Milliseconds constructs a Duration from a floating-point number of
-// milliseconds. Negative and non-finite inputs are clamped to zero.
-func Milliseconds(ms float64) Duration { return Seconds(ms / 1e3) }
-
-// Micros constructs a Duration from a floating-point number of
-// microseconds. Negative and non-finite inputs are clamped to zero.
-func Micros(us float64) Duration { return Seconds(us / 1e6) }
-
 // String formats the duration in a human-friendly unit, choosing among
 // ns, µs, ms, s, m and h based on magnitude.
 func (d Duration) String() string {
@@ -115,35 +101,4 @@ func (d Duration) String() string {
 		return "-" + s
 	}
 	return s
-}
-
-// Clamp returns d restricted to the interval [lo, hi]. It panics if
-// lo > hi.
-func Clamp(d, lo, hi Duration) Duration {
-	if lo > hi {
-		panic("simtime: Clamp with lo > hi")
-	}
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b Duration) Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -51,24 +51,6 @@ func RSD(xs []float64) float64 {
 	return 100 * StdDev(xs) / m
 }
 
-// MinMax returns the smallest and largest values of xs. It returns an
-// error for an empty slice.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // nearest-rank interpolation. It returns an error for an empty slice or a
 // p outside [0, 100].
@@ -192,11 +174,11 @@ func partition(s []float64) int {
 	return j
 }
 
-// Welford is a streaming mean/variance/min/max accumulator, used where
-// the million-point client runs would be wasteful to buffer.
+// Welford is a streaming mean/min/max accumulator, used where the
+// million-point client runs would be wasteful to buffer.
 type Welford struct {
 	n        int64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -213,9 +195,7 @@ func (w *Welford) Add(x float64) {
 			w.max = x
 		}
 	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of values folded in.
@@ -229,14 +209,6 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest value seen (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
 
 // TLABInfluence is the paper's Table 4 classification of whether enabling
 // the TLAB helped.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -34,18 +35,8 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if RSD([]float64{0, 0}) != 0 {
 		t.Error("zero-mean RSD not zero")
 	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Error("MinMax of empty should error")
-	}
 	if _, err := Percentile(nil, 50); err == nil {
 		t.Error("Percentile of empty should error")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Errorf("MinMax = %v, %v, %v", min, max, err)
 	}
 }
 
@@ -229,11 +220,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
 		t.Errorf("Welford mean %v vs batch %v", w.Mean(), Mean(xs))
 	}
-	if math.Abs(w.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Errorf("Welford stddev %v vs batch %v", w.StdDev(), StdDev(xs))
-	}
-	min, max, _ := MinMax(xs)
-	if w.Min() != min || w.Max() != max {
+	if w.Min() != slices.Min(xs) || w.Max() != slices.Max(xs) {
 		t.Error("Welford min/max mismatch")
 	}
 	if w.N() != 10000 {
@@ -243,7 +230,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.StdDev() != 0 || w.N() != 0 {
+	if w.Mean() != 0 || w.N() != 0 {
 		t.Error("empty Welford nonzero")
 	}
 }

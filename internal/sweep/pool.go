@@ -105,16 +105,13 @@ func NewPool(opts PoolOptions) *Pool {
 	return p
 }
 
-// Submit queues one task. It never blocks: a backlog at QueueLimit
-// returns ErrPoolFull (backpressure), a closed pool ErrPoolClosed.
-func (p *Pool) Submit(task func()) error {
-	return p.SubmitWorker(func(int) { task() })
-}
-
 // SubmitWorker queues a task that receives the index of the worker
-// executing it (0..Workers()-1). Because of stealing, the executor may
-// not be the worker the task was dealt to — the index identifies who
-// actually ran it, which is what an observability layer wants to record.
+// executing it, from 0 to the worker count minus one. Because of
+// stealing, the executor may not be the worker the task was dealt to —
+// the index identifies who actually ran it, which is what an
+// observability layer wants to record. It never blocks: a backlog at
+// QueueLimit returns ErrPoolFull (backpressure), a closed pool
+// ErrPoolClosed.
 func (p *Pool) SubmitWorker(task func(worker int)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -138,9 +135,6 @@ func (p *Pool) Pending() int {
 	defer p.mu.Unlock()
 	return p.pending
 }
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return len(p.deques) }
 
 // Close stops intake. Workers finish every queued task, then exit; it
 // is idempotent and returns without waiting (see Wait).

@@ -433,3 +433,9 @@ func TestScheduleIsPermutation(t *testing.T) {
 		t.Fatalf("schedule is not a permutation: %v", order)
 	}
 }
+
+// Submit queues one task. It never blocks: a backlog at QueueLimit
+// returns ErrPoolFull (backpressure), a closed pool ErrPoolClosed.
+func (p *Pool) Submit(task func()) error {
+	return p.SubmitWorker(func(int) { task() })
+}

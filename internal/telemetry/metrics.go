@@ -81,14 +81,6 @@ func (m *Metrics) Counters() []Counter {
 	return out
 }
 
-// Name returns the handle's counter name (empty on nil).
-func (h *CounterHandle) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Add increments the handle's counter by delta.
 func (h *CounterHandle) Add(delta int64) {
 	if h == nil {

@@ -56,12 +56,6 @@ type Config struct {
 	SampleInterval simtime.Duration
 }
 
-// DefaultConfig returns the default recording configuration: 100 ms
-// sampling, comparable to -Xlog:gc+heap periodic logging.
-func DefaultConfig() Config {
-	return Config{SampleInterval: 100 * simtime.Millisecond}
-}
-
 // SpanID identifies a recorded span; the zero SpanID means "no span" and
 // is what every emission returns on a nil recorder.
 type SpanID int32
@@ -196,9 +190,6 @@ func (r *Recorder) Metrics() *Metrics {
 	return r.metrics
 }
 
-// Enabled reports whether the recorder records anything (false on nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // SampleInterval returns the configured sampling interval (zero on nil or
 // when sampling is disabled).
 func (r *Recorder) SampleInterval() simtime.Duration {
@@ -256,21 +247,6 @@ func (r *Recorder) Samples() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.samples
-}
-
-// Children returns the direct child spans of the given span, in emission
-// order.
-func (r *Recorder) Children(id SpanID) []Span {
-	if r == nil || id == 0 {
-		return nil
-	}
-	var out []Span
-	for _, s := range r.Spans() {
-		if s.Parent == id {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // TrackSpans returns the top-level (parentless) spans of one track.

@@ -49,7 +49,7 @@ func runJVM(t testing.TB, collectorName string, rec *telemetry.Recorder, d simti
 }
 
 func record(t testing.TB, collectorName string) *telemetry.Recorder {
-	rec := telemetry.New(telemetry.DefaultConfig())
+	rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
 	runJVM(t, collectorName, rec, 30*simtime.Second)
 	return rec
 }
@@ -57,9 +57,6 @@ func record(t testing.TB, collectorName string) *telemetry.Recorder {
 // TestRecorderNilSafe exercises every method on a nil recorder.
 func TestRecorderNilSafe(t *testing.T) {
 	var r *telemetry.Recorder
-	if r.Enabled() {
-		t.Error("nil recorder enabled")
-	}
 	if id := r.Span(telemetry.TrackGC, "x", 0, simtime.Second, 0); id != 0 {
 		t.Errorf("nil Span id %d", id)
 	}
@@ -97,7 +94,7 @@ func TestRecorderNilSafe(t *testing.T) {
 func TestAttachingRecorderDoesNotChangeResults(t *testing.T) {
 	for _, gc := range []string{"ParallelOld", "CMS", "G1"} {
 		plain := runJVM(t, gc, nil, 30*simtime.Second)
-		rec := telemetry.New(telemetry.DefaultConfig())
+		rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
 		traced := runJVM(t, gc, rec, 30*simtime.Second)
 		if got, want := traced.Log().String(), plain.Log().String(); got != want {
 			t.Errorf("%s: attaching a recorder changed the gclog:\n got %q\nwant %q", gc, got, want)
@@ -163,12 +160,18 @@ func TestChromeTraceShape(t *testing.T) {
 
 	// Count phase children per pause directly on the recording.
 	pauses := 0
-	for i, s := range rec.Spans() {
+	spans := rec.Spans()
+	for i, s := range spans {
 		if s.Track != telemetry.TrackGC || s.Parent != 0 {
 			continue
 		}
 		pauses++
-		children := rec.Children(telemetry.SpanID(i + 1))
+		var children []telemetry.Span
+		for _, c := range spans {
+			if c.Parent == telemetry.SpanID(i+1) {
+				children = append(children, c)
+			}
+		}
 		if len(children) < 3 {
 			t.Errorf("pause %q at %v has %d phase children, want >= 3",
 				s.Name, s.Start, len(children))
@@ -211,7 +214,7 @@ func TestPrometheusShape(t *testing.T) {
 // TestUnifiedLogRoundTrips: gclog.Parse accepts the export and sees the
 // same pauses the JVM logged.
 func TestUnifiedLogRoundTrips(t *testing.T) {
-	rec := telemetry.New(telemetry.DefaultConfig())
+	rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
 	j := runJVM(t, "CMS", rec, 30*simtime.Second)
 	var buf bytes.Buffer
 	if err := rec.WriteUnifiedLog(&buf); err != nil {
@@ -266,7 +269,7 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 // BenchmarkTelemetryEnabled is the same run with a recorder attached.
 func BenchmarkTelemetryEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rec := telemetry.New(telemetry.DefaultConfig())
+		rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
 		runJVM(b, "G1", rec, 30*simtime.Second)
 	}
 }

@@ -107,25 +107,6 @@ func (tr Trace) Duration() simtime.Duration {
 	return tr.Points[len(tr.Points)-1].At + simtime.Seconds(tail)
 }
 
-// Format renders the trace back to CSV (with header).
-func (tr Trace) Format(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"seconds", "alloc_bytes_per_sec"}); err != nil {
-		return err
-	}
-	for _, p := range tr.Points {
-		err := cw.Write([]string{
-			strconv.FormatFloat(p.At.Seconds(), 'f', -1, 64),
-			strconv.FormatFloat(p.AllocRate, 'f', -1, 64),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Replay drives the JVM through the trace: each point sets the
 // allocation rate at its instant, and the run extends TailSeconds past
 // the last point. The JVM must be freshly constructed (its clock at the

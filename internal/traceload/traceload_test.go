@@ -56,29 +56,6 @@ func TestParseCSVRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestFormatRoundTrip(t *testing.T) {
-	tr, err := ParseCSV(strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := tr.Format(&b); err != nil {
-		t.Fatal(err)
-	}
-	again, err := ParseCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Points) != len(tr.Points) {
-		t.Fatalf("round trip lost points")
-	}
-	for i := range tr.Points {
-		if again.Points[i] != tr.Points[i] {
-			t.Errorf("point %d: %+v vs %+v", i, tr.Points[i], again.Points[i])
-		}
-	}
-}
-
 func mkJVM(t *testing.T) *jvm.JVM {
 	t.Helper()
 	m := machine.New(machine.PaperTestbed())

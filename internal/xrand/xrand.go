@@ -127,16 +127,11 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard-normally distributed float64, using the
-// polar (Marsaglia) method: PolarPair's draw through Polar's transform.
-func (r *Rand) NormFloat64() float64 {
-	return Polar(r.PolarPair())
-}
-
-// PolarPair draws the polar method's accepted pair: a point (u, v)
-// uniform in the unit disc, returned as u and s = u²+v² in (0, 1).
-// Together with Polar it is NormFloat64, split so that a caller can draw
-// now and transform later, or elsewhere.
+// PolarPair draws the polar (Marsaglia) method's accepted pair: a point
+// (u, v) uniform in the unit disc, returned as u and s = u²+v² in
+// (0, 1). Polar transforms it into a standard normal value; the two are
+// split so that a caller can draw now and transform later, or
+// elsewhere.
 func (r *Rand) PolarPair() (u, s float64) {
 	for {
 		u = 2*r.Float64() - 1
@@ -192,18 +187,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 // LogNormal(mu, sigma) returns for it.
 func LogNormalOf(mu, sigma, u, s float64) float64 {
 	return math.Exp(mu + sigma*Polar(u, s))
-}
-
-// Pareto returns a bounded-Pareto distributed float64 on [lo, hi] with
-// shape alpha > 0. Object lifetime tails in the demography model use this.
-func (r *Rand) Pareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic("xrand: Pareto with invalid parameters")
-	}
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
 // Jitter returns v scaled by a uniform factor in [1-frac, 1+frac]. It is

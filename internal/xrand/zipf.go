@@ -98,23 +98,15 @@ func zetaStatic(n uint64, theta float64) float64 {
 	return sum
 }
 
-// N returns the size of the generator's domain.
-func (z *Zipf) N() uint64 { return z.n }
-
-// Next returns the next zipfian-distributed value in [0, n). The most
-// popular item is 0.
-func (z *Zipf) Next() uint64 {
-	return z.at(z.Uniform())
-}
-
-// Uniform draws from the generator's stream the uniform that Next or
-// Scrambled would consume. With ScrambledAt it splits a draw from its
-// transform, so that a caller can draw now and transform later.
+// Uniform draws one uniform from the generator's stream. ScrambledAt
+// transforms it into a key, so that a caller can draw now and transform
+// later.
 func (z *Zipf) Uniform() float64 {
 	return z.r.Float64()
 }
 
-// at maps a Uniform draw onto the zipfian value Next returns for it.
+// at maps a Uniform draw onto a zipfian value in [0, n). The most
+// popular item is 0.
 func (z *Zipf) at(u float64) uint64 {
 	uz := u * z.zetan
 	if uz < 1 {
@@ -130,15 +122,10 @@ func (z *Zipf) at(u float64) uint64 {
 	return v
 }
 
-// Scrambled returns the next zipfian value scrambled over the full domain
-// with an FNV-style hash, as YCSB's ScrambledZipfianGenerator does, so hot
-// keys are spread across the keyspace rather than clustered at the front.
-func (z *Zipf) Scrambled() uint64 {
-	return z.ScrambledAt(z.Uniform())
-}
-
-// ScrambledAt maps a Uniform draw onto the value Scrambled returns for
-// it.
+// ScrambledAt maps a Uniform draw onto a zipfian value scrambled over
+// the full domain with an FNV-style hash, as YCSB's
+// ScrambledZipfianGenerator does, so hot keys are spread across the
+// keyspace rather than clustered at the front.
 func (z *Zipf) ScrambledAt(u float64) uint64 {
 	v := z.at(u)
 	h := v*0xc6a4a7935bd1e995 + 0x9e3779b97f4a7c15

@@ -9,7 +9,7 @@ import (
 func TestZipfRange(t *testing.T) {
 	z := NewZipf(New(1), 1000, 0.99)
 	for i := 0; i < 50000; i++ {
-		v := z.Next()
+		v := z.at(z.Uniform())
 		if v >= 1000 {
 			t.Fatalf("Zipf out of range: %d", v)
 		}
@@ -23,7 +23,7 @@ func TestZipfSkew(t *testing.T) {
 	counts := make([]int, 10000)
 	const n = 500000
 	for i := 0; i < n; i++ {
-		counts[z.Next()]++
+		counts[z.at(z.Uniform())]++
 	}
 	top := float64(counts[0]) / n
 	if top < 0.02 {
@@ -44,7 +44,7 @@ func TestZipfMonotoneDecreasingHead(t *testing.T) {
 	z := NewZipf(New(3), 100, 0.9)
 	counts := make([]int, 100)
 	for i := 0; i < 300000; i++ {
-		counts[z.Next()]++
+		counts[z.at(z.Uniform())]++
 	}
 	// The head of the distribution should be ordered: item 0 strictly more
 	// popular than item 5, which is more popular than item 50.
@@ -57,16 +57,16 @@ func TestZipfScrambledCoversDomain(t *testing.T) {
 	z := NewZipf(New(4), 50, 0.99)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 50000; i++ {
-		v := z.Scrambled()
+		v := z.ScrambledAt(z.Uniform())
 		if v >= 50 {
-			t.Fatalf("Scrambled out of range: %d", v)
+			t.Fatalf("ScrambledAt out of range: %d", v)
 		}
 		seen[v] = true
 	}
 	// Hashing n values into n buckets collides; the expected coverage is
 	// n·(1-1/e) ≈ 63% (YCSB's ScrambledZipfianGenerator behaves the same).
 	if len(seen) < 25 {
-		t.Errorf("Scrambled hit only %d of 50 keys", len(seen))
+		t.Errorf("ScrambledAt hit only %d of 50 keys", len(seen))
 	}
 }
 
@@ -77,7 +77,7 @@ func TestZipfScrambledSpreadsHotKey(t *testing.T) {
 		z := NewZipf(New(seed), 1000, 0.99)
 		counts := make(map[uint64]int)
 		for i := 0; i < 20000; i++ {
-			counts[z.Scrambled()]++
+			counts[z.ScrambledAt(z.Uniform())]++
 		}
 		var best uint64
 		bestC := -1
@@ -152,12 +152,6 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
-func TestZipfN(t *testing.T) {
-	if got := NewZipf(New(1), 77, 0.5).N(); got != 77 {
-		t.Errorf("N = %d", got)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -190,6 +184,6 @@ func BenchmarkZipfNext(b *testing.B) {
 	z := NewZipf(New(1), 1_000_000, 0.99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = z.Next()
+		_ = z.at(z.Uniform())
 	}
 }

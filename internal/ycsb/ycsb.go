@@ -12,7 +12,6 @@
 package ycsb
 
 import (
-	"fmt"
 	"math"
 
 	"jvmgc/internal/cassandra"
@@ -190,8 +189,8 @@ type replayer struct {
 	horizon  float64
 	mean     float64 // mean arrival gap, seconds
 	updateMu float64
-	// records is the database size at the latest arrival, as
-	// server.RecordsAt gives it: the last curve point at or before it.
+	// records is the database size at the latest arrival: the last
+	// record-curve point at or before it.
 	records       int64
 	coldMu, hotMu float64
 	curve         []cassandra.RecordPoint
@@ -417,21 +416,4 @@ func (tr Trace) TopPoints(n int) []Op {
 		}
 	}
 	return out
-}
-
-// Describe summarizes the trace.
-func (tr Trace) Describe() string {
-	reads, updates, shadowed := 0, 0, 0
-	for _, op := range tr.Ops {
-		if op.Type == Read {
-			reads++
-		} else {
-			updates++
-		}
-		if op.Shadowed {
-			shadowed++
-		}
-	}
-	return fmt.Sprintf("%d ops (%d reads, %d updates), %d shadowed by %d pauses",
-		len(tr.Ops), reads, updates, shadowed, len(tr.Pauses))
 }

@@ -241,11 +241,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	srv := testServer(t, "CMS")
-	tr := TransactionTrace(srv, txnCfg())
-	if s := tr.Describe(); s == "" {
-		t.Error("empty description")
-	}
-}
