@@ -36,10 +36,12 @@ go vet ./...
 go vet ./internal/labd/... ./internal/faultinject/...
 go test -race ./...
 go test -race -count=1 -run 'TestChaosCampaignConvergence|TestWarmRestartAndCorruptionRecovery|TestHTTPFlakySparesObservability' ./internal/labd/
-# The work-stealing runner and pool are the one place the laboratory
-# shares mutable state across goroutines; exercise them under the race
-# detector explicitly (and not in -short mode, which skips the
-# imbalance speedup gate).
+# The sweep runner's shared cursor and the pool's FIFO ring are where
+# every fan-out in the laboratory hands work across goroutines (Figure
+# 3's cells, a cluster's node wheels, labd's jobs); exercise them under
+# the race detector explicitly, the pool's arrival order
+# (TestPoolStartsInArrivalOrder) included, and not in -short mode,
+# which skips the imbalance speedup gate.
 go test -race -count=1 ./internal/sweep/
 # Trace e2e under the race detector: a trace is written from the HTTP
 # handler, the scheduler watcher and the executing worker, and the
@@ -95,26 +97,21 @@ go test -race -count=1 ./cmd/gctop/
 # and restarts under the same ID and -peers is placed again.
 go test -race -count=1 -run 'TestFleetChurnByteIdentity' ./internal/fleet/
 go test -race -count=1 -run 'TestStallRefutedNotDeclaredDead|TestDeathAndRecovery|TestJoinAnnounceLeaveLifecycle|TestRestartAfterLeaveRejoinsPlacement' ./internal/fleet/gossip/
-# Load-generator smoke. First the virtual-time determinism anchor: the
-# same seed must print byte-identical saturation curves (the generator's
-# schedules, queueing arithmetic and histogram are all pure functions of
-# the seed). Then a short fixed-seed sweep against a real in-process
-# 3-node fleet over loopback HTTP: zero failed requests and knee
-# detection must terminate (-ci asserts both; the knee value itself is
-# machine-dependent and not asserted).
+# Load-generator smoke: a short fixed-seed sweep against a real
+# in-process 3-node fleet over loopback HTTP: zero failed requests and
+# knee detection must terminate (-ci asserts both; the knee value itself
+# is machine-dependent and not asserted).
 go build -o /tmp/gcload ./cmd/gcload
-/tmp/gcload -virtual -seed 42 -slo-p99 5ms -ci > /tmp/gcload_virtual_1.txt
-/tmp/gcload -virtual -seed 42 -slo-p99 5ms -ci > /tmp/gcload_virtual_2.txt
-cmp /tmp/gcload_virtual_1.txt /tmp/gcload_virtual_2.txt
 /tmp/gcload -inproc 3 -rate-start 200 -rate-step 200 -rate-max 600 -duration 1s -slo-p99 250ms -seed 7 -ci
 go test -run=NONE -bench='BenchmarkTelemetryDisabled|BenchmarkCacheHit|BenchmarkColdRun|BenchmarkNoopFaultPoint|BenchmarkNoopTracePoint' -benchtime=1x ./...
-# Parallel-kernel determinism matrix under the race detector: the
-# sharded ensemble must be byte-identical at any worker count (kernel
-# digest sweep, JVM ensemble vs standalone, and the cluster's
-# GOMAXPROCS × workers digest matrix), and the seed-42 evaluation
-# digest pins the event-driven cassandra driver to the legacy byte
-# sequence.
-go test -race -count=1 -run 'TestShardsDeterministicAtAnyWorkerCount|TestPostBand' ./internal/event/
+# Parallel-stepping determinism under the race detector: a driver's
+# post-band events and its Halt, which end a wheel's run wherever it is
+# stepped; JVMs whose own wheels sweep.Run steps at 1, 2 and 4 workers,
+# byte-identical to standalone RunFor; and the cluster's digest at
+# GOMAXPROCS 1, 2 and 4, which step its 3-node ring on 1, 2 and 3
+# workers. The seed-42 evaluation digest pins the event-driven
+# cassandra driver to the legacy byte sequence.
+go test -race -count=1 -run 'TestHaltStopsRun|TestPostBand' ./internal/event/
 go test -race -count=1 -run 'TestEnsembleByteIdentity' ./internal/jvm/
 go test -race -count=1 -run 'TestClusterDigestMatrix' ./internal/cluster/
 go test -count=1 -run 'TestSeed42EvaluationDigest' ./internal/core/
@@ -162,8 +159,8 @@ go test -run=NONE -fuzz='^FuzzParseTraceparent$' -fuzztime=10s ./internal/obs/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.
-# Every line pins -cpu 1: the simulation benchmarks fan out on sweep and
-# event.Shards as wide as GOMAXPROCS, and their allocation counts move
+# Every line pins -cpu 1: the simulation benchmarks fan out on
+# sweep.Run as wide as GOMAXPROCS, and their allocation counts move
 # with that width. Figure 3 (100x) and Tables 5-7 (8x) run enough
 # iterations that the few allocations made once per run, and the few
 # that the garbage collector's timing adds, round away from allocs/op.

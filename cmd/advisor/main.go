@@ -25,7 +25,7 @@ func main() {
 		maxPaused = flag.Float64("max-paused-pct", 5, "SLO: max percent of time paused (0 = unbounded)")
 		window    = flag.Duration("window", 5*time.Minute, "simulated evaluation window per candidate")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		par       = flag.Int("parallelism", 0, "worker count for the deterministic work-stealing candidate sweep (0 = all cores); the ranking is byte-identical at any setting")
+		par       = flag.Int("parallelism", 0, "worker count for the candidate sweep (0 = all cores); the ranking is byte-identical at any setting")
 	)
 	flag.Parse()
 

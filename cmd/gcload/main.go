@@ -3,13 +3,11 @@
 // the throughput/latency curve, locating the saturation knee — the
 // highest offered rate at which the p99 SLO holds with zero failures.
 //
-// Three targets:
+// Two targets:
 //
 //	-url       an already-running daemon or fleet router, over HTTP
 //	-inproc N  an N-node in-process fleet on loopback HTTP, built and
 //	           torn down by gcload itself (default, N=1)
-//	-virtual   no service at all: a seeded virtual-time queueing model,
-//	           byte-identical output for a given seed — the CI anchor
 //
 // Open-loop mode (default) draws Poisson arrivals from -seed and
 // measures every latency from the request's intended start, so a
@@ -20,7 +18,6 @@
 //
 //	gcload -inproc 3 -rate-start 500 -rate-step 500 -rate-max 5000
 //	gcload -url http://127.0.0.1:8372 -rate 2000 -duration 10s
-//	gcload -virtual -seed 42            # deterministic smoke
 package main
 
 import (
@@ -41,7 +38,6 @@ func main() {
 	var (
 		url      = flag.String("url", "", "target an external daemon/fleet at this base URL")
 		inproc   = flag.Int("inproc", 1, "nodes in the self-hosted in-process fleet (when -url is empty)")
-		virtual  = flag.Bool("virtual", false, "virtual-time simulation: no service, deterministic output")
 		mode     = flag.String("mode", "open", "pacing: open (CO-safe, intended-start latency) or closed")
 		rate     = flag.Float64("rate", 0, "fixed offered rate (req/s); 0 sweeps for the knee instead")
 		rateLo   = flag.Float64("rate-start", 500, "sweep: first offered rate (req/s)")
@@ -66,37 +62,22 @@ func main() {
 	}
 	opts := loadgen.Options{Mode: m, Workers: *workers}
 
-	var run loadgen.RunStep
-	var label string
-	switch {
-	case *virtual:
-		label = "virtual"
-		// A seeded M/G/2 stand-in for a warm daemon: ~300µs median
-		// service, log-normal tail. Purely arithmetic — two invocations
-		// with the same flags print identical bytes.
-		run = func(sched loadgen.Schedule) (*loadgen.Result, error) {
-			return loadgen.Simulate(sched, 2,
-				loadgen.LogNormalService(300*time.Microsecond, 0.5, *seed), opts)
-		}
-	case *url != "":
-		label = *url
-		tgt, err := loadgen.NewHTTPTarget(*url, jobSpecs(*specs, *specDur), nil)
-		if err != nil {
-			fatal(err)
-		}
-		run = realRun(tgt, opts)
-	default:
-		baseURL, shutdown, err := startFleet(*inproc, *specs, *specDur)
-		if err != nil {
+	base, label := *url, *url
+	if base == "" {
+		var shutdown func()
+		var err error
+		if base, shutdown, err = startFleet(*inproc, *specs, *specDur); err != nil {
 			fatal(err)
 		}
 		defer shutdown()
 		label = fmt.Sprintf("inproc:%d", *inproc)
-		tgt, err := loadgen.NewHTTPTarget(baseURL, jobSpecs(*specs, *specDur), nil)
-		if err != nil {
-			fatal(err)
-		}
-		run = realRun(tgt, opts)
+	}
+	tgt, err := loadgen.NewHTTPTarget(base, jobSpecs(*specs, *specDur), nil)
+	if err != nil {
+		fatal(err)
+	}
+	run := func(sched loadgen.Schedule) (*loadgen.Result, error) {
+		return loadgen.Run(context.Background(), sched, tgt, opts)
 	}
 
 	fmt.Printf("gcload: target=%s mode=%s seed=%d specs=%d slo-p99=%s\n",
@@ -109,7 +90,7 @@ func main() {
 			fatal(err)
 		}
 		sw := &loadgen.Sweep{}
-		sw.Points = append(sw.Points, point(*rate, res, sloP99.Seconds()))
+		sw.Points = append(sw.Points, loadgen.Point(*rate, res, sloP99.Seconds()))
 		fmt.Print(sw.Table())
 		if *ci && res.Failed > 0 {
 			fatal(fmt.Errorf("%d failed requests", res.Failed))
@@ -146,26 +127,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gcload:", err)
 	os.Exit(1)
-}
-
-func point(rate float64, res *loadgen.Result, slo float64) loadgen.SweepPoint {
-	p := loadgen.SweepPoint{
-		Rate:       rate,
-		Throughput: res.Throughput(),
-		P50:        res.Hist.Quantile(50),
-		P99:        res.Hist.Quantile(99),
-		Max:        res.Hist.Max(),
-		Sent:       res.Sent,
-		Failed:     res.Failed,
-	}
-	p.OK = p.Failed == 0 && (slo <= 0 || p.P99 <= slo)
-	return p
-}
-
-func realRun(tgt loadgen.Target, opts loadgen.Options) loadgen.RunStep {
-	return func(sched loadgen.Schedule) (*loadgen.Result, error) {
-		return loadgen.Run(context.Background(), sched, tgt, opts)
-	}
 }
 
 // jobSpecs builds the cycled spec set: identical shape, distinct seeds,

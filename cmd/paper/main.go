@@ -34,7 +34,7 @@ func main() {
 		out        = flag.String("out", "", "directory to write raw figure series into")
 		plot       = flag.Bool("plot", false, "render the figures as ASCII scatter plots")
 		extended   = flag.Bool("extended", false, "also run the extension studies (nogc, machines, g1sweep, workloads, cluster, ext)")
-		par        = flag.Int("parallelism", 0, "worker count for the deterministic work-stealing runner fanning out independent experiments (0 = all cores); output is byte-identical at any setting")
+		par        = flag.Int("parallelism", 0, "worker count for the runner fanning out independent experiments, longest first (0 = all cores); output is byte-identical at any setting")
 		only       = flag.String("only", "", "run a single artifact: t2, f1, f2, t3, t4, f3, f4, f5, t8, nogc (§3.3 statistics), seeds (claim robustness), machines (topology sensitivity), g1sweep (pause-target frontier), workloads (YCSB A-F comparison), cluster (3-node ring extension), ext (HTM future-work study)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the evaluation to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile of the evaluation to this file (go tool pprof)")

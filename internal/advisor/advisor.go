@@ -15,6 +15,7 @@ import (
 	"jvmgc/internal/jvm"
 	"jvmgc/internal/machine"
 	"jvmgc/internal/simtime"
+	"jvmgc/internal/sweep"
 )
 
 // SLO is the service-level objective a configuration must meet.
@@ -133,7 +134,7 @@ func Advise(req Request) (Recommendation, error) {
 		}
 	}
 	results := make([]Candidate, len(cands))
-	err = forEach(req.Parallelism, len(cands), func(i int) error {
+	err = sweep.Run(sweep.Options{Workers: req.Parallelism}, len(cands), func(i int) error {
 		gcName, young := cands[i].gcName, cands[i].young
 		col, err := collector.New(gcName, collector.Config{Machine: req.Machine})
 		if err != nil {

@@ -19,8 +19,8 @@ const slice = 5 * simtime.Second
 // Node is a Cassandra server simulation mounted on an event wheel. The
 // storage-engine driver (commitlog replay, the per-slice flush/compaction
 // loop) runs as post-band events on the same wheel as the server JVM, so
-// a Node can be stepped standalone (Run), or as one shard of an
-// event.Shards ensemble with sibling nodes advancing on other workers.
+// a Node can be stepped standalone (Run), or on its own wheel beside
+// sibling nodes whose wheels advance on other workers (cluster.Run).
 //
 // The driver observes the JVM exactly as the original sequential
 // RunFor-then-inspect loop did — post-band events fire after every JVM
@@ -292,8 +292,8 @@ func (n *Node) onSlice() {
 	n.finish()
 }
 
-// finish seals the result and halts the wheel, retiring this node's
-// shard in an ensemble run.
+// finish seals the result and halts the wheel, which ends the run of
+// whoever steps it.
 func (n *Node) finish() {
 	j := n.j
 	if cnt := len(n.res.Records); cnt == 0 || n.res.Records[cnt-1].Time < j.Now() {

@@ -27,6 +27,7 @@ import (
 	"jvmgc/internal/event"
 	"jvmgc/internal/simtime"
 	"jvmgc/internal/stats"
+	"jvmgc/internal/sweep"
 	"jvmgc/internal/xrand"
 )
 
@@ -81,17 +82,8 @@ type Config struct {
 	ClientOpsPerSec float64
 	// BaseLatencyMS is the no-pause service time per replica.
 	BaseLatencyMS float64
-	// Workers is the number of goroutines stepping the ring's node
-	// simulations in parallel (each node is one shard of an event.Shards
-	// ensemble). 0 auto-detects from the host (one worker per schedulable
-	// core, at most one per node); 1 forces the exact sequential path.
-	// The result is byte-identical at any worker count — nodes interact
-	// only through the post-hoc client analysis — so Workers is purely a
-	// wall-clock knob. A shared Node.Recorder forces Workers to 1, since
-	// concurrent nodes would interleave their telemetry streams
-	// nondeterministically.
-	Workers int
-	Seed    uint64
+	// Seed derives each node's seed and the client's arrival process.
+	Seed uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -132,33 +124,41 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg, PerLevel: map[ConsistencyLevel]stats.BandReport{}}
 
 	// Run the nodes. Identical configuration, independent seeds: the GC
-	// schedules desynchronize as they would in production. Each node is
-	// one shard of an ensemble, stepped by Workers goroutines in lockstep
-	// epochs; nodes only interact through the post-hoc client analysis
-	// below, so the results are byte-identical at any worker count.
-	workers := cfg.Workers
+	// schedules desynchronize as they would in production. Each node has
+	// its own event wheel, and sweep.Run steps the wheels to completion;
+	// nodes only interact through the post-hoc client analysis below, so
+	// the results are byte-identical at any worker count. A shared
+	// Node.Recorder takes one worker, since concurrent nodes would
+	// interleave its telemetry stream nondeterministically.
+	workers := 0
 	if cfg.Node.Recorder != nil {
 		workers = 1
 	}
-	g := event.NewShards(cfg.Nodes, workers)
+	wheels := make([]*event.Sim, cfg.Nodes)
 	nodes := make([]*cassandra.Node, cfg.Nodes)
 	for n := range nodes {
 		nodeCfg := cfg.Node
 		nodeCfg.Seed = cfg.Seed + uint64(n)*99991
-		node, err := cassandra.NewNode(nodeCfg, g.Shard(n))
+		wheels[n] = event.New()
+		node, err := cassandra.NewNode(nodeCfg, wheels[n])
 		if err != nil {
 			return res, fmt.Errorf("node %d: %w", n, err)
 		}
-		g.SetShardLabel(n, fmt.Sprintf("node%d/%s", n, node.Result().Config.CollectorName))
 		nodes[n] = node
 		node.Start()
 	}
-	g.RunAll()
-	horizon := simtime.Duration(0)
-	for n, node := range nodes {
-		if !node.Done() {
-			return res, fmt.Errorf("node %d halted before completing its run", n)
+	err := sweep.Run(sweep.Options{Workers: workers}, cfg.Nodes, func(n int) error {
+		wheels[n].RunAll()
+		if !nodes[n].Done() {
+			return fmt.Errorf("node %d halted before completing its run", n)
 		}
+		return nil
+	})
+	if err != nil {
+		return res, err
+	}
+	horizon := simtime.Duration(0)
+	for _, node := range nodes {
 		nr := node.Result()
 		res.Nodes = append(res.Nodes, nr)
 		if nr.TotalDuration > horizon {

@@ -37,9 +37,9 @@ func resultDigest(r Result) string {
 }
 
 // TestClusterDigestMatrix is the cluster's half of the determinism
-// contract, swept across the full matrix the issue pins: the run digest
-// must be byte-identical at GOMAXPROCS 1, 2 and 4 crossed with worker
-// counts 1, 2 and 4 (workers=1 being the exact legacy sequential path).
+// contract: the run digest must be byte-identical at GOMAXPROCS 1, 2
+// and 4, which step the 3-node ring on 1 (the sequential path), 2 and
+// 3 workers.
 func TestClusterDigestMatrix(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -49,30 +49,26 @@ func TestClusterDigestMatrix(t *testing.T) {
 	var want string
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 2, 4} {
-			c := cfg
-			c.Workers = workers
-			res, err := Run(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := resultDigest(res)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("GOMAXPROCS=%d workers=%d: digest %s diverged from baseline %s",
-					procs, workers, got[:12], want[:12])
-			}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resultDigest(res)
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("GOMAXPROCS=%d: digest %s diverged from baseline %s",
+				procs, got[:12], want[:12])
 		}
 	}
 }
 
 // BenchmarkClusterStep measures stepping a 4-node ring (no client
-// analysis beyond the run itself) with auto-detected workers; on a
-// >= 4-core host this should scale near-linearly with the node count
-// since the nodes share nothing between safepoints.
+// analysis beyond the run itself) on GOMAXPROCS workers; on a >= 4-core
+// host this should scale near-linearly with the node count since the
+// nodes share nothing while they step.
 func BenchmarkClusterStep(b *testing.B) {
 	node := cassandra.DefaultConfig("G1", 5*simtime.Minute)
 	node.Heap = 16 * machine.GB
@@ -96,7 +92,7 @@ func BenchmarkClusterStep(b *testing.B) {
 // perLevelPins holds, per collector, the SHA-256 of the %#v of the ONE,
 // QUORUM and ALL band reports of testConfig: every field of every band
 // row, where TestClusterDigestMatrix hashes only N, AVG and MAX and
-// compares worker counts with each other.
+// compares GOMAXPROCS settings with each other.
 var perLevelPins = map[string]string{
 	"ParallelOld": "8dd1168d3ac16211911d7bbb2c316bbfff4b143eb75760ba1354f30bfba8742d",
 	"CMS":         "d16dee888eaa261ff12610d2481309607b7111d732ad57e8244128080e82eed1",

@@ -69,7 +69,7 @@ func (l *Lab) ClientLatencyStudy(gc string) (ClientExperiment, error) {
 }
 
 // ClientLatencyStudyAll runs the study for the three main collectors on
-// the work-stealing runner, most expensive collector first; results keep
+// the sweep runner, most expensive collector first; results keep
 // MainGCNames order regardless of parallelism.
 func (l *Lab) ClientLatencyStudyAll() ([]ClientExperiment, error) {
 	gcs := MainGCNames()

@@ -35,7 +35,7 @@ type Lab struct {
 	// ClientDuration is the client-server experiment length
 	// (paper: 2 h).
 	ClientDuration float64 // seconds
-	// Parallelism bounds the work-stealing runner fanning independent
+	// Parallelism bounds the sweep runner fanning independent
 	// experiment runs across cores; 0 selects GOMAXPROCS. Above 1 it
 	// also gives each YCSB trace a second goroutine for its draws
 	// (ycsb.TransactionConfig.Pipelined). Results are byte-identical at

@@ -6,8 +6,8 @@ import (
 	"jvmgc/internal/sweep"
 )
 
-// forEach runs fn(i) for i in [0, n) on the deterministic work-stealing
-// runner (internal/sweep) and returns the first error in index order.
+// forEach runs fn(i) for i in [0, n) on internal/sweep's shared queue
+// and returns the first error in index order.
 // Each experiment in this laboratory is an independent simulation with
 // its own seed, so fanning them out is deterministic: results land in
 // caller-owned slices by index, and error selection ignores completion
@@ -17,22 +17,18 @@ func (l *Lab) forEach(n int, fn func(i int) error) error {
 }
 
 // forEachCost is forEach with a per-task expected-cost estimate: tasks
-// are dealt longest-expected-first (the LPT heuristic), so the sweep's
-// straggler starts first instead of landing last on a busy worker. The
-// estimate shapes only the schedule, never the results.
+// are handed out longest-expected-first (the LPT heuristic), so the
+// sweep's straggler starts first instead of landing last on a busy
+// worker. The estimate shapes only the schedule, never the results.
 func (l *Lab) forEachCost(n int, cost func(i int) float64, fn func(i int) error) error {
-	return sweep.Run(sweep.Options{
-		Workers: l.Parallelism,
-		Seed:    l.Seed,
-		Cost:    cost,
-	}, n, fn)
+	return sweep.Run(sweep.Options{Workers: l.Parallelism, Cost: cost}, n, fn)
 }
 
 // collectorCost estimates a collector's relative simulation cost for
 // longest-expected-first scheduling. The concurrent collectors simulate
 // more events per heap cycle (concurrent phases, remembered-set work)
 // than the stop-the-world ones; the exact ratios do not matter, only
-// that the expensive runs are dealt first.
+// that the expensive runs are handed out first.
 func collectorCost(gc string) float64 {
 	switch gc {
 	case "G1":

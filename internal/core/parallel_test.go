@@ -108,7 +108,7 @@ func TestForEachCostOrdersSerialSchedule(t *testing.T) {
 
 func TestParallelismDoesNotChangeResults(t *testing.T) {
 	// Rendered experiment bytes must be identical at any worker count:
-	// the work-stealing schedule may differ, the output may not.
+	// the schedule may differ, the output may not.
 	var base string
 	for _, workers := range []int{1, 4, 16} {
 		lab := QuickLab(9)

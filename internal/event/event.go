@@ -14,7 +14,8 @@
 // event in a late band: at equal instants it fires after every normally
 // scheduled event, which lets an experiment driver observe the simulation
 // exactly as a sequential Run-to-deadline-then-inspect loop would, while
-// living on the wheel itself (see Shards for why drivers want that).
+// living on the wheel itself, so a wheel and its driver can be stepped to
+// completion on any goroutine without a caller in between.
 //
 // Steady-state stepping is allocation-free: fired and cancelled Event
 // objects are recycled through a free list, and the priority queue is a
@@ -163,11 +164,6 @@ func (s *Sim) Cancel(e *Event) {
 // Halt stops the run loop after the current event completes. Pending
 // events remain queued.
 func (s *Sim) Halt() { s.halted = true }
-
-// Halted reports whether the most recent Run was stopped by Halt (Run
-// clears the flag on entry). A sharded ensemble uses it to retire a
-// wheel whose driver declared the simulation complete.
-func (s *Sim) Halted() bool { return s.halted }
 
 // Step executes the single earliest pending event, advancing the clock.
 // It reports whether an event was executed. The fired event is recycled

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -186,6 +187,35 @@ func TestHalt(t *testing.T) {
 	s.RunAll()
 	if fired != 10 {
 		t.Errorf("fired = %d after resume", fired)
+	}
+}
+
+// TestHaltStopsRun pins driver-controlled completion: a driver that
+// halts its wheel ends Run at the halting event, with the clock parked
+// there and the rest of the queue left pending, although the deadline
+// lies further out.
+func TestHaltStopsRun(t *testing.T) {
+	s := New()
+	stop := 2 * simtime.Time(simtime.Second)
+	ticks := 0
+	var tick func()
+	tick = func() {
+		ticks++
+		if s.Now() >= stop {
+			s.Halt()
+		}
+		s.AfterFunc(simtime.Second, tick)
+	}
+	s.AfterFunc(simtime.Second, tick)
+	s.Run(10 * simtime.Time(simtime.Second))
+	if ticks != 2 {
+		t.Errorf("halted wheel ticked %d times, want 2", ticks)
+	}
+	if s.Now() != stop {
+		t.Errorf("halted wheel clock = %v, want %v", s.Now(), stop)
+	}
+	if s.Pending() != 1 {
+		t.Errorf("pending = %d, want the one tick scheduled before the halt", s.Pending())
 	}
 }
 
@@ -408,6 +438,82 @@ func TestQuickRandomScheduleFiresSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPostBandFiresAfterTies mirrors TestTiesFireInSchedulingOrder for
+// the post band: at one instant, every normally scheduled event
+// fires before every post-band event regardless of scheduling
+// interleaving, and each band keeps scheduling order internally.
+func TestPostBandFiresAfterTies(t *testing.T) {
+	s := New()
+	var order []int
+	at := simtime.Time(simtime.Second)
+	// Interleave the bands while scheduling: posts get ids >= 100.
+	for i := 0; i < 6; i++ {
+		i := i
+		s.SchedulePostFunc(at, func() { order = append(order, 100+i) })
+		s.ScheduleFunc(at, func() { order = append(order, i) })
+	}
+	s.RunAll()
+	want := []int{0, 1, 2, 3, 4, 5, 100, 101, 102, 103, 104, 105}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("band order = %v, want %v", order, want)
+	}
+}
+
+// TestPostBandOrdersAcrossInstants pins that the band only breaks ties:
+// a post event at an earlier instant still fires before a normal event
+// at a later one.
+func TestPostBandOrdersAcrossInstants(t *testing.T) {
+	s := New()
+	var order []int
+	s.ScheduleFunc(2*simtime.Time(simtime.Second), func() { order = append(order, 2) })
+	s.SchedulePostFunc(simtime.Time(simtime.Second), func() { order = append(order, 1) })
+	s.RunAll()
+	if !sort.IntsAreSorted(order) || len(order) != 2 {
+		t.Errorf("order = %v", order)
+	}
+}
+
+// TestPostBandSeesSameInstantWork pins the driver contract the cassandra
+// node relies on: a post event at T observes every effect of normal
+// events at T, and normal events it schedules at T still run (right
+// after it, exactly like a Run(T)-then-inspect driver scheduling work).
+func TestPostBandSeesSameInstantWork(t *testing.T) {
+	s := New()
+	at := simtime.Time(simtime.Second)
+	fired := 0
+	var sawAtPost int
+	s.SchedulePostFunc(at, func() {
+		sawAtPost = fired
+		s.ScheduleFunc(at, func() { fired++ }) // reactively scheduled work
+	})
+	s.ScheduleFunc(at, func() { fired++ })
+	s.ScheduleFunc(at, func() { fired++ })
+	s.RunAll()
+	if sawAtPost != 2 {
+		t.Errorf("post handler saw %d fired events, want 2", sawAtPost)
+	}
+	if fired != 3 {
+		t.Errorf("reactively scheduled same-instant event did not run: fired = %d", fired)
+	}
+}
+
+// TestPostBandRecyclingKeepsSeqUnique pins that the band bit never leaks
+// into the pool: a recycled post event rescheduled normally must order
+// like a normal event.
+func TestPostBandRecyclingKeepsSeqUnique(t *testing.T) {
+	s := New()
+	s.SchedulePostFunc(0, func() {})
+	s.RunAll() // recycles the post event object
+	var order []int
+	at := simtime.Time(simtime.Second)
+	s.SchedulePostFunc(at, func() { order = append(order, 2) })
+	s.ScheduleFunc(at, func() { order = append(order, 1) }) // likely the recycled object
+	s.RunAll()
+	if !sort.IntsAreSorted(order) || len(order) != 2 {
+		t.Errorf("recycled post object broke band order: %v", order)
 	}
 }
 

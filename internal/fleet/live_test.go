@@ -122,7 +122,7 @@ func TestDataPathSuspicion(t *testing.T) {
 				if st, _, _ := g.Memberlist().State("b"); (st == gossip.StateSuspect) != c.suspect {
 					t.Errorf("b is %v after the failure, want suspect=%v", st, c.suspect)
 				}
-				if routable := rt.pick(key) == "b"; routable == c.suspect {
+				if routable := rt.pickHash(rt.view.Load(), finalize(hashString(key)), 0) == "b"; routable == c.suspect {
 					t.Errorf("b routable=%v, want %v", routable, !c.suspect)
 				}
 			})
@@ -174,7 +174,7 @@ func TestConcurrentPlacementDuringMembershipChange(t *testing.T) {
 				default:
 				}
 				k := keys[(i+w)%len(keys)]
-				if owner := rt.pick(k); !valid[owner] {
+				if owner := rt.pickHash(rt.view.Load(), finalize(hashString(k)), 0); !valid[owner] {
 					errs <- "pick returned unknown node " + owner
 					return
 				}

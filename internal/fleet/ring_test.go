@@ -145,8 +145,9 @@ func TestRouterPickBoundedLoadAndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := "0c3f7d1e"
+	h := finalize(hashString(key))
 	owner := rt.Ring().Lookup(key)
-	if got := rt.pick(key); got != owner {
+	if got := rt.pickHash(rt.view.Load(), h, 0); got != owner {
 		t.Fatalf("idle pick = %s, want ring owner %s", got, owner)
 	}
 
@@ -154,7 +155,7 @@ func TestRouterPickBoundedLoadAndFailover(t *testing.T) {
 	// the owner alone, bound = ceil(1.25*9/3) = 4 < 8, so placement
 	// slides to the next arc.
 	rt.acquire(owner, 8)
-	slid := rt.pick(key)
+	slid := rt.pickHash(rt.view.Load(), h, 0)
 	if slid == owner {
 		t.Fatalf("pick stayed on overloaded owner %s", owner)
 	}
@@ -173,7 +174,6 @@ func TestRouterPickBoundedLoadAndFailover(t *testing.T) {
 
 	// An owner this request failed on: skipped by this request only.
 	v := rt.view.Load()
-	h := finalize(hashString(key))
 	if got := rt.pickHash(v, h, v.bit(owner)); got != next {
 		t.Errorf("excluded-owner pick = %s, want %s", got, next)
 	}
@@ -185,12 +185,12 @@ func TestRouterPickBoundedLoadAndFailover(t *testing.T) {
 	if got := rt.Ring().Lookup(key); got != owner {
 		t.Errorf("suspect lost its arc: ring owner = %s, want %s", got, owner)
 	}
-	if got := rt.pick(key); got != next {
+	if got := rt.pickHash(rt.view.Load(), h, 0); got != next {
 		t.Errorf("suspect-owner pick = %s, want %s", got, next)
 	}
 	// Nothing routable: no placement.
 	rt.SetMembership(2, urls, []string{"a", "b", "c"})
-	if got := rt.pick(key); got != "" {
+	if got := rt.pickHash(rt.view.Load(), h, 0); got != "" {
 		t.Errorf("all-suspect pick = %q, want \"\"", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestRouterPickAllAtBoundFallsBack(t *testing.T) {
 		rt.acquire(n, 100)
 	}
 	key := "deadbeef"
-	if got := rt.pick(key); got != rt.Ring().Lookup(key) {
+	if got := rt.pickHash(rt.view.Load(), finalize(hashString(key)), 0); got != rt.Ring().Lookup(key) {
 		t.Errorf("saturated pick = %q, want owner %q", got, rt.Ring().Lookup(key))
 	}
 }
@@ -238,10 +238,10 @@ func TestRouterPickZeroAlloc(t *testing.T) {
 	keys := testKeys(64)
 	i := 0
 	if avg := testing.AllocsPerRun(1000, func() {
-		_ = rt.pick(keys[i%len(keys)])
+		_ = rt.pickHash(rt.view.Load(), finalize(hashString(keys[i%len(keys)])), 0)
 		i++
 	}); avg != 0 {
-		t.Errorf("Router.pick allocates %.1f/op, want 0", avg)
+		t.Errorf("Router.pickHash allocates %.1f/op, want 0", avg)
 	}
 }
 
@@ -269,7 +269,7 @@ func BenchmarkRouterPick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkNode = rt.pick(keys[i%len(keys)])
+		sinkNode = rt.pickHash(rt.view.Load(), finalize(hashString(keys[i%len(keys)])), 0)
 	}
 }
 
@@ -313,7 +313,8 @@ func BenchmarkRouterForward(b *testing.B) {
 
 // TestSpecHashZeroAlloc gates the submit path's keying and placement
 // (specHash, then pickHash) at 0 allocs/op, and pins both to the
-// canonical forms: the key is labd.SpecKey's, the placement pick's.
+// canonical forms: the key is labd.SpecKey's, and its hash the one the
+// key's string form gives.
 func TestSpecHashZeroAlloc(t *testing.T) {
 	rt, err := New(Config{Nodes: map[string]string{
 		"a": "http://a", "b": "http://b", "c": "http://c",
@@ -333,8 +334,8 @@ func TestSpecHashZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("specHash + pickHash allocates %.1f/op, want 0", avg)
 	}
-	// The derived key must match the canonical one, and placement must
-	// agree with a string-keyed pick.
+	// The derived key must match the canonical one, and its hash the
+	// string key's, so placement agrees.
 	want, err := labd.SpecKey(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +347,8 @@ func TestSpecHashZeroAlloc(t *testing.T) {
 	if string(keyBuf[:]) != want {
 		t.Errorf("specHash key %q != SpecKey %q", keyBuf[:], want)
 	}
-	if got := rt.pickHash(rt.view.Load(), h, 0); got != rt.pick(want) {
-		t.Errorf("specHash placement %q != pick %q", got, rt.pick(want))
+	if keyHash := finalize(hashString(want)); h != keyHash {
+		t.Errorf("specHash = %#x, want the key's hash %#x", h, keyHash)
 	}
 }
 

@@ -320,11 +320,6 @@ func (rt *Router) release(node string, n int) {
 	rt.mu.Unlock()
 }
 
-// pick places a key on the current view (see pickHash).
-func (rt *Router) pick(key string) string {
-	return rt.pickHash(rt.view.Load(), finalize(hashString(key)), 0)
-}
-
 // pickHash places a finalized key hash on v: the first routable
 // candidate in ring order whose pending load is under the bounded-load
 // cap, falling back to the first routable candidate when every node is

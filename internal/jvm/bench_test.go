@@ -38,19 +38,19 @@ func BenchmarkSimulatedHourG1(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatedHourG1Parallel steps ensembles of up to four G1 JVMs
-// through the sharded kernel with auto-detected workers; ns/op is one
-// simulated JVM-hour, directly comparable to BenchmarkSimulatedHourG1.
-// On a >= 4-core host the kernel's speedup target (>= 1.5x) shows up as
-// this benchmark running below 2/3 of the sequential one; on one core it
-// measures the sharding overhead of the workers=1 path.
+// BenchmarkSimulatedHourG1Parallel steps ensembles of up to four G1
+// JVMs, each on its own wheel, through sweep.Run on GOMAXPROCS workers;
+// ns/op is one simulated JVM-hour, directly comparable to
+// BenchmarkSimulatedHourG1. On a >= 4-core host the speedup target
+// (>= 1.5x) shows up as this benchmark running below 2/3 of the
+// sequential one; on one core it measures the fan-out's overhead on
+// the one-worker path.
 func BenchmarkSimulatedHourG1Parallel(b *testing.B) {
 	for done := 0; done < b.N; {
 		k := b.N - done
 		if k > 4 {
 			k = 4
 		}
-		g := event.NewShards(k, 0)
 		jvms := make([]*JVM, k)
 		for i := range jvms {
 			cfg := Config{
@@ -58,14 +58,11 @@ func BenchmarkSimulatedHourG1Parallel(b *testing.B) {
 				Collector: mustCollector(b, "G1"),
 				Geometry:  geo(8*machine.GB, 2*machine.GB),
 				Seed:      uint64(1 + i),
-				Clock:     g.Shard(i),
+				Clock:     event.New(),
 			}
 			jvms[i] = New(cfg, benchWorkload())
 		}
-		g.Run(simtime.Time(0).Add(simtime.Hour))
-		for _, j := range jvms {
-			j.Sync()
-		}
+		stepWheels(jvms, 0, simtime.Hour)
 		done += k
 	}
 }

@@ -77,12 +77,12 @@ type Config struct {
 	// GCThreads overrides the parallel GC gang size (0 = ergonomic).
 	GCThreads int
 	// Clock mounts the JVM on an externally owned event wheel instead of
-	// a private one — the hook the sharded kernel uses to step several
-	// JVMs (each on its own event.Shards shard) in parallel epochs. The
-	// wheel must be dedicated to this JVM and its driver: the JVM's
-	// handlers are not goroutine-safe, and drivers sharing the wheel must
-	// schedule their logic in the post band (event.SchedulePost) so the
-	// JVM's same-instant events fire first, exactly as they do under the
+	// a private one — the hook that lets a caller step several JVMs,
+	// each on its own wheel, on parallel workers. The wheel must be
+	// dedicated to this JVM and its driver: the JVM's handlers are not
+	// goroutine-safe, and drivers sharing the wheel must schedule their
+	// logic in the post band (event.SchedulePost) so the JVM's
+	// same-instant events fire first, exactly as they do under the
 	// sequential RunFor loop. Nil keeps a private wheel.
 	Clock *event.Sim
 	// Seed drives all randomness in this JVM.

@@ -12,6 +12,7 @@ import (
 	"jvmgc/internal/event"
 	"jvmgc/internal/machine"
 	"jvmgc/internal/simtime"
+	"jvmgc/internal/sweep"
 )
 
 // runDigest reduces a finished run to a byte-exact fingerprint: every GC
@@ -43,30 +44,42 @@ func ensembleConfigs(tb testing.TB, n int) []Config {
 	return cfgs
 }
 
-// runEnsembleHour steps n JVMs one simulated hour on a sharded ensemble
-// and returns each JVM's digest.
+// runEnsembleHour mounts n JVMs on wheels of their own, steps the
+// wheels for d through sweep.Run on the given worker count, and returns
+// each JVM's digest.
 func runEnsembleHour(tb testing.TB, n, workers int, d simtime.Duration) []string {
-	g := event.NewShards(n, workers)
 	cfgs := ensembleConfigs(tb, n)
 	jvms := make([]*JVM, n)
 	for i := range jvms {
-		cfgs[i].Clock = g.Shard(i)
+		cfgs[i].Clock = event.New()
 		jvms[i] = New(cfgs[i], benchWorkload())
-		g.SetShardLabel(i, fmt.Sprintf("jvm%d/%s", i, cfgs[i].Collector.Name()))
 	}
-	g.Run(simtime.Time(0).Add(d))
+	stepWheels(jvms, workers, d)
 	digests := make([]string, n)
 	for i, j := range jvms {
-		j.Sync()
 		digests[i] = runDigest(j)
 	}
 	return digests
 }
 
+// stepWheels runs each JVM's own wheel to simtime.Time(0)+d through
+// sweep.Run on the given worker count (0 selects GOMAXPROCS), then
+// syncs every JVM.
+func stepWheels(jvms []*JVM, workers int, d simtime.Duration) {
+	deadline := simtime.Time(0).Add(d)
+	sweep.Run(sweep.Options{Workers: workers}, len(jvms), func(i int) error {
+		jvms[i].clock.Run(deadline)
+		return nil
+	})
+	for _, j := range jvms {
+		j.Sync()
+	}
+}
+
 // TestEnsembleByteIdentity is the simulator's half of the determinism
-// contract: JVMs stepped through the sharded kernel — at any worker
-// count — are byte-identical to the same JVMs run standalone through the
-// sequential RunFor path.
+// contract: JVMs whose wheels are stepped through sweep.Run — at any
+// worker count — are byte-identical to the same JVMs run standalone
+// through the sequential RunFor path.
 func TestEnsembleByteIdentity(t *testing.T) {
 	const n = 4
 	d := 20 * simtime.Minute
@@ -101,7 +114,6 @@ func BenchmarkEnsembleWorkers(b *testing.B) {
 					if k > 4 {
 						k = 4
 					}
-					g := event.NewShards(k, workers)
 					jvms := make([]*JVM, k)
 					for i := range jvms {
 						cfg := Config{
@@ -109,14 +121,11 @@ func BenchmarkEnsembleWorkers(b *testing.B) {
 							Collector: mustCollector(b, col),
 							Geometry:  geo(8*machine.GB, 2*machine.GB),
 							Seed:      uint64(1 + i),
-							Clock:     g.Shard(i),
+							Clock:     event.New(),
 						}
 						jvms[i] = New(cfg, benchWorkload())
 					}
-					g.Run(simtime.Time(0).Add(simtime.Hour))
-					for _, j := range jvms {
-						j.Sync()
-					}
+					stepWheels(jvms, workers, simtime.Hour)
 					done += k
 				}
 			})
@@ -124,8 +133,8 @@ func BenchmarkEnsembleWorkers(b *testing.B) {
 	}
 }
 
-// TestEnsembleSpeedup measures the point of the parallel kernel: with
-// enough cores, stepping 4 independent JVMs through the sharded kernel
+// TestEnsembleSpeedup measures the point of stepping wheels in
+// parallel: with enough cores, stepping 4 independent JVMs on 4 workers
 // beats stepping them sequentially by at least 1.5x. Wall-clock
 // assertions need real cores, so the test runs only where the issue's
 // target is defined (GOMAXPROCS >= 4 backed by >= 4 CPUs).

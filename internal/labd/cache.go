@@ -65,21 +65,16 @@ func newResultCache(max int, disk *diskCache) *resultCache {
 	}
 }
 
-// begin resolves a key: a cache hit (memory, or a verified disk entry
-// promoted into memory) returns the stored bytes; otherwise the caller
-// either joins an existing flight (leader=false) or becomes the leader
-// of a new one (leader=true) and must eventually call complete with the
-// same key. A corrupt disk entry is deleted inside the read and shows up
-// here as a plain miss, so the new leader recomputes and rewrites it.
-func (c *resultCache) begin(key string) (cached []byte, fl *flight, leader bool) {
-	cached, _, fl, leader = c.beginTier(key)
-	return cached, fl, leader
-}
-
-// beginTier is begin plus the tier that resolved the key — "memory",
-// "disk", "coalesced" (joined a flight) or "miss" (became leader) — for
-// the tracing layer, which wants the cache lookup's disposition on the
-// span without re-deriving it.
+// beginTier resolves a key: a cache hit (memory, or a verified disk
+// entry promoted into memory) returns the stored bytes; otherwise the
+// caller either joins an existing flight (leader=false) or becomes the
+// leader of a new one (leader=true) and must eventually call complete
+// with the same key. A corrupt disk entry is deleted inside the read and
+// shows up here as a plain miss, so the new leader recomputes and
+// rewrites it. tier names what resolved the key — "memory", "disk",
+// "coalesced" (joined a flight) or "miss" (became leader) — for the
+// tracing layer, which wants the cache lookup's disposition on the span
+// without re-deriving it.
 func (c *resultCache) beginTier(key string) (cached []byte, tier string, fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -23,7 +23,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cached, fl, leader := c.begin("k")
+			cached, _, fl, leader := c.beginTier("k")
 			switch {
 			case cached != nil:
 				results[i] = cached
@@ -62,11 +62,11 @@ func TestCacheSingleflightError(t *testing.T) {
 	c := newResultCache(8, nil)
 	boom := errors.New("boom")
 
-	_, fl, leader := c.begin("k")
+	_, _, fl, leader := c.beginTier("k")
 	if !leader {
 		t.Fatal("first begin must lead")
 	}
-	_, follower, leads := c.begin("k")
+	_, _, follower, leads := c.beginTier("k")
 	if leads {
 		t.Fatal("second begin must follow, not lead")
 	}
@@ -78,7 +78,7 @@ func TestCacheSingleflightError(t *testing.T) {
 	if _, ok := c.get("k"); ok {
 		t.Fatal("failed flight must not populate the cache")
 	}
-	if _, _, leader := c.begin("k"); !leader {
+	if _, _, _, leader := c.beginTier("k"); !leader {
 		t.Fatal("after a failed flight the next begin must lead again")
 	}
 }
@@ -88,7 +88,7 @@ func TestCacheSingleflightError(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2, nil)
 	put := func(key string) {
-		_, fl, leader := c.begin(key)
+		_, _, fl, leader := c.beginTier(key)
 		if !leader {
 			t.Fatalf("begin(%s): expected leader", key)
 		}
@@ -115,7 +115,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	// Evicted keys re-enter as fresh flights; inserting "b" again pushes
 	// out the current LRU entry "a".
-	_, fl, leader := c.begin("b")
+	_, _, fl, leader := c.beginTier("b")
 	if !leader {
 		t.Fatal("evicted key must miss and elect a new leader")
 	}

@@ -1,6 +1,6 @@
 // Package labd turns the GC laboratory into a long-running service: a
-// job daemon that accepts simulation requests over HTTP/JSON, schedules
-// them on a bounded work-stealing pool (internal/sweep) with
+// job daemon that accepts simulation requests over HTTP/JSON, runs them
+// in arrival order on a bounded worker pool (internal/sweep) with
 // backpressure, and memoizes results in a content-addressed cache.
 //
 // Every experiment in this laboratory is deterministic in its spec
@@ -235,9 +235,8 @@ type Server struct {
 	metrics *telemetry.Metrics
 	cache   *resultCache
 	chaos   *faultinject.Injector
-	// pool executes leader jobs: a bounded work-stealing pool whose
-	// owners drain in FIFO order (jobs age out in arrival order) while
-	// idle workers steal queued bursts from busy peers.
+	// pool executes leader jobs from one bounded FIFO queue: jobs age
+	// out in arrival order, each on the first worker that comes free.
 	pool *sweep.Pool
 
 	// runSpec is the execution function; tests substitute it to model

@@ -256,7 +256,7 @@ func TestResultCacheDiskPromotion(t *testing.T) {
 
 	put := func(c *resultCache, key string, bytes []byte) {
 		t.Helper()
-		_, fl, leader := c.begin(key)
+		_, _, fl, leader := c.beginTier(key)
 		if !leader {
 			t.Fatalf("begin(%s): want leader", key)
 		}
@@ -270,13 +270,13 @@ func TestResultCacheDiskPromotion(t *testing.T) {
 	}
 	// "a" was evicted from memory but survives on disk: a re-begin is a
 	// hit, not a new flight.
-	if cached, _, leader := warm.begin("a"); leader || string(cached) != "result-a" {
+	if cached, _, _, leader := warm.beginTier("a"); leader || string(cached) != "result-a" {
 		t.Fatalf("begin(a) after eviction = %q leader=%v, want disk hit", cached, leader)
 	}
 
 	// A cold cache over the same directory (daemon restart) hits too.
 	cold := newResultCache(8, d)
-	if cached, _, leader := cold.begin("b"); leader || string(cached) != "result-b" {
+	if cached, _, _, leader := cold.beginTier("b"); leader || string(cached) != "result-b" {
 		t.Fatalf("restart begin(b) = %q leader=%v, want disk hit", cached, leader)
 	}
 }

@@ -70,16 +70,7 @@ func FindKnee(cfg SweepConfig, run RunStep) (*Sweep, error) {
 		if err != nil {
 			return sw, err
 		}
-		p := SweepPoint{
-			Rate:       rate,
-			Throughput: res.Throughput(),
-			P50:        res.Hist.Quantile(50),
-			P99:        res.Hist.Quantile(99),
-			Max:        res.Hist.Max(),
-			Sent:       res.Sent,
-			Failed:     res.Failed,
-		}
-		p.OK = p.Failed == 0 && (cfg.SLOP99 <= 0 || p.P99 <= cfg.SLOP99)
+		p := Point(rate, res, cfg.SLOP99)
 		sw.Points = append(sw.Points, p)
 		if !p.OK {
 			break
@@ -87,6 +78,23 @@ func FindKnee(cfg SweepConfig, run RunStep) (*Sweep, error) {
 		sw.Knee = rate
 	}
 	return sw, nil
+}
+
+// Point summarizes one run at an offered rate as a sweep step. The step
+// is OK when no request failed and the p99 held sloP99 (a non-positive
+// sloP99 holds any p99).
+func Point(rate float64, res *Result, sloP99 float64) SweepPoint {
+	p := SweepPoint{
+		Rate:       rate,
+		Throughput: res.Throughput(),
+		P50:        res.Hist.Quantile(50),
+		P99:        res.Hist.Quantile(99),
+		Max:        res.Hist.Max(),
+		Sent:       res.Sent,
+		Failed:     res.Failed,
+	}
+	p.OK = p.Failed == 0 && (sloP99 <= 0 || p.P99 <= sloP99)
+	return p
 }
 
 // Table renders the sweep as an aligned text table (rates in req/s,

@@ -12,11 +12,7 @@
 // difference between the two curves *is* the coordinated-omission error.
 //
 // Determinism is load-bearing: a schedule is a pure function of
-// (profile, rate, duration, seed), and the virtual-time simulator in
-// virtual.go replays a schedule against a queueing model with no wall
-// clock at all — same seed, byte-identical latency histogram — so CI
-// can pin the generator's arithmetic exactly. Real-time runs share
-// every line of accounting with the simulator; only the clock differs.
+// (profile, rate, duration, seed), so two runs offer the same arrivals.
 //
 // FindKnee sweeps arrival rate and reports the saturation knee: the
 // highest offered rate at which the p99 SLO held with zero failures.
@@ -31,8 +27,7 @@ import (
 // Schedule is an open-loop arrival plan: intended start offsets from
 // the run's origin, sorted non-decreasing. The schedule is fully
 // materialized before the run begins so that dispatching never does
-// rate arithmetic under load — and so the same Schedule value can drive
-// a wall-clock run and a virtual-time simulation identically.
+// rate arithmetic under load.
 type Schedule struct {
 	// Offsets are intended start times relative to the run origin.
 	Offsets []time.Duration

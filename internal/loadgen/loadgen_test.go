@@ -1,11 +1,13 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"jvmgc/internal/hdrhist"
 )
 
 func TestPoissonScheduleDeterministic(t *testing.T) {
@@ -46,77 +48,24 @@ func TestPoissonScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimulateDeterministic is the satellite's headline: same seed,
-// byte-identical latency histogram.
-func TestSimulateDeterministic(t *testing.T) {
-	run := func() []byte {
-		sched := Poisson(2000, time.Second, 99)
-		res, err := Simulate(sched, 2, LogNormalService(300*time.Microsecond, 0.5, 7), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := res.Hist.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if !bytes.Equal(run(), run()) {
-		t.Fatal("same seed produced different latency histograms")
-	}
-}
-
-// TestCoordinatedOmissionVirtual injects a server stall into an
-// open-loop and a closed-loop run of the same schedule and model. The
-// open loop must charge the stall to every request whose intended start
-// fell inside it; the closed loop records it exactly once — the
-// difference is the coordinated-omission error the generator exists to
-// avoid.
-func TestCoordinatedOmissionVirtual(t *testing.T) {
-	sched := Uniform(1000, time.Second) // 999 arrivals, 1ms apart
-	// 100µs service, but request 100 stalls for 200ms — a GC pause. With
-	// one server, every request intended during those 200ms queues.
-	model := func() ServiceModel {
-		return WithStall(FixedService(100*time.Microsecond), 100, 101, 200*time.Millisecond)
-	}
-	open, err := Simulate(sched, 1, model(), Options{Mode: OpenLoop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed, err := Simulate(sched, 1, model(), Options{Mode: ClosedLoop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~200 requests were due during the stall; open loop must see them
-	// all above 10ms, closed loop only the stalled request itself.
-	openSlow := open.Hist.CountAbove(0.01)
-	closedSlow := closed.Hist.CountAbove(0.01)
-	if openSlow < 150 {
-		t.Errorf("open loop saw %d samples over 10ms, want ≥150 (stall must hit queued arrivals)", openSlow)
-	}
-	if closedSlow != 1 {
-		t.Errorf("closed loop saw %d samples over 10ms, want exactly the stalled request", closedSlow)
-	}
-	if open.Hist.Quantile(99) < 10*closed.Hist.Quantile(99) {
-		t.Errorf("open p99 %.4fs not ≫ closed p99 %.4fs — CO correction missing",
-			open.Hist.Quantile(99), closed.Hist.Quantile(99))
-	}
-}
-
-// TestCoordinatedOmissionRealTime repeats the stall experiment against
-// the wall clock: a target that blocks once must show up in the
-// intended-start latencies of the requests scheduled behind it. Bounds
+// TestCoordinatedOmissionRealTime runs a target that stalls once in
+// open and in closed loop: the open loop must charge the stall to the
+// intended-start latencies of the requests scheduled behind it, the
+// closed loop only to the stalled request itself — the difference is
+// the coordinated-omission error the generator exists to avoid. Bounds
 // are generous — this asserts accounting, not scheduler precision.
 func TestCoordinatedOmissionRealTime(t *testing.T) {
 	sched := Uniform(200, 500*time.Millisecond) // 99 arrivals, 5ms apart
-	var calls atomic.Int64
-	tgt := TargetFunc(func(ctx context.Context, i int) error {
-		if calls.Add(1) == 10 {
-			time.Sleep(250 * time.Millisecond)
-		}
-		return nil
-	})
-	res, err := Run(context.Background(), sched, tgt, Options{Mode: OpenLoop, Workers: 1})
+	stalling := func() Target {
+		var calls atomic.Int64
+		return TargetFunc(func(ctx context.Context, i int) error {
+			if calls.Add(1) == 10 {
+				time.Sleep(250 * time.Millisecond)
+			}
+			return nil
+		})
+	}
+	res, err := Run(context.Background(), sched, stalling(), Options{Mode: OpenLoop, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +77,21 @@ func TestCoordinatedOmissionRealTime(t *testing.T) {
 	}
 	// The stall is 250ms and arrivals keep coming every 5ms with one
 	// worker: at least ~30 requests must record >50ms from intended
-	// start. A closed-loop generator would record ≤ a couple.
+	// start.
 	if slow := res.Hist.CountAbove(0.05); slow < 20 {
 		t.Errorf("only %d samples over 50ms; stall not charged to queued arrivals", slow)
 	}
 	if res.Hist.Max() < 0.2 {
 		t.Errorf("max latency %.3fs < stall duration", res.Hist.Max())
+	}
+	// A closed loop measures from the actual send, so it records the
+	// stall once.
+	closed, err := Run(context.Background(), sched, stalling(), Options{Mode: ClosedLoop, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow := closed.Hist.CountAbove(0.05); slow > 2 {
+		t.Errorf("closed loop saw %d samples over 50ms, want at most a couple", slow)
 	}
 }
 
@@ -153,44 +111,53 @@ func TestClosedLoopRealTime(t *testing.T) {
 	}
 }
 
-// TestFindKneeTerminatesAndLocates drives the sweep against a virtual
-// M/G/1 with ~400µs service: capacity ≈ 2500 rps, so a ladder through
-// 4000 must stop early with a knee below capacity.
+// TestFindKneeTerminatesAndLocates drives the sweep with a synthetic
+// step whose p99 is a fixed function of the offered rate (2 µs per
+// req/s, except 3500 req/s, which would pass again): against a 5.5 ms
+// SLO the knee is 2500 req/s, the last passing step, and the sweep
+// stops at 3000 req/s, its first failing step.
 func TestFindKneeTerminatesAndLocates(t *testing.T) {
 	cfg := SweepConfig{
 		Start: 500, Step: 500, Max: 4000,
-		SLOP99:       0.02,
-		StepDuration: 2 * time.Second,
+		SLOP99:       0.0055,
+		StepDuration: time.Second,
 		Seed:         11,
 	}
-	sw, err := FindKnee(cfg, func(sched Schedule) (*Result, error) {
-		return Simulate(sched, 1, FixedService(400*time.Microsecond), Options{})
-	})
-	if err != nil {
-		t.Fatal(err)
+	sweep := func() (*Sweep, []float64) {
+		var offered []float64
+		sw, err := FindKnee(cfg, func(sched Schedule) (*Result, error) {
+			offered = append(offered, sched.Rate)
+			p99 := sched.Rate * 2e-6
+			if sched.Rate == 3500 {
+				p99 = 0.001
+			}
+			res := &Result{Hist: hdrhist.New(hdrhist.Config{}), Rate: sched.Rate, Elapsed: cfg.StepDuration}
+			for range sched.Offsets {
+				res.Hist.Record(p99)
+				res.Sent++
+			}
+			return res, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw, offered
 	}
-	if len(sw.Points) == 0 {
-		t.Fatal("no sweep points")
+	sw, offered := sweep()
+	if want := "[500 1000 1500 2000 2500 3000]"; fmt.Sprint(offered) != want {
+		t.Errorf("offered rates %v, want %s: the sweep must stop at the first failing step", offered, want)
 	}
-	last := sw.Points[len(sw.Points)-1]
-	if last.OK && last.Rate < cfg.Max {
-		t.Error("sweep stopped early on a passing step")
+	if sw.Knee != 2500 {
+		t.Errorf("knee %.0f req/s, want 2500", sw.Knee)
 	}
-	if sw.Knee <= 0 || sw.Knee > 2500 {
-		t.Errorf("knee %.0f rps implausible for a 2500 rps server", sw.Knee)
+	for i, p := range sw.Points {
+		if last := i == len(sw.Points)-1; p.OK == last {
+			t.Errorf("step %.0f req/s: OK=%v, want every step but the last to pass", p.Rate, p.OK)
+		}
 	}
-	// Deterministic: the same config yields the same curve.
-	sw2, err := FindKnee(cfg, func(sched Schedule) (*Result, error) {
-		return Simulate(sched, 1, FixedService(400*time.Microsecond), Options{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw2.Knee != sw.Knee || len(sw2.Points) != len(sw.Points) {
-		t.Errorf("sweep not deterministic: knee %v vs %v", sw.Knee, sw2.Knee)
-	}
-	if sw.Table() == "" {
-		t.Error("empty table")
+	again, _ := sweep()
+	if again.Table() != sw.Table() {
+		t.Errorf("same config, different curve:\n%s\n%s", sw.Table(), again.Table())
 	}
 }
 
@@ -210,22 +177,4 @@ func Uniform(rate float64, d time.Duration) Schedule {
 		s.Offsets = append(s.Offsets, t)
 	}
 	return s
-}
-
-// FixedService models a constant service time.
-func FixedService(d time.Duration) ServiceModel {
-	return func(int) time.Duration { return d }
-}
-
-// WithStall wraps a model so requests in [from, to) take extra time —
-// the injected stall the coordinated-omission tests are built around
-// (think: a GC pause on the server).
-func WithStall(m ServiceModel, from, to int, extra time.Duration) ServiceModel {
-	return func(i int) time.Duration {
-		d := m(i)
-		if i >= from && i < to {
-			d += extra
-		}
-		return d
-	}
 }

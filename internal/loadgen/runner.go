@@ -52,9 +52,6 @@ type Options struct {
 	// depends on it; queue wait shows up in the recorded latency, as it
 	// must.
 	Workers int
-	// HistConfig shapes the latency histogram (zero value = package
-	// defaults: ~0.4% relative error).
-	HistConfig hdrhist.Config
 }
 
 // Result is one run's accounting.
@@ -66,8 +63,8 @@ type Result struct {
 	// Failed requests still record their latency: a timeout under
 	// overload is a tail sample, not a missing one.
 	Sent, Failed int
-	// Elapsed is the wall-clock (or virtual) span from origin to the
-	// last completion.
+	// Elapsed is the wall-clock span from origin to the last
+	// completion.
 	Elapsed time.Duration
 	// Rate echoes the schedule's offered rate.
 	Rate float64
@@ -105,7 +102,7 @@ func Run(ctx context.Context, sched Schedule, tgt Target, opts Options) (*Result
 	if workers > n {
 		workers = n
 	}
-	res := &Result{Hist: hdrhist.New(opts.HistConfig), Rate: sched.Rate}
+	res := &Result{Hist: hdrhist.New(hdrhist.Config{}), Rate: sched.Rate}
 	var mu sync.Mutex // guards res
 	record := func(intended time.Time, err error) {
 		now := time.Now()

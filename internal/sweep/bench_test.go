@@ -9,8 +9,8 @@ import (
 // staying far above scheduler and timer noise.
 const benchUnit = 5 * time.Millisecond
 
-// BenchmarkSweepImbalance measures the work-stealing scheduler's
-// makespan on the skewed 6-collector profile with 4 workers. Paired
+// BenchmarkSweepImbalance measures Run's longest-first makespan on
+// the skewed 6-collector profile with 4 workers. Paired
 // with BenchmarkFIFOImbalance in BENCH_baseline.json, the ci.sh bench
 // gate holds the ≥1.3x scheduling win: if the sweep's ns/op drifts up
 // toward the FIFO number, the gate trips.

@@ -23,64 +23,25 @@ type PoolOptions struct {
 	// QueueLimit bounds the queued (not yet running) backlog; Submit
 	// returns ErrPoolFull beyond it. Values <= 0 select 64.
 	QueueLimit int
-	// Seed drives victim selection when an idle worker steals.
-	Seed uint64
 }
 
 // Pool is the dynamic counterpart of Run for long-running services:
-// tasks arrive over time instead of as a fixed set. Submissions are
-// dealt round-robin across per-worker deques; an owner drains its own
-// deque in FIFO order (service fairness — jobs age out in arrival
-// order), and an idle worker steals the newest task from the back of a
-// seeded victim's deque, so a burst landing on one deque spreads to
-// whoever is free instead of waiting behind a long job.
-//
-// Like Run, the stealing changes who executes a task, never its
-// result: labd jobs are deterministic in their spec, and completion
-// delivery is per-job.
+// tasks arrive over time instead of as a fixed set. Every worker takes
+// the oldest queued task from one FIFO ring, so tasks start in arrival
+// order (service fairness — jobs age out in arrival order), each on the
+// first worker that comes free.
 type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	deques  []poolDeque
-	next    int // round-robin deal pointer
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ring holds the queued tasks, the oldest at head. It grows with the
+	// backlog, up to limit slots, so a large QueueLimit costs memory only
+	// once a backlog that large has queued.
+	ring    []func(int)
+	head    int
 	pending int
 	limit   int
 	closed  bool
 	wg      sync.WaitGroup
-}
-
-// poolDeque is one worker's dynamic queue: owner pops the front
-// (oldest), thieves pop the back (newest). The pool's single mutex
-// guards it; service jobs are seconds-long, so queue ops are noise.
-type poolDeque struct {
-	buf  []func(int)
-	head int
-}
-
-func (d *poolDeque) push(t func(int)) { d.buf = append(d.buf, t) }
-
-func (d *poolDeque) popFront() (func(int), bool) {
-	if d.head >= len(d.buf) {
-		return nil, false
-	}
-	t := d.buf[d.head]
-	d.buf[d.head] = nil
-	d.head++
-	if d.head == len(d.buf) {
-		d.buf = d.buf[:0]
-		d.head = 0
-	}
-	return t, true
-}
-
-func (d *poolDeque) popBack() (func(int), bool) {
-	if d.head >= len(d.buf) {
-		return nil, false
-	}
-	t := d.buf[len(d.buf)-1]
-	d.buf[len(d.buf)-1] = nil
-	d.buf = d.buf[:len(d.buf)-1]
-	return t, true
 }
 
 // NewPool builds a pool and starts its workers.
@@ -93,22 +54,17 @@ func NewPool(opts PoolOptions) *Pool {
 	if limit <= 0 {
 		limit = 64
 	}
-	p := &Pool{
-		deques: make([]poolDeque, workers),
-		limit:  limit,
-	}
+	p := &Pool{limit: limit}
 	p.cond = sync.NewCond(&p.mu)
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go p.worker(w, stealRng{state: splitmix64(opts.Seed + uint64(w) + 1)})
+		go p.worker(w)
 	}
 	return p
 }
 
 // SubmitWorker queues a task that receives the index of the worker
-// executing it, from 0 to the worker count minus one. Because of
-// stealing, the executor may not be the worker the task was dealt to —
-// the index identifies who actually ran it, which is what an
+// executing it, from 0 to the worker count minus one, which is what an
 // observability layer wants to record. It never blocks: a backlog at
 // QueueLimit returns ErrPoolFull (backpressure), a closed pool
 // ErrPoolClosed.
@@ -118,14 +74,26 @@ func (p *Pool) SubmitWorker(task func(worker int)) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
-	if p.pending >= p.limit {
+	if p.pending == p.limit {
 		return ErrPoolFull
 	}
-	p.deques[p.next].push(task)
-	p.next = (p.next + 1) % len(p.deques)
+	if p.pending == len(p.ring) {
+		p.grow()
+	}
+	p.ring[(p.head+p.pending)%len(p.ring)] = task
 	p.pending++
 	p.cond.Signal()
 	return nil
+}
+
+// grow doubles the ring, up to the queue limit, keeping arrival order.
+// Caller holds p.mu.
+func (p *Pool) grow() {
+	ring := make([]func(int), min(max(2*len(p.ring), 8), p.limit))
+	for i := 0; i < p.pending; i++ {
+		ring[i] = p.ring[(p.head+i)%len(p.ring)]
+	}
+	p.ring, p.head = ring, 0
 }
 
 // Pending returns the number of queued tasks not yet claimed by a
@@ -149,17 +117,16 @@ func (p *Pool) Close() {
 // the backlog has drained and running tasks returned.
 func (p *Pool) Wait() { p.wg.Wait() }
 
-// worker drains its own deque in FIFO order, steals when dry, and
-// sleeps on the condition variable until Submit or Close wakes it.
-func (p *Pool) worker(self int, rng stealRng) {
+// worker takes the oldest queued task, runs it, and sleeps on the
+// condition variable until Submit or Close wakes it.
+func (p *Pool) worker(self int) {
 	defer p.wg.Done()
 	p.mu.Lock()
 	for {
-		task, ok := p.deques[self].popFront()
-		if !ok {
-			task, ok = p.stealLocked(self, &rng)
-		}
-		if ok {
+		if p.pending > 0 {
+			task := p.ring[p.head]
+			p.ring[p.head] = nil
+			p.head = (p.head + 1) % len(p.ring)
 			p.pending--
 			p.mu.Unlock()
 			task(self)
@@ -172,25 +139,4 @@ func (p *Pool) worker(self int, rng stealRng) {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-}
-
-// stealLocked scans the other deques in a seeded rotation and takes
-// the newest task from the first victim with a backlog. Caller holds
-// p.mu.
-func (p *Pool) stealLocked(self int, rng *stealRng) (func(int), bool) {
-	w := len(p.deques)
-	if w == 1 {
-		return nil, false
-	}
-	start := int(rng.next() % uint64(w))
-	for k := 0; k < w; k++ {
-		victim := (start + k) % w
-		if victim == self {
-			continue
-		}
-		if t, ok := p.deques[victim].popBack(); ok {
-			return t, true
-		}
-	}
-	return nil, false
 }

@@ -62,7 +62,7 @@ func TestRunErrorSelection(t *testing.T) {
 }
 
 // TestRunSerialEarlyStop pins the single-worker contract: tasks run
-// sequentially in deal order and the first error stops the sweep.
+// sequentially in schedule order and the first error stops the sweep.
 func TestRunSerialEarlyStop(t *testing.T) {
 	var ran []int
 	boom := errors.New("boom")
@@ -82,7 +82,7 @@ func TestRunSerialEarlyStop(t *testing.T) {
 	}
 }
 
-// TestScheduleOrder checks longest-expected-first dealing with stable
+// TestScheduleOrder checks the longest-expected-first order with stable
 // index tie-breaks.
 func TestScheduleOrder(t *testing.T) {
 	costs := []float64{1, 5, 3, 5, 2}
@@ -102,7 +102,7 @@ func TestScheduleOrder(t *testing.T) {
 func TestRunOutputIdentity(t *testing.T) {
 	render := func(workers int) string {
 		results := make([]string, 24)
-		err := Run(Options{Workers: workers, Seed: uint64(workers), Cost: func(i int) float64 {
+		err := Run(Options{Workers: workers, Cost: func(i int) float64 {
 			return float64((i * 7) % 5)
 		}}, len(results), func(i int) error {
 			results[i] = fmt.Sprintf("cell %d -> %d", i, i*i)
@@ -121,20 +121,22 @@ func TestRunOutputIdentity(t *testing.T) {
 	}
 }
 
-// TestRunSteals proves tasks actually migrate: with two workers, one
-// pinned by a long task, the other must execute the straggler's
-// dealt backlog.
-func TestRunSteals(t *testing.T) {
+// TestRunLongTaskHoldsOneWorker pins the shared queue: with two
+// workers, one pinned by a long task, the other worker takes every
+// other task as it comes free.
+func TestRunLongTaskHoldsOneWorker(t *testing.T) {
 	block := make(chan struct{})
-	var byWorkerB int32
-	// Worker deques under 2 workers: w0 = {0, 2, 4, ...}, w1 = {1, 3, ...}.
-	// Task 0 blocks w0 until w1 has drained everything else.
+	var others int32
 	err := Run(Options{Workers: 2}, 10, func(i int) error {
 		if i == 0 {
-			<-block
-			return nil
+			select {
+			case <-block:
+				return nil
+			case <-time.After(10 * time.Second):
+				return errors.New("the free worker did not run the other nine tasks")
+			}
 		}
-		if atomic.AddInt32(&byWorkerB, 1) == 9 {
+		if atomic.AddInt32(&others, 1) == 9 {
 			close(block) // all nine other tasks done; release task 0
 		}
 		return nil
@@ -243,59 +245,76 @@ func TestPoolBackpressure(t *testing.T) {
 }
 
 // TestPoolCloseDrains requires Close/Wait to run every queued task
-// before the workers exit.
+// before the workers exit, in arrival order: ten tasks queued behind a
+// blocked worker wrap the ring and grow it.
 func TestPoolCloseDrains(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, QueueLimit: 64})
-	gate := make(chan struct{})
-	var ran int32
-	if err := p.Submit(func() { <-gate }); err != nil {
+	started, gate := make(chan struct{}), make(chan struct{})
+	var ran []int
+	if err := p.Submit(func() { close(started); <-gate }); err != nil {
 		t.Fatal(err)
 	}
+	<-started // the ring's head has moved past the blocked task
 	for i := 0; i < 10; i++ {
-		if err := p.Submit(func() { atomic.AddInt32(&ran, 1) }); err != nil {
+		i := i
+		if err := p.Submit(func() { ran = append(ran, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Close()
 	close(gate)
 	p.Wait()
-	if ran != 10 {
-		t.Fatalf("drain ran %d queued tasks, want 10", ran)
+	if fmt.Sprint(ran) != "[0 1 2 3 4 5 6 7 8 9]" {
+		t.Fatalf("drain ran %v, want the ten queued tasks in arrival order", ran)
 	}
 }
 
-// TestPoolSteals pins one worker with a long task and checks the other
-// worker clears the victim's backlog: with round-robin dealing and two
-// workers, the blocked worker's deque can only drain by theft.
-func TestPoolSteals(t *testing.T) {
+// TestPoolStartsInArrivalOrder pins both workers, queues six tasks and
+// frees one worker: it must run all six in the order they arrived,
+// while the other worker stays pinned.
+func TestPoolStartsInArrivalOrder(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2, QueueLimit: 64})
-	block := make(chan struct{})
-	var stolen sync.WaitGroup
-	var mu sync.Mutex
-	started := map[int]bool{}
-	// Deal order alternates deques; the first task blocks its worker, so
-	// its deque-mates (tasks 2, 4, 6, …) must be stolen.
-	if err := p.Submit(func() { <-block }); err != nil {
-		t.Fatal(err)
+	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	pinnedOn := make(chan [2]int, 2) // {pin, worker}
+	for k := 0; k < 2; k++ {
+		k := k
+		if err := p.SubmitWorker(func(w int) { pinnedOn <- [2]int{k, w}; <-release[k] }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 1; i < 8; i++ {
+	var worker [2]int
+	for k := 0; k < 2; k++ {
+		pin := <-pinnedOn
+		worker[pin[0]] = pin[1]
+	}
+	var mu sync.Mutex
+	var order, ranOn []int
+	var done sync.WaitGroup
+	done.Add(6)
+	for i := 1; i <= 6; i++ {
 		i := i
-		stolen.Add(1)
-		if err := p.Submit(func() {
+		if err := p.SubmitWorker(func(w int) {
 			mu.Lock()
-			started[i] = true
+			order = append(order, i)
+			ranOn = append(ranOn, w)
 			mu.Unlock()
-			stolen.Done()
+			done.Done()
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stolen.Wait() // completes only if stealing crosses deques
-	close(block)
+	close(release[0])
+	done.Wait()
+	close(release[1])
 	p.Close()
 	p.Wait()
-	if len(started) != 7 {
-		t.Fatalf("ran %d of 7 non-blocking tasks", len(started))
+	if fmt.Sprint(order) != "[1 2 3 4 5 6]" {
+		t.Errorf("start order = %v, want arrival order [1 2 3 4 5 6]", order)
+	}
+	for k, w := range ranOn {
+		if w != worker[0] {
+			t.Errorf("task %d ran on worker %d, want the freed worker %d", order[k], w, worker[0])
+		}
 	}
 }
 
@@ -385,8 +404,7 @@ func fifoRun(workers int) func(n int, fn func(i int) error) error {
 	}
 }
 
-// sweepRun is the same profile on the work-stealing scheduler with the
-// cost model enabled.
+// sweepRun is the same profile on Run with the cost model enabled.
 func sweepRun(workers int) func(n int, fn func(i int) error) error {
 	return func(n int, fn func(i int) error) error {
 		return Run(Options{Workers: workers, Cost: func(i int) float64 {
@@ -396,7 +414,7 @@ func sweepRun(workers int) func(n int, fn func(i int) error) error {
 }
 
 // TestImbalanceSpeedup is the acceptance gate: on 4 workers the
-// work-stealing sweep must beat the FIFO pool by ≥1.3x on the skewed
+// longest-first sweep must beat the FIFO pool by ≥1.3x on the skewed
 // profile. With 20ms units the theoretical makespans are 340ms (FIFO:
 // the 12u straggler starts at 5u) vs 240ms (LPT: it starts first), a
 // 1.42x ratio — comfortably above the gate even with sleep jitter.
@@ -410,12 +428,12 @@ func TestImbalanceSpeedup(t *testing.T) {
 	ratio := float64(fifo) / float64(sweep)
 	t.Logf("fifo=%v sweep=%v speedup=%.2fx", fifo, sweep, ratio)
 	if ratio < 1.3 {
-		t.Errorf("work-stealing speedup %.2fx < 1.3x (fifo %v, sweep %v)", ratio, fifo, sweep)
+		t.Errorf("longest-first speedup %.2fx < 1.3x (fifo %v, sweep %v)", ratio, fifo, sweep)
 	}
 }
 
-// sortCheck keeps the sort import honest for schedule's contract: deal
-// order must be a permutation.
+// sortCheck keeps the sort import honest for schedule's contract: the
+// hand-out order must be a permutation.
 func sortCheck(order []int) bool {
 	cp := append([]int(nil), order...)
 	sort.Ints(cp)
