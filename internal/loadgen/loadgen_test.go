@@ -65,34 +65,38 @@ func TestCoordinatedOmissionRealTime(t *testing.T) {
 			return nil
 		})
 	}
-	res, err := Run(context.Background(), sched, stalling(), Options{Mode: OpenLoop, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("%d requests failed", res.Failed)
-	}
-	if res.Sent != sched.Len() {
-		t.Fatalf("sent %d, want %d", res.Sent, sched.Len())
-	}
-	// The stall is 250ms and arrivals keep coming every 5ms with one
-	// worker: at least ~30 requests must record >50ms from intended
-	// start.
-	if slow := res.Hist.CountAbove(0.05); slow < 20 {
-		t.Errorf("only %d samples over 50ms; stall not charged to queued arrivals", slow)
-	}
-	if res.Hist.Max() < 0.2 {
-		t.Errorf("max latency %.3fs < stall duration", res.Hist.Max())
-	}
+	t.Run("open-loop", func(t *testing.T) {
+		res, err := Run(context.Background(), sched, stalling(), Options{Mode: OpenLoop, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != 0 {
+			t.Fatalf("%d requests failed", res.Failed)
+		}
+		if res.Sent != sched.Len() {
+			t.Fatalf("sent %d, want %d", res.Sent, sched.Len())
+		}
+		// The stall is 250ms and arrivals keep coming every 5ms with one
+		// worker: at least ~30 requests must record >50ms from intended
+		// start.
+		if slow := res.Hist.CountAbove(0.05); slow < 20 {
+			t.Errorf("only %d samples over 50ms; stall not charged to queued arrivals", slow)
+		}
+		if res.Hist.Max() < 0.2 {
+			t.Errorf("max latency %.3fs < stall duration", res.Hist.Max())
+		}
+	})
 	// A closed loop measures from the actual send, so it records the
 	// stall once.
-	closed, err := Run(context.Background(), sched, stalling(), Options{Mode: ClosedLoop, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow := closed.Hist.CountAbove(0.05); slow > 2 {
-		t.Errorf("closed loop saw %d samples over 50ms, want at most a couple", slow)
-	}
+	t.Run("closed-loop", func(t *testing.T) {
+		res, err := Run(context.Background(), sched, stalling(), Options{Mode: ClosedLoop, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow := res.Hist.CountAbove(0.05); slow > 2 {
+			t.Errorf("closed loop saw %d samples over 50ms, want at most a couple", slow)
+		}
+	})
 }
 
 func TestClosedLoopRealTime(t *testing.T) {
