@@ -16,12 +16,13 @@
 # (TestMetricsConcurrentExport) and the fleet rollup's merge property
 # (TestMergeStatesMatchesOneNode) under the race detector, a short fuzz
 # budget for each gclog target, the band analysis, the hdrhist decoder,
-# the spec-key encoder, the batch NDJSON framing, the gossip wire
-# encoder and the traceparent parser, gctop's frames under the race
+# the spec-key encoder, the decode memo, the batch NDJSON framing, the
+# gossip wire encoder and the traceparent parser, gctop's frames under the race
 # detector (one GET each, of canned readings and of a live two-node
 # fleet), and the bench-gate step, which measures
-# the kernel-bound benchmarks, one whole Simulate call and the whole
-# three-collector client study, and fails on regression against the
+# the kernel-bound benchmarks, one whole Simulate call, the whole
+# three-collector client study and a fleet node answering a repeated
+# hit through its handler, and fails on regression against the
 # committed BENCH_baseline.json (>25% ns/op, or any allocs/op growth:
 # at the gate's pinned settings allocation counts repeat exactly, so an
 # increase is a real leak back onto the hot path).
@@ -35,13 +36,17 @@ go vet ./...
 (cd perfbench && go vet ./... && go test ./...)
 go vet ./internal/labd/... ./internal/faultinject/...
 go test -race ./...
-go test -race -count=1 -run 'TestChaosCampaignConvergence|TestWarmRestartAndCorruptionRecovery|TestHTTPFlakySparesObservability' ./internal/labd/
+# The decode memo under the race detector: a repeated body is answered
+# from the memo with no allocation and the daemon's own answer, fresh
+# bodies evict nothing, and the one-byte variants of the fuzz corpus
+# each get their own decoding.
+go test -race -count=1 -run 'TestChaosCampaignConvergence|TestWarmRestartAndCorruptionRecovery|TestHTTPFlakySparesObservability|TestDecodeMemo|FuzzDecodeMemo' ./internal/labd/
 # The sweep runner's shared cursor and the pool's FIFO ring are where
 # every fan-out in the laboratory hands work across goroutines (Figure
 # 3's cells, a cluster's node wheels, labd's jobs); exercise them under
 # the race detector explicitly, the pool's arrival order
-# (TestPoolStartsInArrivalOrder) included, and not in -short mode,
-# which skips the imbalance speedup gate.
+# (TestPoolStartsInArrivalOrder) and the imbalance speedup gate, whose
+# makespans run on a virtual clock, included.
 go test -race -count=1 ./internal/sweep/
 # Trace e2e under the race detector: a trace is written from the HTTP
 # handler, the scheduler watcher and the executing worker, and the
@@ -67,9 +72,14 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # /fleet/state's member rows, gossip's membership beside each node's
 # /v1/state reading from the rollup's one fan-out (one /v1/state request
 # per peer per call, no /healthz probe; a draining node reads draining,
-# a killed one has no reading); the peer probe's keep-alive (40 misses, each probing
-# its peer, cost each node at most 4 accepted connections, not one per
-# miss); and the edge of a submission served in process or forwarded
+# a killed one has no reading); the peer probe's keep-alive (40 misses,
+# each probing its peer with the probe window reopened before it, cost
+# each node at most 4 accepted connections, not one per miss); the
+# probe window (8 empty probes in a row close it and a closed window
+# sends nothing; a hit keeps it open; a view swap or a refutation of a
+# suspicion about the node reopens it, so an owner that left placement
+# and came back, or stalled until suspected and refuted, recovers the
+# result its successor computed meanwhile from the peer tier); and the edge of a submission served in process or forwarded
 # (the flaky-HTTP fault fires once per submission on the node that
 # serves it, X-Labd-Node names that node, an invalid spec gets the
 # daemon's own 400 body, an async one 202 with its Location); and a
@@ -79,7 +89,7 @@ go test -race -count=1 -run 'TestEndToEndTracing|TestEndToEndTraceCacheDispositi
 # daemon's status, key, error and result bytes, in the encoder's
 # framing; a shard carries each job as the client sent it, and an
 # owner's 4xx reaches each of its events as the bare message).
-go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetStateOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestFleetSubmitEdge|TestFleetBatchParity|TestFleetBatchOwnerRejection' ./internal/fleet/
+go test -race -count=1 -run 'TestFleetChaosNodeKillByteIdentity|TestFleetPeerCacheHit|TestFleetExactAggregation|TestFleetStateOneReading|TestMergeStatesMatchesOneNode|TestStandaloneRouter|TestFleetReplicaHit|TestFleetReplicaDigestMismatch|TestFleetReplicaBypass|TestFleetReplicasSpareOwnedHits|TestFleetChurnLeavesReplicasBehind|TestRelayKeepsLength|TestDataPathSuspicion|TestFleetHangUpSuspectsNoOne|TestFleetSuspectReturnsToRouting|TestRouterPickBoundedLoadAndFailover|TestPeerProbeReusesConnections|TestProbeWindow|TestFleetSubmitEdge|TestFleetBatchParity|TestFleetBatchOwnerRejection' ./internal/fleet/
 # gctop under the race detector: each frame is one GET, of /v1/state
 # for a node or /fleet/state for a fleet, and against a live two-node
 # fleet a -fleet frame costs the peer one /v1/state request and shows
@@ -145,6 +155,11 @@ go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/hdrhist/
 # encoding/json (or declining) and SpecKeyInto equal to SpecKey: fleet
 # placement and read-replica lookups use that key.
 go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
+# FuzzDecodeMemo holds a daemon's decode memo to DecodeSubmit +
+# SpecKeyInto: the same answer on a body's first, second and later
+# arrivals, its own answer for a body one byte away from a stored one,
+# and nothing stored that failed to decode or to key.
+go test -run=NONE -fuzz='^FuzzDecodeMemo$' -fuzztime=10s ./internal/labd/
 # FuzzAppendBatchEvent holds the batch NDJSON framing to json.Encoder
 # (SetEscapeHTML(false)): equal bytes whenever it frames an event, and no
 # framing of an event the encoder rejects. The one framing serves the
@@ -175,7 +190,7 @@ go build -o /tmp/benchdiff ./cmd/benchdiff
   go test -run=NONE -bench 'BenchmarkScheduleFire|BenchmarkScheduleCancel' -benchmem -count=2 -cpu 1 ./internal/event/
   go test -run=NONE -bench 'BenchmarkHDRRecord|BenchmarkHDRQuantile' -benchmem -count=2 -cpu 1 ./internal/hdrhist/
   go test -run=NONE -bench 'BenchmarkSweepImbalance|BenchmarkFIFOImbalance' -benchmem -count=2 -cpu 1 ./internal/sweep/
-  go test -run=NONE -bench 'BenchmarkRingLookup|BenchmarkRouterPick|BenchmarkRouterForward|BenchmarkHandoffPlan' -benchmem -count=2 -cpu 1 ./internal/fleet/
+  go test -run=NONE -bench 'BenchmarkRingLookup|BenchmarkRouterPick|BenchmarkRouterForward|BenchmarkHandoffPlan|BenchmarkNodeRepeatedHit' -benchmem -count=2 -cpu 1 ./internal/fleet/
   go test -run=NONE -bench 'BenchmarkGossipTick' -benchmem -count=2 -cpu 1 ./internal/fleet/gossip/
 } > /tmp/bench_current.txt
 /tmp/benchdiff -in /tmp/bench_current.txt -out /tmp/BENCH_current.json -baseline BENCH_baseline.json

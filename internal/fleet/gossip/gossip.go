@@ -122,6 +122,10 @@ type Gossiper struct {
 
 	notifyMu sync.Mutex
 
+	// onRefute runs after this node refutes a claim about itself (see
+	// OnRefute).
+	onRefute func()
+
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -487,6 +491,13 @@ func (g *Gossiper) send(ctx context.Context, base, path string, body []byte) (*m
 	return &m, nil
 }
 
+// OnRefute sets fn to run each time this node refutes a claim that it
+// is suspect, dead or gone: peers that routed around it route to it
+// again. A refutation changes no placement this node sees, so OnUpdate
+// does not fire for it. Set it before Start and before the Handler
+// serves.
+func (g *Gossiper) OnRefute(fn func()) { g.onRefute = fn }
+
 // applyAll merges received deltas and fires OnUpdate once if placement
 // or routability changed.
 func (g *Gossiper) applyAll(deltas []Delta) {
@@ -498,6 +509,9 @@ func (g *Gossiper) applyAll(deltas []Delta) {
 		}
 		if refuted {
 			g.cfg.Metrics.Add("fleet.gossip.refutations", 1)
+			if g.onRefute != nil {
+				g.onRefute()
+			}
 		}
 		if d.State == StateLeft {
 			g.cfg.Metrics.Add("fleet.gossip.leaves", 1)

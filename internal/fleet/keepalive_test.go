@@ -15,19 +15,28 @@ import (
 	"jvmgc/internal/labd"
 )
 
-// TestPeerProbeReusesConnections: every fresh-spec miss probes the peer's
-// cache (GET /v1/cache/{key}), which answers 404 with a short JSON body.
-// The probe reads that body before closing it, so the connection goes
-// back to the pool: 40 misses cost each node a few accepted connections
-// (the client's, one from its peer), not one per miss.
+// TestPeerProbeReusesConnections: a fresh-spec miss whose owner's probe
+// window is open probes the peer's cache (GET /v1/cache/{key}), which
+// answers 404 with a short JSON body. The probe reads that body before
+// closing it, so the connection goes back to the pool: 40 misses cost
+// each node a few accepted connections (the client's, one from its
+// peer), not one per miss. Each window is reopened (a view swap) before
+// each miss, so that every miss probes.
 func TestPeerProbeReusesConnections(t *testing.T) {
 	ids := []string{"a", "b"}
 	nodes, _ := startFleet(t, ids, fleetOpts{})
 	hc := &http.Client{Transport: &http.Transport{}}
 	defer hc.CloseIdleConnections()
+	urls := map[string]string{}
+	for id, n := range nodes {
+		urls[id] = n.ts.URL
+	}
 
 	const misses = 40
 	for i := range misses {
+		for _, n := range nodes {
+			n.rt.SetMembership(n.rt.Epoch(), urls, nil)
+		}
 		entry := nodes[ids[i%2]]
 		spec := labd.JobSpec{Kind: labd.KindSimulate, Collector: "CMS",
 			HeapBytes: 2 << 30, DurationSeconds: 5, Seed: uint64(5000 + i)}

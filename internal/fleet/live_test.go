@@ -75,7 +75,7 @@ func TestDataPathSuspicion(t *testing.T) {
 	}
 	paths := map[string]func(ctx context.Context, rt *Router, front string) error{
 		"fetch": func(ctx context.Context, rt *Router, _ string) error {
-			if _, ok := rt.Fetch(ctx, key); ok {
+			if _, ok, _ := rt.Fetch(ctx, key); ok {
 				return errors.New("fetch hit")
 			}
 			return nil
@@ -302,7 +302,7 @@ func TestFetchBoundsBody(t *testing.T) {
 			rt.AttachGossip(g)
 			t.Cleanup(rt.Close)
 
-			got, ok := rt.Fetch(context.Background(), "k")
+			got, ok, _ := rt.Fetch(context.Background(), "k")
 			if ok != c.hit || (ok && !bytes.Equal(got, body)) {
 				t.Errorf("Fetch of a %d-byte body: %d bytes, hit=%v; want hit=%v", c.size, len(got), ok, c.hit)
 			}

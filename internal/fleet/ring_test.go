@@ -1,8 +1,14 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"jvmgc/internal/labd"
 )
@@ -273,12 +279,13 @@ func BenchmarkRouterPick(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterForward measures the per-request routing core of the
-// submit path — the calls handleSubmit makes: content-address the spec
-// (fast JSON encode + SHA-256 into a stack buffer) and hash the key
-// (specHash), then place the hash on the ring (pickHash). Bench-gated
-// at 0 allocs/op: this runs once per submission, and under saturation
-// load any allocation here multiplies into GC pressure fleet-wide.
+// BenchmarkRouterForward measures the per-request routing core of a
+// body no memo holds — the calls a standalone router's handleSubmit and
+// batch placement make: content-address the spec (fast JSON encode +
+// SHA-256 into a stack buffer) and hash the key (specHash), then place
+// the hash on the ring (pickHash). Bench-gated at 0 allocs/op: this
+// runs once per such submission, and under saturation load any
+// allocation here multiplies into GC pressure fleet-wide.
 func BenchmarkRouterForward(b *testing.B) {
 	rt, err := New(Config{Nodes: map[string]string{
 		"a": "http://a", "b": "http://b", "c": "http://c",
@@ -376,5 +383,59 @@ func (r *Ring) Walk(key string, fn func(node string) bool) {
 		if fn(r.nodes[p.node]) {
 			return
 		}
+	}
+}
+
+// BenchmarkNodeRepeatedHit measures a fleet node answering, through its
+// handler, a submission whose body it has seen before and whose result
+// it holds: read the body, find its request and key in the daemon's
+// decode memo, place the key, and write the stored bytes from the
+// daemon's fast path. Nothing is decoded or hashed with SHA-256; the
+// bench-gate holds its allocations, most of them httptest's.
+func BenchmarkNodeRepeatedHit(b *testing.B) {
+	rt, err := New(Config{Self: "a", Nodes: map[string]string{"a": "http://a"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := labd.New(labd.Config{Workers: 1, NodeID: "a", Peers: rt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.SetLocal(srv)
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	})
+	h := rt.Handler()
+	body, err := json.Marshal(labd.SubmitRequest{Job: labd.JobSpec{Kind: labd.KindSimulate,
+		Collector: "ParallelOld", HeapBytes: 2 << 30, Threads: 8, AllocBytesPerSec: 150e6,
+		DurationSeconds: 5, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		return w
+	}
+	// The first arrival computes the result and the second stores the
+	// body in the memo; the third is the measured kind of answer.
+	for arrival, want := range []string{"miss", "hit", "hit"} {
+		if w := serve(); w.Code != http.StatusOK || w.Header().Get("X-Labd-Cache") != want {
+			b.Fatalf("arrival %d: HTTP %d, cache %q; want %s", arrival+1, w.Code, w.Header().Get("X-Labd-Cache"), want)
+		}
+	}
+	reused := srv.Metrics().Counter("labd.submit.decode_reused")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := serve(); w.Code != http.StatusOK {
+			b.Fatalf("HTTP %d", w.Code)
+		}
+	}
+	b.StopTimer()
+	if got := srv.Metrics().Counter("labd.submit.decode_reused") - reused; got != int64(b.N) {
+		b.Fatalf("%d of %d answers came from the decode memo", got, b.N)
 	}
 }

@@ -176,6 +176,11 @@ type Router struct {
 	partitions *telemetry.CounterHandle // FaultRoutePartition firings
 	peerHits   *telemetry.CounterHandle // peer cache fetches that returned bytes
 	peerProbes *telemetry.CounterHandle // peer cache fetch attempts
+	peerSkips  *telemetry.CounterHandle // fetches the closed probe window answered
+
+	// emptyProbes counts the peer probes in a row that found nothing;
+	// the probe window is open while it is under probeWindow (see Fetch).
+	emptyProbes atomic.Int32
 
 	replicaHits    *telemetry.CounterHandle // hits on keys owned elsewhere, served from local memory
 	replicasKept   *telemetry.CounterHandle // relayed owner hits verified and kept
@@ -214,7 +219,7 @@ func (rt *Router) useMetrics(m *telemetry.Metrics) {
 		{"forwards", &rt.forwards}, {"local_jobs", &rt.localJobs}, {"reroutes", &rt.reroutes},
 		{"epoch_swaps", &rt.epochSwaps}, {"injected_kills", &rt.kills},
 		{"injected_partitions", &rt.partitions}, {"peer_probes", &rt.peerProbes},
-		{"peer_hits", &rt.peerHits}, {"replica_hits", &rt.replicaHits},
+		{"peer_hits", &rt.peerHits}, {"peer_skips", &rt.peerSkips}, {"replica_hits", &rt.replicaHits},
 		{"replicas_kept", &rt.replicasKept}, {"replica_rejects", &rt.replicaRejects},
 	} {
 		*c.h = m.CounterHandle("fleet.router." + c.name)
@@ -254,10 +259,14 @@ func (rt *Router) SetLocal(s *labd.Server) {
 
 // AttachGossip wires the gossiper. The gossiper should be constructed
 // with OnUpdate: rt.SetMembership so placement and routing follow
-// membership; attach before Handler() so /v1/gossip/* is mounted. The
-// router reports failed connections to it (Gossiper.Suspect) and closes
-// it in Close.
-func (rt *Router) AttachGossip(g *gossip.Gossiper) { rt.g = g }
+// membership; attach before Handler() and before the gossiper starts,
+// so /v1/gossip/* is mounted and every refutation of a suspicion about
+// this node reopens the probe window (see Fetch). The router reports
+// failed connections to it (Gossiper.Suspect) and closes it in Close.
+func (rt *Router) AttachGossip(g *gossip.Gossiper) {
+	rt.g = g
+	g.OnRefute(rt.openProbeWindow)
+}
 
 // Gossip returns the attached gossiper (nil without one).
 func (rt *Router) Gossip() *gossip.Gossiper { return rt.g }
@@ -279,7 +288,9 @@ func (rt *Router) Epoch() uint64 { return rt.view.Load().epoch }
 // callback: the placement set, its epoch, and the suspects no request
 // is routed to. In-flight requests keep the old view; requests that
 // start after the swap see the new one. Pending-load state for departed
-// nodes is pruned so a node that rejoins later starts clean.
+// nodes is pruned so a node that rejoins later starts clean, and the
+// probe window opens: placement moved, so a peer may hold a result
+// this node now owns.
 func (rt *Router) SetMembership(epoch uint64, urls map[string]string, suspects []string) {
 	v, err := buildView(epoch, urls, suspects, rt.cfg.Vnodes)
 	if err != nil {
@@ -289,6 +300,7 @@ func (rt *Router) SetMembership(epoch uint64, urls map[string]string, suspects [
 	}
 	rt.view.Store(v)
 	rt.epochSwaps.Add(1)
+	rt.openProbeWindow()
 	rt.mu.Lock()
 	for id := range rt.pending {
 		if _, ok := v.urls[id]; !ok {
@@ -407,16 +419,35 @@ func (rt *Router) injectTransport(node string) error {
 // buys little and costs a round trip per miss.
 const maxPeerProbes = 2
 
+// probeWindow is K: after K peer probes in a row that find nothing, the
+// probe window closes and Fetch sends no request until it reopens. A
+// peer holds a result this node owns only after placement moved, so
+// the window opens at boot, on every view swap (SetMembership) and when
+// this node refutes a suspicion about itself (peers that routed around
+// it may have computed its keys), and a probe that hits keeps it open.
+const probeWindow = 8
+
+// openProbeWindow opens the probe window for another probeWindow empty
+// probes.
+func (rt *Router) openProbeWindow() { rt.emptyProbes.Store(0) }
+
 // Fetch implements labd.PeerFetcher: ask the key's ring successors
 // (skipping self and suspects) for cached result bytes, verifying the
 // SHA-256 the peer advertises before trusting bytes that crossed the
 // network. A false return sends the local daemon to recompute — peer
-// fetching is an optimization, never a correctness dependency.
-func (rt *Router) Fetch(ctx context.Context, key string) ([]byte, bool) {
+// fetching is an optimization, never a correctness dependency. While
+// the probe window is closed, Fetch answers at once, sends nothing and
+// counts a peer skip; its third result reports whether a peer was
+// asked.
+func (rt *Router) Fetch(ctx context.Context, key string) ([]byte, bool, bool) {
+	if rt.emptyProbes.Load() >= probeWindow {
+		rt.peerSkips.Add(1)
+		return nil, false, false
+	}
 	v := rt.view.Load()
 	r := v.ring
 	if len(r.points) == 0 {
-		return nil, false
+		return nil, false, false
 	}
 	start := r.start(key)
 	var visited uint64
@@ -437,10 +468,12 @@ func (rt *Router) Fetch(ctx context.Context, key string) ([]byte, bool) {
 		rt.peerProbes.Add(1)
 		if b, ok := rt.fetchFrom(ctx, v.urls[n], n, key); ok {
 			rt.peerHits.Add(1)
-			return b, true
+			rt.openProbeWindow()
+			return b, true, true
 		}
+		rt.emptyProbes.Add(1)
 	}
-	return nil, false
+	return nil, false, probes > 0
 }
 
 // connectionRefused classifies a transport error for suspicion: true
@@ -796,6 +829,29 @@ func specHash(spec labd.JobSpec, keyBuf *[64]byte) (uint64, error) {
 	return finalize(hashBytes(keyBuf[:])), nil
 }
 
+// decode reads a submission body: its request, spec key and the key's
+// ring hash. A node decodes through its daemon's memo
+// (labd.Server.DecodeKeyed), so a body it has seen before costs no
+// decoding and no SHA-256; a standalone router decodes every body. key
+// is "" only for an invalid spec on a node, which its daemon rejects; a
+// standalone router returns the spec's error as err.
+func (rt *Router) decode(body []byte) (labd.SubmitRequest, string, uint64, error) {
+	if rt.local != nil {
+		req, key, err := rt.local.DecodeKeyed(body)
+		return req, key, finalize(hashString(key)), err
+	}
+	req, err := labd.DecodeSubmit(body)
+	if err != nil {
+		return req, "", 0, err
+	}
+	var keyBuf [64]byte
+	h, err := specHash(req.Job, &keyBuf)
+	if err != nil {
+		return req, "", 0, err
+	}
+	return req, string(keyBuf[:]), h, nil
+}
+
 // serveRouted hands a request a peer routed here to the local daemon's
 // handler unread, and reports whether it did (see routedHeader).
 func (rt *Router) serveRouted(w http.ResponseWriter, r *http.Request) bool {
@@ -814,14 +870,15 @@ func (rt *Router) serveRouted(w http.ResponseWriter, r *http.Request) bool {
 // node's memory when it holds a replica; forwarded owner hits become
 // replicas once their digest checks out (see forward).
 //
-// Each node decodes a submission at most once. A request routed here
-// by a peer goes to the local daemon's handler unread. Otherwise this
-// node decodes it (labd.DecodeSubmit) and computes the spec key once,
-// into a stack buffer. A job it owns goes to the local daemon decoded,
-// with the key (labd.Server.ServeSubmit), so the daemon's
-// zero-allocation fast path answers a cache hit without re-deriving
-// it. A forward carries the key to the owner on labd.HeaderSpecKey, and
-// the owner does the same on its side of the wire.
+// Each node decodes a body at most once, and a repeated body not at
+// all. A request routed here by a peer goes to the local daemon's
+// handler unread. Otherwise this node decodes it and derives the spec
+// key once (decode), or finds both in its daemon's memo. A job it owns
+// goes to the local daemon decoded, with the key
+// (labd.Server.ServeSubmit), so the daemon's zero-allocation fast path
+// answers a cache hit without re-deriving it. A forward carries the key
+// to the owner on labd.HeaderSpecKey, and the owner does the same on
+// its side of the wire.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if rt.serveRouted(w, r) {
 		return
@@ -833,22 +890,15 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer labd.ReleaseBody(bp)
 	body := *bp
-	req, err := labd.DecodeSubmit(body)
+	req, key, keyHash, err := rt.decode(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var keyBuf [64]byte
-	keyHash, err := specHash(req.Job, &keyBuf)
-	if err != nil {
-		// Invalid spec: the local daemon produces the canonical 400; a
-		// standalone router answers directly.
-		if rt.local != nil {
-			rt.localJobs.Add(1)
-			rt.local.ServeSubmit(w, r, req, "")
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+	if key == "" {
+		// Invalid spec: the local daemon produces the canonical 400.
+		rt.localJobs.Add(1)
+		rt.local.ServeSubmit(w, r, req, "")
 		return
 	}
 	// Results are content-addressed, so any node's copy of a key's bytes
@@ -857,7 +907,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and kept only while the local daemon's fast path is open (untraced,
 	// not draining).
 	replica := !req.Async && rt.local != nil && rt.local.FastPathOpen()
-	key := string(keyBuf[:])
 
 	// Failover is per request: a node the forward failed on is excluded
 	// from this request's later picks, on the view the request started
@@ -999,6 +1048,9 @@ type RouterStats struct {
 	Partitions int64  `json:"injected_partitions"`
 	PeerProbes int64  `json:"peer_probes"`
 	PeerHits   int64  `json:"peer_hits"`
+	// PeerSkips counts the fetches answered without a probe because the
+	// probe window was closed (see Fetch).
+	PeerSkips int64 `json:"peer_skips"`
 	// ReplicaHits counts hits on keys another node owns, answered from
 	// this node's memory; ReplicasKept the owner hits it relayed and
 	// kept once their digest matched (a verified hit finds no room when
@@ -1021,6 +1073,7 @@ func (rt *Router) Stats() RouterStats {
 		Partitions: rt.partitions.Value(),
 		PeerProbes: rt.peerProbes.Value(),
 		PeerHits:   rt.peerHits.Value(),
+		PeerSkips:  rt.peerSkips.Value(),
 
 		ReplicaHits:    rt.replicaHits.Value(),
 		ReplicasKept:   rt.replicasKept.Value(),

@@ -158,9 +158,10 @@ func (s *Server) flaky(w http.ResponseWriter) bool {
 }
 
 // DecodeSubmit parses a POST /v1/jobs body: the SubmitRequest envelope,
-// or a bare JobSpec ({"kind": "simulate", ...}). The daemon's handler
-// and a fleet router both decode with it, so a submission is decoded
-// once on the node that serves it.
+// or a bare JobSpec ({"kind": "simulate", ...}). It is the only parser
+// of a submission: the daemon's handler and a fleet node's router reach
+// it through Server.DecodeKeyed, whose memo answers a repeated body
+// without it, and a standalone router calls it directly.
 func DecodeSubmit(body []byte) (SubmitRequest, error) {
 	var req SubmitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -182,28 +183,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := DecodeSubmit(*bp)
+	// A routed fleet request carries the spec key its router computed
+	// for placement, so this daemon never re-derives it. The key is
+	// honored only together with the routed marker (see HeaderSpecKey).
+	routedKey := ""
+	if r.Header.Get(HeaderRouted) != "" {
+		routedKey = r.Header.Get(HeaderSpecKey)
+	}
+	req, key, err := s.decodeKeyed(*bp, routedKey)
 	ReleaseBody(bp)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A routed fleet request carries the spec key its router computed
-	// for placement, so this daemon never re-derives it. The key is
-	// honored only together with the routed marker (see HeaderSpecKey).
-	key := ""
-	if r.Header.Get(HeaderRouted) != "" {
-		key = r.Header.Get(HeaderSpecKey)
-	}
 	s.serveSubmit(w, r, req, key)
 }
 
 // ServeSubmit answers one submission that the caller read and decoded
-// (DecodeSubmit) itself: a fleet router serving a job its node owns. It
+// (DecodeKeyed) itself: a fleet router serving a job its node owns. It
 // passes the edge that Handler puts before POST /v1/jobs, X-Labd-Node
 // and the FaultHTTPFlaky point, so the answer is the one the daemon's
-// own handler would write. key is the spec's content address when the
-// caller already derived it, or "".
+// own handler would write. key is the spec's content address
+// (DecodeKeyed derives both), or "" for a spec that has none, which the
+// scheduler rejects.
 func (s *Server) ServeSubmit(w http.ResponseWriter, r *http.Request, req SubmitRequest, key string) {
 	if s.cfg.NodeID != "" {
 		w.Header().Set("X-Labd-Node", s.cfg.NodeID)
@@ -215,7 +217,7 @@ func (s *Server) ServeSubmit(w http.ResponseWriter, r *http.Request, req SubmitR
 }
 
 // serveSubmit answers one decoded submission; key is its content
-// address, or "" to derive it.
+// address, or "" to leave it to the scheduler.
 func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, req SubmitRequest, key string) {
 	// The forwarding node keeps a replica of a hit: give it the digest.
 	replica := r.Header.Get(HeaderReplica) != ""
@@ -225,14 +227,9 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, req SubmitR
 	// the stored bytes with no job machinery. Anything else — async,
 	// traced, draining, invalid, or simply not cached — falls through to
 	// the scheduler below, which owns all error reporting.
-	if !req.Async {
-		if key != "" {
-			if bytes, ok := s.TryCacheHitKey(key); ok {
-				s.writeCachedResult(w, key, bytes, replica)
-				return
-			}
-		} else if bytes, hexKey, ok := s.TryCacheHit(req.Job); ok {
-			s.writeCachedResult(w, string(hexKey[:]), bytes, replica)
+	if !req.Async && key != "" {
+		if bytes, ok := s.TryCacheHitKey(key); ok {
+			s.writeCachedResult(w, key, bytes, replica)
 			return
 		}
 	}

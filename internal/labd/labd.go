@@ -95,10 +95,11 @@ type Config struct {
 
 // PeerFetcher is the peer cache tier's transport: given a content
 // address, fetch the result bytes from another fleet node, verifying
-// integrity before returning them. internal/fleet's Router implements
-// it over HTTP GET /v1/cache/{key}.
+// integrity before returning them (ok). probed reports whether a peer
+// was asked at all: a fetcher may answer a miss without a request.
+// internal/fleet's Router implements it over HTTP GET /v1/cache/{key}.
 type PeerFetcher interface {
-	Fetch(ctx context.Context, key string) ([]byte, bool)
+	Fetch(ctx context.Context, key string) (b []byte, ok, probed bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -266,6 +267,11 @@ type Server struct {
 	fastHitsMem   *telemetry.CounterHandle
 	fastCompleted *telemetry.CounterHandle
 
+	// memo answers a repeated submission body without decoding it
+	// (memo.go); decodeReused counts its hits.
+	memo         *decodeMemo
+	decodeReused *telemetry.CounterHandle
+
 	// latency streams finished jobs' end-to-end latency (seconds); a
 	// traced job leaves its trace ID as its bucket's exemplar, so a
 	// latency spike resolves to its trace. queueWait streams leader
@@ -301,6 +307,7 @@ func New(cfg Config) (*Server, error) {
 			QueueLimit: cfg.QueueDepth,
 		}),
 		runSpec: runSpec,
+		memo:    newDecodeMemo(),
 		tracer:  cfg.Tracer,
 		slo:     cfg.SLO,
 		peers:   cfg.Peers,
@@ -311,6 +318,8 @@ func New(cfg Config) (*Server, error) {
 	s.fastHits = m.CounterHandle("labd.cache.hits")
 	s.fastHitsMem = m.CounterHandle("labd.cache.hits.memory")
 	s.fastCompleted = m.CounterHandle("labd.jobs.completed")
+	s.decodeReused = m.CounterHandle("labd.submit.decode_reused")
+	s.decodeReused.Add(0)
 	// Pre-register the resilience counters so /metrics exposes them at
 	// zero before (and whether or not) anything goes wrong.
 	m.Add("labd.jobs.panicked", 0)
@@ -587,9 +596,9 @@ func (s *Server) runJob(j *Job, worker int) {
 	// same — it just costs one HTTP fetch instead of a simulation.
 	if s.peers != nil {
 		peerSpan := j.trace.StartSpan("cache.peer", "exec", 0)
-		bytes, ok := s.peers.Fetch(j.ctx, j.Key)
+		bytes, ok, probed := s.peers.Fetch(j.ctx, j.Key)
 		if j.trace != nil {
-			peerSpan.End(telemetry.Str("hit", peerTier(ok)))
+			peerSpan.End(telemetry.Str("hit", peerTier(ok, probed)))
 		}
 		if ok {
 			j.mu.Lock()
@@ -600,7 +609,9 @@ func (s *Server) runJob(j *Job, worker int) {
 			s.finish(j, bytes, nil)
 			return
 		}
-		s.metrics.Add("labd.cache.peer.misses", 1)
+		if probed {
+			s.metrics.Add("labd.cache.peer.misses", 1)
+		}
 	}
 	s.metrics.Add("labd.simulations", 1)
 
@@ -748,12 +759,17 @@ func (s *Server) finish(j *Job, bytes []byte, err error) {
 	})
 }
 
-// peerTier renders a peer-fetch outcome for the trace span attribute.
-func peerTier(hit bool) string {
-	if hit {
+// peerTier renders a peer-fetch outcome for the trace span attribute:
+// "skipped" when no peer was asked.
+func peerTier(hit, probed bool) string {
+	switch {
+	case hit:
 		return "hit"
+	case probed:
+		return "miss"
+	default:
+		return "skipped"
 	}
-	return "miss"
 }
 
 // QueueDepth returns the number of jobs waiting for a worker.

@@ -301,6 +301,44 @@ func TestEndToEndTraceCacheDispositions(t *testing.T) {
 	}
 }
 
+// stubPeers is a peer tier that never finds a result; probed is what it
+// reports about asking a peer.
+type stubPeers struct{ probed bool }
+
+func (p stubPeers) Fetch(context.Context, string) ([]byte, bool, bool) { return nil, false, p.probed }
+
+// TestEndToEndTracePeerSkip: a miss whose peer fetch asked no peer (a
+// fleet node's closed probe window) counts no labd.cache.peer.misses
+// and traces its cache.peer span as hit=skipped; one that asked counts
+// a peer miss and traces hit=miss.
+func TestEndToEndTracePeerSkip(t *testing.T) {
+	for _, want := range []struct {
+		probed bool
+		hit    string
+		misses int64
+	}{{false, "skipped", 0}, {true, "miss", 1}} {
+		c, srv := tracedDaemon(t, labd.Config{Workers: 1, QueueDepth: 4, Peers: stubPeers{want.probed}})
+		sub, err := c.Submit(context.Background(), seed42Spec)
+		if err != nil || sub.Cache != "miss" {
+			t.Fatalf("probed=%v: %+v, %v; want a miss", want.probed, sub, err)
+		}
+		var td wireTrace
+		getJSON(t, c.BaseURL+"/debug/traces/"+sub.TraceID, &td)
+		hit := ""
+		for _, s := range td.Spans {
+			if a, ok := s.Attr("hit"); ok && s.Name == "cache.peer" {
+				hit = a.Str
+			}
+		}
+		if hit != want.hit {
+			t.Errorf("probed=%v: cache.peer hit=%q, want %q (spans %v)", want.probed, hit, want.hit, names(td.Spans))
+		}
+		if n := srv.NodeState().Counters["labd.cache.peer.misses"]; n != want.misses {
+			t.Errorf("probed=%v: labd.cache.peer.misses %d, want %d", want.probed, n, want.misses)
+		}
+	}
+}
+
 // TestEndToEndTraceChaos drives a traced daemon under injected faults
 // and concurrent clients (the -race CI step): every submission still
 // yields a coherent trace — one trace per request, error traces filed

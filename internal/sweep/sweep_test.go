@@ -413,22 +413,77 @@ func sweepRun(workers int) func(n int, fn func(i int) error) error {
 	}
 }
 
+// virtualMakespan runs the profile under run on a virtual clock and
+// returns its makespan in cost units. Each task blocks until the test
+// releases it at its virtual end time. The test releases the earliest
+// end first, and only once every free worker has started its next task,
+// so the makespan depends on the scheduling policy alone: neither host
+// load nor sleep jitter can move it.
+func virtualMakespan(t *testing.T, workers int, run func(n int, fn func(i int) error) error) float64 {
+	t.Helper()
+	type started struct {
+		end     float64
+		release chan struct{}
+	}
+	var (
+		mu  sync.Mutex
+		now float64
+	)
+	n := len(imbalancedCosts)
+	starts := make(chan *started)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(n, func(i int) error {
+			mu.Lock()
+			s := &started{end: now + imbalancedCosts[i], release: make(chan struct{})}
+			mu.Unlock()
+			starts <- s
+			<-s.release
+			return nil
+		})
+	}()
+	var running []*started
+	for finished := 0; finished < n; finished++ {
+		for len(running) < min(workers, n-finished) {
+			select {
+			case s := <-starts:
+				running = append(running, s)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d tasks running after %d finished; want %d", len(running), finished, min(workers, n-finished))
+			}
+		}
+		k := 0
+		for j := range running {
+			if running[j].end < running[k].end {
+				k = j
+			}
+		}
+		s := running[k]
+		running = append(running[:k], running[k+1:]...)
+		mu.Lock()
+		now = s.end
+		mu.Unlock()
+		close(s.release)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return now
+}
+
 // TestImbalanceSpeedup is the acceptance gate: on 4 workers the
 // longest-first sweep must beat the FIFO pool by ≥1.3x on the skewed
-// profile. With 20ms units the theoretical makespans are 340ms (FIFO:
-// the 12u straggler starts at 5u) vs 240ms (LPT: it starts first), a
-// 1.42x ratio — comfortably above the gate even with sleep jitter.
+// profile. On the virtual clock the makespans are exact: 17 units for
+// FIFO (the 12u straggler starts at 5u) and 12 for longest-first (it
+// starts first), a 1.42x ratio.
 func TestImbalanceSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based test in -short mode")
+	fifo := virtualMakespan(t, 4, fifoRun(4))
+	sweep := virtualMakespan(t, 4, sweepRun(4))
+	if fifo != 17 || sweep != 12 {
+		t.Errorf("makespans: fifo %g units, longest-first %g; want 17 and 12", fifo, sweep)
 	}
-	const unit = 20 * time.Millisecond
-	fifo := runImbalanced(t, unit, fifoRun(4))
-	sweep := runImbalanced(t, unit, sweepRun(4))
-	ratio := float64(fifo) / float64(sweep)
-	t.Logf("fifo=%v sweep=%v speedup=%.2fx", fifo, sweep, ratio)
-	if ratio < 1.3 {
-		t.Errorf("longest-first speedup %.2fx < 1.3x (fifo %v, sweep %v)", ratio, fifo, sweep)
+	if ratio := fifo / sweep; ratio < 1.3 {
+		t.Errorf("longest-first speedup %.2fx < 1.3x (fifo %g units, longest-first %g)", ratio, fifo, sweep)
 	}
 }
 
