@@ -16,8 +16,9 @@
 # (TestMetricsConcurrentExport) and the fleet rollup's merge property
 # (TestMergeStatesMatchesOneNode) under the race detector, a short fuzz
 # budget for each gclog target, the band analysis, the hdrhist decoder,
-# the spec-key encoder, the decode memo, the batch NDJSON framing, the
-# gossip wire encoder and the traceparent parser, gctop's frames under the race
+# the spec-key encoder, the decode memo, the disk-cache entry check, the
+# gossip wire encoder, the traceparent parser and the bench-output
+# parser, gctop's frames under the race
 # detector (one GET each, of canned readings and of a live two-node
 # fleet), and the bench-gate step, which measures
 # the kernel-bound benchmarks, one whole Simulate call, the whole
@@ -160,17 +161,20 @@ go test -run=NONE -fuzz='^FuzzAppendSpecJSON$' -fuzztime=10s ./internal/labd/
 # arrivals, its own answer for a body one byte away from a stored one,
 # and nothing stored that failed to decode or to key.
 go test -run=NONE -fuzz='^FuzzDecodeMemo$' -fuzztime=10s ./internal/labd/
-# FuzzAppendBatchEvent holds the batch NDJSON framing to json.Encoder
-# (SetEscapeHTML(false)): equal bytes whenever it frames an event, and no
-# framing of an event the encoder rejects. The one framing serves the
-# daemon's batch stream and a fleet node's (labd.StreamBatch).
-go test -run=NONE -fuzz='^FuzzAppendBatchEvent$' -fuzztime=10s ./internal/labd/
+# FuzzDiskEntry holds the disk cache's entry check panic-free on any
+# bytes: an entry it accepts is the payload after the header line, of
+# the header's length and SHA-256, and an entry write made reads back.
+go test -run=NONE -fuzz='^FuzzDiskEntry$' -fuzztime=10s ./internal/labd/
 # FuzzAppendMessage holds the hand-encoded gossip ping to encoding/json:
 # every message decodes to the value json.Marshal's encoding does.
 go test -run=NONE -fuzz='^FuzzAppendMessage$' -fuzztime=10s ./internal/fleet/gossip/
 # FuzzParseTraceparent holds the traceparent parser to the W3C
 # version-00 grammar (lowercase hex only).
 go test -run=NONE -fuzz='^FuzzParseTraceparent$' -fuzztime=10s ./internal/obs/
+# FuzzParse holds benchreg's parser of `go test -bench` output, which the
+# bench-gate below reads, panic-free, and every report it returns
+# unchanged through WriteJSON and ReadJSON.
+go test -run=NONE -fuzz='^FuzzParse$' -fuzztime=10s ./internal/benchreg/
 
 # bench-gate: re-measure the kernel-bound artifact benchmarks (without
 # -race; the gate measures the product, not the detector) and compare.

@@ -3,10 +3,10 @@
 // (which pauses would get a Cassandra node declared down).
 //
 // It reads logs in this laboratory's HotSpot-flavoured rendering — the
-// output of `gcsim -v`, the unified log `gcsim [dacapo] -gclog-out` writes, or
-// `jvmgc.SimulationResult.LogText` — from the file argument, or from
-// stdin when no file is given. Parse errors abort with a non-zero exit
-// rather than printing partial statistics.
+// output of `gcsim -v`, the file `gcsim [dacapo] -gclog-out` writes (the
+// same lines), or `jvmgc.SimulationResult.LogText` — from the file
+// argument, or from stdin when no file is given. Parse errors abort with
+// a non-zero exit rather than printing partial statistics.
 //
 // Examples:
 //

@@ -5,10 +5,11 @@
 //	gcsim cassandra [flags]  the Cassandra/YCSB client-server study (§4)
 //
 // -collector takes any case ("g1" is G1) and sizes take the JVM's
-// suffixes ("512m", "16g"). In the first two modes -trace-out,
-// -metrics-out and -gclog-out write the flight recorder's Chrome trace
-// (for Perfetto), Prometheus snapshot and unified GC log; recording never
-// changes the results. A usage error exits 2, a failed run 1.
+// suffixes ("512m", "16g"). In the first two modes -trace-out and
+// -metrics-out write the flight recorder's Chrome trace (for Perfetto)
+// and Prometheus snapshot, and -gclog-out writes the run's GC log, the
+// lines -v prints; recording never changes the results. A usage error
+// exits 2, a failed run 1.
 //
 // Examples:
 //
@@ -84,7 +85,7 @@ func runSimulate(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := simulate(cfg, *trace, *duration)
 	if err == nil {
-		err = f.writeExports(cfg.Recorder)
+		err = f.writeExports(cfg.Recorder, func() string { return res.LogText })
 	}
 	stopCPU()
 	if err == nil {
@@ -150,13 +151,14 @@ func runDacapo(args []string, stdout, stderr io.Writer) int {
 	rec := f.recorder()
 	collectors := []string{*f.collector}
 	if *all {
-		if rec != nil {
+		if rec != nil || *f.gclog != "" {
 			fmt.Fprintln(stderr, "gcsim dacapo: the exports record one run; -all-collectors runs six")
 			f.Usage()
 			return 2
 		}
 		collectors = jvmgc.Collectors()
 	}
+	var logText func() string
 	for _, c := range collectors {
 		res, err := jvmgc.RunBenchmark(jvmgc.BenchmarkOptions{
 			Benchmark:   *bench,
@@ -172,6 +174,7 @@ func runDacapo(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return f.done(fmt.Errorf("%s/%s: %w", *bench, c, err))
 		}
+		logText = res.LogText
 		fmt.Fprintf(stdout, "%-12s total=%.3fs final=%.3fs pauses=%d full=%d maxPause=%v totalPause=%v\n",
 			c, res.TotalSeconds,
 			res.IterationSeconds[len(res.IterationSeconds)-1],
@@ -180,7 +183,7 @@ func runDacapo(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  iteration %2d: %.3fs\n", i+1, d)
 		}
 	}
-	return f.done(f.writeExports(rec))
+	return f.done(f.writeExports(rec, logText))
 }
 
 // runCassandra is gcsim cassandra: the paper's §4 client-server latency study.
@@ -265,7 +268,7 @@ func (f *modeFlags) jvm(youngDefault string) {
 	f.noTLAB = f.Bool("no-tlab", false, "disable TLABs (-XX:-UseTLAB)")
 	f.trace = f.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file")
 	f.metrics = f.String("metrics-out", "", "write a Prometheus text-format metrics snapshot of the run to this file")
-	f.gclog = f.String("gclog-out", "", "write the run's unified GC log (gcanalyze reads it) to this file")
+	f.gclog = f.String("gclog-out", "", "write the run's GC log, the lines -v prints (gcanalyze reads it), to this file")
 	f.sample = f.Duration("sample-interval", 100*time.Millisecond, "flight-recorder time-series sample interval (simulated time)")
 }
 
@@ -292,20 +295,26 @@ func (f *modeFlags) done(err error) int {
 	return 0
 }
 
-// recorder returns a flight recorder when an export is asked for, else nil.
+// recorder returns a flight recorder when -trace-out or -metrics-out
+// asks for one, else nil: -gclog-out writes the run's own log.
 func (f *modeFlags) recorder() *jvmgc.Recorder {
-	if *f.trace == "" && *f.metrics == "" && *f.gclog == "" {
+	if *f.trace == "" && *f.metrics == "" {
 		return nil
 	}
 	return jvmgc.NewRecorder(*f.sample)
 }
 
-// writeExports writes the exports asked for from rec, which recorder returned.
-func (f *modeFlags) writeExports(rec *jvmgc.Recorder) error {
+// writeExports writes the exports asked for: the flight recorder's from
+// rec, which recorder returned, and the GC log that logText renders.
+func (f *modeFlags) writeExports(rec *jvmgc.Recorder, logText func() string) error {
+	writeLog := func(w io.Writer) error {
+		_, err := io.WriteString(w, logText())
+		return err
+	}
 	for _, x := range []struct {
 		path  string
 		write func(io.Writer) error
-	}{{*f.trace, rec.WriteChromeTrace}, {*f.metrics, rec.WritePrometheus}, {*f.gclog, rec.WriteUnifiedLog}} {
+	}{{*f.trace, rec.WriteChromeTrace}, {*f.metrics, rec.WritePrometheus}, {*f.gclog, writeLog}} {
 		if x.path == "" {
 			continue
 		}

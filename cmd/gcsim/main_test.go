@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"jvmgc/internal/gclog"
 )
 
 // runOK runs gcsim with args and returns its stdout, failing the test on
@@ -29,7 +35,8 @@ func digest(b []byte) string {
 // replaced, by the SHA-256 of their output: the stdout of dacapobench,
 // cassbench and bare gcsim, and the three exports of gctrace (whose -o
 // prefix became one flag per export). The digests came from those
-// binaries.
+// binaries, except -gclog-out's: it writes the run's own GC log, which
+// is gctrace's file without its '#' comment lines.
 func TestSameBytesAsReplacedCommands(t *testing.T) {
 	cases := []struct {
 		args   []string
@@ -64,14 +71,14 @@ func TestSameBytesAsReplacedCommands(t *testing.T) {
 			files: map[string]string{
 				"-trace-out":   "cd31bf2f8556d3316cb0704df45eed3a94532d2e8e429cc24d089b4a98ae079b",
 				"-metrics-out": "7d1277bb6754df5fecb293818506a7937f811858819221c20540d1c3719a63c0",
-				"-gclog-out":   "530533edc3a1830e20a0567b49dcd29f8a8b25d9575313e9de07e23e4887fdf5",
+				"-gclog-out":   "6da4e3a7c4d325860a5910d184d3936112f7b824a72bd9aafad0895bc68678e9",
 			}},
 		// gctrace -bench h2 -gc CMS -heap 8g -young 2g
 		{args: []string{"dacapo", "-bench", "h2", "-collector", "CMS", "-heap", "8g", "-young", "2g"},
 			files: map[string]string{
 				"-trace-out":   "85515c3fb2fab21639579473b84498eac80e966c9dff887e7749b57576a6e13a",
 				"-metrics-out": "a49f51c9d136769cfaec32e34e4c7c1711c032802d2e48cc9bb15ac8136f4f3d",
-				"-gclog-out":   "c7ce0e2cb275668841daf8bea290381f02ff628f3bbea51249af1ccfb6331928",
+				"-gclog-out":   "57a47c4e695df87de726d37fcd2bead241911e3de62851313b9fb96dc144ffd5",
 			}},
 	}
 	for _, c := range cases {
@@ -94,6 +101,71 @@ func TestSameBytesAsReplacedCommands(t *testing.T) {
 			if got := digest(b); got != want {
 				t.Errorf("gcsim %q %s: sha256 %s, want %s", c.args, flag, got, want)
 			}
+		}
+	}
+}
+
+// TestGCLogOut: -gclog-out writes the run's own GC log and attaches no
+// flight recorder. In bare mode the file is the log -v prints, without
+// its '# ' summary lines; in dacapo mode gclog.Parse reads back the
+// pause count, full-GC count and total pause the mode prints, the total
+// to the log's 0.1 ms rounding of each pause.
+func TestGCLogOut(t *testing.T) {
+	dir := t.TempDir()
+	flags := newModeFlags("gcsim", io.Discard)
+	flags.jvm("ergonomics")
+	if !flags.parse([]string{"-gclog-out", filepath.Join(dir, "unused.gclog")}) || flags.recorder() != nil {
+		t.Error("-gclog-out alone attaches a flight recorder")
+	}
+	for _, gc := range []string{"CMS", "G1"} {
+		path := filepath.Join(dir, gc+".gclog")
+		args := []string{"-collector", gc, "-heap", "4g", "-young", "1g", "-alloc", "800m", "-duration", "60s"}
+		verbose := runOK(t, append(args, "-v")...)
+		runOK(t, append(args, "-gclog-out", path)...)
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, line := range bytes.SplitAfter(verbose, []byte("\n")) {
+			if !bytes.HasPrefix(line, []byte("# ")) {
+				want = append(want, line...)
+			}
+		}
+		if len(file) == 0 || !bytes.Equal(file, want) {
+			t.Errorf("gcsim -collector %s: -gclog-out wrote %d bytes that differ from the %d bytes of -v's log", gc, len(file), len(want))
+		}
+	}
+
+	for _, gc := range []string{"CMS", "G1", "ParallelOld"} {
+		path := filepath.Join(dir, "h2-"+gc+".gclog")
+		stdout := runOK(t, "dacapo", "-bench", "h2", "-collector", gc, "-gclog-out", path)
+		printed := map[string]string{}
+		for _, field := range strings.Fields(string(bytes.SplitN(stdout, []byte("\n"), 2)[0])) {
+			if k, v, ok := strings.Cut(field, "="); ok {
+				printed[k] = v
+			}
+		}
+		totalPause, err := time.ParseDuration(printed["totalPause"])
+		if err != nil {
+			t.Fatalf("gcsim dacapo -collector %s: totalPause: %v", gc, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := gclog.Parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("gcsim dacapo -collector %s: gclog.Parse: %v", gc, err)
+		}
+		pauses, full := log.CountPauses()
+		if pauses == 0 || fmt.Sprint(pauses) != printed["pauses"] || fmt.Sprint(full) != printed["full"] {
+			t.Errorf("gcsim dacapo -collector %s: the log reads pauses/full %d/%d, stdout %s/%s", gc, pauses, full, printed["pauses"], printed["full"])
+		}
+		tol := time.Duration(pauses) * 50 * time.Microsecond
+		if d := log.TotalPause().Std() - totalPause; d < -tol || d > tol {
+			t.Errorf("gcsim dacapo -collector %s: the log's total pause %v, stdout %v (±%v)", gc, log.TotalPause().Std(), totalPause, tol)
 		}
 	}
 }

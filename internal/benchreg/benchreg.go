@@ -17,10 +17,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Result is one benchmark's measurements.
@@ -100,8 +102,13 @@ func Parse(r io.Reader) (Report, error) {
 
 // parseLine parses one "BenchmarkName-8  N  12.3 ns/op  ..." line. The
 // second return is false for lines that start with "Benchmark" but are
-// not results (e.g. a benchmark name echoed alone by -v).
+// not results (e.g. a benchmark name echoed alone by -v). A line the
+// JSON report could not hold, with a NaN or infinite value or invalid
+// UTF-8, is an error.
 func parseLine(line string) (Result, bool, error) {
+	if !utf8.ValidString(line) {
+		return Result{}, false, fmt.Errorf("benchreg: invalid UTF-8 in %q", line)
+	}
 	f := strings.Fields(line)
 	if len(f) < 4 {
 		return Result{}, false, nil
@@ -118,7 +125,7 @@ func parseLine(line string) (Result, bool, error) {
 	}
 	for i := 2; i < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return Result{}, false, fmt.Errorf("benchreg: bad value %q in %q", f[i], line)
 		}
 		switch unit := f[i+1]; unit {

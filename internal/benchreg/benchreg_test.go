@@ -2,6 +2,7 @@ package benchreg
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,24 @@ BenchmarkX-4   	     110	   1800 ns/op	 520 B/op	 11 allocs/op
 	}
 }
 
+// TestParseRejectsNonFinite: a value the JSON report cannot hold is a
+// parse error, as a non-numeric one is. Accepted, a NaN ns/op would pass
+// every comparison and fail WriteJSON.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, line := range []string{
+		"BenchmarkX-8 10 fast ns/op",
+		"BenchmarkX-8 10 NaN ns/op",
+		"BenchmarkX-8 10 5 ns/op 8 B/op nan allocs/op",
+		"BenchmarkX-8 10 5 ns/op Inf wins-pct",
+		"BenchmarkX-8 10 5 ns/op -Inf wins-pct",
+		"BenchmarkX-8 10 1e999 ns/op",
+	} {
+		if rep, err := Parse(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error", line, rep)
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	rep, err := Parse(strings.NewReader(sampleOutput))
 	if err != nil {
@@ -88,6 +107,32 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Errorf("round-trip mismatch: %+v != %+v", a, b)
 		}
 	}
+}
+
+// FuzzParse holds Parse to the report it returns: it never panics, and
+// any report it returns survives WriteJSON then ReadJSON unchanged, so a
+// value the JSON report cannot hold (NaN, an infinity) is rejected as a
+// non-numeric one is. The seed corpus under testdata/fuzz/FuzzParse holds
+// gate output, repeated runs, a custom metric, an odd value/unit tail,
+// and NaN and infinite values.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		rep, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of a parsed report: %v", err)
+		}
+		back, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("ReadJSON of a written report: %v", err)
+		}
+		if !reflect.DeepEqual(back, rep) {
+			t.Fatalf("report changed across WriteJSON/ReadJSON:\n got %+v\nwant %+v", back, rep)
+		}
+	})
 }
 
 func bench(name string, ns, allocs float64) Result {

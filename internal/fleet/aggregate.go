@@ -194,7 +194,7 @@ func (rt *Router) members(v *view, states []labd.NodeState) []NodeInfo {
 
 // handleFleetState serves the fleet's reading.
 func (rt *Router) handleFleetState(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.fleetState(r.Context()))
+	labd.WriteJSON(w, http.StatusOK, rt.fleetState(r.Context()))
 }
 
 // handleFleetMetrics renders the fleet's reading for scrapers: the

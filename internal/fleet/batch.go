@@ -34,13 +34,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bp, err := labd.ReadPooledBody(w, r, labd.MaxBatchBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		labd.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	req, raw, err := labd.DecodeBatch(*bp)
 	labd.ReleaseBody(bp)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		labd.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	events := make(chan labd.BatchEvent, len(req.Jobs))

@@ -596,13 +596,13 @@ func (rt *Router) handleFallthrough(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Path == "/healthz" && r.Method == http.MethodGet {
-		writeJSON(w, http.StatusOK, struct {
+		labd.WriteJSON(w, http.StatusOK, struct {
 			Status string `json:"status"`
 			Role   string `json:"role"`
 		}{"ok", "router"})
 		return
 	}
-	writeError(w, http.StatusNotFound,
+	labd.WriteError(w, http.StatusNotFound,
 		errors.New("fleet: standalone router: only /v1/jobs, /v1/jobs/batch, /metrics and /fleet/* are served"))
 }
 
@@ -614,7 +614,7 @@ func (rt *Router) handleFallthrough(w http.ResponseWriter, r *http.Request) {
 // across the network to filter at the joiner.
 func (rt *Router) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	if rt.local == nil {
-		writeJSON(w, http.StatusOK, struct {
+		labd.WriteJSON(w, http.StatusOK, struct {
 			Keys []string `json:"keys"`
 		}{[]string{}})
 		return
@@ -642,7 +642,7 @@ func (rt *Router) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 		}
 		keys = filtered
 	}
-	writeJSON(w, http.StatusOK, struct {
+	labd.WriteJSON(w, http.StatusOK, struct {
 		Keys []string `json:"keys"`
 	}{keys})
 }
@@ -804,10 +804,10 @@ func (rt *Router) pushKey(ctx context.Context, url, key string) error {
 // response is on the wire.
 func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if err := rt.Leave(r.Context()); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		labd.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	labd.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 		Node   string `json:"node,omitempty"`
 		Epoch  uint64 `json:"epoch"`
@@ -885,14 +885,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	bp, err := labd.ReadPooledBody(w, r, labd.MaxSubmitBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		labd.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer labd.ReleaseBody(bp)
 	body := *bp
 	req, key, keyHash, err := rt.decode(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		labd.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if key == "" {
@@ -943,7 +943,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		failed |= v.bit(owner)
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, errors.New("fleet: no nodes available"))
+	labd.WriteError(w, http.StatusServiceUnavailable, errors.New("fleet: no nodes available"))
 }
 
 // relayBufs recycles the buffers forward copies response bodies
@@ -978,7 +978,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, url, node stri
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		url+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		labd.WriteError(w, http.StatusInternalServerError, err)
 		return true
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -1079,18 +1079,4 @@ func (rt *Router) Stats() RouterStats {
 		ReplicasKept:   rt.replicasKept.Value(),
 		ReplicaRejects: rt.replicaRejects.Value(),
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

@@ -38,8 +38,8 @@ func (f flatLog) countPauses() (pauses, full int) {
 
 func (f flatLog) String() string {
 	var b strings.Builder
-	for _, e := range f {
-		b.WriteString(e.Format())
+	for i := range f {
+		b.Write(appendEvent(nil, &f[i]))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -56,8 +56,8 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzEventFormat checks the append formatters against the fmt
-// rendering they replace, byte for byte: Event.Format, Event.AppendFormat
-// into a non-empty buffer, and the machine.Bytes rendering of both heap
+// rendering they replace, byte for byte: appendEvent into an empty and a
+// non-empty buffer, and the machine.Bytes rendering of both heap
 // occupancies. The seed corpus under testdata/fuzz/FuzzEventFormat holds
 // the rounding ties at both precisions, a carry into the next integer
 // second, the 2^52 ns edge of the integer path, zero and negative values,
@@ -76,11 +76,11 @@ func FuzzEventFormat(f *testing.F) {
 			HeapAfter:  machine.Bytes(after),
 		}
 		want := fmtFormat(e)
-		if got := e.Format(); got != want {
-			t.Fatalf("Format = %q, fmt gives %q", got, want)
+		if got := string(appendEvent(nil, &e)); got != want {
+			t.Fatalf("appendEvent = %q, fmt gives %q", got, want)
 		}
-		if got := string(e.AppendFormat([]byte("x\n"))); got != "x\n"+want {
-			t.Fatalf("AppendFormat = %q, fmt gives %q", got, "x\n"+want)
+		if got := string(appendEvent([]byte("x\n"), &e)); got != "x\n"+want {
+			t.Fatalf("appendEvent after %q = %q, fmt gives %q", "x\n", got, "x\n"+want)
 		}
 		for _, b := range []machine.Bytes{e.HeapBefore, e.HeapAfter} {
 			if got, want := b.String(), fmtBytes(b); got != want {
@@ -90,7 +90,7 @@ func FuzzEventFormat(f *testing.F) {
 	})
 }
 
-// fmtFormat is the fmt rendering of a log line that Event.AppendFormat
+// fmtFormat is the fmt rendering of a log line that appendEvent
 // reproduces.
 func fmtFormat(e Event) string {
 	return fmt.Sprintf("%.3f: [%s (%s) %s->%s, %.4f secs]",

@@ -84,27 +84,22 @@ type Event struct {
 // End returns the instant the event finished.
 func (e Event) End() simtime.Time { return e.Start.Add(e.Duration) }
 
-// Format renders the event as a HotSpot-like log line:
-//
-//	12.345: [Full GC (System.gc()) 8GB->2GB, 1.2340 secs]
-func (e Event) Format() string {
-	var buf [maxLine]byte
-	return string(e.AppendFormat(buf[:0]))
-}
-
 // maxLine bounds the stack buffer a line is rendered into; longer lines
 // (long causes) still render, through one heap allocation.
 const maxLine = 128
 
-// AppendFormat appends the Format rendering of e to dst and returns the
-// extended buffer. Its bytes equal those of
+// appendEvent appends the HotSpot-like log line of e to dst and returns
+// the extended buffer:
+//
+//	12.345: [Full GC (System.gc()) 8GB->2GB, 1.2340 secs]
+//
+// Its bytes equal those of
 //
 //	fmt.Sprintf("%.3f: [%s (%s) %v->%v, %.4f secs]", e.Start.Seconds(),
 //		e.Kind, e.Cause, e.HeapBefore, e.HeapAfter, e.Duration.Seconds())
-func (e Event) AppendFormat(dst []byte) []byte { return appendEvent(dst, &e) }
-
-// appendEvent is AppendFormat for an event the caller holds in place, so
-// that rendering a whole log copies no event.
+//
+// It takes the event in place, so that rendering a whole log copies no
+// event.
 func appendEvent(dst []byte, e *Event) []byte {
 	dst = appendSeconds(dst, int64(e.Start), 3)
 	dst = append(dst, ": ["...)

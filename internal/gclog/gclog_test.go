@@ -108,10 +108,10 @@ func TestEventEndAndFormat(t *testing.T) {
 	if e.End() != sec(8) {
 		t.Errorf("End = %v", e.End())
 	}
-	line := e.Format()
+	line := string(appendEvent(nil, &e))
 	for _, want := range []string{"6.000", "Full GC", "System.gc()", "8GB", "2GB", "2.0000 secs"} {
 		if !strings.Contains(line, want) {
-			t.Errorf("Format() = %q missing %q", line, want)
+			t.Errorf("appendEvent = %q missing %q", line, want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package gclog_test
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 
 	"jvmgc/internal/collector"
@@ -11,20 +11,18 @@ import (
 	"jvmgc/internal/jvm"
 	"jvmgc/internal/machine"
 	"jvmgc/internal/simtime"
-	"jvmgc/internal/telemetry"
 )
 
-// simulateAndExport runs one instrumented JVM and returns both its own
-// gclog and the log re-parsed from the telemetry unified-log export —
-// the full observability pipeline: simulate → export → parse.
-func simulateAndExport(t *testing.T, collectorName string) (direct, reparsed *gclog.Log) {
+// simulateAndReparse runs one JVM and returns both its own gclog and the
+// log re-parsed from its text rendering, the lines `gcsim -gclog-out`
+// writes: simulate → render → parse.
+func simulateAndReparse(t *testing.T, collectorName string) (direct, reparsed *gclog.Log) {
 	t.Helper()
 	m := machine.New(machine.PaperTestbed())
 	col, err := collector.New(collectorName, collector.Config{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
 	j := jvm.New(jvm.Config{
 		Machine:   m,
 		Collector: col,
@@ -32,9 +30,8 @@ func simulateAndExport(t *testing.T, collectorName string) (direct, reparsed *gc
 			Heap: 2 * machine.GB, Young: 512 * machine.MB,
 			SurvivorRatio: heapmodel.DefaultSurvivorRatio,
 		},
-		TLAB:     heapmodel.DefaultTLAB(),
-		Recorder: rec,
-		Seed:     7,
+		TLAB: heapmodel.DefaultTLAB(),
+		Seed: 7,
 	}, jvm.Workload{
 		Threads:   8,
 		AllocRate: 700e6,
@@ -45,24 +42,20 @@ func simulateAndExport(t *testing.T, collectorName string) (direct, reparsed *gc
 	})
 	j.RunFor(45 * simtime.Second)
 
-	var buf bytes.Buffer
-	if err := rec.WriteUnifiedLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := gclog.Parse(&buf)
+	parsed, err := gclog.Parse(strings.NewReader(j.Log().String()))
 	if err != nil {
-		t.Fatalf("Parse rejected unified-log export: %v", err)
+		t.Fatalf("Parse rejected the rendered log: %v", err)
 	}
 	return j.Log(), parsed
 }
 
 // TestAnalyzeUnifiedLogExport runs the analyze query paths against a log
-// that travelled through the telemetry exporter and checks they agree
-// with the same queries on the simulator's own log.
+// that travelled through its text rendering and checks they agree with
+// the same queries on the simulator's own log.
 func TestAnalyzeUnifiedLogExport(t *testing.T) {
 	for _, gc := range []string{"ParallelOld", "CMS", "G1"} {
 		t.Run(gc, func(t *testing.T) {
-			direct, reparsed := simulateAndExport(t, gc)
+			direct, reparsed := simulateAndReparse(t, gc)
 
 			ds, rs := gclog.Summarize(direct), gclog.Summarize(reparsed)
 			if rs.Pauses == 0 {
@@ -99,6 +92,18 @@ func TestAnalyzeUnifiedLogExport(t *testing.T) {
 			// long before).
 			if gclog.Histogram(reparsed) == "no stop-the-world pauses\n" {
 				t.Error("histogram empty after round trip")
+			}
+
+			// Every event survives, with its kind and cause.
+			de, re := direct.Events(), reparsed.Events()
+			if len(re) != len(de) {
+				t.Fatalf("%d events after round trip, want %d", len(re), len(de))
+			}
+			for i := range re {
+				if re[i].Kind != de[i].Kind || re[i].Cause != de[i].Cause {
+					t.Errorf("event %d: %v (%s) after round trip, want %v (%s)",
+						i, re[i].Kind, re[i].Cause, de[i].Kind, de[i].Cause)
+				}
 			}
 
 			// Kind-filtered queries: pause/concurrent split is preserved.

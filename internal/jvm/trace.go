@@ -114,11 +114,10 @@ type pauseSegment struct {
 }
 
 // tracePause emits the span tree of one stop-the-world pause: a parent
-// span carrying the gclog-equivalent attributes (so the unified-log
-// export round-trips) plus ISSUE-level attribution (generation, threads,
-// copied/promoted volumes, NUMA share), a TTSP child, and per-phase
-// children tiling each segment's priced duration proportionally to the
-// collector's phase weights.
+// span carrying the gclog event's attributes plus the pause's
+// attribution (generation, threads, copied/promoted volumes, NUMA
+// share), a TTSP child, and per-phase children tiling each segment's
+// priced duration proportionally to the collector's phase weights.
 func (j *JVM) tracePause(kind gclog.Kind, cause string, start simtime.Time,
 	total, ttsp simtime.Duration, before, after, promoted machine.Bytes,
 	s gcmodel.Snapshot, segs []pauseSegment) {

@@ -2,15 +2,12 @@ package labd
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
 )
 
 // maxBatchJobs bounds one POST /v1/jobs/batch submission. The limit is
@@ -100,13 +97,13 @@ func DecodeBatch(body []byte) (req BatchRequest, raw []json.RawMessage, err erro
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bp, err := ReadPooledBody(w, r, MaxBatchBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	req, _, err := DecodeBatch(*bp)
 	ReleaseBody(bp)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	events := make(chan BatchEvent, len(req.Jobs))
@@ -169,25 +166,10 @@ func StreamBatch(w http.ResponseWriter, r *http.Request, n int, node string, eve
 	}
 	_ = enc.Encode(BatchHeader{Batch: n, Node: node})
 	flush()
-	// One pooled framing buffer serves the whole stream: each event line
-	// is built into it and written out, so a thousand-job batch allocates
-	// framing storage once instead of per line. Events whose strings need
-	// JSON escaping fall back to the encoder (see appendBatchEvent).
-	fp := framePool.Get().(*[]byte)
-	frame := bytes.NewBuffer((*fp)[:0])
-	defer func() {
-		*fp = frame.Bytes()[:0]
-		framePool.Put(fp)
-	}()
 	for done := 0; done < n; done++ {
 		select {
 		case ev := <-events:
-			frame.Reset()
-			if appendBatchEvent(frame, ev) {
-				if _, err := w.Write(frame.Bytes()); err != nil {
-					return
-				}
-			} else if err := enc.Encode(ev); err != nil {
+			if err := enc.Encode(ev); err != nil {
 				return
 			}
 			flush()
@@ -237,61 +219,4 @@ func lineError(sc *bufio.Scanner, what string, err error) error {
 		return rerr
 	}
 	return fmt.Errorf("%w: %s: %w", ErrMalformedBatch, what, err)
-}
-
-// framePool recycles NDJSON framing buffers across batch responses.
-var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// appendBatchEvent frames one NDJSON event line into buf, byte-identical
-// to json.Encoder with SetEscapeHTML(false) (pinned by the framing
-// byte-identity test): scalar fields are written by hand in struct-field
-// order, and the embedded result document goes through json.Compact —
-// the same compaction the encoder applies to a RawMessage — so interior
-// string content (spaces, pre-escaped sequences) is never rewritten.
-// ok=false means a string needs JSON escaping (typically an error
-// message) and the caller must use the encoder; buf is then dirty and
-// must be Reset.
-func appendBatchEvent(buf *bytes.Buffer, ev BatchEvent) bool {
-	if !plainJSONString(ev.ID) || !plainJSONString(ev.Key) ||
-		!plainJSONString(ev.Status) || !plainJSONString(ev.Cache) ||
-		!plainJSONString(ev.Error) {
-		return false
-	}
-	var scratch [20]byte
-	buf.WriteString(`{"index":`)
-	buf.Write(strconv.AppendInt(scratch[:0], int64(ev.Index), 10))
-	if ev.ID != "" {
-		buf.WriteString(`,"id":"`)
-		buf.WriteString(ev.ID)
-		buf.WriteByte('"')
-	}
-	if ev.Key != "" {
-		buf.WriteString(`,"key":"`)
-		buf.WriteString(ev.Key)
-		buf.WriteByte('"')
-	}
-	buf.WriteString(`,"status":"`)
-	buf.WriteString(ev.Status)
-	buf.WriteByte('"')
-	if ev.Cache != "" {
-		buf.WriteString(`,"cache":"`)
-		buf.WriteString(ev.Cache)
-		buf.WriteByte('"')
-	}
-	if ev.Error != "" {
-		buf.WriteString(`,"error":"`)
-		buf.WriteString(ev.Error)
-		buf.WriteByte('"')
-	}
-	if len(ev.Result) != 0 {
-		buf.WriteString(`,"result":`)
-		if err := json.Compact(buf, ev.Result); err != nil {
-			return false
-		}
-	}
-	buf.WriteString("}\n")
-	return true
 }

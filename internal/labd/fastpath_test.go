@@ -218,44 +218,3 @@ func TestTryCacheHitSemantics(t *testing.T) {
 		t.Fatal("hit for an invalid spec")
 	}
 }
-
-// TestBatchEventFraming pins the hand-framed NDJSON event line to
-// json.Encoder with SetEscapeHTML(false), including results whose
-// strings contain spaces and pre-escaped sequences, and asserts the
-// escaping fallback fires when a field needs it.
-func TestBatchEventFraming(t *testing.T) {
-	results := []string{
-		`{"a":1,"b":"two words","c":[1,2,3]}` + "\n",
-		`{"msg":"pre-escaped < tag","n":2.5e-8}` + "\n",
-		`{"nested":{"deep":{"s":"x y z"}}}` + "\n",
-	}
-	events := []BatchEvent{
-		{Index: 0, ID: "j1", Key: "abc123", Status: StatusDone, Cache: "hit",
-			Result: json.RawMessage(results[0])},
-		{Index: 3, Status: StatusFailed, Error: "plain error"},
-		{Index: 12, ID: "j7", Key: "ff00", Status: StatusDone, Cache: "coalesced",
-			Result: json.RawMessage(results[1])},
-		{Index: 1, ID: "j2", Key: "00", Status: StatusDone, Cache: "peer",
-			Result: json.RawMessage(results[2])},
-	}
-	for i, ev := range events {
-		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(ev); err != nil {
-			t.Fatalf("event %d: encode: %v", i, err)
-		}
-		var got bytes.Buffer
-		if !appendBatchEvent(&got, ev) {
-			t.Fatalf("event %d: hand framing declined", i)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("event %d: framing diverges\n got %q\nwant %q", i, got.Bytes(), want.Bytes())
-		}
-	}
-	var buf bytes.Buffer
-	if appendBatchEvent(&buf, BatchEvent{Index: 0, Status: StatusFailed,
-		Error: `needs "escaping"`}) {
-		t.Fatal("expected fallback for an error message with quotes")
-	}
-}

@@ -2,7 +2,11 @@ package labd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -50,30 +54,41 @@ func FuzzAppendSpecJSON(f *testing.F) {
 	})
 }
 
-// FuzzAppendBatchEvent holds the batch NDJSON framing to json.Encoder
-// with SetEscapeHTML(false), the encoder it stands in for: whenever
-// appendBatchEvent accepts an event, its line equals the encoder's byte
-// for byte, and it never accepts an event the encoder rejects (an
-// embedded result that is not JSON). The one framing serves every
-// batch stream: StreamBatch writes the daemon's and a fleet node's
-// alike. The seed corpus under testdata/fuzz/FuzzAppendBatchEvent holds
-// HTML characters, non-ASCII text, a negative index, whitespace-padded
-// results and invalid ones.
-func FuzzAppendBatchEvent(f *testing.F) {
-	f.Fuzz(func(t *testing.T, index int, id, key, status, cache, errMsg string, result []byte) {
-		ev := BatchEvent{Index: index, ID: id, Key: key, Status: status, Cache: cache,
-			Error: errMsg, Result: json.RawMessage(result)}
-		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		enc.SetEscapeHTML(false)
-		eerr := enc.Encode(ev)
-		var got bytes.Buffer
-		ok := appendBatchEvent(&got, ev)
-		switch {
-		case ok && eerr != nil:
-			t.Fatalf("framed %q where json.Encoder fails: %v", got.Bytes(), eerr)
-		case ok && !bytes.Equal(got.Bytes(), want.Bytes()):
-			t.Fatalf("framing diverges\n got %q\nwant %q", got.Bytes(), want.Bytes())
+// FuzzDiskEntry holds the disk cache's entry check to the entry format:
+// verify never panics, and an entry it accepts is exactly the bytes
+// after the header line, of the header's length and SHA-256. Any payload
+// write persists reads back byte for byte. The seed corpus under
+// testdata/fuzz/FuzzDiskEntry holds a valid entry, a truncated payload, a
+// flipped byte, a bad magic, a non-hex sum, a negative length, a header
+// with no newline in its first 128 bytes, and empty input.
+func FuzzDiskEntry(f *testing.F) {
+	d, err := newDiskCache(f.TempDir(), nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if payload, err := d.verify(raw); err == nil {
+			header, rest, _ := bytes.Cut(raw, []byte{'\n'})
+			if !bytes.Equal(payload, rest) {
+				t.Fatalf("accepted payload %q, want the bytes after the header line %q", payload, rest)
+			}
+			fields := strings.Fields(string(header))
+			sum := sha256.Sum256(payload)
+			ok := len(fields) == 3 && fields[0] == diskMagic &&
+				strings.EqualFold(fields[1], hex.EncodeToString(sum[:]))
+			if ok {
+				n, err := strconv.Atoi(fields[2])
+				ok = err == nil && n == len(payload)
+			}
+			if !ok {
+				t.Fatalf("accepted %d-byte payload %q under header %q", len(payload), payload, header)
+			}
+		}
+		if err := d.write("k", raw); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := d.read("k"); !ok || !bytes.Equal(got, raw) {
+			t.Fatalf("wrote %q, read back %q (ok %v)", raw, got, ok)
 		}
 	})
 }

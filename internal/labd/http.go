@@ -133,7 +133,10 @@ func (s *Server) Handler() http.Handler {
 	return handler
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as one line of JSON, HTML
+// characters unescaped. The daemon and a fleet node answer their JSON
+// endpoints through it, so the two write the same bytes.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -141,8 +144,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+// WriteError answers with status and the error body {"error": "..."}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorBody{Error: err.Error()})
 }
 
 // flaky runs the FaultHTTPFlaky point for one /v1/* request. A firing
@@ -153,7 +157,7 @@ func (s *Server) flaky(w http.ResponseWriter) bool {
 	}
 	s.metrics.Add("labd.http.injected.faults", 1)
 	w.Header().Set("Retry-After", "0")
-	writeError(w, http.StatusServiceUnavailable, errors.New("faultinject: injected flaky response"))
+	WriteError(w, http.StatusServiceUnavailable, errors.New("faultinject: injected flaky response"))
 	return true
 }
 
@@ -180,7 +184,7 @@ func DecodeSubmit(body []byte) (SubmitRequest, error) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	bp, err := ReadPooledBody(w, r, MaxSubmitBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// A routed fleet request carries the spec key its router computed
@@ -193,7 +197,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, key, err := s.decodeKeyed(*bp, routedKey)
 	ReleaseBody(bp)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.serveSubmit(w, r, req, key)
@@ -263,17 +267,17 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, req SubmitR
 		var inv errInvalid
 		switch {
 		case errors.As(err, &inv):
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
+			WriteError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrDraining):
 			// A draining daemon is mid-rollover; tell well-behaved
 			// clients when to try the (re)started instance.
 			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 		default:
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 		}
 		return
 	}
@@ -283,7 +287,7 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, req SubmitR
 	if req.Async {
 		w.Header().Set("X-Labd-Cache", cacheDisposition(j))
 		w.Header().Set("Location", "/v1/jobs/"+j.ID)
-		writeJSON(w, http.StatusAccepted, j.Info())
+		WriteJSON(w, http.StatusAccepted, j.Info())
 		return
 	}
 
@@ -344,7 +348,7 @@ func (s *Server) respondResult(w http.ResponseWriter, j *Job) {
 		} else if errors.Is(err, ErrQueueFull) {
 			status = http.StatusTooManyRequests
 		}
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -371,7 +375,7 @@ func (s *Server) writeCachedResult(w http.ResponseWriter, key string, bytes []by
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Jobs []JobInfo `json:"jobs"`
 	}{s.JobInfos()})
 }
@@ -379,7 +383,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("labd: no such job"))
+		WriteError(w, http.StatusNotFound, errors.New("labd: no such job"))
 		return nil, false
 	}
 	return j, true
@@ -387,7 +391,7 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (*Job, bool
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFromPath(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Info())
+		WriteJSON(w, http.StatusOK, j.Info())
 	}
 }
 
@@ -400,14 +404,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case <-j.Done():
 		s.respondResult(w, j)
 	default:
-		writeError(w, http.StatusConflict, errors.New("labd: job not finished; poll GET /v1/jobs/"+j.ID))
+		WriteError(w, http.StatusConflict, errors.New("labd: job not finished; poll GET /v1/jobs/"+j.ID))
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFromPath(w, r); ok {
 		j.Cancel()
-		writeJSON(w, http.StatusOK, j.Info())
+		WriteJSON(w, http.StatusOK, j.Info())
 	}
 }
 
@@ -477,10 +481,10 @@ func (s *Server) addSLOMetrics(snap *telemetry.PromSnapshot) {
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	store := s.tracer.Store()
 	if store == nil {
-		writeError(w, http.StatusNotFound, errors.New("labd: tracing disabled"))
+		WriteError(w, http.StatusNotFound, errors.New("labd: tracing disabled"))
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Seen     int64              `json:"seen"`
 		Retained int                `json:"retained"`
 		Recent   []obs.TraceSummary `json:"recent"`
@@ -492,17 +496,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 func (s *Server) traceFromPath(w http.ResponseWriter, r *http.Request) (*obs.TraceData, bool) {
 	store := s.tracer.Store()
 	if store == nil {
-		writeError(w, http.StatusNotFound, errors.New("labd: tracing disabled"))
+		WriteError(w, http.StatusNotFound, errors.New("labd: tracing disabled"))
 		return nil, false
 	}
 	id, err := obs.ParseTraceID(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
 	td, ok := store.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("labd: no such trace (evicted or never filed)"))
+		WriteError(w, http.StatusNotFound, errors.New("labd: no such trace (evicted or never filed)"))
 		return nil, false
 	}
 	return td, true
@@ -510,7 +514,7 @@ func (s *Server) traceFromPath(w http.ResponseWriter, r *http.Request) (*obs.Tra
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if td, ok := s.traceFromPath(w, r); ok {
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			ID string `json:"id"`
 			*obs.TraceData
 		}{td.ID.String(), td})
@@ -530,10 +534,10 @@ func (s *Server) handleTraceChrome(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if !s.slo.Enabled() {
-		writeError(w, http.StatusNotFound, errors.New("labd: SLO monitoring disabled"))
+		WriteError(w, http.StatusNotFound, errors.New("labd: SLO monitoring disabled"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.slo.Status())
+	WriteJSON(w, http.StatusOK, s.slo.Status())
 }
 
 // handleHealthz answers liveness only; the daemon's reading is
@@ -544,7 +548,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Readiness flips during drain so load balancers stop routing.
 		status, body = http.StatusServiceUnavailable, "draining"
 	}
-	writeJSON(w, status, struct {
+	WriteJSON(w, status, struct {
 		Status string `json:"status"`
 	}{body})
 }
@@ -557,7 +561,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	bytes, ok := s.cache.peek(r.PathValue("key"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("labd: key not cached here"))
+		WriteError(w, http.StatusNotFound, errors.New("labd: key not cached here"))
 		return
 	}
 	w.Header().Set("X-Labd-Sha256", Digest(bytes))
@@ -572,7 +576,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 // a router filtering by ring arc) walks to warm a cache before taking
 // placement.
 func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Keys []string `json:"keys"`
 	}{s.CacheKeys()})
 }
@@ -585,18 +589,18 @@ func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	want := r.Header.Get("X-Labd-Sha256")
 	if want == "" {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			errors.New("labd: cache put requires an X-Labd-Sha256 digest"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxResultBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if Digest(body) != want {
 		s.metrics.Add("labd.cache.corruptions.detected", 1)
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			errors.New("labd: cache put digest mismatch; bytes rejected"))
 		return
 	}
@@ -608,5 +612,5 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 // handleState serves the mergeable observability snapshot the fleet
 // aggregator folds across nodes (see NodeState).
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.NodeState())
+	WriteJSON(w, http.StatusOK, s.NodeState())
 }

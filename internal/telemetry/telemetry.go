@@ -20,9 +20,10 @@
 //     the recorder's Metrics set (metrics.go), the lab service's too.
 //
 // Exporters render a recording as Chrome trace-event JSON (chrometrace.go,
-// loadable in Perfetto), a Prometheus text-format snapshot
-// (prometheus.go), and a HotSpot-flavoured unified GC log (unifiedlog.go)
-// that internal/gclog.Parse round-trips.
+// loadable in Perfetto) and a Prometheus text-format snapshot
+// (prometheus.go). The GC log is not an export: it is the JVM's own
+// (internal/gclog). A recording adds what the log cannot show, such as
+// each pause's phase breakdown (the pause span's children in the trace).
 //
 // Span, Attr and the Chrome-trace writer are also the span model of
 // internal/obs's request traces, which record wall-clock spans and adopt
@@ -76,8 +77,8 @@ const (
 	TrackCore = "core"
 )
 
-// Attribute keys shared between emission sites and the unified-log
-// exporter.
+// Attribute keys of a GC span; the Chrome trace carries them as the
+// span's args.
 const (
 	AttrCause      = "cause"
 	AttrCollector  = "collector"
@@ -201,9 +202,6 @@ func (r *Recorder) SampleInterval() simtime.Duration {
 
 // Span records a completed simulated-time interval and returns its ID
 // (zero on nil).
-// Spans must be recorded in non-decreasing start order per track for the
-// unified-log export to round-trip; the simulator's emission points
-// guarantee that naturally.
 func (r *Recorder) Span(track, name string, start simtime.Time, d simtime.Duration, parent SpanID, attrs ...Attr) SpanID {
 	if r == nil {
 		return 0

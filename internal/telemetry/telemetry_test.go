@@ -9,7 +9,6 @@ import (
 
 	"jvmgc/internal/collector"
 	"jvmgc/internal/demography"
-	"jvmgc/internal/gclog"
 	"jvmgc/internal/heapmodel"
 	"jvmgc/internal/jvm"
 	"jvmgc/internal/machine"
@@ -79,7 +78,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	for _, write := range []func(*bytes.Buffer) error{
 		func(b *bytes.Buffer) error { return r.WriteChromeTrace(b) },
 		func(b *bytes.Buffer) error { return r.WritePrometheus(b) },
-		func(b *bytes.Buffer) error { return r.WriteUnifiedLog(b) },
 	} {
 		buf.Reset()
 		if err := write(&buf); err != nil {
@@ -106,7 +104,7 @@ func TestAttachingRecorderDoesNotChangeResults(t *testing.T) {
 }
 
 // TestDeterministicExports: identical seeds produce byte-identical
-// exports for all three formats.
+// exports in both formats.
 func TestDeterministicExports(t *testing.T) {
 	a, b := record(t, "G1"), record(t, "G1")
 	exports := []struct {
@@ -115,7 +113,6 @@ func TestDeterministicExports(t *testing.T) {
 	}{
 		{"chrometrace", func(r *telemetry.Recorder, w *bytes.Buffer) error { return r.WriteChromeTrace(w) }},
 		{"prometheus", func(r *telemetry.Recorder, w *bytes.Buffer) error { return r.WritePrometheus(w) }},
-		{"unifiedlog", func(r *telemetry.Recorder, w *bytes.Buffer) error { return r.WriteUnifiedLog(w) }},
 	}
 	for _, e := range exports {
 		var wa, wb bytes.Buffer
@@ -208,32 +205,6 @@ func TestPrometheusShape(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "jvmgc_gc_pause_seconds") {
 		t.Error("missing pause summary family")
-	}
-}
-
-// TestUnifiedLogRoundTrips: gclog.Parse accepts the export and sees the
-// same pauses the JVM logged.
-func TestUnifiedLogRoundTrips(t *testing.T) {
-	rec := telemetry.New(telemetry.Config{SampleInterval: 100 * simtime.Millisecond})
-	j := runJVM(t, "CMS", rec, 30*simtime.Second)
-	var buf bytes.Buffer
-	if err := rec.WriteUnifiedLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := gclog.Parse(&buf)
-	if err != nil {
-		t.Fatalf("gclog.Parse rejected the unified log: %v", err)
-	}
-	want := j.Log().Events()
-	got := parsed.Events()
-	if len(got) != len(want) {
-		t.Fatalf("%d events after round trip, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Kind != want[i].Kind || got[i].Cause != want[i].Cause {
-			t.Errorf("event %d: %v (%s) != %v (%s)",
-				i, got[i].Kind, got[i].Cause, want[i].Kind, want[i].Cause)
-		}
 	}
 }
 

@@ -53,8 +53,9 @@ import (
 // Recorder is the JFR-style flight recorder (internal/telemetry): attach
 // one via SimulationConfig.Recorder to capture per-phase GC span trees,
 // heap/safepoint time series and counters, then export them with
-// WriteChromeTrace, WritePrometheus or WriteUnifiedLog. A nil recorder
-// disables all telemetry at zero cost.
+// WriteChromeTrace or WritePrometheus. A nil recorder disables all
+// telemetry at zero cost. The run's GC log needs no recorder:
+// SimulationResult.LogText and BenchmarkResult.LogText render it.
 type Recorder = telemetry.Recorder
 
 // NewRecorder returns a flight recorder sampling the time series every
@@ -302,6 +303,19 @@ type BenchmarkResult struct {
 	TotalPause       time.Duration
 	MaxPause         time.Duration
 	FullGCs          int
+
+	log *gclog.Log
+}
+
+// LogText renders the run's GC log in the HotSpot-style lines of
+// SimulationResult.LogText. The result keeps the log and renders it only
+// when asked, so encoding a result neither carries nor renders it; a
+// result decoded from JSON has no log and renders none.
+func (r *BenchmarkResult) LogText() string {
+	if r.log == nil {
+		return ""
+	}
+	return r.log.String()
 }
 
 // RunBenchmark executes one benchmark run under the given options.
@@ -336,6 +350,7 @@ func RunBenchmark(opts BenchmarkOptions) (*BenchmarkResult, error) {
 		TotalSeconds: res.Total.Seconds(),
 		TotalPause:   res.Log.TotalPause().Std(),
 		MaxPause:     res.Log.MaxPause().Std(),
+		log:          res.Log,
 	}
 	for _, d := range res.Iterations {
 		out.IterationSeconds = append(out.IterationSeconds, d.Seconds())

@@ -1,6 +1,7 @@
 package jvmgc_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,15 @@ func TestRunBenchmarkFacade(t *testing.T) {
 	}
 	if res.FullGCs < 9 {
 		t.Errorf("full GCs = %d with default system GC", res.FullGCs)
+	}
+	// The log renders on request, one line per event, and stays out of
+	// the encoded result: a decoded one renders none.
+	if lines := strings.Count(res.LogText(), "\n"); lines < len(res.Pauses) {
+		t.Errorf("LogText has %d lines for %d pauses", lines, len(res.Pauses))
+	}
+	var decoded jvmgc.BenchmarkResult
+	if b, err := json.Marshal(res); err != nil || json.Unmarshal(b, &decoded) != nil || decoded.LogText() != "" {
+		t.Errorf("a decoded result renders a log (%v)", err)
 	}
 	if _, err := jvmgc.RunBenchmark(jvmgc.BenchmarkOptions{Benchmark: "nope"}); err == nil {
 		t.Error("unknown benchmark accepted")
